@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -86,6 +87,30 @@ class ConfigError(ValueError):
 _MISSING = object()
 
 
+def _as_int(value) -> int:
+    """An integral JSON number as int; bools and fractional values are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(value)
+
+
+def _as_bool(value) -> bool:
+    """A JSON true/false; strings and numbers are refused."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# casts that must not be lossy: int(64.9) truncates and bool("false") is True
+_STRICT_CASTS = {int: _as_int, bool: _as_bool}
+
+
 def cfg_get(cfg: dict, path: str, default=_MISSING, cast=None, choices=None):
     node = cfg
     for part in path.split("."):
@@ -96,7 +121,7 @@ def cfg_get(cfg: dict, path: str, default=_MISSING, cast=None, choices=None):
         node = node[part]
     if cast is not None:
         try:
-            node = cast(node)
+            node = _STRICT_CASTS.get(cast, cast)(node)
         except (TypeError, ValueError):
             raise ConfigError(
                 f"{path}: expected {cast.__name__}, got {node!r}"
@@ -106,17 +131,35 @@ def cfg_get(cfg: dict, path: str, default=_MISSING, cast=None, choices=None):
     return node
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# rows formatted by one `%` per chunk; bounds the size of the formatted string
+_CHUNK_ROWS = 4096
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def _write_rows(fh, table, sep: str) -> None:
+    """Write a 2-D float array, or a sequence of 1-D columns, one line per row.
+
+    Floats are written as ``%.17g`` (the same bytes as ``format(v, ".17g")``,
+    non-finite values included); integer-typed columns as ``%d``, exact for
+    |n| < 2**53.
+    """
+    if isinstance(table, np.ndarray):
+        table = table.T  # iterate a 2-D array by columns
+    columns = [np.asarray(c) for c in table]
+    formats = [
+        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
+    ]
+    block = np.column_stack(columns).astype(float, copy=False)
+    line = sep.join(formats) + "\n"
+    for start in range(0, block.shape[0], _CHUNK_ROWS):
+        chunk = block[start:start + _CHUNK_ROWS]
+        fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
+def write_csv(path: Path, header: list[str], table) -> None:
+    """Header line plus one CSV line per row of ``table`` (see _write_rows)."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, table, ",")
 
 
 def _jsonable(obj):
@@ -137,19 +180,21 @@ def _jsonable(obj):
 
 
 def _step_control(cfg: dict, t_end_required: bool = True) -> StepControl:
-    t_end = cfg_get(cfg, "numerics.t_end", cast=float) if t_end_required else 0.0
-    return StepControl(
-        t_end=t_end,
-        cfl=cfg_get(cfg, "numerics.cfl", 0.9, float),
-        scheme=cfg_get(
-            cfg, "numerics.scheme", "upwind",
-            choices={"upwind", "lax_friedrichs"},
+    fields = {
+        "t_end": cfg_get(cfg, "numerics.t_end", cast=float) if t_end_required else 0.0,
+        "cfl": cfg_get(cfg, "numerics.cfl", 0.9, float),
+        "scheme": cfg_get(
+            cfg, "numerics.scheme", "upwind", choices={"upwind", "lax_friedrichs"}
         ),
-        max_steps=cfg_get(cfg, "numerics.max_steps", 200_000, int),
-        integrator=cfg_get(
+        "max_steps": cfg_get(cfg, "numerics.max_steps", 200_000, int),
+        "integrator": cfg_get(
             cfg, "numerics.integrator", "euler", choices={"euler", "heun"}
         ),
-    )
+    }
+    try:
+        return StepControl(**fields)
+    except ValueError as exc:  # StepControl's messages start with the field name
+        raise ConfigError(f"numerics.{exc}") from None
 
 
 def _functional_from_cfg(cfg: dict, n: int):
@@ -180,11 +225,12 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
     lam0 = _initial_from_cfg(cfg, length)
 
     p0 = UmbilicalProfile.from_function(lam0, grid, length, boundary)
-    records: list[tuple] = []
+    blocks: list[np.ndarray] = []
 
     def on_snapshot(prof: UmbilicalProfile):
-        for s, lam, phi in zip(prof.s, prof.lam, prof.phi):
-            records.append((prof.t, s, lam, phi))
+        blocks.append(
+            np.column_stack((np.full(prof.s.shape, prof.t), prof.s, prof.lam, prof.phi))
+        )
 
     final, history = evolve_umbilical(
         p0, F, ctl, record_every=max(1, stride), on_snapshot=on_snapshot
@@ -206,7 +252,7 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
         except ShockError as exc:
             results["oracle_note"] = str(exc)
     files = [outdir / "timeseries.csv"]
-    write_csv(files[0], ["t", "s", "lambda", "phi"], records)
+    write_csv(files[0], ["t", "s", "lambda", "phi"], np.concatenate(blocks))
     return results, files
 
 
@@ -247,9 +293,8 @@ def run_tau_flow(cfg: dict, outdir: Path):
         "scalar_match": float(np.max(np.abs(out.tau[:, 0] / n - scalar.lam))),
     }
     header = ["s"] + [f"tau{j}" for j in range(1, n + 1)]
-    rows = [(s, *tau_row) for s, tau_row in zip(out.s, out.tau)]
     files = [outdir / "tau_final.csv"]
-    write_csv(files[0], header, rows)
+    write_csv(files[0], header, np.column_stack((out.s, out.tau)))
     return results, files
 
 
@@ -275,7 +320,7 @@ def run_soliton_check(cfg: dict, outdir: Path):
     write_csv(
         files[0],
         ["s", "lambda", "mu", "structure_residual"],
-        zip(p.s, p.lam, mu, structure),
+        (p.s, p.lam, mu, structure),
     )
     results = {
         "verdict": rep.verdict,
@@ -320,12 +365,9 @@ def run_biregular_check(cfg: dict, outdir: Path):
     from .soliton_lab import biregular_normal_curvature
 
     lam = biregular_normal_curvature(grid)
-    rows = []
-    for i, u in enumerate(grid.x0):
-        for j, v in enumerate(grid.x1):
-            rows.append((u, v, lam[i, j]))
+    x0, x1 = np.meshgrid(grid.x0, grid.x1, indexing="ij")
     files = [outdir / "curvature.csv"]
-    write_csv(files[0], ["x0", "x1", "lambda"], rows)
+    write_csv(files[0], ["x0", "x1", "lambda"], (x0.ravel(), x1.ravel(), lam.ravel()))
     results = {
         "verdict": rep.verdict,
         "eps_used": rep.eps_used,
@@ -370,15 +412,23 @@ def _modes_from_cfg(cfg: dict) -> dict:
     if (modes_cfg is None) == (grid_csv is None):
         raise ConfigError("h: provide exactly one of h.modes or h.grid_csv")
     if modes_cfg is not None:
+        if not isinstance(modes_cfg, list):
+            raise ConfigError(f"h.modes: expected a list of rows, got {modes_cfg!r}")
         table = {}
         for idx, entry in enumerate(modes_cfg):
-            if len(entry) < 3:
+            try:
+                *u, re_c, im_c = entry
+                if not u or not all(map(_is_number, entry)):
+                    raise ValueError(entry)
+                table[tuple(_as_int(c) for c in u)] = complex(re_c, im_c)
+            except (TypeError, ValueError):
                 raise ConfigError(
-                    f"h.modes[{idx}]: expected [u1, ..., re, im] with >= 3 entries"
-                )
-            *u, re_c, im_c = entry
-            table[tuple(int(c) for c in u)] = complex(float(re_c), float(im_c))
+                    f"h.modes[{idx}]: expected [u1, ..., re, im] with integer u "
+                    f"and numeric re, im; got {entry!r}"
+                ) from None
         return table
+    if not isinstance(grid_csv, str):
+        raise ConfigError(f"h.grid_csv: expected a path, got {grid_csv!r}")
     return _grid_csv_modes(Path(grid_csv))
 
 
@@ -421,19 +471,16 @@ def run_cohomology(cfg: dict, outdir: Path):
     files = [outdir / "solution_coeffs.csv", outdir / "amplification.csv"]
     dim = problem.dim
     header = [f"u{i + 1}" for i in range(dim)] + ["re", "im"]
-    rows = [
-        (*u, c.real, c.imag)
-        for u, c in sorted(sol.f_coeffs.items())
-    ]
-    write_csv(files[0], header, rows)
+    modes = sorted(sol.f_coeffs)
+    coeffs = np.array([sol.f_coeffs[u] for u in modes], dtype=complex)
+    mode_block = np.array(modes, dtype=np.int64).reshape(len(modes), dim)
+    write_csv(files[0], header, (*mode_block.T, coeffs.real, coeffs.imag))
+    shell_fields = ["shell", "n_modes", "min_divisor", "max_amplification",
+                    "margin_bound"]
     write_csv(
         files[1],
-        ["shell", "n_modes", "min_divisor", "max_amplification", "margin_bound"],
-        [
-            (row.shell, row.n_modes, row.min_divisor, row.max_amplification,
-             row.margin_bound)
-            for row in shells
-        ],
+        shell_fields,
+        [np.array([getattr(row, f) for row in shells]) for f in shell_fields],
     )
     results = {
         "eps": sol.eps,
@@ -477,7 +524,7 @@ def run_revolution(cfg: dict, outdir: Path):
     write_csv(
         files[0],
         ["x0", "x1", "g00", "g11", "lambda", "K_formula", "K_oracle"],
-        zip(profile.x0, profile.x1, g00, g11, lam, cmp.formula, cmp.oracle),
+        (profile.x0, profile.x1, g00, g11, lam, cmp.formula, cmp.oracle),
     )
     results = {
         "provenance": profile.provenance,
@@ -495,8 +542,7 @@ def run_revolution(cfg: dict, outdir: Path):
     if cfg_get(cfg, "output.gnuplot", False, bool):
         gp = outdir / "profile.dat"
         with open(gp, "w", newline="") as fh:
-            for u, w in zip(profile.x0, profile.x1):
-                fh.write(f"{_fmt(u)} {_fmt(w)}\n")
+            _write_rows(fh, (profile.x0, profile.x1), " ")
         files.append(gp)
     return results, files
 
@@ -525,7 +571,7 @@ def run_cone_check(cfg: dict, outdir: Path):
         files[0],
         ["s", "lambda_num", "lambda_exact", "phi_num", "phi_translated",
          "phi_integral"],
-        zip(p.s, p.lam, lam_exact, p.phi, phi_translated, phi_integral),
+        (p.s, p.lam, lam_exact, p.phi, phi_translated, phi_integral),
     )
     return rep.as_dict(), files
 
@@ -636,15 +682,22 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
             logerr = np.log([p[1] for p in ok])
             slope = float(np.polyfit(logds, logerr, 1)[0])
             aggregate["fitted_order"] = slope
+        ds, grids, errors, codes = zip(*rows)
         write_csv(
             outdir / "sweep.csv",
             ["ds", "grid", "error", "exit_status"],
-            [(ds, g, e if e is not None else math.nan, c) for ds, g, e, c in rows],
+            # dtype=float turns a missing error (None) into nan
+            (np.array(ds), np.array(grids), np.array(errors, dtype=float),
+             np.array(codes)),
         )
     else:
         stable = [cfl for cfl, code in rows if code == EXIT_OK]
         aggregate["largest_stable_cfl"] = max(stable) if stable else None
-        write_csv(outdir / "sweep.csv", ["cfl", "exit_status"], rows)
+        write_csv(
+            outdir / "sweep.csv",
+            ["cfl", "exit_status"],
+            [np.array(column) for column in zip(*rows)],
+        )
 
     aggregate["reports"] = [
         {"exit_status": r["exit_status"], "error": r.get("error")} for r in reports

@@ -17,6 +17,7 @@ with a blow-up report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -206,10 +207,10 @@ class StepControl:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
         if self.integrator == "heun" and self.scheme != "upwind":
-            raise ValueError("heun integrator is only wired to the upwind operator")
+            raise ValueError("integrator heun is only wired to the upwind operator")
 
 
 @dataclass

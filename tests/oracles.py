@@ -105,3 +105,21 @@ def enumerate_flat_spectra(n, values):
 
 def all_permutations(k):
     return [tuple(p) for p in permutations(k)]
+
+
+def _fmt_reference(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def write_csv_reference(path, header, rows, sep=","):
+    """The per-value table writer: floats as format(v, ".17g"), integers as
+    str(int), LF endings.  ``header=None`` writes no header line (the gnuplot
+    profile.dat).  The library's chunked writer must match it byte for byte.
+    """
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        for row in rows:
+            fh.write(sep.join(_fmt_reference(v) for v in row) + "\n")

@@ -55,6 +55,7 @@ from oracles import (
     canonical_spectrum_key,
     enumerate_ricci_soliton_spectra,
     sigma_by_expansion,
+    write_csv_reference,
 )
 
 GOLDEN = (1.0, (1.0 + np.sqrt(5.0)) / 2.0)
@@ -405,60 +406,65 @@ def test_criterion_13_normalized_ricci_flow():
         info["norm_integral"] = f"{worst_integral:.2e}"
 
 
+def criterion_14_batch():
+    """The criterion-14 config batch: one config per scenario."""
+    phi = GOLDEN[1]
+    return [
+        {
+            "scenario": "umbilical-flow", "n": 2,
+            "functional": {"name": "b1"},
+            "initial": {"kind": "sine", "amplitude": 1.0},
+            "numerics": {"grid": 512, "t_end": 2.0},
+            "output": {"snapshot_stride": 100},
+        },
+        {
+            "scenario": "umbilical-flow", "n": 2,
+            "functional": {"name": "affine", "a": 1.5, "b": -0.5},
+            "initial": {"kind": "constant", "value": 0.8},
+            "numerics": {"grid": 128, "t_end": 1.7},
+        },
+        {
+            "scenario": "tau-flow", "n": 3,
+            "functional": {"name": "b1"},
+            "initial": {"kind": "sine", "amplitude": 0.25, "mean": 0.5},
+            "numerics": {"grid": 1024, "t_end": 1.0},
+        },
+        {
+            "scenario": "cone-check", "beta": np.pi / 6,
+            "numerics": {"grid": 800, "t_end": 1.0},
+        },
+        {
+            "scenario": "soliton-check", "n": 2,
+            "functional": {"name": "b1"},
+            "initial": {"kind": "constant", "value": 1.3},
+            "numerics": {"grid": 256},
+        },
+        {
+            "scenario": "biregular-check",
+            "functional": {"name": "b1"},
+            "metric": {"name": "exp_x0"},
+            "eps": "auto",
+            "numerics": {"grid0": 128, "grid1": 128},
+        },
+        {"scenario": "ricci-classify", "n": 4, "tau1": 0.0, "r": 1.0},
+        {
+            "scenario": "cohomology", "v": [1.0, phi], "K": 20,
+            "h": {"modes": [[0, 0, 3.0, 0.0], [1, -1, 0.5, 0.0],
+                             [-1, 1, 0.5, 0.0], [7, -4, 0.0, 0.25],
+                             [-7, 4, 0.0, -0.25]]},
+        },
+        {
+            "scenario": "revolution",
+            "curve": {"kind": "constant_lambda", "x1_min": 0.5,
+                      "x1_max": 10.0, "step": 1e-3},
+        },
+    ]
+
+
 def test_criterion_14_cli_determinism_and_runtime(tmp_path):
     with criterion(14, "CLI determinism and full config-batch runtime") as info:
         started = time.perf_counter()
-        phi = GOLDEN[1]
-        batch = [
-            {
-                "scenario": "umbilical-flow", "n": 2,
-                "functional": {"name": "b1"},
-                "initial": {"kind": "sine", "amplitude": 1.0},
-                "numerics": {"grid": 512, "t_end": 2.0},
-                "output": {"snapshot_stride": 100},
-            },
-            {
-                "scenario": "umbilical-flow", "n": 2,
-                "functional": {"name": "affine", "a": 1.5, "b": -0.5},
-                "initial": {"kind": "constant", "value": 0.8},
-                "numerics": {"grid": 128, "t_end": 1.7},
-            },
-            {
-                "scenario": "tau-flow", "n": 3,
-                "functional": {"name": "b1"},
-                "initial": {"kind": "sine", "amplitude": 0.25, "mean": 0.5},
-                "numerics": {"grid": 1024, "t_end": 1.0},
-            },
-            {
-                "scenario": "cone-check", "beta": np.pi / 6,
-                "numerics": {"grid": 800, "t_end": 1.0},
-            },
-            {
-                "scenario": "soliton-check", "n": 2,
-                "functional": {"name": "b1"},
-                "initial": {"kind": "constant", "value": 1.3},
-                "numerics": {"grid": 256},
-            },
-            {
-                "scenario": "biregular-check",
-                "functional": {"name": "b1"},
-                "metric": {"name": "exp_x0"},
-                "eps": "auto",
-                "numerics": {"grid0": 128, "grid1": 128},
-            },
-            {"scenario": "ricci-classify", "n": 4, "tau1": 0.0, "r": 1.0},
-            {
-                "scenario": "cohomology", "v": [1.0, phi], "K": 20,
-                "h": {"modes": [[0, 0, 3.0, 0.0], [1, -1, 0.5, 0.0],
-                                 [-1, 1, 0.5, 0.0], [7, -4, 0.0, 0.25],
-                                 [-7, 4, 0.0, -0.25]]},
-            },
-            {
-                "scenario": "revolution",
-                "curve": {"kind": "constant_lambda", "x1_min": 0.5,
-                          "x1_max": 10.0, "step": 1e-3},
-            },
-        ]
+        batch = criterion_14_batch()
         for idx, cfg in enumerate(batch):
             report, code = run(cfg, tmp_path / f"batch_{idx:02d}", quiet=True)
             assert code == EXIT_OK, report.get("error")
@@ -489,3 +495,47 @@ def test_criterion_14_cli_determinism_and_runtime(tmp_path):
         elapsed = time.perf_counter() - started
         assert elapsed < 300.0
         info["batch_time_s"] = f"{elapsed:.1f}"
+
+
+def test_every_table_round_trips_through_the_reference_writer(tmp_path):
+    """Each CSV (and profile.dat) parsed back and rendered by the per-value
+    reference writer gives the same bytes: %.17g round-trips every double, so
+    any drift of the chunked writer from format(v, ".17g") shows."""
+    batch = criterion_14_batch()
+    batch[-1]["output"] = {"gnuplot": True}
+    stride_one = json.loads(json.dumps(batch[0]))
+    stride_one["numerics"].update(grid=128, t_end=0.25)
+    stride_one["output"]["snapshot_stride"] = 1
+    for idx, cfg in enumerate(batch + [stride_one]):
+        _, code = run(cfg, tmp_path / f"run_{idx:02d}", quiet=True)
+        assert code == EXIT_OK
+    sweep_base = json.loads(json.dumps(stride_one))
+    sweep_base["numerics"]["grid"] = 64
+    sweep_configs(
+        [{**sweep_base, "numerics": {**sweep_base["numerics"], "grid": g}}
+         for g in (64, 128)],
+        tmp_path / "sweep_ds", "ds",
+    )
+    sweep_configs(
+        [{**sweep_base, "numerics": {**sweep_base["numerics"], "cfl": c}}
+         for c in (0.5, 1.0, 1.5)],
+        tmp_path / "sweep_cfl", "cfl",
+    )
+
+    tables = sorted(tmp_path.rglob("*.csv")) + sorted(tmp_path.rglob("*.dat"))
+    names = {p.name for p in tables}
+    assert names >= {
+        "timeseries.csv", "tau_final.csv", "cone_final.csv", "residuals.csv",
+        "curvature.csv", "solution_coeffs.csv", "amplification.csv",
+        "profile.csv", "profile.dat", "sweep.csv",
+    }
+    for path in tables:
+        written = path.read_bytes()
+        if path.suffix == ".dat":
+            header, sep = None, " "
+            data = np.loadtxt(path, ndmin=2)
+        else:
+            header, sep = written.split(b"\n", 1)[0].decode().split(","), ","
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        write_csv_reference(tmp_path / "rendered", header, data.tolist(), sep)
+        assert (tmp_path / "rendered").read_bytes() == written, path

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from egf_lab.cli import (
     main,
     run,
     sweep_configs,
+    write_csv,
 )
+
+from oracles import write_csv_reference
 
 
 def umbilical_config(grid=128, t_end=0.5, **numerics):
@@ -44,6 +48,104 @@ class TestConfigAccess:
     def test_choices(self):
         with pytest.raises(ConfigError, match="scenario"):
             cfg_get({"scenario": "nope"}, "scenario", choices={"umbilical-flow"})
+
+    @pytest.mark.parametrize("value", [64.9, True, "64", None])
+    def test_int_cast_refuses_lossy_values(self, value):
+        with pytest.raises(ConfigError, match="numerics.grid"):
+            cfg_get({"numerics": {"grid": value}}, "numerics.grid", cast=int)
+
+    def test_strict_casts_accept_valid_values(self):
+        assert cfg_get({"g": 64.0}, "g", cast=int) == 64
+        assert cfg_get({"g": -3}, "g", cast=int) == -3
+        assert cfg_get({"f": False}, "f", cast=bool) is False
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_bool_cast_accepts_only_json_booleans(self, value):
+        with pytest.raises(ConfigError, match="output.gnuplot"):
+            cfg_get({"output": {"gnuplot": value}}, "output.gnuplot", cast=bool)
+
+    def test_fractional_grid_exits_2(self, tmp_path):
+        report, code = run(umbilical_config(grid=64.9), tmp_path, quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith("numerics.grid")
+        assert not (tmp_path / "timeseries.csv").exists()
+
+    def test_string_gnuplot_flag_exits_2(self, tmp_path):
+        cfg = {
+            "scenario": "revolution",
+            "curve": {"kind": "cone", "beta": 0.5},
+            "output": {"gnuplot": "false"},
+        }
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith("output.gnuplot")
+        assert not (tmp_path / "profile.dat").exists()
+
+    @pytest.mark.parametrize("t_end", ["inf", "nan", "-inf"])
+    def test_non_finite_t_end_exits_2(self, tmp_path, t_end):
+        report, code = run(umbilical_config(t_end=t_end), tmp_path, quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith("numerics.t_end")
+        assert (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("modes", [
+        5, "rows", [5], [[1, 2]], [[1, 0, "1.0", 0.0]], [[1.5, 0, 1.0, 0.0]],
+        [[True, 0, 1.0, 0.0]],
+    ])
+    def test_malformed_h_modes_exit_2_with_report(self, tmp_path, modes):
+        cfg = {"scenario": "cohomology", "v": [1.0, 1.5], "K": 3,
+               "h": {"modes": modes}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith("h.modes")
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["exit_status"] == EXIT_CONFIG
+
+    def test_non_string_grid_csv_exits_2_with_report(self, tmp_path):
+        cfg = {"scenario": "cohomology", "v": [1.0, 1.5], "K": 3,
+               "h": {"grid_csv": 5}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith("h.grid_csv")
+        assert (tmp_path / "report.json").exists()
+
+
+class TestCsvWriter:
+    EDGE_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   0.1, 1e16 + 2, -1.5e-300, 2.2250738585072014e-308, 1 / 3]
+
+    def test_edge_values_match_per_value_reference(self, tmp_path):
+        floats = np.array(self.EDGE_FLOATS)
+        count = len(floats)
+        ints = np.arange(count, dtype=np.int64) * -(2 ** 49) - 1
+        codes = np.resize(np.array([0, 2, 3, 4]), count)
+        header = ["x", "n", "exit_status"]
+        write_csv(tmp_path / "chunked.csv", header, (floats, ints, codes))
+        write_csv_reference(
+            tmp_path / "reference.csv", header,
+            zip(floats.tolist(), ints.tolist(), codes.tolist()),
+        )
+        chunked = (tmp_path / "chunked.csv").read_bytes()
+        assert chunked == (tmp_path / "reference.csv").read_bytes()
+        assert b"\r" not in chunked
+        assert b"\n-0,-" in chunked and b"\nnan,-1,0\n" in chunked
+
+    def test_array_spanning_chunks_matches_reference(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = 3 * 4096 + 7
+        exponents = rng.integers(-320, 300, (rows, 4))
+        table = rng.standard_normal((rows, 4)) * 10.0 ** exponents
+        table[5:5 + len(self.EDGE_FLOATS), 2] = self.EDGE_FLOATS
+        write_csv(tmp_path / "chunked.csv", ["a", "b", "c", "d"], table)
+        write_csv_reference(tmp_path / "reference.csv", ["a", "b", "c", "d"],
+                            table.tolist())
+        assert (tmp_path / "chunked.csv").read_bytes() == (
+            tmp_path / "reference.csv"
+        ).read_bytes()
+
+    def test_empty_table_writes_header_only(self, tmp_path):
+        write_csv(tmp_path / "empty.csv", ["a", "b"], (np.array([]), np.array([])))
+        assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
 
 class TestRunScenarios:

@@ -180,6 +180,9 @@ class TestStepUmbilical:
             StepControl(t_end=1.0, scheme="magic")
         with pytest.raises(ValueError):
             StepControl(t_end=1.0, integrator="heun", scheme="lax_friedrichs")
+        for t_end in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="t_end"):
+                StepControl(t_end=t_end)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
