@@ -2,15 +2,62 @@
 
 The catalog is deliberately closed: each entry is a hand-written builder, not
 an expression parser.  Adding a flow functional means adding a builder here.
+
+Parameters are read through the strict casts defined here, which the CLI
+uses for every config value as well: no cast may be lossy or accept a
+value of the wrong JSON type.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable
 
 import numpy as np
 
 from .sym_curvature import FlowFunctional
+
+
+def is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_int(value) -> int:
+    """An integral JSON number as int; bools and fractional values are refused."""
+    if is_number(value) and float(value).is_integer():
+        return int(value)
+    raise ValueError(value)
+
+
+def as_float(value) -> float:
+    """A JSON number as float; bools, strings and null are refused."""
+    if is_number(value):
+        return float(value)
+    raise ValueError(value)
+
+
+def as_bool(value) -> bool:
+    """A JSON true/false; strings and numbers are refused."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(value)
+
+
+# casts that must not be lossy: int(64.9) truncates, float(True) is 1.0 and
+# bool("false") is True
+STRICT_CASTS = {int: as_int, float: as_float, bool: as_bool}
+
+
+def strict_cast(key: str, value, cast):
+    """value through its strict cast (other casts as given); errors name key."""
+    try:
+        return STRICT_CASTS.get(cast, cast)(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key}: expected {cast.__name__}, got {value!r}") from None
+
+
+def _param(spec: dict, key: str, default, cast):
+    return strict_cast(key, spec.get(key, default), cast)
 
 
 def _zeros(tau):
@@ -33,7 +80,7 @@ def _build_b1(n: int, params: dict) -> FlowFunctional:
 
 
 def _build_tau1_minus_c(n: int, params: dict) -> FlowFunctional:
-    c = float(params.get("c", 0.0))
+    c = _param(params, "c", 0.0, float)
     return _pad(lambda tau: tau[..., 0] - c, n, f"f0 = tau1 - {c:g}")
 
 
@@ -60,8 +107,8 @@ def _build_umbilical_square(n: int, params: dict) -> FlowFunctional:
 
 
 def _build_affine(n: int, params: dict) -> FlowFunctional:
-    a = float(params.get("a", 1.0))
-    b = float(params.get("b", 0.0))
+    a = _param(params, "a", 1.0, float)
+    b = _param(params, "b", 0.0, float)
     if a == 0.0 and b == 0.0:
         raise ValueError("affine functional needs a != 0 or b != 0")
     return _pad(
@@ -93,19 +140,19 @@ def make_initial(spec: dict, length: float) -> Callable[[np.ndarray], np.ndarray
     """Initial normal-curvature profile lam0(s) from its named description."""
     kind = spec.get("kind")
     if kind == "constant":
-        value = float(spec.get("value", 0.0))
+        value = _param(spec, "value", 0.0, float)
         return lambda s: value + 0.0 * np.asarray(s)
     if kind == "sine":
-        amplitude = float(spec.get("amplitude", 1.0))
-        mean = float(spec.get("mean", 0.0))
-        periods = int(spec.get("periods", 1))
+        amplitude = _param(spec, "amplitude", 1.0, float)
+        mean = _param(spec, "mean", 0.0, float)
+        periods = _param(spec, "periods", 1, int)
         return lambda s: mean + amplitude * np.sin(
             2.0 * np.pi * periods * np.asarray(s) / length
         )
     if kind == "random_fourier":
-        amplitude = float(spec.get("amplitude", 1.0))
-        modes = int(spec.get("modes", 3))
-        seed = int(spec.get("seed", 0))
+        amplitude = _param(spec, "amplitude", 1.0, float)
+        modes = _param(spec, "modes", 3, int)
+        seed = _param(spec, "seed", 0, int)
         rng = np.random.default_rng(seed)
         a = rng.normal(size=modes)
         b = rng.normal(size=modes)

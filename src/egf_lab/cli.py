@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -21,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import make_biregular_metric, make_functional, make_initial
+from .catalog import (
+    as_int,
+    is_number,
+    make_biregular_metric,
+    make_functional,
+    make_initial,
+    strict_cast,
+)
 from .cohomology_solver import (
     ResonanceError,
     TorusCohomologyProblem,
@@ -29,6 +35,9 @@ from .cohomology_solver import (
     solve_linear_flow,
 )
 from .flow_engine import (
+    BOUNDARIES,
+    INTEGRATORS,
+    SCHEMES,
     BoundedProgressError,
     FlowBlowUpError,
     ShockError,
@@ -49,6 +58,7 @@ from .revolution_geometry import (
 )
 from .soliton_lab import (
     BiregularGrid,
+    biregular_normal_curvature,
     check_biregular_surface,
     check_normal_soliton,
     classify_ricci_soliton,
@@ -87,30 +97,6 @@ class ConfigError(ValueError):
 _MISSING = object()
 
 
-def _as_int(value) -> int:
-    """An integral JSON number as int; bools and fractional values are refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(value)
-
-
-def _as_bool(value) -> bool:
-    """A JSON true/false; strings and numbers are refused."""
-    if isinstance(value, bool):
-        return value
-    raise ValueError(value)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# casts that must not be lossy: int(64.9) truncates and bool("false") is True
-_STRICT_CASTS = {int: _as_int, bool: _as_bool}
-
-
 def cfg_get(cfg: dict, path: str, default=_MISSING, cast=None, choices=None):
     node = cfg
     for part in path.split("."):
@@ -121,11 +107,9 @@ def cfg_get(cfg: dict, path: str, default=_MISSING, cast=None, choices=None):
         node = node[part]
     if cast is not None:
         try:
-            node = _STRICT_CASTS.get(cast, cast)(node)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{path}: expected {cast.__name__}, got {node!r}"
-            ) from None
+            node = strict_cast(path, node, cast)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if choices is not None and node not in choices:
         raise ConfigError(f"{path}: must be one of {sorted(choices)}")
     return node
@@ -179,16 +163,14 @@ def _jsonable(obj):
     return obj
 
 
-def _step_control(cfg: dict, t_end_required: bool = True) -> StepControl:
+def _step_control(cfg: dict, t_end=_MISSING) -> StepControl:
     fields = {
-        "t_end": cfg_get(cfg, "numerics.t_end", cast=float) if t_end_required else 0.0,
+        "t_end": cfg_get(cfg, "numerics.t_end", t_end, float),
         "cfl": cfg_get(cfg, "numerics.cfl", 0.9, float),
-        "scheme": cfg_get(
-            cfg, "numerics.scheme", "upwind", choices={"upwind", "lax_friedrichs"}
-        ),
+        "scheme": cfg_get(cfg, "numerics.scheme", "upwind", choices=set(SCHEMES)),
         "max_steps": cfg_get(cfg, "numerics.max_steps", 200_000, int),
         "integrator": cfg_get(
-            cfg, "numerics.integrator", "euler", choices={"euler", "heun"}
+            cfg, "numerics.integrator", "euler", choices=set(INTEGRATORS)
         ),
     }
     try:
@@ -208,6 +190,16 @@ def _functional_from_cfg(cfg: dict, n: int):
         raise ConfigError(f"functional: {exc}") from None
 
 
+def _eps_from_cfg(cfg: dict):
+    """eps as "auto" or a JSON number."""
+    eps = cfg_get(cfg, "eps", "auto")
+    if eps == "auto":
+        return eps
+    if not is_number(eps):
+        raise ConfigError(f"eps: expected number or 'auto', got {eps!r}")
+    return float(eps)
+
+
 # --------------------------------------------------------------- scenarios
 
 
@@ -216,10 +208,7 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
     F = _functional_from_cfg(cfg, n)
     grid = cfg_get(cfg, "numerics.grid", cast=int)
     length = cfg_get(cfg, "numerics.length", 1.0, float)
-    boundary = cfg_get(
-        cfg, "numerics.boundary", "periodic",
-        choices={"periodic", "transmissive"},
-    )
+    boundary = cfg_get(cfg, "numerics.boundary", "periodic", choices=set(BOUNDARIES))
     stride = cfg_get(cfg, "output.snapshot_stride", 10, int)
     ctl = _step_control(cfg)
     lam0 = _initial_from_cfg(cfg, length)
@@ -232,13 +221,13 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
             np.column_stack((np.full(prof.s.shape, prof.t), prof.s, prof.lam, prof.phi))
         )
 
-    final, history = evolve_umbilical(
+    final = evolve_umbilical(
         p0, F, ctl, record_every=max(1, stride), on_snapshot=on_snapshot
     )
 
     results = {
         "final_time": final.t,
-        "steps_recorded": len(history.times),
+        "steps_recorded": len(blocks),
         "lambda_min": float(np.min(final.lam)),
         "lambda_max": float(np.max(final.lam)),
         "oracle_sup_error": None,
@@ -257,10 +246,9 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
 
 
 def _initial_from_cfg(cfg: dict, length: float):
+    # cast=dict copies, so the seed default stays out of the config echo
     spec = cfg_get(cfg, "initial", cast=dict)
-    seed = cfg_get(cfg, "numerics.seed", 0, int)
-    spec = dict(spec)
-    spec.setdefault("seed", seed)
+    spec.setdefault("seed", cfg_get(cfg, "numerics.seed", 0, int))
     try:
         return make_initial(spec, length)
     except ValueError as exc:
@@ -272,17 +260,14 @@ def run_tau_flow(cfg: dict, outdir: Path):
     F = _functional_from_cfg(cfg, n)
     grid = cfg_get(cfg, "numerics.grid", cast=int)
     length = cfg_get(cfg, "numerics.length", 1.0, float)
-    boundary = cfg_get(
-        cfg, "numerics.boundary", "periodic",
-        choices={"periodic", "transmissive"},
-    )
+    boundary = cfg_get(cfg, "numerics.boundary", "periodic", choices=set(BOUNDARIES))
     ctl = _step_control(cfg)
     lam0 = _initial_from_cfg(cfg, length)
 
     fld = TauField.from_umbilical(lam0, n, grid, length, boundary)
     out = evolve_tau(fld, F, ctl)
 
-    scalar, _ = evolve_umbilical(
+    scalar = evolve_umbilical(
         UmbilicalProfile.from_function(lam0, grid, length, boundary), F, ctl
     )
     results = {
@@ -303,12 +288,7 @@ def run_soliton_check(cfg: dict, outdir: Path):
     F = _functional_from_cfg(cfg, n)
     grid = cfg_get(cfg, "numerics.grid", 256, int)
     length = cfg_get(cfg, "numerics.length", 1.0, float)
-    eps = cfg_get(cfg, "eps", "auto")
-    if eps != "auto":
-        try:
-            eps = float(eps)
-        except (TypeError, ValueError):
-            raise ConfigError(f"eps: expected number or 'auto', got {eps!r}") from None
+    eps = _eps_from_cfg(cfg)
     lam0 = _initial_from_cfg(cfg, length)
     p = UmbilicalProfile.from_function(lam0, grid, length)
     rep = check_normal_soliton(p, F, eps)
@@ -350,19 +330,12 @@ def run_biregular_check(cfg: dict, outdir: Path):
         cfg_get(cfg, "numerics.length1", 1.0, float),
     )
     field_name = cfg_get(cfg, "field.name", "zero", choices={"zero"})
-    eps = cfg_get(cfg, "eps", "auto")
-    if eps != "auto":
-        try:
-            eps = float(eps)
-        except (TypeError, ValueError):
-            raise ConfigError(f"eps: expected number or 'auto', got {eps!r}") from None
+    eps = _eps_from_cfg(cfg)
 
     grid = BiregularGrid.from_functions(
         g00, g11, shape=shape, lengths=lengths, periodic0=periodic0
     )
     rep = check_biregular_surface(grid, F, eps)
-
-    from .soliton_lab import biregular_normal_curvature
 
     lam = biregular_normal_curvature(grid)
     x0, x1 = np.meshgrid(grid.x0, grid.x1, indexing="ij")
@@ -418,9 +391,9 @@ def _modes_from_cfg(cfg: dict) -> dict:
         for idx, entry in enumerate(modes_cfg):
             try:
                 *u, re_c, im_c = entry
-                if not u or not all(map(_is_number, entry)):
+                if not u or not all(map(is_number, entry)):
                     raise ValueError(entry)
-                table[tuple(_as_int(c) for c in u)] = complex(re_c, im_c)
+                table[tuple(as_int(c) for c in u)] = complex(re_c, im_c)
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"h.modes[{idx}]: expected [u1, ..., re, im] with integer u "
@@ -454,6 +427,8 @@ def _grid_csv_modes(path: Path):
 
 def run_cohomology(cfg: dict, outdir: Path):
     v = cfg_get(cfg, "v", cast=list)
+    if len(v) not in (2, 3) or not all(map(is_number, v)):
+        raise ConfigError(f"v: expected 2 or 3 numbers, got {v!r}")
     K = cfg_get(cfg, "K", cast=int)
     s = cfg_get(cfg, "s", 1.0, float)
     h = _modes_from_cfg(cfg)
@@ -549,16 +524,13 @@ def run_revolution(cfg: dict, outdir: Path):
 
 def run_cone_check(cfg: dict, outdir: Path):
     beta = cfg_get(cfg, "beta", np.pi / 6, float)
-    t_end = cfg_get(cfg, "numerics.t_end", 1.0, float)
+    ctl = _step_control(cfg, t_end=1.0)
+    t_end = ctl.t_end
     grid = cfg_get(cfg, "numerics.grid", 800, int)
     a = cfg_get(cfg, "domain_min", 2.0, float)
     b = cfg_get(cfg, "domain_max", 6.0, float)
-    cfl = cfg_get(cfg, "numerics.cfl", 0.9, float)
-    scheme = cfg_get(
-        cfg, "numerics.scheme", "upwind", choices={"upwind", "lax_friedrichs"}
-    )
     try:
-        rep = cone_flow_check(beta, t_end, grid, (a, b), cfl, scheme)
+        rep = cone_flow_check(beta, t_end, grid, (a, b), ctl.cfl, ctl.scheme)
     except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from None
 

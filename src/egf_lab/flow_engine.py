@@ -11,18 +11,22 @@ form with one-sided differences chosen by the local characteristic speed;
 ``lax_friedrichs`` uses the conservative flux with neighbor averaging.  Time
 stepping is forward Euler under a CFL bound (two-stage Heun available for
 convergence studies on the upwind operator).  Shocks are not captured: the
-integrators detect non-finite values and runaway total variation and stop
-with a blow-up report.
+steppers detect non-finite values and stop with a blow-up report.
+
+The scalar flow, the power-sum system and the volume-normalized extrinsic
+Ricci flow are all marched by one driver, ``_march``, which owns the step
+budget, the end-time tolerance and the runaway total-variation guard.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .catalog import make_functional
 from .sym_curvature import (
     FlowFunctional,
     power_sums_with_tau0,
@@ -67,35 +71,26 @@ def _uniform_spacing(s: np.ndarray) -> float:
     return float(np.mean(ds))
 
 
-@dataclass
-class UmbilicalProfile:
-    """Sampled normal-curvature profile lam(s) with warping factor phi(s).
+class _NormalCurveGrid:
+    """Uniform grid ``s`` along the normal curve and its ``boundary`` kind.
 
     Periodic grids omit the duplicate endpoint: s = s0 + L*arange(G)/G.
     Transmissive grids span the closed interval with G nodes.
     """
 
-    s: np.ndarray
-    lam: np.ndarray
-    phi: np.ndarray
-    boundary: str = "periodic"
-    t: float = 0.0
-
-    def __post_init__(self):
+    def _check_grid(self):
         self.s = np.asarray(self.s, dtype=float)
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
         if self.s.size < 8:
             raise ValueError("need at least 8 grid nodes")
-        if self.lam.shape != self.s.shape or self.phi.shape != self.s.shape:
-            raise ValueError("lam and phi must match the grid")
-        if not (np.all(np.isfinite(self.lam)) and np.all(np.isfinite(self.phi))):
-            raise ValueError("profile values must be finite")
-        if np.any(self.phi <= 0):
-            raise ValueError("warping factor must be positive")
         _uniform_spacing(self.s)
+
+    @staticmethod
+    def _nodes(grid: int, length: float, boundary: str, s0: float) -> np.ndarray:
+        if boundary == "periodic":
+            return s0 + length * np.arange(grid) / grid
+        return np.linspace(s0, s0 + length, grid)
 
     @property
     def periodic(self) -> bool:
@@ -105,15 +100,27 @@ class UmbilicalProfile:
     def ds(self) -> float:
         return float(self.s[1] - self.s[0])
 
-    @property
-    def length(self) -> float:
-        span = float(self.s[-1] - self.s[0])
-        return span + self.ds if self.periodic else span
 
-    def copy(self) -> "UmbilicalProfile":
-        return UmbilicalProfile(
-            self.s.copy(), self.lam.copy(), self.phi.copy(), self.boundary, self.t
-        )
+@dataclass
+class UmbilicalProfile(_NormalCurveGrid):
+    """Sampled normal-curvature profile lam(s) with warping factor phi(s)."""
+
+    s: np.ndarray
+    lam: np.ndarray
+    phi: np.ndarray
+    boundary: str = "periodic"
+    t: float = 0.0
+
+    def __post_init__(self):
+        self._check_grid()
+        self.lam = np.asarray(self.lam, dtype=float)
+        self.phi = np.asarray(self.phi, dtype=float)
+        if self.lam.shape != self.s.shape or self.phi.shape != self.s.shape:
+            raise ValueError("lam and phi must match the grid")
+        if not (np.all(np.isfinite(self.lam)) and np.all(np.isfinite(self.phi))):
+            raise ValueError("profile values must be finite")
+        if np.any(self.phi <= 0):
+            raise ValueError("warping factor must be positive")
 
     @classmethod
     def from_function(
@@ -125,17 +132,14 @@ class UmbilicalProfile:
         s0: float = 0.0,
         phi0: Callable[[np.ndarray], np.ndarray] | float = 1.0,
     ) -> "UmbilicalProfile":
-        if boundary == "periodic":
-            s = s0 + length * np.arange(grid) / grid
-        else:
-            s = np.linspace(s0, s0 + length, grid)
+        s = cls._nodes(grid, length, boundary, s0)
         lam = np.asarray(lam0(s), dtype=float) * np.ones_like(s)
         phi = (phi0(s) if callable(phi0) else np.full_like(s, float(phi0)))
         return cls(s, lam, np.asarray(phi, dtype=float), boundary)
 
 
 @dataclass
-class TauField:
+class TauField(_NormalCurveGrid):
     """Node values of the power sums tau_1..tau_n along the normal curve."""
 
     s: np.ndarray
@@ -144,31 +148,18 @@ class TauField:
     t: float = 0.0
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
+        self._check_grid()
         self.tau = np.asarray(self.tau, dtype=float)
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
-        if self.s.size < 8:
-            raise ValueError("need at least 8 grid nodes")
         if self.tau.ndim != 2 or self.tau.shape[0] != self.s.size:
             raise ValueError("tau must have shape (grid, n)")
         if self.tau.shape[1] < 1:
             raise ValueError("need n >= 1")
         if not np.all(np.isfinite(self.tau)):
             raise ValueError("tau values must be finite")
-        _uniform_spacing(self.s)
 
     @property
     def n(self) -> int:
         return self.tau.shape[1]
-
-    @property
-    def periodic(self) -> bool:
-        return self.boundary == "periodic"
-
-    @property
-    def ds(self) -> float:
-        return float(self.s[1] - self.s[0])
 
     @classmethod
     def from_umbilical(
@@ -180,10 +171,7 @@ class TauField:
         boundary: str = "periodic",
         s0: float = 0.0,
     ) -> "TauField":
-        if boundary == "periodic":
-            s = s0 + length * np.arange(grid) / grid
-        else:
-            s = np.linspace(s0, s0 + length, grid)
+        s = cls._nodes(grid, length, boundary, s0)
         lam = np.asarray(lam0(s), dtype=float) * np.ones_like(s)
         return cls(s, umbilical_tau(n, lam), boundary)
 
@@ -213,32 +201,17 @@ class StepControl:
             raise ValueError("integrator heun is only wired to the upwind operator")
 
 
-@dataclass
-class FlowHistory:
-    """Recorded (t, lam) snapshots of one run, first and last always included."""
-
-    times: list = field(default_factory=list)
-    lam: list = field(default_factory=list)
-
-    def append(self, t: float, lam: np.ndarray):
-        self.times.append(float(t))
-        self.lam.append(np.array(lam, copy=True))
-
-
-def _neighbors(u: np.ndarray, periodic: bool, ghost_left=None, ghost_right=None):
-    """Left/right neighbor arrays; transmissive edges use constant extrapolation
-    unless explicit ghost values are supplied."""
+def _neighbors(u: np.ndarray, periodic: bool):
+    """Left/right neighbor arrays; transmissive edges use constant extrapolation."""
     if periodic:
         return np.roll(u, 1), np.roll(u, -1)
-    gl = u[0] if ghost_left is None else ghost_left
-    gr = u[-1] if ghost_right is None else ghost_right
-    left = np.concatenate(([gl], u[:-1]))
-    right = np.concatenate((u[1:], [gr]))
+    left = np.concatenate(([u[0]], u[:-1]))
+    right = np.concatenate((u[1:], [u[-1]]))
     return left, right
 
 
-def _upwind_derivative(u, ds, speed, periodic, ghost_left=None, ghost_right=None):
-    left, right = _neighbors(u, periodic, ghost_left, ghost_right)
+def _upwind_derivative(u, ds, speed, periodic):
+    left, right = _neighbors(u, periodic)
     backward = (u - left) / ds
     forward = (right - u) / ds
     return np.where(speed >= 0, backward, forward)
@@ -273,14 +246,10 @@ def _pick_dt(max_speed: float, ds: float, cfl: float, remaining: float) -> float
     return dt
 
 
-def _lambda_increment(lam, F, scheme, ds, periodic):
-    """Spatial operator L(lam) with d lam/dt = L(lam), plus the local speeds."""
+def _upwind_increment(lam, F, ds, periodic):
+    """Upwind spatial operator L(lam) with d lam/dt = L(lam)."""
     speed = 0.5 * np.asarray(psi_prime(F, lam))
-    if scheme == "upwind":
-        return -speed * _upwind_derivative(lam, ds, speed, periodic), speed
-    flux = 0.5 * np.asarray(psi_of_lambda(F, lam))
-    fl, fr = _neighbors(flux, periodic)
-    return -(fr - fl) / (2.0 * ds), speed
+    return -speed * _upwind_derivative(lam, ds, speed, periodic)
 
 
 def step_umbilical(
@@ -310,8 +279,8 @@ def step_umbilical(
 
         if ctl.scheme == "upwind":
             if ctl.integrator == "heun":
-                k1, _ = _lambda_increment(lam, F, "upwind", ds, p.periodic)
-                k2, _ = _lambda_increment(lam + dt * k1, F, "upwind", ds, p.periodic)
+                k1 = _upwind_increment(lam, F, ds, p.periodic)
+                k2 = _upwind_increment(lam + dt * k1, F, ds, p.periodic)
                 lam_new = lam + 0.5 * dt * (k1 + k2)
             else:
                 lam_new = lam - dt * speed0 * _upwind_derivative(
@@ -342,6 +311,34 @@ def step_umbilical(
     return UmbilicalProfile(p.s, lam_new, phi_new, p.boundary, t_new)
 
 
+def _march(state, advance, ctl: StepControl, tv_of, on_step=None):
+    """Advance ``state`` to ctl.t_end with ``advance(state) -> state``.
+
+    The one time-march loop: it stops with BoundedProgressError when the step
+    budget runs out and with FlowBlowUpError when the total variation of
+    ``tv_of(state)`` exceeds TV_GROWTH_LIMIT times its initial value.
+    ``on_step(state, steps, done)`` sees every accepted step.
+    """
+    eps = 1e-12 * max(1.0, abs(ctl.t_end))
+    tv0 = total_variation(tv_of(state), state.periodic)
+    steps = 0
+    while state.t < ctl.t_end - eps:
+        if steps >= ctl.max_steps:
+            raise BoundedProgressError(
+                f"t = {state.t:.6g} after {steps} steps; t_end = {ctl.t_end:.6g} unreached"
+            )
+        state = advance(state)
+        steps += 1
+        tv = total_variation(tv_of(state), state.periodic)
+        if tv > TV_GROWTH_LIMIT * max(tv0, TV_FLOOR):
+            raise FlowBlowUpError(
+                f"total variation grew to {tv:.3e} from {tv0:.3e}", state.t
+            )
+        if on_step is not None:
+            on_step(state, steps, state.t >= ctl.t_end - eps)
+    return state
+
+
 def evolve_umbilical(
     p: UmbilicalProfile,
     F: FlowFunctional,
@@ -350,54 +347,25 @@ def evolve_umbilical(
     on_snapshot: Callable[[UmbilicalProfile], None] | None = None,
     inflow_left: Callable[[float], float] | None = None,
     inflow_right: Callable[[float], float] | None = None,
-) -> tuple[UmbilicalProfile, FlowHistory]:
-    """March the profile to ctl.t_end, recording history every record_every steps."""
-    history = FlowHistory()
-    history.append(p.t, p.lam)
-    if on_snapshot is not None:
-        on_snapshot(p)
-    tv0 = total_variation(p.lam, p.periodic)
-    steps = 0
-    eps = 1e-12 * max(1.0, abs(ctl.t_end))
-    while p.t < ctl.t_end - eps:
-        if steps >= ctl.max_steps:
-            raise BoundedProgressError(
-                f"t = {p.t:.6g} after {steps} steps; t_end = {ctl.t_end:.6g} unreached"
-            )
-        p = step_umbilical(p, F, ctl, inflow_left, inflow_right)
-        steps += 1
-        tv = total_variation(p.lam, p.periodic)
-        if tv > TV_GROWTH_LIMIT * max(tv0, TV_FLOOR):
-            raise FlowBlowUpError(
-                f"total variation grew to {tv:.3e} from {tv0:.3e}", p.t
-            )
-        done = p.t >= ctl.t_end - eps
+) -> UmbilicalProfile:
+    """March the profile to ctl.t_end and return the final profile.
+
+    on_snapshot sees the initial profile, every record_every-th step and the
+    final one.
+    """
+
+    def advance(q):  # step_umbilical is looked up per call, so it can be rebound
+        return step_umbilical(q, F, ctl, inflow_left, inflow_right)
+
+    if on_snapshot is None:
+        return _march(p, advance, ctl, lambda q: q.lam)
+
+    def on_step(q, steps, done):
         if steps % record_every == 0 or done:
-            history.append(p.t, p.lam)
-            if on_snapshot is not None:
-                on_snapshot(p)
-    return p, history
+            on_snapshot(q)
 
-
-def evolve_warping(
-    history: FlowHistory, p0: UmbilicalProfile, F: FlowFunctional
-) -> np.ndarray:
-    """phi at the final recorded time: phi0 * exp(trapz(psi(lam), t) / 2)."""
-    if not history.times:
-        raise ValueError("empty history")
-    times = np.asarray(history.times)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("history times must be non-decreasing")
-    for snap in history.lam:
-        if np.shape(snap) != p0.lam.shape:
-            raise ValueError("history snapshots do not match the profile grid")
-    integral = np.zeros_like(p0.lam)
-    psi_prev = np.asarray(psi_of_lambda(F, history.lam[0]))
-    for idx in range(1, len(times)):
-        psi_next = np.asarray(psi_of_lambda(F, history.lam[idx]))
-        integral += 0.5 * (psi_prev + psi_next) * (times[idx] - times[idx - 1])
-        psi_prev = psi_next
-    return p0.phi * np.exp(0.5 * integral)
+    on_snapshot(p)
+    return _march(p, advance, ctl, lambda q: q.lam, on_step)
 
 
 def characteristics_oracle(
@@ -452,17 +420,6 @@ def characteristics_oracle(
     return np.interp(s_out, positions, lam_base)
 
 
-def _tau_coefficient_bound(fvals: np.ndarray, n: int) -> float:
-    """max over equations/nodes of sum_j |i j f_j / (2(i+j-1))|, the CFL speed."""
-    worst = 0.0
-    for i in range(1, n + 1):
-        acc = np.zeros(fvals.shape[0])
-        for j in range(1, n):
-            acc += np.abs(i * j * fvals[:, j] / (2.0 * (i + j - 1)))
-        worst = max(worst, float(np.max(acc)) if acc.size else 0.0)
-    return worst
-
-
 def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauField:
     """One explicit step of the quasilinear transport system for tau_1..tau_n.
 
@@ -486,14 +443,16 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     taux = power_sums_with_tau0(tau, n, m_top)  # (G, m_top+1), index j <-> tau_j
     fvals = F.evaluate(tau)  # (G, n)
 
-    speed_bound = _tau_coefficient_bound(fvals, n)
-    dt = _pick_dt(speed_bound, ds, ctl.cfl, remaining)
-
-    # aggregate advection coefficient per equation, used for the upwind bias
+    # advection coefficients i j f_j / (2(i+j-1)) of equation i: their sum
+    # sets the upwind bias, the sum of their moduli the CFL speed
     signs = np.zeros((n, tau.shape[0]))
+    speeds = np.zeros((n, tau.shape[0]))
     for i in range(1, n + 1):
         for j in range(1, n):
-            signs[i - 1] += i * j * fvals[:, j] / (2.0 * (i + j - 1))
+            coef = i * j * fvals[:, j] / (2.0 * (i + j - 1))
+            signs[i - 1] += coef
+            speeds[i - 1] += np.abs(coef)
+    dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
 
     def deriv(u: np.ndarray, eq: int) -> np.ndarray:
         if ctl.scheme == "upwind":
@@ -525,33 +484,15 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
 def evolve_tau(
     fld: TauField, F: FlowFunctional, ctl: StepControl
 ) -> TauField:
-    """March the tau field to ctl.t_end."""
-    steps = 0
-    eps = 1e-12 * max(1.0, abs(ctl.t_end))
-    tv0 = total_variation(fld.tau[:, 0], fld.periodic)
-    while fld.t < ctl.t_end - eps:
-        if steps >= ctl.max_steps:
-            raise BoundedProgressError(
-                f"t = {fld.t:.6g} after {steps} steps; t_end = {ctl.t_end:.6g} unreached"
-            )
-        fld = step_tau_system(fld, F, ctl)
-        steps += 1
-        tv = total_variation(fld.tau[:, 0], fld.periodic)
-        if tv > TV_GROWTH_LIMIT * max(tv0, TV_FLOOR):
-            raise FlowBlowUpError(
-                f"total variation grew to {tv:.3e} from {tv0:.3e}", fld.t
-            )
-    return fld
+    """March the tau field to ctl.t_end; the guard watches tau_1."""
+    return _march(
+        fld, lambda f: step_tau_system(f, F, ctl), ctl, lambda f: f.tau[:, 0]
+    )
 
 
 # Deformation coefficients of the extrinsic Ricci flow on 2-dimensional
 # leaves: h(b) = -2 sigma_2 g, i.e. psi(lam) = -2 lam^2 in the umbilical model.
-RICCI_N2 = FlowFunctional(
-    2,
-    (lambda tau: tau[..., 1] - tau[..., 0] ** 2,
-     lambda tau: np.zeros(tau.shape[:-1])),
-    ("f0 = tau2 - tau1^2", "f1 = 0"),
-)
+RICCI_N2 = make_functional("ext_ricci", 2)
 
 
 @dataclass
@@ -598,14 +539,10 @@ def evolve_normalized_ricci(
 ) -> tuple[UmbilicalProfile, list[NormalizedStepDiagnostics]]:
     """March the normalized extrinsic Ricci flow to ctl.t_end."""
     diagnostics: list[NormalizedStepDiagnostics] = []
-    steps = 0
-    eps = 1e-12 * max(1.0, abs(ctl.t_end))
-    while p.t < ctl.t_end - eps:
-        if steps >= ctl.max_steps:
-            raise BoundedProgressError(
-                f"t = {p.t:.6g} after {steps} steps; t_end = {ctl.t_end:.6g} unreached"
-            )
-        p, diag = normalized_ricci_step(p, ctl, negate_normalization)
+
+    def advance(q):
+        q, diag = normalized_ricci_step(q, ctl, negate_normalization)
         diagnostics.append(diag)
-        steps += 1
-    return p, diagnostics
+        return q
+
+    return _march(p, advance, ctl, lambda q: q.lam), diagnostics

@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .catalog import make_functional
 from .flow_engine import StepControl, UmbilicalProfile, evolve_umbilical
-from .sym_curvature import FlowFunctional
 
 
 @dataclass
@@ -204,11 +204,7 @@ def sectional_curvature_profile(p: RevolutionProfile, trim: int = 2) -> Curvatur
 
 
 # psi(lam) = lam on 2-dimensional leaves, the flow driving the cone example
-_B1_N2 = FlowFunctional(
-    2,
-    (lambda tau: np.zeros(tau.shape[:-1]), lambda tau: np.ones(tau.shape[:-1])),
-    ("f0 = 0", "f1 = 1"),
-)
+_CONE_FLOW = make_functional("b1", 2)
 
 
 @dataclass
@@ -272,8 +268,8 @@ def cone_flow_check(
     )
     if t_end > 0:
         ctl = StepControl(t_end=t_end, cfl=cfl, scheme=scheme)
-        p, _ = evolve_umbilical(
-            p, _B1_N2, ctl, inflow_left=lambda t: -2.0 / (a - t / 2.0)
+        p = evolve_umbilical(
+            p, _CONE_FLOW, ctl, inflow_left=lambda t: -2.0 / (a - t / 2.0)
         )
 
     s = p.s

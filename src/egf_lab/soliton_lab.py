@@ -19,12 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .flow_engine import UmbilicalProfile
+from .flow_engine import UmbilicalProfile, _uniform_spacing
 from .sym_curvature import (
     FlowFunctional,
     PrincipalCurvatureSpectrum,
     assemble_h_eigen,
     psi_of_lambda,
+    psi_prime,
 )
 
 # Residual tolerance defaults: analytic inputs resolve to 1e-8; sampled inputs
@@ -59,15 +60,19 @@ class SolitonReport:
                 raise ValueError(f"residual norm {name} must be finite and >= 0")
 
 
-def _norms(residual: np.ndarray) -> tuple[float, float]:
-    return (
-        float(np.max(np.abs(residual))),
-        float(np.sqrt(np.mean(residual ** 2))),
-    )
+def _norms(residuals: dict) -> tuple[dict, dict]:
+    """Sup and root-mean-square norms of each named residual."""
+    linf = {k: float(np.max(np.abs(v))) for k, v in residuals.items()}
+    l2 = {k: float(np.sqrt(np.mean(v ** 2))) for k, v in residuals.items()}
+    return linf, l2
 
 
-def _psi_prime_at_zero(F: FlowFunctional, step: float = 1e-6) -> float:
-    return (psi_of_lambda(F, step) - psi_of_lambda(F, -step)) / (2.0 * step)
+def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool):
+    if periodic:
+        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (
+            2.0 * spacing
+        )
+    return np.gradient(arr, spacing, axis=axis, edge_order=2)
 
 
 def mu_of_lambda(F: FlowFunctional, lam):
@@ -78,7 +83,7 @@ def mu_of_lambda(F: FlowFunctional, lam):
     """
     lam_arr = np.asarray(lam, dtype=float)
     psi0 = psi_of_lambda(F, 0.0)
-    mu_zero = -(F.n / 2.0) * _psi_prime_at_zero(F)
+    mu_zero = -(F.n / 2.0) * psi_prime(F, 0.0)
     small = np.abs(lam_arr) < MU_BRANCH_CUT
     safe = np.where(small, 1.0, lam_arr)
     psi_vals = np.asarray(psi_of_lambda(F, lam_arr))
@@ -93,12 +98,6 @@ def mu_continuity_gap(F: FlowFunctional) -> float:
         abs(mu_of_lambda(F, MU_BRANCH_CUT) - mu0),
         abs(mu_of_lambda(F, -MU_BRANCH_CUT) - mu0),
     )
-
-
-def _profile_derivative(p: UmbilicalProfile) -> np.ndarray:
-    if p.periodic:
-        return (np.roll(p.lam, -1) - np.roll(p.lam, 1)) / (2.0 * p.ds)
-    return np.gradient(p.lam, p.ds, edge_order=2)
 
 
 def check_normal_soliton(
@@ -134,10 +133,9 @@ def check_normal_soliton(
         "structure_traced": psi_vals - eps_val + 2.0 * mu * lam,
         "structure_x_zero": psi_vals - eps_val,
     }
-    n_lambda = float(np.max(np.abs(_profile_derivative(p))))
+    n_lambda = float(np.max(np.abs(_axis_derivative(lam, p.ds, 0, p.periodic))))
 
-    linf = {k: _norms(v)[0] for k, v in residuals.items()}
-    l2 = {k: _norms(v)[1] for k, v in residuals.items()}
+    linf, l2 = _norms(residuals)
 
     notes = []
     satisfied = [k for k in ("structure", "structure_traced", "structure_x_zero")
@@ -154,10 +152,7 @@ def check_normal_soliton(
             f"{float(psi_of_lambda(F, lam_bar)):.12g} is an alternative structure"
         )
     lam_span = np.linspace(float(np.min(lam)), float(np.max(lam)), 16)
-    span_eps = 1e-6 * max(1.0, float(np.max(np.abs(lam_span))))
-    slopes = (np.asarray(psi_of_lambda(F, lam_span + span_eps))
-              - np.asarray(psi_of_lambda(F, lam_span - span_eps))) / (2 * span_eps)
-    if float(np.min(np.abs(slopes))) <= tol:
+    if float(np.min(np.abs(psi_prime(F, lam_span)))) <= tol:
         notes.append("psi' vanishes on the sampled range; the constancy "
                      "equivalence is not guaranteed here")
     gap = mu_continuity_gap(F)
@@ -248,12 +243,10 @@ class BiregularGrid:
 
     @property
     def d0(self) -> float:
-        from .flow_engine import _uniform_spacing
         return _uniform_spacing(self.x0)
 
     @property
     def d1(self) -> float:
-        from .flow_engine import _uniform_spacing
         return _uniform_spacing(self.x1)
 
     @classmethod
@@ -282,14 +275,6 @@ class BiregularGrid:
             None if X1 is None else np.asarray(X1(U, V), dtype=float) * ones,
             periodic0, periodic1,
         )
-
-
-def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool):
-    if periodic:
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (
-            2.0 * spacing
-        )
-    return np.gradient(arr, spacing, axis=axis, edge_order=2)
 
 
 def biregular_normal_curvature(g: BiregularGrid) -> np.ndarray:
@@ -340,82 +325,11 @@ def check_biregular_surface(
             {}, {}, eps_val, math.inf, "degenerate", tol,
             ["non-finite residuals"],
         )
-    linf = {k: _norms(v)[0] for k, v in residuals.items()}
-    l2 = {k: _norms(v)[1] for k, v in residuals.items()}
+    linf, l2 = _norms(residuals)
     n_lambda = float(np.max(np.abs(d0(lam))))
     verdict = "soliton" if all(v <= tol for v in linf.values()) else "not_soliton"
     notes = [f"eps policy: {'leaf average of psi(lam)' if eps == 'auto' else 'given'}"]
     return SolitonReport(linf, l2, eps_val, n_lambda, verdict, tol, notes)
-
-
-FIELD_KINDS = ("zero", "normal_scaled", "leaf_conformal_killing", "biregular")
-
-
-@dataclass
-class SolitonCandidate:
-    """Geometry plus vector-field ansatz plus eps, ready to be checked.
-
-    For umbilical profiles the field is one of: "zero", "normal_scaled"
-    (mu(lam) N along the normal) or "leaf_conformal_killing" (a leafwise
-    field whose Lie derivative is (psi(lam) - eps) times the leaf metric).
-    Biregular grids carry their components X0, X1 themselves.
-    """
-
-    geometry: object  # UmbilicalProfile | BiregularGrid
-    field_kind: str = "normal_scaled"
-    eps: float | str = "auto"
-
-    def __post_init__(self):
-        if isinstance(self.geometry, BiregularGrid):
-            self.field_kind = "biregular"
-        elif isinstance(self.geometry, UmbilicalProfile):
-            if self.field_kind not in ("zero", "normal_scaled",
-                                       "leaf_conformal_killing"):
-                raise ValueError(
-                    f"field kind {self.field_kind!r} does not fit a profile"
-                )
-        else:
-            raise ValueError("geometry must be a profile or a biregular grid")
-
-    def check(self, F: FlowFunctional, tol: float | None = None) -> SolitonReport:
-        if self.field_kind == "biregular":
-            return check_biregular_surface(self.geometry, F, self.eps, tol)
-        if self.field_kind == "normal_scaled":
-            return check_normal_soliton(self.geometry, F, self.eps, tol)
-        p: UmbilicalProfile = self.geometry
-        if tol is None:
-            tol = default_grid_tol(p.ds)
-        eps_val = (
-            float(np.mean(np.asarray(psi_of_lambda(F, p.lam))))
-            if self.eps == "auto"
-            else float(self.eps)
-        )
-        if self.field_kind == "zero":
-            residual = np.asarray(psi_of_lambda(F, p.lam)) - eps_val
-            linf, l2 = _norms(residual)
-            n_lambda = float(np.max(np.abs(_profile_derivative(p))))
-            return SolitonReport(
-                {"structure_x_zero": linf}, {"structure_x_zero": l2},
-                eps_val, n_lambda,
-                "soliton" if linf <= tol else "not_soliton",
-                tol, ["field: X = 0"],
-            )
-        # leaf_conformal_killing: on umbilical geometry the structure equation
-        # is equivalent to the Lie factor being psi(lam) - eps, which holds by
-        # construction; the report carries the factor's class
-        factor, killing, homothety = conformal_killing_factor(p, F, eps_val, tol)
-        linf, l2 = _norms(np.zeros_like(factor))
-        kind = (
-            "killing" if killing else "homothety" if homothety else "conformal"
-        )
-        return SolitonReport(
-            {"structure": linf}, {"structure": l2},
-            eps_val, float(np.max(np.abs(_profile_derivative(p)))),
-            "soliton", tol,
-            [f"leafwise field class: {kind}",
-             f"conformal factor range: [{float(np.min(factor)):.6g}, "
-             f"{float(np.max(factor)):.6g}]"],
-        )
 
 
 @dataclass(frozen=True)

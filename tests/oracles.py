@@ -8,9 +8,12 @@ they are used to check.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
+
+from egf_lab.sym_curvature import psi_of_lambda
 
 
 def direct_power_sums(k, m):
@@ -123,3 +126,35 @@ def write_csv_reference(path, header, rows, sep=","):
             fh.write(sep.join(header) + "\n")
         for row in rows:
             fh.write(sep.join(_fmt_reference(v) for v in row) + "\n")
+
+
+@dataclass
+class FlowHistory:
+    """Recorded (t, lam) snapshots of one run, first and last always included."""
+
+    times: list = field(default_factory=list)
+    lam: list = field(default_factory=list)
+
+    def append(self, t: float, lam: np.ndarray):
+        self.times.append(float(t))
+        self.lam.append(np.array(lam, copy=True))
+
+
+def evolve_warping(history: FlowHistory, p0, F) -> np.ndarray:
+    """phi at the final recorded time: phi0 * exp(trapz(psi(lam), t) / 2),
+    integrated from the recorded snapshots alone."""
+    if not history.times:
+        raise ValueError("empty history")
+    times = np.asarray(history.times)
+    if np.any(np.diff(times) < 0):
+        raise ValueError("history times must be non-decreasing")
+    for snap in history.lam:
+        if np.shape(snap) != p0.lam.shape:
+            raise ValueError("history snapshots do not match the profile grid")
+    integral = np.zeros_like(p0.lam)
+    psi_prev = np.asarray(psi_of_lambda(F, history.lam[0]))
+    for idx in range(1, len(times)):
+        psi_next = np.asarray(psi_of_lambda(F, history.lam[idx]))
+        integral += 0.5 * (psi_prev + psi_next) * (times[idx] - times[idx - 1])
+        psi_prev = psi_next
+    return p0.phi * np.exp(0.5 * integral)

@@ -7,9 +7,11 @@ expansion, exhaustive enumeration) or closed forms checked by hand.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,9 @@ from oracles import (
 )
 
 GOLDEN = (1.0, (1.0 + np.sqrt(5.0)) / 2.0)
+
+# sha256 of every table the criterion-14 batch writes, recorded once
+GOLDEN_DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 
 @contextmanager
@@ -115,7 +120,7 @@ def test_criterion_02_traveling_wave():
             p = UmbilicalProfile.from_function(
                 lambda s: np.sin(2 * np.pi * s), G, 1.0, "periodic"
             )
-            out, _ = evolve_umbilical(p, F, StepControl(t_end=2.0, cfl=0.9))
+            out = evolve_umbilical(p, F, StepControl(t_end=2.0, cfl=0.9))
             exact = np.sin(2 * np.pi * (p.s - 1.0))
             errors.append(float(np.max(np.abs(out.lam - exact))))
         assert errors[-1] <= 0.05
@@ -156,7 +161,7 @@ def test_criterion_04_warping_law():
         ]
         for F, C, t_end in cases:
             p = UmbilicalProfile.from_function(lambda s: C + 0 * s, 64, 1.0)
-            out, _ = evolve_umbilical(p, F, StepControl(t_end=t_end))
+            out = evolve_umbilical(p, F, StepControl(t_end=t_end))
             target = np.exp(0.5 * t_end * psi_of_lambda(F, C))
             rel = float(np.max(np.abs(out.phi - target) / abs(target)))
             worst = max(worst, rel)
@@ -185,7 +190,7 @@ def test_criterion_05_tau_system_vs_scalar():
         fld = TauField.from_umbilical(lam0, n, G, 1.0)
         out = evolve_tau(fld, F, StepControl(t_end=1.0))
         p = UmbilicalProfile.from_function(lam0, G, 1.0)
-        scalar, _ = evolve_umbilical(p, F, StepControl(t_end=1.0))
+        scalar = evolve_umbilical(p, F, StepControl(t_end=1.0))
         match = float(np.max(np.abs(out.tau[:, 0] / n - scalar.lam)))
         assert match <= 1e-3
         info["defect_order"] = f"{order:.2f}"
@@ -539,3 +544,34 @@ def test_every_table_round_trips_through_the_reference_writer(tmp_path):
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         write_csv_reference(tmp_path / "rendered", header, data.tolist(), sep)
         assert (tmp_path / "rendered").read_bytes() == written, path
+
+
+def criterion_14_digests(outdir: Path) -> dict:
+    """{run/file: sha256} of every CSV and .dat of the criterion-14 batch,
+    run with gnuplot output on so that profile.dat is covered too.
+
+    golden_digests.json holds this mapping and the numpy version it was
+    recorded with, as ``{"numpy": np.__version__, "sha256":
+    criterion_14_digests(outdir)}``."""
+    batch = criterion_14_batch()
+    batch[-1]["output"] = {"gnuplot": True}
+    for idx, cfg in enumerate(batch):
+        _, code = run(cfg, outdir / f"batch_{idx:02d}", quiet=True)
+        assert code == EXIT_OK
+    tables = sorted(p for p in outdir.rglob("*") if p.suffix in (".csv", ".dat"))
+    return {
+        p.relative_to(outdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tables
+    }
+
+
+def test_criterion_14_tables_match_golden_digests(tmp_path):
+    """The batch's tables are byte-identical to the recorded ones.  The bytes
+    depend on numpy's floating-point kernels, so another numpy version skips."""
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    if golden["numpy"] != np.__version__:
+        pytest.skip(
+            f"digests recorded with numpy {golden['numpy']}, "
+            f"running numpy {np.__version__}"
+        )
+    assert criterion_14_digests(tmp_path) == golden["sha256"]

@@ -58,11 +58,19 @@ class TestConfigAccess:
         assert cfg_get({"g": 64.0}, "g", cast=int) == 64
         assert cfg_get({"g": -3}, "g", cast=int) == -3
         assert cfg_get({"f": False}, "f", cast=bool) is False
+        value = cfg_get({"c": 1}, "c", cast=float)
+        assert value == 1.0 and type(value) is float
+        assert cfg_get({"c": 1e-1}, "c", cast=float) == 0.1
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_bool_cast_accepts_only_json_booleans(self, value):
         with pytest.raises(ConfigError, match="output.gnuplot"):
             cfg_get({"output": {"gnuplot": value}}, "output.gnuplot", cast=bool)
+
+    @pytest.mark.parametrize("value", [True, "1e-1", "inf", None, [1]])
+    def test_float_cast_accepts_only_json_numbers(self, value):
+        with pytest.raises(ConfigError, match="numerics.cfl"):
+            cfg_get({"numerics": {"cfl": value}}, "numerics.cfl", cast=float)
 
     def test_fractional_grid_exits_2(self, tmp_path):
         report, code = run(umbilical_config(grid=64.9), tmp_path, quiet=True)
@@ -108,6 +116,65 @@ class TestConfigAccess:
         assert code == EXIT_CONFIG
         assert report["error"].startswith("h.grid_csv")
         assert (tmp_path / "report.json").exists()
+
+
+def _set(cfg: dict, path: str, value) -> dict:
+    node = cfg
+    *parents, last = path.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[last] = value
+    return cfg
+
+
+SOLITON = {"scenario": "soliton-check", "n": 2, "functional": {"name": "b1"},
+           "initial": {"kind": "constant", "value": 1.3}, "numerics": {"grid": 64}}
+BIREGULAR = {"scenario": "biregular-check", "functional": {"name": "b1"},
+             "metric": {"name": "exp_x0"}, "numerics": {"grid0": 16, "grid1": 16}}
+COHOMOLOGY = {"scenario": "cohomology", "v": [1.0, 1.5], "K": 3,
+              "h": {"modes": [[0, 0, 1.0, 0.0]]}}
+CONE = {"scenario": "cone-check", "numerics": {"grid": 64}}
+AFFINE_FLOW = _set(umbilical_config(), "functional", {"name": "affine"})
+
+# (valid base config, key path, malformed value, start of the error message)
+MALFORMED = [
+    (umbilical_config(), "numerics.cfl", True, "numerics.cfl"),
+    (umbilical_config(), "numerics.t_end", "1e-1", "numerics.t_end"),
+    (SOLITON, "eps", "0.1", "eps"),
+    (BIREGULAR, "eps", "0.1", "eps"),
+    (AFFINE_FLOW, "functional.a", [1], "functional: a"),
+    (AFFINE_FLOW, "functional.b", "1", "functional: b"),
+    (umbilical_config(), "initial.amplitude", None, "initial: amplitude"),
+    (umbilical_config(), "initial.periods", 1.7, "initial: periods"),
+    (SOLITON, "initial.value", "1.3", "initial: value"),
+    (COHOMOLOGY, "v", [1, None], "v"),
+    (COHOMOLOGY, "v", [1, "a"], "v"),
+    (COHOMOLOGY, "v", [1.0], "v"),
+    (CONE, "numerics.cfl", 1.5, "numerics.cfl"),
+    (CONE, "numerics.t_end", -1, "numerics.t_end"),
+    (CONE, "numerics.scheme", "magic", "numerics.scheme"),
+]
+
+
+class TestMalformedValues:
+    """Every malformed value exits 2 with a report whose error names its key."""
+
+    @pytest.mark.parametrize(
+        "base,path,value,key", MALFORMED,
+        ids=[f"{c[0]['scenario']}:{c[1]}={c[2]!r}" for c in MALFORMED],
+    )
+    def test_exit_2_naming_key(self, tmp_path, base, path, value, key):
+        cfg = _set(json.loads(json.dumps(base)), path, value)
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_CONFIG, report.get("error")
+        assert report["error"].startswith(key), report["error"]
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["exit_status"] == EXIT_CONFIG
+
+    def test_cone_check_t_end_defaults_to_one(self, tmp_path):
+        report, code = run(CONE, tmp_path, quiet=True)
+        assert code == EXIT_OK
+        assert report["results"]["t_end"] == 1.0
 
 
 class TestCsvWriter:

@@ -6,7 +6,6 @@ import pytest
 from egf_lab.flow_engine import (
     BoundedProgressError,
     FlowBlowUpError,
-    FlowHistory,
     RICCI_N2,
     ShockError,
     StepControl,
@@ -16,12 +15,12 @@ from egf_lab.flow_engine import (
     evolve_normalized_ricci,
     evolve_tau,
     evolve_umbilical,
-    evolve_warping,
     step_tau_system,
     step_umbilical,
 )
 from egf_lab.sym_curvature import FlowFunctional, psi_of_lambda
 
+from oracles import FlowHistory, evolve_warping
 from test_sym_curvature import functional_b1, functional_tau1_minus_c
 
 
@@ -55,7 +54,7 @@ class TestStepUmbilical:
         for scheme in ("upwind", "lax_friedrichs"):
             p = UmbilicalProfile.from_function(lambda s: 2.5 + 0 * s, 64, 1.0)
             ctl = StepControl(t_end=0.5, scheme=scheme)
-            out, _ = evolve_umbilical(p, functional_square(2), ctl)
+            out = evolve_umbilical(p, functional_square(2), ctl)
             assert np.all(out.lam == 2.5)
             assert out.t == pytest.approx(0.5)
 
@@ -63,7 +62,7 @@ class TestStepUmbilical:
         F = functional_b1(2)  # psi(lam) = lam, unit-speed/2 translation
         p = sine_profile(grid=512)
         ctl = StepControl(t_end=1.0, cfl=0.9)
-        out, _ = evolve_umbilical(p, F, ctl)
+        out = evolve_umbilical(p, F, ctl)
         exact = np.sin(2 * np.pi * (p.s - 0.5))
         assert np.max(np.abs(out.lam - exact)) < 0.02
 
@@ -71,7 +70,7 @@ class TestStepUmbilical:
         F = functional_b1(2)
         p = sine_profile(grid=512)
         ctl = StepControl(t_end=1.0, cfl=0.9, scheme="lax_friedrichs")
-        out, _ = evolve_umbilical(p, F, ctl)
+        out = evolve_umbilical(p, F, ctl)
         exact = np.sin(2 * np.pi * (p.s - 0.5))
         assert np.max(np.abs(out.lam - exact)) < 0.05
 
@@ -82,7 +81,7 @@ class TestStepUmbilical:
         grids = [64, 128, 256]
         for g in grids:
             p = sine_profile(grid=g)
-            out, _ = evolve_umbilical(p, F, StepControl(t_end=0.5, scheme=scheme))
+            out = evolve_umbilical(p, F, StepControl(t_end=0.5, scheme=scheme))
             exact = np.sin(2 * np.pi * (p.s - 0.25))
             errs.append(np.max(np.abs(out.lam - exact)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -92,7 +91,7 @@ class TestStepUmbilical:
         F = functional_square(2)  # psi' = 2 lam, varies in sign over the profile
         p = sine_profile(grid=128, amplitude=0.4, mean=1.0)  # psi' > 0 everywhere
         lo, hi = p.lam.min(), p.lam.max()
-        out, _ = evolve_umbilical(p, F, StepControl(t_end=0.2))
+        out = evolve_umbilical(p, F, StepControl(t_end=0.2))
         assert out.lam.min() >= lo - 1e-12
         assert out.lam.max() <= hi + 1e-12
 
@@ -102,7 +101,7 @@ class TestStepUmbilical:
             lambda s: -2.0 / s, 400, 4.0, "transmissive", s0=2.0
         )
         ctl = StepControl(t_end=1.0, cfl=0.9)
-        out, _ = evolve_umbilical(
+        out = evolve_umbilical(
             p, F, ctl, inflow_left=lambda t: -2.0 / (2.0 - t / 2.0)
         )
         exact = -2.0 / (p.s - 0.5)
@@ -111,7 +110,7 @@ class TestStepUmbilical:
     def test_heun_runs(self):
         F = functional_b1(2)
         p = sine_profile(grid=128)
-        out, _ = evolve_umbilical(
+        out = evolve_umbilical(
             p, F, StepControl(t_end=0.3, integrator="heun")
         )
         exact = np.sin(2 * np.pi * (p.s - 0.15))
@@ -123,9 +122,12 @@ class TestStepUmbilical:
         Fconst = FlowFunctional(2, (lambda tau: np.ones(tau.shape[:-1]),
                                     lambda tau: np.zeros(tau.shape[:-1])))
         p = sine_profile(grid=64)
-        out, hist = evolve_umbilical(p, Fconst, StepControl(t_end=3.0))
+        snapshots = []
+        out = evolve_umbilical(
+            p, Fconst, StepControl(t_end=3.0), on_snapshot=snapshots.append
+        )
         assert out.t == pytest.approx(3.0)
-        assert len(hist.times) == 2  # one jump
+        assert len(snapshots) == 2  # one jump
         np.testing.assert_allclose(out.lam, p.lam)
         # warping still accumulates: psi == 1 constant
         np.testing.assert_allclose(out.phi, np.exp(0.5 * 3.0), rtol=1e-12)
@@ -144,7 +146,7 @@ class TestStepUmbilical:
         p = sine_profile(grid=256, amplitude=2.0)
         from egf_lab.flow_engine import total_variation
         tv0 = total_variation(p.lam, True)
-        out, _ = evolve_umbilical(p, F, StepControl(t_end=2.0))
+        out = evolve_umbilical(p, F, StepControl(t_end=2.0))
         assert total_variation(out.lam, True) <= tv0 + 1e-9
 
     def test_blowup_on_overflowing_warping(self):
@@ -161,17 +163,35 @@ class TestStepUmbilical:
         assert err.value.t_last == 0.0
 
     def test_oscillation_growth_detector(self, monkeypatch):
-        # the detector itself: make the stepper inject growing oscillation
+        # the detector itself: make the steppers inject growing oscillation;
+        # the scalar, power-sum and normalized marches share the guard
         import egf_lab.flow_engine as fe
 
+        def noise(grid):
+            return 3.0 * (-1.0) ** np.arange(grid)
+
         def bad_step(p, F, ctl, inflow_left=None, inflow_right=None):
-            noise = 3.0 * (-1.0) ** np.arange(p.s.size)
-            return UmbilicalProfile(p.s, p.lam + noise, p.phi, p.boundary, p.t + 0.01)
+            return UmbilicalProfile(
+                p.s, p.lam + noise(p.s.size), p.phi, p.boundary, p.t + 0.01
+            )
+
+        def bad_tau_step(fld, F, ctl):
+            tau = fld.tau + noise(fld.s.size)[:, None]
+            return TauField(fld.s, tau, fld.boundary, fld.t + 0.01)
 
         monkeypatch.setattr(fe, "step_umbilical", bad_step)
+        monkeypatch.setattr(fe, "step_tau_system", bad_tau_step)
+        ctl = StepControl(t_end=1.0)
         p = sine_profile(grid=64)
-        with pytest.raises(FlowBlowUpError, match="total variation"):
-            fe.evolve_umbilical(p, functional_b1(2), StepControl(t_end=1.0))
+        fld = TauField.from_umbilical(lambda s: np.sin(2 * np.pi * s), 2, 64, 1.0)
+        marches = {
+            "umbilical": lambda: fe.evolve_umbilical(p, functional_b1(2), ctl),
+            "tau": lambda: fe.evolve_tau(fld, functional_b1(2), ctl),
+            "normalized_ricci": lambda: fe.evolve_normalized_ricci(p, ctl),
+        }
+        for driver, march in marches.items():
+            with pytest.raises(FlowBlowUpError, match="total variation"):
+                march()
 
     def test_control_validation(self):
         with pytest.raises(ValueError):
@@ -204,7 +224,11 @@ class TestWarping:
         C = 0.8
         p = UmbilicalProfile.from_function(lambda s: C + 0 * s, 64, 1.0)
         t_end = 1.7
-        out, hist = evolve_umbilical(p, F, StepControl(t_end=t_end))
+        hist = FlowHistory()
+        out = evolve_umbilical(
+            p, F, StepControl(t_end=t_end),
+            on_snapshot=lambda q: hist.append(q.t, q.lam),
+        )
         expected = np.exp(0.5 * t_end * psi_of_lambda(F, C))
         np.testing.assert_allclose(out.phi, expected, rtol=1e-10)
         phi = evolve_warping(hist, p, F)
@@ -213,7 +237,7 @@ class TestWarping:
     def test_zero_psi_keeps_phi(self):
         F = functional_tau1_minus_c(2, 0.0)  # psi(0) = 0 on zero data
         p = UmbilicalProfile.from_function(lambda s: 0 * s, 64, 1.0)
-        out, _ = evolve_umbilical(p, F, StepControl(t_end=2.0))
+        out = evolve_umbilical(p, F, StepControl(t_end=2.0))
         np.testing.assert_allclose(out.phi, 1.0)
 
     def test_grid_mismatch_rejected(self):
@@ -227,7 +251,7 @@ class TestWarping:
     def test_warping_stays_positive(self):
         F = functional_tau1_minus_c(2, 3.0)  # strongly negative psi
         p = sine_profile(grid=64, amplitude=0.3)
-        out, _ = evolve_umbilical(p, F, StepControl(t_end=1.0))
+        out = evolve_umbilical(p, F, StepControl(t_end=1.0))
         assert np.all(out.phi > 0)
 
 
@@ -255,7 +279,7 @@ class TestCharacteristicsOracle:
         t = 0.25
         oracle = characteristics_oracle(lam0, F, t, s, periodic_length=length)
         p = UmbilicalProfile.from_function(lam0, 4096, length)
-        out, _ = evolve_umbilical(p, F, StepControl(t_end=t, cfl=0.5))
+        out = evolve_umbilical(p, F, StepControl(t_end=t, cfl=0.5))
         solver = np.interp(s, p.s, out.lam, period=length)
         assert np.max(np.abs(oracle - solver)) < 5e-3
 
@@ -291,7 +315,7 @@ class TestTauSystem:
         p = UmbilicalProfile.from_function(lam0, G, 1.0)
         ctl = StepControl(t_end=0.5)
         out_tau = evolve_tau(fld, F, ctl)
-        out_lam, _ = evolve_umbilical(p, F, ctl)
+        out_lam = evolve_umbilical(p, F, ctl)
         assert np.max(np.abs(out_tau.tau[:, 0] / n - out_lam.lam)) < 1e-6
 
     def test_umbilical_relation_persists_first_order(self):

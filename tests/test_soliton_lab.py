@@ -90,6 +90,10 @@ class TestNormalSoliton:
         rep = check_normal_soliton(constant_profile(C), F, eps=psi_of_lambda(F, C))
         assert rep.verdict == "soliton"
         assert rep.residual_linf["structure_x_zero"] <= rep.tol
+        # any other eps leaves neither reading of the structure equation
+        bad = check_normal_soliton(constant_profile(C), F, eps=psi_of_lambda(F, C) + 1)
+        assert bad.verdict == "not_soliton"
+        assert bad.residual_linf["structure_x_zero"] == pytest.approx(1.0)
 
     def test_zero_profile_is_soliton(self):
         F = functional_tau1_minus_c(2, 0.5)
@@ -302,53 +306,6 @@ class TestBiregular:
         rep = check_biregular_surface(g, F, eps="auto")
         assert rep.eps_used == pytest.approx(1.0, abs=1e-9)
         assert rep.verdict == "soliton"
-
-
-class TestSolitonCandidate:
-    def test_dispatch_normal_scaled(self):
-        from egf_lab.soliton_lab import SolitonCandidate
-        F = functional_b1(2)
-        rep = SolitonCandidate(constant_profile(0.9)).check(F)
-        assert rep.verdict == "soliton"
-
-    def test_dispatch_zero_field(self):
-        from egf_lab.soliton_lab import SolitonCandidate
-        F = functional_b1(2)
-        C = 0.9
-        cand = SolitonCandidate(constant_profile(C), "zero", psi_of_lambda(F, C))
-        assert cand.check(F).verdict == "soliton"
-        bad = SolitonCandidate(constant_profile(C), "zero", psi_of_lambda(F, C) + 1)
-        assert bad.check(F).verdict == "not_soliton"
-
-    def test_dispatch_biregular(self):
-        from egf_lab.soliton_lab import SolitonCandidate
-        F = functional_b1(1)
-        g = BiregularGrid.from_functions(
-            lambda u, v: 1.0, lambda u, v: np.exp(-2.0 * u), shape=(32, 32),
-        )
-        cand = SolitonCandidate(g, eps=psi_of_lambda(F, 1.0))
-        assert cand.field_kind == "biregular"
-        assert cand.check(F).verdict == "soliton"
-
-    def test_leaf_conformal_killing_class(self):
-        from egf_lab.soliton_lab import SolitonCandidate
-        F = functional_tau1_minus_c(2, 1.0)
-        # geodesic data with eps = psi(0): the leafwise field is Killing
-        rep = SolitonCandidate(
-            constant_profile(0.0), "leaf_conformal_killing", psi_of_lambda(F, 0.0)
-        ).check(F)
-        assert rep.verdict == "soliton"
-        assert any("killing" in n for n in rep.notes)
-        # mismatched eps turns it into a homothety
-        rep2 = SolitonCandidate(
-            constant_profile(0.0), "leaf_conformal_killing", 0.5
-        ).check(F)
-        assert any("homothety" in n for n in rep2.notes)
-
-    def test_field_kind_validation(self):
-        from egf_lab.soliton_lab import SolitonCandidate
-        with pytest.raises(ValueError):
-            SolitonCandidate(constant_profile(0.0), "biregular")
 
 
 class TestRicciClassifier:
