@@ -24,7 +24,7 @@ def is_number(value) -> bool:
 
 def as_int(value) -> int:
     """An integral JSON number as int; bools and fractional values are refused."""
-    if is_number(value) and float(value).is_integer():
+    if is_number(value) and (isinstance(value, int) or float(value).is_integer()):
         return int(value)
     raise ValueError(value)
 
@@ -52,7 +52,7 @@ def strict_cast(key: str, value, cast):
     """value through its strict cast (other casts as given); errors name key."""
     try:
         return STRICT_CASTS.get(cast, cast)(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int beyond float range
         raise ValueError(f"{key}: expected {cast.__name__}, got {value!r}") from None
 
 

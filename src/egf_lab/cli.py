@@ -2,7 +2,9 @@
 
 Every scenario is driven by one JSON document.  Validation failures exit
 with code 2 and name the offending key path; numerical blow-up exits with 3;
-resonance or characteristic crossing exits with 4.  CSV output is fully
+resonance or characteristic crossing exits with 4; any other exception is an
+internal error, exits with 5 and keeps its traceback in the report, which is
+written in every case.  CSV output is fully
 deterministic for a fixed config (17 significant digits, LF endings), so two
 runs of the same config are byte-identical.
 """
@@ -21,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import (
+    as_float,
     as_int,
     is_number,
     make_biregular_metric,
@@ -70,6 +73,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_UNSOLVABLE = 4
+EXIT_INTERNAL = 5
 
 SCENARIOS = (
     "umbilical-flow",
@@ -379,64 +383,72 @@ def run_ricci_classify(cfg: dict, outdir: Path):
     return results, []
 
 
-def _modes_from_cfg(cfg: dict) -> dict:
-    modes_cfg = cfg_get(cfg, "h.modes", None)
-    grid_csv = cfg_get(cfg, "h.grid_csv", None)
-    if (modes_cfg is None) == (grid_csv is None):
-        raise ConfigError("h: provide exactly one of h.modes or h.grid_csv")
-    if modes_cfg is not None:
-        if not isinstance(modes_cfg, list):
-            raise ConfigError(f"h.modes: expected a list of rows, got {modes_cfg!r}")
-        table = {}
-        for idx, entry in enumerate(modes_cfg):
-            try:
-                *u, re_c, im_c = entry
-                if not u or not all(map(is_number, entry)):
-                    raise ValueError(entry)
-                table[tuple(as_int(c) for c in u)] = complex(re_c, im_c)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"h.modes[{idx}]: expected [u1, ..., re, im] with integer u "
-                    f"and numeric re, im; got {entry!r}"
-                ) from None
-        return table
-    if not isinstance(grid_csv, str):
-        raise ConfigError(f"h.grid_csv: expected a path, got {grid_csv!r}")
-    return _grid_csv_modes(Path(grid_csv))
+def _modes_from_cfg(rows):
+    """h.modes rows [u1, ..., ud, re, im], checked all at once into one float
+    array; else a dict built row by row, naming the first bad row."""
+    if not isinstance(rows, list):
+        raise ConfigError(f"h.modes: expected a list of rows, got {rows!r}")
+    if all(type(row) is list for row in rows) and (
+        {type(x) for row in rows for x in row} <= {int, float}
+    ):
+        try:
+            table = np.array(rows, dtype=float)
+            u = table[:, :-2]
+            if (u.shape[1] and np.isfinite(table).all() and (u == np.rint(u)).all()
+                    and (np.abs(u) < 2.0 ** 53).all()):
+                return table
+        except (ValueError, OverflowError, IndexError):  # ragged, or huge ints
+            pass
+    table = {}
+    for idx, entry in enumerate(rows):
+        try:
+            *u, re_c, im_c = entry
+            if not u or not np.isfinite([as_float(c) for c in entry]).all():
+                raise ValueError(entry)
+            table[tuple(as_int(c) for c in u)] = complex(re_c, im_c)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: huge ints
+            raise ConfigError(
+                f"h.modes[{idx}]: expected [u1, ..., re, im] with integer u "
+                f"and numeric re, im; got {entry!r}"
+            ) from None
+    return table
 
 
-def _grid_csv_modes(path: Path):
+def _grid_csv_modes(path: Path) -> np.ndarray:
     if not path.exists():
         raise ConfigError(f"h.grid_csv: file not found: {path}")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 3:
         raise ConfigError("h.grid_csv: expected columns x, y, value")
-    xs = np.unique(data[:, 0])
-    ys = np.unique(data[:, 1])
+    xs, xi = np.unique(data[:, 0], return_inverse=True)
+    ys, yi = np.unique(data[:, 1], return_inverse=True)
     if xs.size * ys.size != data.shape[0]:
         raise ConfigError("h.grid_csv: grid is not complete/uniform")
     grid = np.full((xs.size, ys.size), np.nan)
-    xi = {v: i for i, v in enumerate(xs)}
-    yi = {v: i for i, v in enumerate(ys)}
-    for x, y, value in data:
-        grid[xi[x], yi[y]] = value
+    grid[xi, yi] = data[:, 2]
     if np.any(np.isnan(grid)):
         raise ConfigError("h.grid_csv: missing grid entries")
     return grid
 
 
 def run_cohomology(cfg: dict, outdir: Path):
-    v = cfg_get(cfg, "v", cast=list)
-    if len(v) not in (2, 3) or not all(map(is_number, v)):
-        raise ConfigError(f"v: expected 2 or 3 numbers, got {v!r}")
+    v = [strict_cast("v", c, float) for c in cfg_get(cfg, "v", cast=list)]
+    if len(v) not in (2, 3) or not np.isfinite(v).all():
+        raise ConfigError(f"v: expected 2 or 3 finite numbers, got {v!r}")
     K = cfg_get(cfg, "K", cast=int)
     s = cfg_get(cfg, "s", 1.0, float)
-    h = _modes_from_cfg(cfg)
+    modes_cfg = cfg_get(cfg, "h.modes", None)
+    grid_csv = cfg_get(cfg, "h.grid_csv", None)
+    if (modes_cfg is None) == (grid_csv is None):
+        raise ConfigError("h: provide exactly one of h.modes or h.grid_csv")
+    if modes_cfg is not None:
+        build, h = TorusCohomologyProblem.from_modes, _modes_from_cfg(modes_cfg)
+    elif isinstance(grid_csv, str):
+        build, h = TorusCohomologyProblem.from_grid, _grid_csv_modes(Path(grid_csv))
+    else:
+        raise ConfigError(f"h.grid_csv: expected a path, got {grid_csv!r}")
     try:
-        if isinstance(h, dict):
-            problem = TorusCohomologyProblem.from_modes(v, h, K, s)
-        else:
-            problem = TorusCohomologyProblem.from_grid(v, h, K, s)
+        problem = build(v, h, K, s)
     except ValueError as exc:
         raise ConfigError(f"h: {exc}") from None
 
@@ -444,12 +456,9 @@ def run_cohomology(cfg: dict, outdir: Path):
     shells = amplification_report(sol)
 
     files = [outdir / "solution_coeffs.csv", outdir / "amplification.csv"]
-    dim = problem.dim
-    header = [f"u{i + 1}" for i in range(dim)] + ["re", "im"]
-    modes = sorted(sol.f_coeffs)
-    coeffs = np.array([sol.f_coeffs[u] for u in modes], dtype=complex)
-    mode_block = np.array(modes, dtype=np.int64).reshape(len(modes), dim)
-    write_csv(files[0], header, (*mode_block.T, coeffs.real, coeffs.imag))
+    header = [f"u{i + 1}" for i in range(problem.dim)] + ["re", "im"]
+    modes, coeffs = sol.f_coeffs.arrays()
+    write_csv(files[0], header, (*modes.T, coeffs.real, coeffs.imag))
     shell_fields = ["shell", "n_modes", "min_divisor", "max_amplification",
                     "margin_bound"]
     write_csv(
@@ -529,10 +538,7 @@ def run_cone_check(cfg: dict, outdir: Path):
     grid = cfg_get(cfg, "numerics.grid", 800, int)
     a = cfg_get(cfg, "domain_min", 2.0, float)
     b = cfg_get(cfg, "domain_max", 6.0, float)
-    try:
-        rep = cone_flow_check(beta, t_end, grid, (a, b), ctl.cfl, ctl.scheme)
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from None
+    rep = cone_flow_check(beta, ctl, grid, (a, b))
 
     p = rep.final_profile
     lam_exact = -2.0 / (p.s - t_end / 2.0)
@@ -587,6 +593,11 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     except ValueError as exc:  # ConfigError and deep input validation
         report["error"] = str(exc)
         code = EXIT_CONFIG
+    except Exception as exc:  # a defect: reported, not raised
+        import traceback  # the error path only
+        report["error"] = f"internal error: {type(exc).__name__}: {exc}"
+        report["traceback"] = traceback.format_exc()
+        code = EXIT_INTERNAL
     report["wall_time_s"] = time.perf_counter() - started
     report["exit_status"] = code
 

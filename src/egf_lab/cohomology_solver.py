@@ -3,9 +3,10 @@
 For a constant direction field v on the 2- or 3-torus, the equation
 v . grad f = h - mean(h) is solved mode by mode: each Fourier coefficient of
 h is divided by 2 pi i <u, v>.  The solver is truncation-based: it works on
-the finite mode table it is given (|u|_inf <= K) and reports the residual of
-the reconstructed identity on a verification grid, so nothing about
-convergence of infinite series is assumed silently.
+the finite mode table it is given (|u|_inf <= K), held as a dense (2K+1)^d
+cube indexed by u + K, and reports the residual of the reconstructed
+identity on a verification grid, so nothing about convergence of infinite
+series is assumed silently.
 
 Direction vectors with rational resonances leave some divisors at zero; the
 solver refuses exactly when the data carries energy on such a mode, naming
@@ -15,13 +16,14 @@ the offending lattice vector.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 import numpy as np
 
 DIVISOR_MARGIN_FLOOR = 1e-12
 ENERGY_FLOOR_REL = 1e-13
+MAX_GRID_POINTS = 2 ** 24  # the (4K)^d verification grid: K <= 64 in 3-D
 
 
 class ResonanceError(RuntimeError):
@@ -33,12 +35,69 @@ class ResonanceError(RuntimeError):
 
 
 def _as_mode(u: Iterable[int]) -> tuple[int, ...]:
-    mode = tuple(int(c) for c in u)
-    return mode
+    return tuple(int(c) for c in u)
 
 
-def _neg(u: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-c for c in u)
+def _lattice(v: tuple[float, ...], K: int):
+    """<u, v>, ||u||_2 and |u|_inf on |u|_inf <= K as cubes indexed by u + K.
+
+    <u, v> is summed as u1 v1 + u2 v2 (+ u3 v3), with no BLAS kernel.
+    """
+    axes = np.broadcast_arrays(*np.ogrid[(slice(-K, K + 1),) * len(v)])
+    inner = axes[0] * v[0]
+    for a, c in zip(axes[1:], v[1:]):
+        inner = inner + a * c
+    return inner, np.sqrt(sum(a * a for a in axes)), np.max(np.abs(axes), axis=0)
+
+
+class ModeTable(Mapping):
+    """Read-only mapping u -> complex over the masked part of a cube (u + K)."""
+
+    def __init__(self, cube: np.ndarray, mask: np.ndarray, K: int):
+        self.cube, self.mask, self.K = cube, mask, K
+
+    def __getitem__(self, u):
+        idx = tuple(c + self.K for c in u)
+        if len(idx) == self.mask.ndim and all(0 <= i <= 2 * self.K for i in idx):
+            if self.mask[idx]:
+                return complex(self.cube[idx])
+        raise KeyError(u)
+
+    def __iter__(self):
+        return map(tuple, self.arrays()[0].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The modes as an (N, d) int array in ascending order, and their values."""
+        return np.argwhere(self.mask) - self.K, self.cube[self.mask]
+
+
+def _mode_rows(coeffs, dim: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes (N, dim) and values (N,) of a mapping or of rows [u..., re, im],
+    in input order; the first mode of a wrong dimension or outside K is named."""
+    if isinstance(coeffs, Mapping):
+        for mode in map(_as_mode, coeffs):
+            if len(mode) != dim:
+                raise ValueError(f"mode {mode} does not match dimension {dim}")
+            if max(abs(m) for m in mode) > K:
+                raise ValueError(f"mode {mode} lies outside |u|_inf <= {K}")
+        modes = np.array(list(map(_as_mode, coeffs)), dtype=np.int64)
+        values = np.array([complex(c) for c in coeffs.values()], dtype=complex)
+        return modes.reshape(-1, dim), values
+    rows = np.asarray(coeffs, dtype=float)
+    u = rows[:, :-2]
+    if u.shape[1] != dim:
+        raise ValueError(f"mode {_as_mode(u[0])} does not match dimension {dim}")
+    outside = np.max(np.abs(u), axis=1) > K
+    if outside.any():
+        raise ValueError(
+            f"mode {_as_mode(u[np.argmax(outside)])} lies outside |u|_inf <= {K}"
+        )
+    values = np.empty(len(rows), dtype=complex)  # parts set apart: keeps -0.0
+    values.real, values.imag = rows[:, -2], rows[:, -1]
+    return u.astype(np.int64), values
 
 
 @dataclass
@@ -46,14 +105,18 @@ class TorusCohomologyProblem:
     """Right-hand side h (finite Fourier table) and flow direction v.
 
     ``coeffs`` maps integer modes u (|u|_inf <= K) to complex coefficients of
-    exp(2 pi i <u, x>).  Conjugate symmetry (h real) is completed when one of
-    a +-u pair is missing and validated when both are present.  ``s`` is the
-    Diophantine exponent used in margin diagnostics; the leaf dimension of
-    the soliton reading is dim - 1.
+    exp(2 pi i <u, x>), or holds rows [u1, ..., ud, re, im] (a repeated mode
+    keeps its last value).  Conjugate symmetry (h real) is completed when one
+    of a +-u pair is missing and validated when both are present.  Then
+    ``cube`` holds h at u + K over the ``mask`` of ``coeffs`` keys, ``given``
+    the flat index of each input mode in input order, and ``inner``, ``norm``
+    and ``shell`` hold <u, v>, ||u||_2 and |u|_inf.  ``s`` is the Diophantine
+    exponent of the margin diagnostics; the leaf dimension of the soliton
+    reading is dim - 1.
     """
 
     v: tuple[float, ...]
-    coeffs: dict
+    coeffs: Mapping
     K: int
     s: float = 1.0
 
@@ -63,27 +126,34 @@ class TorusCohomologyProblem:
             raise ValueError("only 2- and 3-dimensional torus flows are supported")
         if self.K < 1:
             raise ValueError("truncation radius K must be >= 1")
+        if (4 * self.K) ** self.dim > MAX_GRID_POINTS:
+            raise ValueError(f"truncation radius K = {self.K} needs more than "
+                             f"{MAX_GRID_POINTS} verification points")
         if self.s <= 0:
             raise ValueError("Diophantine exponent s must be positive")
-        table: dict[tuple[int, ...], complex] = {}
-        for u, c in self.coeffs.items():
-            mode = _as_mode(u)
-            if len(mode) != self.dim:
-                raise ValueError(f"mode {mode} does not match dimension {self.dim}")
-            if max(abs(m) for m in mode) > self.K:
-                raise ValueError(f"mode {mode} lies outside |u|_inf <= {self.K}")
-            table[mode] = complex(c)
-        scale = max([abs(c) for c in table.values()], default=0.0)
-        for u, c in list(table.items()):
-            nu = _neg(u)
-            if nu in table:
-                if abs(table[nu] - c.conjugate()) > 1e-10 * max(1.0, scale):
-                    raise ValueError(
-                        f"conjugate symmetry violated between modes {u} and {nu}"
-                    )
-            else:
-                table[nu] = c.conjugate()
-        self.coeffs = table
+        modes, values = _mode_rows(self.coeffs, self.dim, self.K)
+        shape = (2 * self.K + 1,) * self.dim
+        self.given = np.ravel_multi_index(tuple((modes + self.K).T), shape)
+        slots, last = np.unique(self.given[::-1], return_index=True)
+        cube = np.zeros(shape, dtype=complex)
+        cube.flat[slots] = values[::-1][last]
+        present = np.zeros(shape, dtype=bool)
+        present.flat[slots] = True
+
+        mirror = np.conj(np.flip(cube))
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(cube))))
+        bad = present & np.flip(present) & (np.abs(mirror - cube) > tol)
+        if bad.any():
+            u = self.mode(self.given[np.argmax(bad.flat[self.given])])
+            raise ValueError(
+                f"conjugate symmetry violated between modes {u} and "
+                f"{tuple(-c for c in u)}"
+            )
+        missing = np.flip(present) & ~present
+        cube[missing] = mirror[missing]
+        self.cube, self.mask = cube, present | missing
+        self.coeffs = ModeTable(cube, self.mask, self.K)
+        self.inner, self.norm, self.shell = _lattice(self.v, self.K)
 
     @property
     def dim(self) -> int:
@@ -93,16 +163,23 @@ class TorusCohomologyProblem:
     def leaf_dim(self) -> int:
         return self.dim - 1
 
+    def mode(self, flat: int) -> tuple[int, ...]:
+        """The mode u at a flat cube index."""
+        idx = np.unravel_index(flat, (2 * self.K + 1,) * self.dim)
+        return tuple(int(i) - self.K for i in idx)
+
     @classmethod
-    def from_modes(cls, v, modes: Mapping, K: int, s: float = 1.0):
-        return cls(tuple(v), dict(modes), K, s)
+    def from_modes(cls, v, modes, K: int, s: float = 1.0):
+        """From a mapping u -> h_u or from rows [u1, ..., ud, re, im]."""
+        return cls(tuple(v), modes, K, s)
 
     @classmethod
     def from_grid(cls, v, grid: np.ndarray, K: int, s: float = 1.0):
         """Build the coefficient table from real samples on a uniform grid.
 
         The transform is a direct summation over the grid: coefficient of
-        exp(2 pi i <u, x>) with x_j = index/M per axis.
+        exp(2 pi i <u, x>) with x_j = index/M per axis; exact zeros are left
+        out of the table.
         """
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != len(tuple(v)):
@@ -111,61 +188,32 @@ class TorusCohomologyProblem:
             raise ValueError(
                 f"grid of shape {grid.shape} cannot resolve modes up to K={K}"
             )
-        coeffs = _dft_direct(grid, K)
-        return cls(tuple(v), coeffs, K, s)
+        cube = _separable(grid, K, -2j)
+        keep = np.abs(cube) > 0.0
+        rows = (np.argwhere(keep) - K, cube[keep].real, cube[keep].imag)
+        return cls(tuple(v), np.column_stack(rows), K, s)
 
 
-def _mode_range(K: int) -> np.ndarray:
-    return np.arange(-K, K + 1)
-
-
-def _dft_direct(grid: np.ndarray, K: int) -> dict:
-    """Direct-summation DFT of a real grid, modes |u|_inf <= K."""
-    dims = grid.shape
-    mats = []
-    for M in dims:
-        j = np.arange(M)
-        mats.append(np.exp(-2j * np.pi * np.outer(_mode_range(K), j / M)) / M)
-    if grid.ndim == 2:
-        cube = np.einsum("jk,aj,bk->ab", grid, mats[0], mats[1], optimize=True)
-    else:
-        cube = np.einsum("jkl,aj,bk,cl->abc", grid, mats[0], mats[1], mats[2], optimize=True)
-    coeffs = {}
-    K_idx = _mode_range(K)
-    for idx in np.ndindex(*cube.shape):
-        u = tuple(int(K_idx[i]) for i in idx)
-        c = complex(cube[idx])
-        if abs(c) > 0.0:
-            coeffs[u] = c
-    return coeffs
-
-
-def _evaluate_modes(coeffs: Mapping, dim: int, K: int, grid_shape: tuple[int, ...]):
-    """Evaluate a finite mode table on a uniform grid by separable summation."""
-    cube = np.zeros((2 * K + 1,) * dim, dtype=complex)
-    for u, c in coeffs.items():
-        cube[tuple(m + K for m in u)] += c
-    mats = []
-    for M in grid_shape:
-        j = np.arange(M)
-        mats.append(np.exp(2j * np.pi * np.outer(_mode_range(K), j / M)))
-    if dim == 2:
-        return np.einsum("ab,aj,bk->jk", cube, mats[0], mats[1], optimize=True)
-    return np.einsum("abc,aj,bk,cl->jkl", cube, mats[0], mats[1], mats[2], optimize=True)
+def _separable(data: np.ndarray, K: int, sign: complex, shape=None) -> np.ndarray:
+    """Separable direct Fourier sum with exp(sign pi u j / M) on each axis:
+    the DFT of a real grid onto the modes |u|_inf <= K (sign -2j), or a mode
+    cube evaluated on a uniform grid of the given shape (sign 2j)."""
+    forward, dim = shape is None, data.ndim
+    operands = [data, list(range(dim))]
+    for i, M in enumerate(data.shape if forward else shape):
+        mat = np.exp(sign * np.pi * np.outer(np.arange(-K, K + 1), np.arange(M) / M))
+        operands += [mat / M, [dim + i, i]] if forward else [mat, [i, dim + i]]
+    return np.einsum(*operands, list(range(dim, 2 * dim)), optimize=True)
 
 
 def diophantine_margin(v, K: int, s: float) -> float:
     """min over 0 < |u|_inf <= K of |<u, v>| * ||u||_2^s, by exhaustive scan."""
-    v = np.asarray(v, dtype=float)
     if K < 1:
         raise ValueError("K must be >= 1")
-    axes = [_mode_range(K)] * v.size
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.stack([m.ravel() for m in mesh], axis=-1).astype(float)
-    norms = np.linalg.norm(lattice, axis=-1)
-    nonzero = norms > 0
-    inner = np.abs(lattice[nonzero] @ v)
-    return float(np.min(inner * norms[nonzero] ** s))
+    inner, norm, _ = _lattice(tuple(float(c) for c in v), K)
+    margin = np.abs(inner) * norm ** s
+    margin.flat[margin.size // 2] = math.inf  # the zero mode
+    return float(np.min(margin))
 
 
 @dataclass
@@ -178,7 +226,7 @@ class CohomologySolution:
     structure equation carries the factor 2/n in front of the derivative.
     """
 
-    f_coeffs: dict
+    f_coeffs: ModeTable
     eps: float
     margin: float
     residual: float
@@ -197,56 +245,43 @@ def solve_linear_flow(
     of h is absorbed into eps.  Modes with |h_u| below the relative energy
     floor are dropped.  If an energized mode has |<u,v>| ||u||^s below the
     divisor floor, the problem is unsolvable within this truncation and the
-    worst lattice vector is named.
+    worst lattice vector is named (on a tie, the one given first).
     """
-    v = np.asarray(p.v, dtype=float)
-    scale = max([abs(c) for c in p.coeffs.values()], default=0.0)
-    energy_floor = ENERGY_FLOOR_REL * max(1.0, scale)
-
-    eps_c = p.coeffs.get((0,) * p.dim, 0.0 + 0.0j)
-    eps = float(eps_c.real)
-
-    f_coeffs: dict[tuple[int, ...], complex] = {(0,) * p.dim: 0.0 + 0.0j}
-    worst_mode = None
-    worst_margin = math.inf
-    for u, c in p.coeffs.items():
-        if all(m == 0 for m in u) or abs(c) <= energy_floor:
-            continue
-        inner = float(np.dot(u, v))
-        mode_margin = abs(inner) * float(np.linalg.norm(u)) ** p.s
-        if mode_margin < divisor_floor:
-            if mode_margin < worst_margin:
-                worst_margin = mode_margin
-                worst_mode = u
-            continue
-        f_coeffs[u] = c / (2j * np.pi * inner)
-    if worst_mode is not None:
+    h = p.cube
+    floor = ENERGY_FLOOR_REL * max(1.0, float(np.max(np.abs(h))))
+    energized = p.mask & (p.shell > 0) & (np.abs(h) > floor)
+    margin = np.abs(p.inner) * p.norm ** p.s
+    resonant = energized & (margin < divisor_floor)
+    if resonant.any():
+        candidates = p.given[resonant.flat[p.given]]
+        worst = candidates[np.argmin(margin.flat[candidates])]
         raise ResonanceError(
-            f"mode u = {worst_mode} is resonant for v = {p.v}: "
-            f"|<u,v>| ||u||^s = {worst_margin:.3e} below floor {divisor_floor:.1e}",
-            worst_mode,
+            f"mode u = {p.mode(worst)} is resonant for v = {p.v}: "
+            f"|<u,v>| ||u||^s = {margin.flat[worst]:.3e} below floor "
+            f"{divisor_floor:.1e}",
+            p.mode(worst),
         )
 
+    # CPython's complex division h / (2 pi i <u,v>), signs of zero included
+    d = 2 * np.pi * p.inner[energized]
+    f = np.zeros_like(h)
+    f.real[energized] = (h.real[energized] * 0.0 + h.imag[energized]) / d
+    f.imag[energized] = (h.imag[energized] * 0.0 - h.real[energized]) / d
+
     grid_shape = (max(4 * p.K, 8),) * p.dim
-    df_coeffs = {
-        u: c * 2j * np.pi * float(np.dot(u, v)) for u, c in f_coeffs.items()
-    }
-    h_centered = {
-        u: c for u, c in p.coeffs.items() if not all(m == 0 for m in u)
-    }
-    field_df = _evaluate_modes(df_coeffs, p.dim, p.K, grid_shape)
-    field_h = _evaluate_modes(h_centered, p.dim, p.K, grid_shape)
-    field_f = _evaluate_modes(f_coeffs, p.dim, p.K, grid_shape)
-    residual = float(np.max(np.abs((field_df - field_h).real)))
-    residual = max(residual, float(np.max(np.abs((field_df - field_h).imag))))
-    max_imag = float(np.max(np.abs(field_f.imag))) if field_f.size else 0.0
+    field_df, field_h, field_f = (
+        _separable(c, p.K, 2j, grid_shape)
+        for c in (f * 2j * np.pi * p.inner, np.where(p.shell > 0, h, 0.0), f)
+    )
+    diff = field_df - field_h
+    residual = max(float(np.max(np.abs(diff.real))), float(np.max(np.abs(diff.imag))))
 
     return CohomologySolution(
-        f_coeffs=f_coeffs,
-        eps=eps,
+        f_coeffs=ModeTable(f, energized | (p.shell == 0), p.K),
+        eps=float(h[(p.K,) * p.dim].real),
         margin=diophantine_margin(p.v, p.K, p.s),
         residual=residual,
-        max_imag=max_imag,
+        max_imag=float(np.max(np.abs(field_f.imag))),
         soliton_field_scale=p.leaf_dim / 2.0,
         problem=p,
     )
@@ -270,28 +305,22 @@ def amplification_report(sol: CohomologySolution) -> list[ShellRow]:
     through the solver always sits below it.
     """
     p = sol.problem
-    v = np.asarray(p.v, dtype=float)
-    shells: dict[int, dict] = {}
-    for u, fc in sol.f_coeffs.items():
-        if all(m == 0 for m in u):
-            continue
-        hc = p.coeffs.get(u, 0.0)
-        if abs(hc) == 0.0:
-            continue
-        shell = max(abs(m) for m in u)
-        row = shells.setdefault(
-            shell,
-            {"n": 0, "min_div": math.inf, "max_amp": 0.0, "bound": 0.0},
-        )
-        row["n"] += 1
-        row["min_div"] = min(row["min_div"], abs(float(np.dot(u, v))))
-        row["max_amp"] = max(row["max_amp"], abs(fc) / abs(hc))
-        if sol.margin > 0:
-            bound = float(np.linalg.norm(u)) ** p.s / (2 * np.pi * sol.margin)
-        else:
-            bound = math.inf
-        row["bound"] = max(row["bound"], bound)
+    h = np.abs(p.cube)
+    solved = sol.f_coeffs.mask & (h != 0.0) & (p.shell > 0)
+    shell = p.shell[solved]
+    bound = np.full(shell.size, math.inf)
+    if sol.margin > 0:
+        bound = p.norm[solved] ** p.s / (2 * np.pi * sol.margin)
+
+    n_modes = np.bincount(shell, minlength=p.K + 1)
+    min_div = np.full(p.K + 1, math.inf)
+    np.minimum.at(min_div, shell, np.abs(p.inner[solved]))
+    max_amp = np.zeros(p.K + 1)
+    np.maximum.at(max_amp, shell, np.abs(sol.f_coeffs.cube[solved]) / h[solved])
+    max_bound = np.zeros(p.K + 1)
+    np.maximum.at(max_bound, shell, bound)
     return [
-        ShellRow(shell, row["n"], row["min_div"], row["max_amp"], row["bound"])
-        for shell, row in sorted(shells.items())
+        ShellRow(int(k), int(n_modes[k]), float(min_div[k]), float(max_amp[k]),
+                 float(max_bound[k]))
+        for k in np.flatnonzero(n_modes)
     ]

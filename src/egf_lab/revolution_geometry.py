@@ -234,28 +234,29 @@ class ConeFlowReport:
 
 def cone_flow_check(
     beta: float,
-    t_end: float,
+    ctl: StepControl,
     grid: int,
     domain: tuple[float, float] = (2.0, 6.0),
-    cfl: float = 0.9,
-    scheme: str = "upwind",
 ) -> ConeFlowReport:
-    """Evolve the cone data lam0 = -2/x0 under psi(lam) = lam and compare.
+    """Evolve the cone data lam0 = -2/x0 under psi(lam) = lam to ctl.t_end
+    and compare.
 
     The transported curvature is checked against -2/(x0 - t/2).  The warping
     factor is compared both with the translated-cone radius (x0 - t/2) sin(beta)
     and with the exact exponential integral of the transported curvature,
     sin(beta) (x0 - t/2)^2 / x0; the two differ because the curvature
     normalization of the cone data does not match the radius convention, so
-    only the second is a consistency target for the integrator.
+    only the second is a consistency target for the integrator.  Error
+    messages start with the offending parameter.
     """
     a, b = domain
+    t_end = ctl.t_end
+    if not 0 < beta < np.pi / 2:
+        raise ValueError("beta: opening angle must lie in (0, pi/2)")
     if a <= t_end / 2.0:
         raise ValueError(
-            "the apex reaches the domain: need domain start > t_end / 2"
+            "domain: the apex reaches the domain: need domain start > t_end / 2"
         )
-    if not 0 < beta < np.pi / 2:
-        raise ValueError("opening angle must lie in (0, pi/2)")
 
     sin_b = math.sin(beta)
     p = UmbilicalProfile.from_function(
@@ -267,7 +268,6 @@ def cone_flow_check(
         phi0=lambda s: s * sin_b,
     )
     if t_end > 0:
-        ctl = StepControl(t_end=t_end, cfl=cfl, scheme=scheme)
         p = evolve_umbilical(
             p, _CONE_FLOW, ctl, inflow_left=lambda t: -2.0 / (a - t / 2.0)
         )

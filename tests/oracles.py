@@ -158,3 +158,139 @@ def evolve_warping(history: FlowHistory, p0, F) -> np.ndarray:
         integral += 0.5 * (psi_prev + psi_next) * (times[idx] - times[idx - 1])
         psi_prev = psi_next
     return p0.phi * np.exp(0.5 * integral)
+
+
+# ------------------------------------------- torus cohomology, dict reference
+
+
+def _neg(u):
+    return tuple(-c for c in u)
+
+
+@dataclass
+class DictCohomologyProblem:
+    """The mode table as a dict of mode tuples: the reference for the dense
+    ``TorusCohomologyProblem`` (same checks, same messages, same order)."""
+
+    v: tuple
+    coeffs: dict
+    K: int
+    s: float = 1.0
+
+    def __post_init__(self):
+        self.v = tuple(float(c) for c in self.v)
+        table = {}
+        for u, c in self.coeffs.items():
+            mode = tuple(int(m) for m in u)
+            if len(mode) != self.dim:
+                raise ValueError(f"mode {mode} does not match dimension {self.dim}")
+            if max(abs(m) for m in mode) > self.K:
+                raise ValueError(f"mode {mode} lies outside |u|_inf <= {self.K}")
+            table[mode] = complex(c)
+        scale = max([abs(c) for c in table.values()], default=0.0)
+        for u, c in list(table.items()):
+            nu = _neg(u)
+            if nu in table:
+                if abs(table[nu] - c.conjugate()) > 1e-10 * max(1.0, scale):
+                    raise ValueError(
+                        f"conjugate symmetry violated between modes {u} and {nu}"
+                    )
+            else:
+                table[nu] = c.conjugate()
+        self.coeffs = table
+
+    @property
+    def dim(self):
+        return len(self.v)
+
+    @classmethod
+    def from_grid(cls, v, grid, K, s=1.0):
+        """Direct-summation DFT of a real grid, one dict entry per nonzero mode."""
+        grid = np.asarray(grid, dtype=float)
+        mats = []
+        for M in grid.shape:
+            j = np.arange(M)
+            mats.append(np.exp(-2j * np.pi * np.outer(np.arange(-K, K + 1), j / M)) / M)
+        if grid.ndim == 2:
+            cube = np.einsum("jk,aj,bk->ab", grid, mats[0], mats[1], optimize=True)
+        else:
+            cube = np.einsum("jkl,aj,bk,cl->abc", grid, *mats, optimize=True)
+        coeffs = {}
+        for idx in np.ndindex(*cube.shape):
+            c = complex(cube[idx])
+            if abs(c) > 0.0:
+                coeffs[tuple(int(i) - K for i in idx)] = c
+        return cls(tuple(v), coeffs, K, s)
+
+
+def dict_inner(u, v) -> float:
+    """<u, v> as the dict solver computes it (np.dot, possibly fused)."""
+    return float(np.dot(u, np.asarray(v, dtype=float)))
+
+
+def dict_diophantine_margin(v, K, s):
+    v = np.asarray(v, dtype=float)
+    axes = [np.arange(-K, K + 1)] * v.size
+    mesh = np.meshgrid(*axes, indexing="ij")
+    lattice = np.stack([m.ravel() for m in mesh], axis=-1).astype(float)
+    norms = np.linalg.norm(lattice, axis=-1)
+    nonzero = norms > 0
+    inner = np.abs(lattice[nonzero] @ v)
+    return float(np.min(inner * norms[nonzero] ** s))
+
+
+def dict_solve_linear_flow(p: DictCohomologyProblem, divisor_floor=1e-12):
+    """Mode-by-mode solve over the dict; returns (f_coeffs dict, eps, margin).
+
+    Raises the library's ResonanceError naming the worst energized mode (the
+    first in dict order on a tie)."""
+    from egf_lab.cohomology_solver import ENERGY_FLOOR_REL, ResonanceError
+
+    scale = max([abs(c) for c in p.coeffs.values()], default=0.0)
+    energy_floor = ENERGY_FLOOR_REL * max(1.0, scale)
+    eps = float(p.coeffs.get((0,) * p.dim, 0.0 + 0.0j).real)
+    f_coeffs = {(0,) * p.dim: 0.0 + 0.0j}
+    worst_mode = None
+    worst_margin = math.inf
+    for u, c in p.coeffs.items():
+        if all(m == 0 for m in u) or abs(c) <= energy_floor:
+            continue
+        inner = dict_inner(u, p.v)
+        mode_margin = abs(inner) * float(np.linalg.norm(u)) ** p.s
+        if mode_margin < divisor_floor:
+            if mode_margin < worst_margin:
+                worst_margin = mode_margin
+                worst_mode = u
+            continue
+        f_coeffs[u] = c / (2j * np.pi * inner)
+    if worst_mode is not None:
+        raise ResonanceError(f"mode u = {worst_mode} is resonant", worst_mode)
+    return f_coeffs, eps, dict_diophantine_margin(p.v, p.K, p.s)
+
+
+def dict_amplification_report(p: DictCohomologyProblem, f_coeffs, margin):
+    """Per-shell rows (shell, n_modes, min_divisor, max_amplification,
+    margin_bound), built mode by mode."""
+    shells = {}
+    for u, fc in f_coeffs.items():
+        if all(m == 0 for m in u):
+            continue
+        hc = p.coeffs.get(u, 0.0)
+        if abs(hc) == 0.0:
+            continue
+        shell = max(abs(m) for m in u)
+        row = shells.setdefault(
+            shell, {"n": 0, "min_div": math.inf, "max_amp": 0.0, "bound": 0.0}
+        )
+        row["n"] += 1
+        row["min_div"] = min(row["min_div"], abs(dict_inner(u, p.v)))
+        row["max_amp"] = max(row["max_amp"], abs(fc) / abs(hc))
+        if margin > 0:
+            bound = float(np.linalg.norm(u)) ** p.s / (2 * np.pi * margin)
+        else:
+            bound = math.inf
+        row["bound"] = max(row["bound"], bound)
+    return [
+        (shell, row["n"], row["min_div"], row["max_amp"], row["bound"])
+        for shell, row in sorted(shells.items())
+    ]

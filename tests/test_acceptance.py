@@ -137,8 +137,9 @@ def test_criterion_03_cone_example():
     with criterion(3, "cone data transported to the translated cone") as info:
         started = time.perf_counter()
         grids = (200, 400, 800)
+        ctl = StepControl(t_end=1.0)
         errors = [
-            cone_flow_check(np.pi / 6, 1.0, g, (2.0, 6.0)).sup_err_lambda
+            cone_flow_check(np.pi / 6, ctl, g, (2.0, 6.0)).sup_err_lambda
             for g in grids
         ]
         assert errors[-1] <= 5e-3

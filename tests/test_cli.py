@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from egf_lab import cli
 from egf_lab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNSOLVABLE,
     ConfigError,
@@ -98,7 +104,8 @@ class TestConfigAccess:
 
     @pytest.mark.parametrize("modes", [
         5, "rows", [5], [[1, 2]], [[1, 0, "1.0", 0.0]], [[1.5, 0, 1.0, 0.0]],
-        [[True, 0, 1.0, 0.0]],
+        [[True, 0, 1.0, 0.0]], [[1, 0, math.nan, 0.0]], [[1, 0, 0.0, -math.inf]],
+        [[1, 0, 10 ** 400, 0.0]], [[10 ** 400, 0, 1.0, 0.0]],
     ])
     def test_malformed_h_modes_exit_2_with_report(self, tmp_path, modes):
         cfg = {"scenario": "cohomology", "v": [1.0, 1.5], "K": 3,
@@ -150,9 +157,12 @@ MALFORMED = [
     (COHOMOLOGY, "v", [1, None], "v"),
     (COHOMOLOGY, "v", [1, "a"], "v"),
     (COHOMOLOGY, "v", [1.0], "v"),
+    (COHOMOLOGY, "v", [1.0, math.nan], "v"),
+    (COHOMOLOGY, "v", [1.0, 10 ** 400], "v"),
     (CONE, "numerics.cfl", 1.5, "numerics.cfl"),
     (CONE, "numerics.t_end", -1, "numerics.t_end"),
     (CONE, "numerics.scheme", "magic", "numerics.scheme"),
+    (CONE, "beta", 2.0, "beta"),
 ]
 
 
@@ -175,6 +185,17 @@ class TestMalformedValues:
         report, code = run(CONE, tmp_path, quiet=True)
         assert code == EXIT_OK
         assert report["results"]["t_end"] == 1.0
+
+    def test_cone_check_honours_integrator_and_max_steps(self, tmp_path):
+        euler, _ = run(CONE, tmp_path / "euler", quiet=True)
+        heun_cfg = _set(json.loads(json.dumps(CONE)), "numerics.integrator", "heun")
+        heun, code = run(heun_cfg, tmp_path / "heun", quiet=True)
+        assert code == EXIT_OK
+        assert heun["results"]["sup_err_lambda"] != euler["results"]["sup_err_lambda"]
+        capped = _set(json.loads(json.dumps(CONE)), "numerics.max_steps", 1)
+        report, code = run(capped, tmp_path / "capped", quiet=True)
+        assert code == EXIT_BLOWUP
+        assert "after 1 steps" in report["error"]
 
 
 class TestCsvWriter:
@@ -457,3 +478,139 @@ class TestCommandLine:
         ])
         assert code == EXIT_OK
         assert (tmp_path / "out" / "solution_coeffs.csv").exists()
+
+
+def _grid_csv(path: Path, M: int, drop=(), duplicate=()) -> Path:
+    """x,y,value samples of a band-limited h on an M x M grid; rows `drop`
+    are left out and rows `duplicate` written twice, as 0-based row indices."""
+    x = np.arange(M) / M
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    h = 1.0 + np.cos(2 * np.pi * (X - Y))
+    lines = ["x,y,value"]
+    for idx, row in enumerate(zip(X.ravel().tolist(), Y.ravel().tolist(),
+                                  h.ravel().tolist())):
+        if idx not in drop:
+            lines += [",".join(map(repr, row))] * (2 if idx in duplicate else 1)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestCohomologyInput:
+    ROWS = [[0, 0, 3.0, 0.0], [1, -1, 0.5, -0.0], [-2, 3, -0.25, 0.125],
+            [1, -1, 0.75, 0.0], [3, 1, 0.0, -0.5]]
+
+    def test_dense_rows_and_row_loop_write_the_same_tables(self, tmp_path):
+        # list rows take the all-at-once path, tuple rows the row loop
+        tuples = [tuple(r) for r in self.ROWS]
+        assert isinstance(cli._modes_from_cfg(self.ROWS), np.ndarray)
+        assert isinstance(cli._modes_from_cfg(tuples), dict)
+        outputs = []
+        for rows in (self.ROWS, tuples):
+            out = tmp_path / str(len(outputs))
+            cfg = {"scenario": "cohomology", "v": [1.0, 1.7], "K": 3,
+                   "h": {"modes": rows}}
+            report, code = run(cfg, out, quiet=True)
+            assert code == EXIT_OK, report.get("error")
+            outputs.append([(out / f).read_bytes() for f in
+                            ("solution_coeffs.csv", "amplification.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("drop,duplicate,message", [
+        ((5,), (), "h.grid_csv: grid is not complete/uniform"),
+        ((5,), (6,), "h.grid_csv: missing grid entries"),
+    ])
+    def test_grid_csv_errors(self, tmp_path, drop, duplicate, message):
+        csv_path = _grid_csv(tmp_path / "h.csv", 8, drop, duplicate)
+        cfg = {"scenario": "cohomology", "v": [1.0, 1.7], "K": 2,
+               "h": {"grid_csv": str(csv_path)}}
+        report, code = run(cfg, tmp_path / "out", quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"] == message
+
+    def test_internal_error_writes_report_without_traceback(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def broken(cfg, outdir):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.HANDLERS, "ricci-classify", broken)
+        cfg = {"scenario": "ricci-classify", "n": 4, "tau1": 0.0, "r": 1.0}
+        report, code = run(cfg, tmp_path, quiet=False)
+        assert code == EXIT_INTERNAL
+        assert report["error"] == "internal error: RuntimeError: boom"
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["exit_status"] == EXIT_INTERNAL
+        assert "RuntimeError: boom" in written["traceback"]
+        printed = capsys.readouterr()
+        assert "Traceback" not in printed.out + printed.err
+
+
+# values that are wrong wherever they stand in a config: bools, null,
+# strings, nested lists, huge ints, non-finite and fractional floats
+JUNK = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=2),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.sampled_from([2 ** 53 + 1, 10 ** 30, -(10 ** 400), 10 ** 400, math.nan,
+                     math.inf, -math.inf, 0.5]),
+)
+
+
+def mostly(valid, junk, odds=4):
+    """Draws from `valid` `odds` times as often as from `junk`."""
+    return st.sampled_from([valid] * odds + [junk]).flatmap(lambda s: s)
+
+
+def mode_row(width: int):
+    """[u1, ..., re, im] of `width` entries, indices up to 5 (outside K <= 4
+    at times), an entry replaced by junk now and then."""
+    index = mostly(st.integers(-5, 5), JUNK, 20)
+    value = mostly(st.floats(-2.0, 2.0), JUNK, 20)
+    return st.tuples(*[index] * (width - 2), value, value).map(list)
+
+
+@st.composite
+def cohomology_config(draw):
+    v = draw(mostly(
+        st.sampled_from([[1.0, 1.5], [1.0, 0.5], [1.0, 1.5, 2.5], [1.0, 0.5, 0.25]]),
+        st.lists(st.one_of(st.floats(-2.0, 2.0), JUNK), max_size=4),
+    ))
+    width = draw(mostly(st.just(len(v) + 2), st.integers(2, 6)))  # wrong dim
+    row = mostly(mode_row(width), st.one_of(
+        JUNK, st.integers(2, 6).flatmap(mode_row)), 10)  # ragged rows
+    return {
+        "scenario": "cohomology",
+        "v": v,
+        "K": draw(mostly(st.integers(1, 4), st.one_of(st.integers(-1, 0), JUNK))),
+        "h": {"modes": draw(mostly(st.lists(row, max_size=8), JUNK, 10))},
+    }
+
+
+def _assert_reported(cfg, outdir: Path):
+    report, code = run(cfg, outdir, quiet=True)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP, EXIT_UNSOLVABLE), report
+    written = json.loads((outdir / "report.json").read_text())
+    assert written["exit_status"] == code
+
+
+class TestMalformedCohomologyProperty:
+    """Any malformed cohomology config yields report.json and exit 0/2/3/4."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(cfg=cohomology_config())
+    def test_inline_modes(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_reported(cfg, Path(tmp))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        M=st.integers(3, 9),
+        K=st.integers(1, 3),
+        drop=st.sets(st.integers(0, 80), max_size=3),
+        duplicate=st.sets(st.integers(0, 80), max_size=3),
+    )
+    def test_grid_csv(self, M, K, drop, duplicate):
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = _grid_csv(Path(tmp) / "h.csv", M, drop, duplicate)
+            cfg = {"scenario": "cohomology", "v": [1.0, 1.5], "K": K,
+                   "h": {"grid_csv": str(csv_path)}}
+            _assert_reported(cfg, Path(tmp) / "out")

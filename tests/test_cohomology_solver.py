@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,13 @@ from egf_lab.cohomology_solver import (
     amplification_report,
     diophantine_margin,
     solve_linear_flow,
+)
+
+from oracles import (
+    DictCohomologyProblem,
+    dict_amplification_report,
+    dict_inner,
+    dict_solve_linear_flow,
 )
 
 GOLDEN = (1.0, (1.0 + np.sqrt(5.0)) / 2.0)
@@ -197,3 +206,165 @@ class TestAmplificationReport:
         sol = solve_linear_flow(TorusCohomologyProblem(GOLDEN, coeffs, 10))
         for row in amplification_report(sol):
             assert row.max_amplification <= row.margin_bound * (1 + 1e-12)
+
+
+# --------------------------------------------- dense solver vs dict reference
+
+def _neg(u):
+    return tuple(-c for c in u)
+
+
+def seeded_table(rng, dim, K, n_half, tiny=3):
+    """Shuffled rows [u..., re, im]: n_half + tiny modes of the half lattice,
+    about half of them with their conjugate row as well, the first `tiny`
+    below the energy floor; the zero mode given twice."""
+    half = [u for u in itertools.product(range(-K, K + 1), repeat=dim)
+            if u > _neg(u)]
+    picks = rng.choice(len(half), size=n_half + tiny, replace=False)
+    rows = [[0] * dim + [float(rng.normal()), 0.0]]
+    for idx, pick in enumerate(sorted(picks)):
+        u = half[pick]
+        scale = 1e-20 if idx < tiny else 1.0
+        re, im = (float(x) * scale for x in rng.normal(size=2))
+        rows.append(list(u) + [re, im])
+        if rng.random() < 0.5:
+            rows.append(list(_neg(u)) + [re, -im])
+    rows.append([0] * dim + [float(rng.normal()), 0.0])  # the last value counts
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def as_dict(rows):
+    return {tuple(int(c) for c in r[:-2]): complex(r[-2], r[-1]) for r in rows}
+
+
+def sum_in_order(u, v) -> float:
+    total = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        total += a * b
+    return total
+
+
+def bits(c: complex) -> bytes:
+    return np.array(c, dtype=complex).tobytes()
+
+
+DENSE_CASES = [  # (v, K, modes given on the half lattice, seed)
+    (GOLDEN, 12, 60, 1),
+    ((1.0, np.sqrt(2.0)), 20, 300, 2),
+    ((-0.7, 2.3), 6, 81, 3),  # every mode of the half lattice
+    ((1.0, GOLDEN[1], np.sqrt(2.0)), 5, 150, 4),
+    ((np.sqrt(3.0), -np.e, np.pi), 8, 600, 5),
+]
+
+
+class TestDenseAgainstDictOracle:
+    """The dense cube solver against the dict solver in tests/oracles.py."""
+
+    @pytest.mark.parametrize("v,K,n_half,seed", DENSE_CASES)
+    def test_solution_rows_shells_and_counts(self, v, K, n_half, seed):
+        rng = np.random.default_rng(seed)
+        rows = seeded_table(rng, len(v), K, n_half)
+        ref = DictCohomologyProblem(v, as_dict(rows), K)
+        f_ref, eps_ref, margin_ref = dict_solve_linear_flow(ref)
+
+        for h in (np.array(rows), as_dict(rows)):  # rows and mapping input
+            p = TorusCohomologyProblem.from_modes(v, h, K)
+            assert dict(p.coeffs) == ref.coeffs
+            sol = solve_linear_flow(p)
+            assert sol.eps == eps_ref
+            assert set(sol.f_coeffs) == set(f_ref)  # so modes_solved matches
+            assert sol.residual <= 1e-10 and sol.max_imag <= 1e-10
+
+            differ = 0
+            for u, f in f_ref.items():
+                inner = p.inner[tuple(c + K for c in u)]
+                # summed in order in Python floats, never fused
+                assert inner == sum_in_order(u, v)
+                if inner == dict_inner(u, v):
+                    assert bits(sol.f_coeffs[u]) == bits(f), u
+                else:
+                    differ += 1
+                    bound = 4 * 2.0 ** -52 * sum(abs(a * b) for a, b in zip(u, v))
+                    assert abs(inner - dict_inner(u, v)) <= bound, u
+            assert differ < len(f_ref) / 2
+
+            ref_rows = dict_amplification_report(ref, f_ref, margin_ref)
+            rows_dense = amplification_report(sol)
+            assert [(r.shell, r.n_modes) for r in rows_dense] == \
+                [r[:2] for r in ref_rows]
+            for got, want in zip(rows_dense, ref_rows):
+                assert got.min_divisor == pytest.approx(want[2], rel=1e-9)
+                assert got.max_amplification == pytest.approx(want[3], rel=1e-9)
+                assert got.margin_bound == pytest.approx(want[4], rel=1e-9)
+            assert sol.margin == pytest.approx(margin_ref, rel=1e-9)
+
+    @pytest.mark.parametrize("v,K,resonant", [
+        # dyadic directions: <u, v> is exact in both solvers, so every
+        # resonant margin is 0 and the tie goes to the first row given
+        ((1.0, 0.5), 6, [(2, -4), (-1, 2), (3, -6), (1, -2)]),
+        ((1.0, 0.25, 0.5), 4, [(0, 2, -1), (1, 0, -2), (1, -4, 0), (-2, 4, 1)]),
+        # one resonant pair: the named mode is the first of the two given
+        ((1.0, 2.0 / 3.0), 4, [(-2, 3), (2, -3)]),
+        ((1.0, 1.0 / 3.0, 0.7), 5, [(-1, 3, 0), (1, -3, 0)]),
+    ])
+    def test_refusal_names_the_same_mode(self, v, K, resonant):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            rows = seeded_table(rng, len(v), K, 10, tiny=0)
+            rows = [r for r in rows if tuple(r[:-2]) not in resonant
+                    and _neg(tuple(r[:-2])) not in resonant]
+            picks = rng.permutation(len(resonant))
+            for i in picks:
+                rows.insert(int(rng.integers(len(rows) + 1)),
+                            list(resonant[i]) + [1.0, 0.0])
+            with pytest.raises(ResonanceError) as want:
+                dict_solve_linear_flow(DictCohomologyProblem(v, as_dict(rows), K))
+            for h in (np.array(rows, dtype=float), as_dict(rows)):
+                with pytest.raises(ResonanceError) as got:
+                    solve_linear_flow(TorusCohomologyProblem.from_modes(v, h, K))
+                assert got.value.worst_mode == want.value.worst_mode
+                assert f"mode u = {want.value.worst_mode} is resonant" in str(got.value)
+
+    def test_below_floor_resonance_is_not_refused(self):
+        rows = [[1, -2, 1e-20, 0.0], [1, 1, 1.0, 0.5]]
+        sol = solve_linear_flow(TorusCohomologyProblem((1.0, 0.5), as_dict(rows), 3))
+        ref, _, _ = dict_solve_linear_flow(
+            DictCohomologyProblem((1.0, 0.5), as_dict(rows), 3)
+        )
+        assert set(sol.f_coeffs) == set(ref) == {(0, 0), (1, 1), (-1, -1)}
+
+    @pytest.mark.parametrize("v,K,rows", [
+        (GOLDEN, 3, [[1, 0, 1.0, 0.0], [2, 1, 1.0, 1.0], [-2, -1, 5.0, 0.0],
+                     [-1, 0, 3.0, 0.0]]),  # symmetry, first violating row named
+        (GOLDEN, 3, [[0, 0, 1.0, 0.5]]),  # a complex mean violates it too
+        (GOLDEN, 3, [[1, 0, 1.0, 0.0], [4, 0, 1.0, 0.0], [0, -5, 1.0, 0.0]]),
+        (GOLDEN, 3, [[1, 0, 0, 1.0, 0.0], [2, 0, 0, 1.0, 0.0]]),
+        ((1.0, 1.5, 2.5), 3, [[1, 0, 1.0, 0.0]]),
+    ])
+    def test_error_messages_match(self, v, K, rows):
+        with pytest.raises(ValueError) as want:
+            DictCohomologyProblem(v, as_dict(rows), K)
+        for h in (np.array(rows, dtype=float), as_dict(rows)):
+            with pytest.raises(ValueError) as got:
+                TorusCohomologyProblem.from_modes(v, h, K)
+            assert str(got.value) == str(want.value)
+
+    def test_mapping_names_the_first_bad_key_in_order(self):
+        # the per-key checks run in input order: a key outside K before a key
+        # of the wrong dimension is named first, and the other way round
+        h = {(4, 0): 1.0, (1, 0, 0): 1.0}
+        for coeffs in (h, dict(reversed(h.items()))):
+            with pytest.raises(ValueError) as want:
+                DictCohomologyProblem(GOLDEN, coeffs, 3)
+            with pytest.raises(ValueError) as got:
+                TorusCohomologyProblem(GOLDEN, coeffs, 3)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("shape,K", [((16, 12), 4), ((9, 10, 11), 3)])
+    def test_from_grid_matches_reference(self, shape, K):
+        grid = np.random.default_rng(7).normal(size=shape)
+        v = (1.0, GOLDEN[1], np.sqrt(2.0))[:len(shape)]
+        p = TorusCohomologyProblem.from_grid(v, grid, K)
+        ref = DictCohomologyProblem.from_grid(v, grid, K)
+        assert list(p.coeffs) == sorted(ref.coeffs)
+        assert all(bits(p.coeffs[u]) == bits(c) for u, c in ref.coeffs.items())

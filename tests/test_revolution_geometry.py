@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from egf_lab.flow_engine import StepControl
 from egf_lab.revolution_geometry import (
     RevolutionProfile,
     closed_form_gamma,
@@ -129,24 +130,24 @@ class TestSectionalCurvature:
 
 class TestConeFlow:
     def test_zero_time_zero_error(self):
-        rep = cone_flow_check(np.pi / 6, 0.0, 200)
+        rep = cone_flow_check(np.pi / 6, StepControl(t_end=0.0), 200)
         assert rep.sup_err_lambda == 0.0
         assert rep.sup_err_phi_integral <= 1e-12
 
     def test_lambda_tracks_translated_cone(self):
-        rep = cone_flow_check(np.pi / 6, 1.0, 800)
+        rep = cone_flow_check(np.pi / 6, StepControl(t_end=1.0), 800)
         assert rep.sup_err_lambda <= 5e-3
 
     def test_error_halves_under_refinement(self):
         errs = [
-            cone_flow_check(np.pi / 6, 1.0, g).sup_err_lambda
+            cone_flow_check(np.pi / 6, StepControl(t_end=1.0), g).sup_err_lambda
             for g in (200, 400, 800)
         ]
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates >= 0.9)
 
     def test_phi_matches_exact_integral_not_translated_radius(self):
-        rep = cone_flow_check(np.pi / 6, 1.0, 800)
+        rep = cone_flow_check(np.pi / 6, StepControl(t_end=1.0), 800)
         assert rep.sup_err_phi_integral <= 1e-2
         # the translated-cone radius uses the other curvature convention and
         # stays visibly off
@@ -155,4 +156,6 @@ class TestConeFlow:
 
     def test_apex_guard(self):
         with pytest.raises(ValueError, match="apex"):
-            cone_flow_check(np.pi / 6, 5.0, 100, domain=(2.0, 6.0))
+            cone_flow_check(
+                np.pi / 6, StepControl(t_end=5.0), 100, domain=(2.0, 6.0)
+            )
