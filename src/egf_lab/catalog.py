@@ -64,46 +64,39 @@ def _zeros(tau):
     return np.zeros(tau.shape[:-1])
 
 
-def _pad(first, n, first_tag, *, slot=0):
+def _pad(first, n, *, slot=0):
     """Coefficient list with one active slot, zeros elsewhere."""
     f = [_zeros] * n
     f[slot] = first
-    tags = [f"f{j} = 0" for j in range(n)]
-    tags[slot] = first_tag
-    return FlowFunctional(n, tuple(f), tuple(tags))
+    return FlowFunctional(n, tuple(f))
 
 
 def _build_b1(n: int, params: dict) -> FlowFunctional:
     if n == 1:
-        return _pad(lambda tau: tau[..., 0], 1, "f0 = tau1")
-    return _pad(lambda tau: np.ones(tau.shape[:-1]), n, "f1 = 1", slot=1)
+        return _pad(lambda tau: tau[..., 0], 1)
+    return _pad(lambda tau: np.ones(tau.shape[:-1]), n, slot=1)
 
 
 def _build_tau1_minus_c(n: int, params: dict) -> FlowFunctional:
     c = _param(params, "c", 0.0, float)
-    return _pad(lambda tau: tau[..., 0] - c, n, f"f0 = tau1 - {c:g}")
+    return _pad(lambda tau: tau[..., 0] - c, n)
 
 
 def _build_ext_ricci(n: int, params: dict) -> FlowFunctional:
     if n < 2:
         raise ValueError("ext_ricci needs leaf dimension n >= 2")
     if n == 2:
-        return _pad(
-            lambda tau: tau[..., 1] - tau[..., 0] ** 2, 2, "f0 = tau2 - tau1^2"
-        )
+        return _pad(lambda tau: tau[..., 1] - tau[..., 0] ** 2, 2)
     f = [_zeros] * n
     f[1] = lambda tau: -2.0 * tau[..., 0]
     f[2] = lambda tau: 2.0 * np.ones(tau.shape[:-1])
-    tags = [f"f{j} = 0" for j in range(n)]
-    tags[1] = "f1 = -2 tau1"
-    tags[2] = "f2 = 2"
-    return FlowFunctional(n, tuple(f), tuple(tags))
+    return FlowFunctional(n, tuple(f))
 
 
 def _build_umbilical_square(n: int, params: dict) -> FlowFunctional:
     if n == 1:
-        return _pad(lambda tau: tau[..., 0] ** 2, 1, "f0 = tau1^2")
-    return _pad(lambda tau: tau[..., 1] / n, n, f"f0 = tau2 / {n}")
+        return _pad(lambda tau: tau[..., 0] ** 2, 1)
+    return _pad(lambda tau: tau[..., 1] / n, n)
 
 
 def _build_affine(n: int, params: dict) -> FlowFunctional:
@@ -111,10 +104,7 @@ def _build_affine(n: int, params: dict) -> FlowFunctional:
     b = _param(params, "b", 0.0, float)
     if a == 0.0 and b == 0.0:
         raise ValueError("affine functional needs a != 0 or b != 0")
-    return _pad(
-        lambda tau: a * tau[..., 0] / n + b, n,
-        f"f0 = {a:g} tau1 / {n} + {b:g}",
-    )
+    return _pad(lambda tau: a * tau[..., 0] / n + b, n)
 
 
 FUNCTIONALS: dict[str, Callable[[int, dict], FlowFunctional]] = {

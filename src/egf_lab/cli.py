@@ -57,6 +57,7 @@ from .revolution_geometry import (
     cone_flow_check,
     integrate_constant_lambda,
     profile_metric,
+    sectional_curvature_formula,
     sectional_curvature_profile,
 )
 from .soliton_lab import (
@@ -449,8 +450,9 @@ def run_cohomology(cfg: dict, outdir: Path):
         raise ConfigError(f"h.grid_csv: expected a path, got {grid_csv!r}")
     try:
         problem = build(v, h, K, s)
-    except ValueError as exc:
-        raise ConfigError(f"h: {exc}") from None
+    except ValueError as exc:  # errors about K and s name their key already
+        named = str(exc).startswith(("K:", "s:"))
+        raise ConfigError(str(exc) if named else f"h: {exc}") from None
 
     sol = solve_linear_flow(problem)
     shells = amplification_report(sol)
@@ -488,6 +490,7 @@ def run_revolution(cfg: dict, outdir: Path):
             profile = RevolutionProfile.cone(beta, (a, b), grid)
         except ValueError as exc:
             raise ConfigError(f"curve: {exc}") from None
+        K_formula = np.zeros_like  # a straight generatrix: flat plane sections
     else:
         x1_min = cfg_get(cfg, "curve.x1_min", 0.5, float)
         x1_max = cfg_get(cfg, "curve.x1_max", 10.0, float)
@@ -497,9 +500,10 @@ def run_revolution(cfg: dict, outdir: Path):
             profile = integrate_constant_lambda(x1_min, x1_max, step, C)
         except ValueError as exc:
             raise ConfigError(f"curve: {exc}") from None
+        K_formula = sectional_curvature_formula
 
     g00, g11 = profile_metric(profile)
-    cmp = sectional_curvature_profile(profile)
+    cmp = sectional_curvature_profile(profile, K_formula)
     # normal curvature of the parallels under the sin(angle)/radius convention
     fp = profile.dx1 / profile.dx0
     lam = fp / (profile.x1 * np.sqrt(1.0 + fp ** 2))
@@ -723,22 +727,16 @@ def _cmd_sweep(args) -> int:
     base = _load_config(args.config)
     if args.axis == "ds":
         grid0 = cfg_get(base, "numerics.grid", cast=int)
-        variants = []
-        for i in range(args.points):
-            c = json.loads(json.dumps(base))
-            c.setdefault("numerics", {})["grid"] = grid0 * 2 ** i
-            variants.append(c)
+        key, values = "grid", [grid0 * 2 ** i for i in range(args.points)]
+    elif args.values:
+        key, values = "cfl", [float(v) for v in args.values.split(",")]
     else:
-        values = (
-            [float(v) for v in args.values.split(",")]
-            if args.values
-            else list(np.linspace(0.2, 1.0, args.points))
-        )
-        variants = []
-        for v in values:
-            c = json.loads(json.dumps(base))
-            c.setdefault("numerics", {})["cfl"] = v
-            variants.append(c)
+        key, values = "cfl", list(np.linspace(0.2, 1.0, args.points))
+    variants = []
+    for value in values:
+        c = json.loads(json.dumps(base))
+        c.setdefault("numerics", {})[key] = value
+        variants.append(c)
     aggregate, code = sweep_configs(variants, _outdir(args), args.axis)
     if not args.quiet:
         print(json.dumps(_jsonable(aggregate), indent=2, sort_keys=True))

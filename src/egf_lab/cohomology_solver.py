@@ -125,12 +125,14 @@ class TorusCohomologyProblem:
         if len(self.v) not in (2, 3):
             raise ValueError("only 2- and 3-dimensional torus flows are supported")
         if self.K < 1:
-            raise ValueError("truncation radius K must be >= 1")
+            raise ValueError("K: truncation radius must be >= 1")
         if (4 * self.K) ** self.dim > MAX_GRID_POINTS:
-            raise ValueError(f"truncation radius K = {self.K} needs more than "
+            raise ValueError(f"K: truncation radius {self.K} needs more than "
                              f"{MAX_GRID_POINTS} verification points")
-        if self.s <= 0:
-            raise ValueError("Diophantine exponent s must be positive")
+        if not (math.isfinite(self.s) and self.s > 0):
+            raise ValueError(
+                f"s: Diophantine exponent must be finite and positive, got {self.s!r}"
+            )
         modes, values = _mode_rows(self.coeffs, self.dim, self.K)
         shape = (2 * self.K + 1,) * self.dim
         self.given = np.ravel_multi_index(tuple((modes + self.K).T), shape)
@@ -235,10 +237,7 @@ class CohomologySolution:
     problem: TorusCohomologyProblem = field(repr=False)
 
 
-def solve_linear_flow(
-    p: TorusCohomologyProblem,
-    divisor_floor: float = DIVISOR_MARGIN_FLOOR,
-) -> CohomologySolution:
+def solve_linear_flow(p: TorusCohomologyProblem) -> CohomologySolution:
     """Solve v . grad f = h - mean(h) mode by mode within the truncation.
 
     f_u = h_u / (2 pi i <u, v>) on every mode carrying energy; the zero mode
@@ -251,14 +250,14 @@ def solve_linear_flow(
     floor = ENERGY_FLOOR_REL * max(1.0, float(np.max(np.abs(h))))
     energized = p.mask & (p.shell > 0) & (np.abs(h) > floor)
     margin = np.abs(p.inner) * p.norm ** p.s
-    resonant = energized & (margin < divisor_floor)
+    resonant = energized & (margin < DIVISOR_MARGIN_FLOOR)
     if resonant.any():
         candidates = p.given[resonant.flat[p.given]]
         worst = candidates[np.argmin(margin.flat[candidates])]
         raise ResonanceError(
             f"mode u = {p.mode(worst)} is resonant for v = {p.v}: "
             f"|<u,v>| ||u||^s = {margin.flat[worst]:.3e} below floor "
-            f"{divisor_floor:.1e}",
+            f"{DIVISOR_MARGIN_FLOOR:.1e}",
             p.mode(worst),
         )
 

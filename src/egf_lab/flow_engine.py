@@ -45,6 +45,9 @@ INTEGRATORS = ("euler", "heun")
 TV_GROWTH_LIMIT = 10.0
 TV_FLOOR = 1e-9
 
+# Characteristic feet per output node when the oracle has to interpolate.
+ORACLE_REFINE = 16
+
 
 class FlowBlowUpError(RuntimeError):
     """Non-finite values or runaway oscillation; t_last is the last valid time."""
@@ -71,12 +74,16 @@ def _uniform_spacing(s: np.ndarray) -> float:
     return float(np.mean(ds))
 
 
-class _NormalCurveGrid:
-    """Uniform grid ``s`` along the normal curve and its ``boundary`` kind.
+def _uniform_nodes(grid: int, length: float, periodic: bool, s0: float) -> np.ndarray:
+    """G nodes from s0 over length L: periodic grids omit the duplicate
+    endpoint, s = s0 + L*arange(G)/G; others span the closed interval."""
+    if periodic:
+        return s0 + length * np.arange(grid) / grid
+    return np.linspace(s0, s0 + length, grid)
 
-    Periodic grids omit the duplicate endpoint: s = s0 + L*arange(G)/G.
-    Transmissive grids span the closed interval with G nodes.
-    """
+
+class _NormalCurveGrid:
+    """Uniform grid ``s`` along the normal curve and its ``boundary`` kind."""
 
     def _check_grid(self):
         self.s = np.asarray(self.s, dtype=float)
@@ -85,12 +92,6 @@ class _NormalCurveGrid:
         if self.s.size < 8:
             raise ValueError("need at least 8 grid nodes")
         _uniform_spacing(self.s)
-
-    @staticmethod
-    def _nodes(grid: int, length: float, boundary: str, s0: float) -> np.ndarray:
-        if boundary == "periodic":
-            return s0 + length * np.arange(grid) / grid
-        return np.linspace(s0, s0 + length, grid)
 
     @property
     def periodic(self) -> bool:
@@ -132,7 +133,7 @@ class UmbilicalProfile(_NormalCurveGrid):
         s0: float = 0.0,
         phi0: Callable[[np.ndarray], np.ndarray] | float = 1.0,
     ) -> "UmbilicalProfile":
-        s = cls._nodes(grid, length, boundary, s0)
+        s = _uniform_nodes(grid, length, boundary == "periodic", s0)
         lam = np.asarray(lam0(s), dtype=float) * np.ones_like(s)
         phi = (phi0(s) if callable(phi0) else np.full_like(s, float(phi0)))
         return cls(s, lam, np.asarray(phi, dtype=float), boundary)
@@ -169,9 +170,8 @@ class TauField(_NormalCurveGrid):
         grid: int,
         length: float,
         boundary: str = "periodic",
-        s0: float = 0.0,
     ) -> "TauField":
-        s = cls._nodes(grid, length, boundary, s0)
+        s = _uniform_nodes(grid, length, boundary == "periodic", 0.0)
         lam = np.asarray(lam0(s), dtype=float) * np.ones_like(s)
         return cls(s, umbilical_tau(n, lam), boundary)
 
@@ -202,9 +202,10 @@ class StepControl:
 
 
 def _neighbors(u: np.ndarray, periodic: bool):
-    """Left/right neighbor arrays; transmissive edges use constant extrapolation."""
+    """Left/right neighbors along axis 0; transmissive edges use constant
+    extrapolation."""
     if periodic:
-        return np.roll(u, 1), np.roll(u, -1)
+        return np.roll(u, 1, axis=0), np.roll(u, -1, axis=0)
     left = np.concatenate(([u[0]], u[:-1]))
     right = np.concatenate((u[1:], [u[-1]]))
     return left, right
@@ -217,14 +218,14 @@ def _upwind_derivative(u, ds, speed, periodic):
     return np.where(speed >= 0, backward, forward)
 
 
-def _central_derivative(u, ds, periodic):
-    left, right = _neighbors(u, periodic)
-    d = (right - left) / (2.0 * ds)
-    if not periodic:
-        # second-order one-sided stencils at the edges
-        d[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * ds)
-        d[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * ds)
-    return d
+def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool):
+    """Central difference along ``axis``; second-order one-sided at the edges
+    of a non-periodic axis."""
+    if periodic:
+        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (
+            2.0 * spacing
+        )
+    return np.gradient(arr, spacing, axis=axis, edge_order=2)
 
 
 def total_variation(u: np.ndarray, periodic: bool) -> float:
@@ -257,13 +258,13 @@ def step_umbilical(
     F: FlowFunctional,
     ctl: StepControl,
     inflow_left: Callable[[float], float] | None = None,
-    inflow_right: Callable[[float], float] | None = None,
 ) -> UmbilicalProfile:
     """Advance lam (and phi) by one explicit step of d lam/dt + d/ds(psi(lam)/2) = 0.
 
     The step size satisfies (max|psi'|/2) dt / ds <= cfl and never overshoots
-    t_end.  Inflow callables impose Dirichlet data at the corresponding
-    transmissive edge; without them the edges use constant extrapolation.
+    t_end.  ``inflow_left`` imposes Dirichlet data at the left transmissive
+    edge, on Heun's predictor as well; otherwise the edges use constant
+    extrapolation.
     """
     lam = p.lam
     ds = p.ds
@@ -276,28 +277,27 @@ def step_umbilical(
         psi_old = np.asarray(psi_of_lambda(F, lam))
         speed0 = 0.5 * np.asarray(psi_prime(F, lam))
         dt = _pick_dt(float(np.max(np.abs(speed0))), ds, ctl.cfl, remaining)
+        t_new = p.t + dt
 
-        if ctl.scheme == "upwind":
-            if ctl.integrator == "heun":
-                k1 = _upwind_increment(lam, F, ds, p.periodic)
-                k2 = _upwind_increment(lam + dt * k1, F, ds, p.periodic)
-                lam_new = lam + 0.5 * dt * (k1 + k2)
-            else:
-                lam_new = lam - dt * speed0 * _upwind_derivative(
-                    lam, ds, speed0, p.periodic
-                )
-        else:
+        def with_inflow(u):
+            if inflow_left is not None and not p.periodic:
+                u[0] = inflow_left(t_new)
+            return u
+
+        if ctl.scheme == "lax_friedrichs":
             flux = 0.5 * psi_old
             ll, lr = _neighbors(lam, p.periodic)
             fl, fr = _neighbors(flux, p.periodic)
             lam_new = 0.5 * (ll + lr) - dt / (2.0 * ds) * (fr - fl)
-
-        t_new = p.t + dt
-        if not p.periodic:
-            if inflow_left is not None:
-                lam_new[0] = inflow_left(t_new)
-            if inflow_right is not None:
-                lam_new[-1] = inflow_right(t_new)
+        elif ctl.integrator == "heun":
+            k1 = -speed0 * _upwind_derivative(lam, ds, speed0, p.periodic)
+            k2 = _upwind_increment(with_inflow(lam + dt * k1), F, ds, p.periodic)
+            lam_new = lam + 0.5 * dt * (k1 + k2)
+        else:
+            lam_new = lam - dt * speed0 * _upwind_derivative(
+                lam, ds, speed0, p.periodic
+            )
+        with_inflow(lam_new)
 
         if not np.all(np.isfinite(lam_new)):
             raise FlowBlowUpError("non-finite normal curvature", p.t)
@@ -346,7 +346,6 @@ def evolve_umbilical(
     record_every: int = 1,
     on_snapshot: Callable[[UmbilicalProfile], None] | None = None,
     inflow_left: Callable[[float], float] | None = None,
-    inflow_right: Callable[[float], float] | None = None,
 ) -> UmbilicalProfile:
     """March the profile to ctl.t_end and return the final profile.
 
@@ -355,7 +354,7 @@ def evolve_umbilical(
     """
 
     def advance(q):  # step_umbilical is looked up per call, so it can be rebound
-        return step_umbilical(q, F, ctl, inflow_left, inflow_right)
+        return step_umbilical(q, F, ctl, inflow_left)
 
     if on_snapshot is None:
         return _march(p, advance, ctl, lambda q: q.lam)
@@ -374,7 +373,6 @@ def characteristics_oracle(
     t: float,
     s_out: np.ndarray,
     periodic_length: float | None = None,
-    refine: int = 16,
 ) -> np.ndarray:
     """Transport lam0 along characteristics s(t) = s0 + psi'(lam0(s0)) t / 2.
 
@@ -397,7 +395,7 @@ def characteristics_oracle(
             arg = s_out[0] + np.mod(arg - s_out[0], periodic_length)
         return np.asarray(lam0(arg), dtype=float) * np.ones_like(arg)
 
-    n_fine = refine * s_out.size
+    n_fine = ORACLE_REFINE * s_out.size
     if periodic_length is not None:
         base = s_out[0] + periodic_length * np.arange(n_fine) / n_fine
     else:
@@ -457,7 +455,7 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     def deriv(u: np.ndarray, eq: int) -> np.ndarray:
         if ctl.scheme == "upwind":
             return _upwind_derivative(u, ds, signs[eq - 1], fld.periodic)
-        return _central_derivative(u, ds, fld.periodic)
+        return _axis_derivative(u, ds, 0, fld.periodic)
 
     rhs = np.zeros_like(tau)
     for i in range(1, n + 1):
@@ -470,11 +468,8 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     if ctl.scheme == "upwind":
         tau_new = tau + dt * rhs
     else:
-        avg = np.empty_like(tau)
-        for col in range(n):
-            left, right = _neighbors(tau[:, col], fld.periodic)
-            avg[:, col] = 0.5 * (left + right)
-        tau_new = avg + dt * rhs
+        left, right = _neighbors(tau, fld.periodic)
+        tau_new = 0.5 * (left + right) + dt * rhs
 
     if not np.all(np.isfinite(tau_new)):
         raise FlowBlowUpError("non-finite power sums", fld.t)

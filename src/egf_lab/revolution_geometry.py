@@ -61,15 +61,12 @@ class RevolutionProfile:
         cls,
         x0: np.ndarray,
         f: Callable[[np.ndarray], np.ndarray],
-        fprime: Callable[[np.ndarray], np.ndarray] | None = None,
+        fprime: Callable[[np.ndarray], np.ndarray],
         provenance: str = "user",
     ) -> "RevolutionProfile":
         x0 = np.asarray(x0, dtype=float)
         x1 = np.asarray(f(x0), dtype=float) * np.ones_like(x0)
-        if fprime is not None:
-            df = np.asarray(fprime(x0), dtype=float) * np.ones_like(x0)
-        else:
-            df = np.gradient(x1, x0, edge_order=2)
+        df = np.asarray(fprime(x0), dtype=float) * np.ones_like(x0)
         return cls(x0, x0, x1, np.ones_like(x0), df, provenance)
 
     @classmethod
@@ -182,11 +179,14 @@ class CurvatureComparison:
     max_abs_diff: float
 
 
-def sectional_curvature_profile(p: RevolutionProfile, trim: int = 2) -> CurvatureComparison:
-    """Closed-form curvature against -f''/(f (1+f'^2)^2) from the samples.
+def sectional_curvature_profile(
+    p: RevolutionProfile, formula: Callable[[np.ndarray], np.ndarray]
+) -> CurvatureComparison:
+    """The curve's closed-form curvature ``formula(x1)`` against
+    -f''/(f (1+f'^2)^2) from the samples.
 
     The oracle differentiates the raw samples twice, so it is independent of
-    any stored derivative data.  ``trim`` boundary nodes are excluded from
+    any stored derivative data.  The two nodes at each end are excluded from
     the discrepancy norm (one-sided stencils lose an order there).
     """
     t = p.param
@@ -197,10 +197,9 @@ def sectional_curvature_profile(p: RevolutionProfile, trim: int = 2) -> Curvatur
     fp = x1p / x0p
     fpp = (x1pp * x0p - x1p * x0pp) / x0p ** 3
     oracle = -fpp / (p.x1 * (1.0 + fp ** 2) ** 2)
-    formula = sectional_curvature_formula(p.x1)
-    sl = slice(trim, -trim if trim else None)
-    diff = float(np.max(np.abs(formula[sl] - oracle[sl])))
-    return CurvatureComparison(p.x1, formula, oracle, diff)
+    closed = np.asarray(formula(p.x1), dtype=float)
+    diff = float(np.max(np.abs(closed[2:-2] - oracle[2:-2])))
+    return CurvatureComparison(p.x1, closed, oracle, diff)
 
 
 # psi(lam) = lam on 2-dimensional leaves, the flow driving the cone example

@@ -19,7 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from .flow_engine import UmbilicalProfile, _uniform_spacing
+from .flow_engine import (
+    UmbilicalProfile,
+    _axis_derivative,
+    _uniform_nodes,
+    _uniform_spacing,
+)
 from .sym_curvature import (
     FlowFunctional,
     PrincipalCurvatureSpectrum,
@@ -34,6 +39,10 @@ ANALYTIC_TOL = 1e-8
 
 # lam below this magnitude switches mu to its continuous extension at zero.
 MU_BRANCH_CUT = 1e-8
+
+# Distance of a multiplicity difference or a root sum from an integer, or from
+# tau1, that the Ricci spectrum classifier still accepts.
+INTEGER_TOL = 1e-9
 
 
 def default_grid_tol(*spacings: float) -> float:
@@ -67,14 +76,6 @@ def _norms(residuals: dict) -> tuple[dict, dict]:
     return linf, l2
 
 
-def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool):
-    if periodic:
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (
-            2.0 * spacing
-        )
-    return np.gradient(arr, spacing, axis=axis, edge_order=2)
-
-
 def mu_of_lambda(F: FlowFunctional, lam):
     """Normal-field scale making a constant-curvature profile a soliton.
 
@@ -104,7 +105,6 @@ def check_normal_soliton(
     p: UmbilicalProfile,
     F: FlowFunctional,
     eps: float | str = "auto",
-    tol: float | None = None,
 ) -> SolitonReport:
     """Test whether (profile, mu N) solves the soliton structure equations.
 
@@ -115,8 +115,7 @@ def check_normal_soliton(
     factor on the mu-term); the verdict follows the (2/n)-form, with the
     traced form and the X = 0 reading reported alongside.
     """
-    if tol is None:
-        tol = default_grid_tol(p.ds)
+    tol = default_grid_tol(p.ds)
     eps_val = float(psi_of_lambda(F, 0.0)) if eps == "auto" else float(eps)
 
     lam = p.lam
@@ -170,15 +169,13 @@ def conformal_killing_factor(
     p: UmbilicalProfile,
     F: FlowFunctional,
     eps: float,
-    tol: float | None = None,
 ):
     """Leafwise conformal factor psi(lam(s)) - eps of the soliton field.
 
     Returns (factor, killing, homothety): the field is leafwise Killing when
     the factor vanishes and an infinitesimal homothety when it is constant.
     """
-    if tol is None:
-        tol = default_grid_tol(p.ds)
+    tol = default_grid_tol(p.ds)
     factor = np.asarray(psi_of_lambda(F, p.lam)) - float(eps)
     killing = bool(np.max(np.abs(factor)) <= tol)
     homothety = bool(np.ptp(factor) <= tol)
@@ -263,8 +260,8 @@ class BiregularGrid:
     ) -> "BiregularGrid":
         G0, G1 = shape
         L0, L1 = lengths
-        x0 = (L0 * np.arange(G0) / G0) if periodic0 else np.linspace(0, L0, G0)
-        x1 = (L1 * np.arange(G1) / G1) if periodic1 else np.linspace(0, L1, G1)
+        x0 = _uniform_nodes(G0, L0, periodic0, 0.0)
+        x1 = _uniform_nodes(G1, L1, periodic1, 0.0)
         U, V = np.meshgrid(x0, x1, indexing="ij")
         ones = np.ones_like(U)
         return cls(
@@ -287,7 +284,6 @@ def check_biregular_surface(
     g: BiregularGrid,
     F: FlowFunctional,
     eps: float | str = "auto",
-    tol: float | None = None,
 ) -> SolitonReport:
     """Residuals of the surface soliton system in biregular coordinates.
 
@@ -296,8 +292,7 @@ def check_biregular_surface(
     preserve the foliation and the unit normal: (X^0)_{,1} = 0, (X^1)_{,0} = 0,
     (X^0)_{,0} = -X(log g00)/2.
     """
-    if tol is None:
-        tol = default_grid_tol(g.d0, g.d1)
+    tol = default_grid_tol(g.d0, g.d1)
     lam = biregular_normal_curvature(g)
     X0 = g.X0 if g.X0 is not None else np.zeros_like(g.g00)
     X1 = g.X1 if g.X1 is not None else np.zeros_like(g.g00)
@@ -340,12 +335,6 @@ class AdmissibleSpectrum:
     multiplicities: tuple[int, ...]
     kind: str  # two_root | umbilical | single_root
 
-    def as_spectrum(self) -> PrincipalCurvatureSpectrum:
-        k: list[float] = []
-        for root, mult in zip(self.roots, self.multiplicities):
-            k.extend([root] * mult)
-        return PrincipalCurvatureSpectrum(tuple(k))
-
 
 @dataclass(frozen=True)
 class SpectrumClassification:
@@ -361,9 +350,7 @@ class SpectrumClassification:
         return bool(self.spectra)
 
 
-def classify_ricci_soliton(
-    n: int, tau1: float, r: float, integer_tol: float = 1e-9
-) -> SpectrumClassification:
+def classify_ricci_soliton(n: int, tau1: float, r: float) -> SpectrumClassification:
     """Admissible principal-curvature spectra of an extrinsic Ricci soliton.
 
     Every curvature solves k(k - tau1) = r.  With a negative discriminant
@@ -385,7 +372,7 @@ def classify_ricci_soliton(
         pass
     elif disc == 0.0:
         root = tau1 / 2.0
-        if abs(n * root - tau1) <= integer_tol * scale:
+        if abs(n * root - tau1) <= INTEGER_TOL * scale:
             spectra.append(AdmissibleSpectrum((root,), (n,), "single_root"))
     else:
         sq = math.sqrt(disc)
@@ -393,7 +380,7 @@ def classify_ricci_soliton(
         root_lo = (tau1 - sq) / 2.0
         d = (n - 2) * tau1 / sq
         d_round = round(d)
-        if abs(d - d_round) <= integer_tol and (n + d_round) % 2 == 0:
+        if abs(d - d_round) <= INTEGER_TOL and (n + d_round) % 2 == 0:
             n2 = (n + d_round) // 2
             n1 = n - n2
             if 1 <= n2 <= n - 1:
@@ -401,7 +388,7 @@ def classify_ricci_soliton(
                     AdmissibleSpectrum((root_hi, root_lo), (n1, n2), "two_root")
                 )
         for root in (root_hi, root_lo):
-            if abs(n * root - tau1) <= integer_tol * scale:
+            if abs(n * root - tau1) <= INTEGER_TOL * scale:
                 spectra.append(AdmissibleSpectrum((root,), (n,), "umbilical"))
 
     for sp in spectra:

@@ -17,7 +17,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,22 +112,17 @@ class FlowFunctional:
 
     Each callback receives the tau-vector as an ndarray whose final axis has
     length n (tau[..., j] is tau_{j+1}) and must evaluate elementwise over any
-    leading axes.  ``tags`` carry short display strings for reports.
+    leading axes.
     """
 
     n: int
     f: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    tags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("leaf dimension must be >= 1")
         if len(self.f) != self.n:
             raise ValueError(f"need exactly n={self.n} coefficient functions")
-        if not self.tags:
-            object.__setattr__(self, "tags", tuple(f"f{j}" for j in range(self.n)))
-        if len(self.tags) != self.n:
-            raise ValueError("tags must match the coefficient list")
         if not self._nonzero_somewhere():
             raise ValueError("all coefficient functions vanish on the probe set")
 

@@ -386,7 +386,7 @@ def test_criterion_12_revolution_profile():
         sample = sectional_curvature_formula(np.linspace(0.0, 100.0, 2000))
         assert np.all(sample < 0)
 
-        cmp = sectional_curvature_profile(profile)
+        cmp = sectional_curvature_profile(profile, sectional_curvature_formula)
         assert cmp.max_abs_diff <= 1e-4
         info["ode_err"] = f"{ode_err:.2e}"
         info["curvature_diff"] = f"{cmp.max_abs_diff:.2e}"

@@ -140,6 +140,9 @@ BIREGULAR = {"scenario": "biregular-check", "functional": {"name": "b1"},
              "metric": {"name": "exp_x0"}, "numerics": {"grid0": 16, "grid1": 16}}
 COHOMOLOGY = {"scenario": "cohomology", "v": [1.0, 1.5], "K": 3,
               "h": {"modes": [[0, 0, 1.0, 0.0]]}}
+# refused as resonant (exit 4) unless a bad s or K is caught first
+RESONANT = {"scenario": "cohomology", "v": [1, 0.5], "K": 3,
+            "h": {"modes": [[1, -2, 1, 0]]}}
 CONE = {"scenario": "cone-check", "numerics": {"grid": 64}}
 AFFINE_FLOW = _set(umbilical_config(), "functional", {"name": "affine"})
 
@@ -163,6 +166,11 @@ MALFORMED = [
     (CONE, "numerics.t_end", -1, "numerics.t_end"),
     (CONE, "numerics.scheme", "magic", "numerics.scheme"),
     (CONE, "beta", 2.0, "beta"),
+    (RESONANT, "s", math.nan, "s"),
+    (RESONANT, "s", math.inf, "s"),
+    (RESONANT, "s", -1, "s"),
+    (RESONANT, "K", 0, "K"),
+    (COHOMOLOGY, "K", 1025, "K"),  # (4K)^2 verification points exceed the cap
 ]
 
 
@@ -360,6 +368,15 @@ class TestRunScenarios:
         assert report["results"]["closed_form_sup_error"] <= 1e-8
         assert (tmp_path / "profile.csv").exists()
         assert (tmp_path / "profile.dat").exists()
+
+    def test_revolution_cone_compares_with_its_own_curvature(self, tmp_path):
+        cfg = {"scenario": "revolution",
+               "curve": {"kind": "cone", "beta": 0.5, "x0_min": 1.0, "x0_max": 5.0}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK
+        assert report["results"]["curvature_max_abs_diff"] <= 1e-8
+        table = np.loadtxt(tmp_path / "profile.csv", delimiter=",", skiprows=1)
+        assert np.all(table[:, 5] == 0.0)  # K_formula of a cone
 
     def test_cone_check(self, tmp_path):
         cfg = {

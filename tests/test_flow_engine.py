@@ -27,7 +27,7 @@ from test_sym_curvature import functional_b1, functional_tau1_minus_c
 def functional_square(n):
     """psi(lam) = lam^2 for any n."""
     if n == 1:
-        return FlowFunctional(1, (lambda tau: tau[..., 0] ** 2,), ("f0 = tau1^2",))
+        return FlowFunctional(1, (lambda tau: tau[..., 0] ** 2,))
     f = [lambda tau: tau[..., 1] / n] + [
         (lambda tau: np.zeros(tau.shape[:-1])) for _ in range(n - 1)
     ]
@@ -95,12 +95,14 @@ class TestStepUmbilical:
         assert out.lam.min() >= lo - 1e-12
         assert out.lam.max() <= hi + 1e-12
 
-    def test_cone_translation_with_exact_inflow(self):
+    @pytest.mark.parametrize("integrator", ["euler", "heun"])
+    def test_cone_translation_with_exact_inflow(self, integrator):
+        # Heun's predictor carries the inflow too, or the edge error stays O(dt)
         F = functional_b1(2)
         p = UmbilicalProfile.from_function(
             lambda s: -2.0 / s, 400, 4.0, "transmissive", s0=2.0
         )
-        ctl = StepControl(t_end=1.0, cfl=0.9)
+        ctl = StepControl(t_end=1.0, cfl=0.9, integrator=integrator)
         out = evolve_umbilical(
             p, F, ctl, inflow_left=lambda t: -2.0 / (2.0 - t / 2.0)
         )
@@ -170,7 +172,7 @@ class TestStepUmbilical:
         def noise(grid):
             return 3.0 * (-1.0) ** np.arange(grid)
 
-        def bad_step(p, F, ctl, inflow_left=None, inflow_right=None):
+        def bad_step(p, F, ctl, inflow_left=None):
             return UmbilicalProfile(
                 p.s, p.lam + noise(p.s.size), p.phi, p.boundary, p.t + 0.01
             )

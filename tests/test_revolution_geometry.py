@@ -116,7 +116,7 @@ class TestSectionalCurvature:
 
     def test_oracle_agreement_on_integrated_profile(self):
         p = integrate_constant_lambda(0.5, 10.0, 1e-3)
-        cmp = sectional_curvature_profile(p)
+        cmp = sectional_curvature_profile(p, sectional_curvature_formula)
         assert cmp.max_abs_diff <= 1e-4
 
     def test_cone_is_flat(self):

@@ -37,19 +37,17 @@ def spectrum(*k):
 def functional_b1(n):
     """h(b) = b_1, i.e. psi(lam) = lam."""
     if n == 1:
-        return FlowFunctional(1, (lambda tau: tau[..., 0],), ("f0 = tau1",))
+        return FlowFunctional(1, (lambda tau: tau[..., 0],))
     f = [lambda tau: np.zeros(tau.shape[:-1]) for _ in range(n)]
     f[1] = lambda tau: np.ones(tau.shape[:-1])
-    return FlowFunctional(n, tuple(f), tuple(f"f{j}" for j in range(n)))
+    return FlowFunctional(n, tuple(f))
 
 
 def functional_tau1_minus_c(n, c):
     f = [lambda tau: tau[..., 0] - c] + [
         (lambda tau: np.zeros(tau.shape[:-1])) for _ in range(n - 1)
     ]
-    return FlowFunctional(n, tuple(f), (f"f0 = tau1 - {c}",) + tuple(
-        f"f{j} = 0" for j in range(1, n)
-    ))
+    return FlowFunctional(n, tuple(f))
 
 
 def functional_ext_ricci(n):
@@ -59,7 +57,6 @@ def functional_ext_ricci(n):
             2,
             (lambda tau: -(tau[..., 0] ** 2 - tau[..., 1]),
              lambda tau: np.zeros(tau.shape[:-1])),
-            ("f0 = tau2 - tau1^2", "f1 = 0"),
         )
     f = [lambda tau: np.zeros(tau.shape[:-1]) for _ in range(n)]
     f[1] = lambda tau: -2.0 * tau[..., 0]
