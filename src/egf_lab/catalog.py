@@ -3,9 +3,11 @@
 The catalog is deliberately closed: each entry is a hand-written builder, not
 an expression parser.  Adding a flow functional means adding a builder here.
 
-Parameters are read through the strict casts defined here, which the CLI
-uses for every config value as well: no cast may be lossy or accept a
-value of the wrong JSON type.
+The parameters of every named entry sit in one table (PARAMS: key -> cast,
+default), which is also the CLI's config table for the `functional` and
+`initial` blocks.  Values are read through the strict casts defined here,
+which the CLI uses for every config value as well: no cast may be lossy or
+accept a value of the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -43,9 +45,16 @@ def as_bool(value) -> bool:
     raise ValueError(value)
 
 
-# casts that must not be lossy: int(64.9) truncates, float(True) is 1.0 and
-# bool("false") is True
-STRICT_CASTS = {int: as_int, float: as_float, bool: as_bool}
+def as_str(value) -> str:
+    """A JSON string; numbers, null and the rest are refused."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(value)
+
+
+# casts that must not be lossy: int(64.9) truncates, float(True) is 1.0,
+# bool("false") is True and str(5) is "5"
+STRICT_CASTS = {int: as_int, float: as_float, bool: as_bool, str: as_str}
 
 
 def strict_cast(key: str, value, cast):
@@ -56,8 +65,27 @@ def strict_cast(key: str, value, cast):
         raise ValueError(f"{key}: expected {cast.__name__}, got {value!r}") from None
 
 
-def _param(spec: dict, key: str, default, cast):
-    return strict_cast(key, spec.get(key, default), cast)
+def read_params(table: dict, spec: dict) -> dict:
+    """spec's value for each key -> (cast, default) of table, strictly cast;
+    an absent or null key takes its default."""
+    return {key: default if spec.get(key) is None else strict_cast(key, spec[key], cast)
+            for key, (cast, default) in table.items()}
+
+
+# parameters of each named functional and initial-data kind, by config block:
+# key -> (cast, default); a None seed stands for make_initial's seed
+PARAMS = {
+    "functional": {
+        "b1": {}, "tau1_minus_c": {"c": (float, 0.0)}, "ext_ricci": {},
+        "umbilical_square": {}, "affine": {"a": (float, 1.0), "b": (float, 0.0)},
+    },
+    "initial": {
+        "constant": {"value": (float, 0.0)},
+        "sine": {"amplitude": (float, 1.0), "mean": (float, 0.0), "periods": (int, 1)},
+        "random_fourier": {"amplitude": (float, 1.0), "modes": (int, 3),
+                           "seed": (int, None)},
+    },
+}
 
 
 def _zeros(tau):
@@ -71,18 +99,17 @@ def _pad(first, n, *, slot=0):
     return FlowFunctional(n, tuple(f))
 
 
-def _build_b1(n: int, params: dict) -> FlowFunctional:
+def _build_b1(n: int) -> FlowFunctional:
     if n == 1:
         return _pad(lambda tau: tau[..., 0], 1)
     return _pad(lambda tau: np.ones(tau.shape[:-1]), n, slot=1)
 
 
-def _build_tau1_minus_c(n: int, params: dict) -> FlowFunctional:
-    c = _param(params, "c", 0.0, float)
+def _build_tau1_minus_c(n: int, c: float) -> FlowFunctional:
     return _pad(lambda tau: tau[..., 0] - c, n)
 
 
-def _build_ext_ricci(n: int, params: dict) -> FlowFunctional:
+def _build_ext_ricci(n: int) -> FlowFunctional:
     if n < 2:
         raise ValueError("ext_ricci needs leaf dimension n >= 2")
     if n == 2:
@@ -93,21 +120,19 @@ def _build_ext_ricci(n: int, params: dict) -> FlowFunctional:
     return FlowFunctional(n, tuple(f))
 
 
-def _build_umbilical_square(n: int, params: dict) -> FlowFunctional:
+def _build_umbilical_square(n: int) -> FlowFunctional:
     if n == 1:
         return _pad(lambda tau: tau[..., 0] ** 2, 1)
     return _pad(lambda tau: tau[..., 1] / n, n)
 
 
-def _build_affine(n: int, params: dict) -> FlowFunctional:
-    a = _param(params, "a", 1.0, float)
-    b = _param(params, "b", 0.0, float)
+def _build_affine(n: int, a: float, b: float) -> FlowFunctional:
     if a == 0.0 and b == 0.0:
         raise ValueError("affine functional needs a != 0 or b != 0")
     return _pad(lambda tau: a * tau[..., 0] / n + b, n)
 
 
-FUNCTIONALS: dict[str, Callable[[int, dict], FlowFunctional]] = {
+FUNCTIONALS: dict[str, Callable[..., FlowFunctional]] = {
     "b1": _build_b1,                        # psi(lam) = lam
     "tau1_minus_c": _build_tau1_minus_c,    # psi(lam) = n lam - c
     "ext_ricci": _build_ext_ricci,          # psi(lam) = (2 - 2n) lam^2
@@ -123,55 +148,44 @@ def make_functional(name: str, n: int, params: dict | None = None) -> FlowFuncti
         )
     if n < 1:
         raise ValueError("leaf dimension n must be >= 1")
-    return FUNCTIONALS[name](n, params or {})
+    return FUNCTIONALS[name](n, **read_params(PARAMS["functional"][name], params or {}))
 
 
-def make_initial(spec: dict, length: float) -> Callable[[np.ndarray], np.ndarray]:
+def make_initial(
+    spec: dict, length: float, seed: int = 0
+) -> Callable[[np.ndarray], np.ndarray]:
     """Initial normal-curvature profile lam0(s) from its named description."""
     kind = spec.get("kind")
-    if kind == "constant":
-        value = _param(spec, "value", 0.0, float)
-        return lambda s: value + 0.0 * np.asarray(s)
-    if kind == "sine":
-        amplitude = _param(spec, "amplitude", 1.0, float)
-        mean = _param(spec, "mean", 0.0, float)
-        periods = _param(spec, "periods", 1, int)
-        return lambda s: mean + amplitude * np.sin(
-            2.0 * np.pi * periods * np.asarray(s) / length
+    if kind not in PARAMS["initial"]:
+        raise ValueError(
+            f"unknown initial-data kind {kind!r}; choose from {list(PARAMS['initial'])}"
         )
-    if kind == "random_fourier":
-        amplitude = _param(spec, "amplitude", 1.0, float)
-        modes = _param(spec, "modes", 3, int)
-        seed = _param(spec, "seed", 0, int)
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=modes)
-        b = rng.normal(size=modes)
-        norm = np.sqrt(np.sum(a ** 2 + b ** 2)) or 1.0
+    p = read_params(PARAMS["initial"][kind], spec)
+    if kind == "constant":
+        return lambda s: p["value"] + 0.0 * np.asarray(s)
+    if kind == "sine":
+        return lambda s: p["mean"] + p["amplitude"] * np.sin(
+            2.0 * np.pi * p["periods"] * np.asarray(s) / length
+        )
+    amplitude, modes = p["amplitude"], p["modes"]
+    rng = np.random.default_rng(seed if p["seed"] is None else p["seed"])
+    a = rng.normal(size=modes)
+    b = rng.normal(size=modes)
+    norm = np.sqrt(np.sum(a ** 2 + b ** 2)) or 1.0
 
-        def lam0(s):
-            s = np.asarray(s)
-            out = np.zeros_like(s, dtype=float)
-            for m in range(modes):
-                phase = 2.0 * np.pi * (m + 1) * s / length
-                out += a[m] * np.cos(phase) + b[m] * np.sin(phase)
-            return amplitude * out / norm
+    def lam0(s):
+        s = np.asarray(s)
+        out = np.zeros_like(s, dtype=float)
+        for m in range(modes):
+            phase = 2.0 * np.pi * (m + 1) * s / length
+            out += a[m] * np.cos(phase) + b[m] * np.sin(phase)
+        return amplitude * out / norm
 
-        return lam0
-    raise ValueError(
-        f"unknown initial-data kind {kind!r}; "
-        "choose from ['constant', 'sine', 'random_fourier']"
-    )
-
-
-BIREGULAR_METRICS = ("flat", "exp_x0")
+    return lam0
 
 
-def make_biregular_metric(name: str):
-    """(g00, g11, periodic0) builders for the named surface metrics."""
-    if name == "flat":
-        return (lambda u, v: 1.0 + 0 * u, lambda u, v: 1.0 + 0 * u, True)
-    if name == "exp_x0":
-        return (lambda u, v: 1.0 + 0 * u, lambda u, v: np.exp(-2.0 * u), False)
-    raise ValueError(
-        f"unknown biregular metric {name!r}; choose from {list(BIREGULAR_METRICS)}"
-    )
+# name -> (g00, g11, periodic0) of the named surface metrics
+BIREGULAR_METRICS = {
+    "flat": (lambda u, v: 1.0 + 0 * u, lambda u, v: 1.0 + 0 * u, True),
+    "exp_x0": (lambda u, v: 1.0 + 0 * u, lambda u, v: np.exp(-2.0 * u), False),
+}

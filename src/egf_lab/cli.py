@@ -1,37 +1,42 @@
 """Scenario runner: JSON config in, CSV tables and a JSON report out.
 
-Every scenario is driven by one JSON document.  Validation failures exit
-with code 2 and name the offending key path; numerical blow-up exits with 3;
-resonance or characteristic crossing exits with 4; any other exception is an
-internal error, exits with 5 and keeps its traceback in the report, which is
-written in every case.  CSV output is fully
-deterministic for a fixed config (17 significant digits, LF endings), so two
-runs of the same config are byte-identical.
+Every scenario is driven by one JSON document, parsed once through the
+scenario's table of accepted keys (TABLES) before anything is built.
+Validation failures (unknown keys and oversize counts too) exit with code 2
+and name the offending key path; numerical blow-up exits with 3; resonance or
+characteristic crossing exits with 4; any other exception is an internal
+error, exits with 5 and keeps its traceback in the report, which is written
+in every case.  CSV output is deterministic for a fixed config (17
+significant digits, LF endings): two runs of one config are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, Container, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .catalog import (
+    BIREGULAR_METRICS,
+    PARAMS,
+    STRICT_CASTS,
     as_float,
     as_int,
-    is_number,
-    make_biregular_metric,
     make_functional,
     make_initial,
-    strict_cast,
 )
 from .cohomology_solver import (
+    MAX_GRID_POINTS,
     ResonanceError,
     TorusCohomologyProblem,
     amplification_report,
@@ -76,17 +81,6 @@ EXIT_BLOWUP = 3
 EXIT_UNSOLVABLE = 4
 EXIT_INTERNAL = 5
 
-SCENARIOS = (
-    "umbilical-flow",
-    "tau-flow",
-    "soliton-check",
-    "biregular-check",
-    "ricci-classify",
-    "cohomology",
-    "revolution",
-    "cone-check",
-)
-
 # report key used as the refinement-error metric by `sweep --axis ds`
 SWEEP_ERROR_KEY = {
     "umbilical-flow": "oracle_sup_error",
@@ -97,27 +91,6 @@ SWEEP_ERROR_KEY = {
 
 class ConfigError(ValueError):
     """Validation failure; the message starts with the offending key path."""
-
-
-_MISSING = object()
-
-
-def cfg_get(cfg: dict, path: str, default=_MISSING, cast=None, choices=None):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if default is _MISSING:
-                raise ConfigError(f"{path}: required")
-            return default
-        node = node[part]
-    if cast is not None:
-        try:
-            node = strict_cast(path, node, cast)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if choices is not None and node not in choices:
-        raise ConfigError(f"{path}: must be one of {sorted(choices)}")
-    return node
 
 
 # rows formatted by one `%` per chunk; bounds the size of the formatted string
@@ -168,220 +141,40 @@ def _jsonable(obj):
     return obj
 
 
-def _step_control(cfg: dict, t_end=_MISSING) -> StepControl:
-    fields = {
-        "t_end": cfg_get(cfg, "numerics.t_end", t_end, float),
-        "cfl": cfg_get(cfg, "numerics.cfl", 0.9, float),
-        "scheme": cfg_get(cfg, "numerics.scheme", "upwind", choices=set(SCHEMES)),
-        "max_steps": cfg_get(cfg, "numerics.max_steps", 200_000, int),
-        "integrator": cfg_get(
-            cfg, "numerics.integrator", "euler", choices=set(INTEGRATORS)
-        ),
-    }
-    try:
-        return StepControl(**fields)
-    except ValueError as exc:  # StepControl's messages start with the field name
-        raise ConfigError(f"numerics.{exc}") from None
+def _write_json(path: Path, obj) -> None:
+    """obj as one line of sorted-key JSON (without indent, the C encoder)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(json.dumps(_jsonable(obj), sort_keys=True) + "\n")
 
 
-def _functional_from_cfg(cfg: dict, n: int):
-    name = cfg_get(cfg, "functional.name", cast=str)
-    params = {
-        k: v for k, v in cfg_get(cfg, "functional", {}, dict).items() if k != "name"
-    }
-    try:
-        return make_functional(name, n, params)
-    except ValueError as exc:
-        raise ConfigError(f"functional: {exc}") from None
+# ------------------------------------------------------------ config table
+
+MISSING = object()  # an absent key; as a default: a required key
+CAP = MAX_GRID_POINTS  # one cap for every count that sizes an allocation
 
 
-def _eps_from_cfg(cfg: dict):
-    """eps as "auto" or a JSON number."""
-    eps = cfg_get(cfg, "eps", "auto")
-    if eps == "auto":
-        return eps
-    if not is_number(eps):
-        raise ConfigError(f"eps: expected number or 'auto', got {eps!r}")
-    return float(eps)
+class Key(NamedTuple):
+    """One accepted config key: strict cast (a custom cast's docstring says
+    what it expects), default, and allowed values: choices, a range, or for a
+    tag a dict from each value to the keys it adds.  `label` names it in errors."""
+
+    cast: Callable
+    default: object = MISSING
+    allowed: Container | None = None
+    label: str = ""
 
 
-# --------------------------------------------------------------- scenarios
+def number_or_auto(value):
+    """number or 'auto'"""
+    return value if value == "auto" else as_float(value)
 
 
-def run_umbilical_flow(cfg: dict, outdir: Path):
-    n = cfg_get(cfg, "n", 2, int)
-    F = _functional_from_cfg(cfg, n)
-    grid = cfg_get(cfg, "numerics.grid", cast=int)
-    length = cfg_get(cfg, "numerics.length", 1.0, float)
-    boundary = cfg_get(cfg, "numerics.boundary", "periodic", choices=set(BOUNDARIES))
-    stride = cfg_get(cfg, "output.snapshot_stride", 10, int)
-    ctl = _step_control(cfg)
-    lam0 = _initial_from_cfg(cfg, length)
-
-    p0 = UmbilicalProfile.from_function(lam0, grid, length, boundary)
-    blocks: list[np.ndarray] = []
-
-    def on_snapshot(prof: UmbilicalProfile):
-        blocks.append(
-            np.column_stack((np.full(prof.s.shape, prof.t), prof.s, prof.lam, prof.phi))
-        )
-
-    final = evolve_umbilical(
-        p0, F, ctl, record_every=max(1, stride), on_snapshot=on_snapshot
-    )
-
-    results = {
-        "final_time": final.t,
-        "steps_recorded": len(blocks),
-        "lambda_min": float(np.min(final.lam)),
-        "lambda_max": float(np.max(final.lam)),
-        "oracle_sup_error": None,
-    }
-    if boundary == "periodic":
-        try:
-            exact = characteristics_oracle(
-                lam0, F, final.t, final.s, periodic_length=length
-            )
-            results["oracle_sup_error"] = float(np.max(np.abs(final.lam - exact)))
-        except ShockError as exc:
-            results["oracle_note"] = str(exc)
-    files = [outdir / "timeseries.csv"]
-    write_csv(files[0], ["t", "s", "lambda", "phi"], np.concatenate(blocks))
-    return results, files
-
-
-def _initial_from_cfg(cfg: dict, length: float):
-    # cast=dict copies, so the seed default stays out of the config echo
-    spec = cfg_get(cfg, "initial", cast=dict)
-    spec.setdefault("seed", cfg_get(cfg, "numerics.seed", 0, int))
-    try:
-        return make_initial(spec, length)
-    except ValueError as exc:
-        raise ConfigError(f"initial: {exc}") from None
-
-
-def run_tau_flow(cfg: dict, outdir: Path):
-    n = cfg_get(cfg, "n", cast=int)
-    F = _functional_from_cfg(cfg, n)
-    grid = cfg_get(cfg, "numerics.grid", cast=int)
-    length = cfg_get(cfg, "numerics.length", 1.0, float)
-    boundary = cfg_get(cfg, "numerics.boundary", "periodic", choices=set(BOUNDARIES))
-    ctl = _step_control(cfg)
-    lam0 = _initial_from_cfg(cfg, length)
-
-    fld = TauField.from_umbilical(lam0, n, grid, length, boundary)
-    out = evolve_tau(fld, F, ctl)
-
-    scalar = evolve_umbilical(
-        UmbilicalProfile.from_function(lam0, grid, length, boundary), F, ctl
-    )
-    results = {
-        "final_time": out.t,
-        "umbilicity_defect": float(
-            np.max(np.abs(out.tau[:, 1] - out.tau[:, 0] ** 2 / n))
-        ) if n >= 2 else 0.0,
-        "scalar_match": float(np.max(np.abs(out.tau[:, 0] / n - scalar.lam))),
-    }
-    header = ["s"] + [f"tau{j}" for j in range(1, n + 1)]
-    files = [outdir / "tau_final.csv"]
-    write_csv(files[0], header, np.column_stack((out.s, out.tau)))
-    return results, files
-
-
-def run_soliton_check(cfg: dict, outdir: Path):
-    n = cfg_get(cfg, "n", 2, int)
-    F = _functional_from_cfg(cfg, n)
-    grid = cfg_get(cfg, "numerics.grid", 256, int)
-    length = cfg_get(cfg, "numerics.length", 1.0, float)
-    eps = _eps_from_cfg(cfg)
-    lam0 = _initial_from_cfg(cfg, length)
-    p = UmbilicalProfile.from_function(lam0, grid, length)
-    rep = check_normal_soliton(p, F, eps)
-
-    mu = np.asarray(mu_of_lambda(F, p.lam))
-    psi_vals = np.asarray(psi_of_lambda(F, p.lam))
-    structure = psi_vals - rep.eps_used + (2.0 / F.n) * mu * p.lam
-    files = [outdir / "residuals.csv"]
-    write_csv(
-        files[0],
-        ["s", "lambda", "mu", "structure_residual"],
-        (p.s, p.lam, mu, structure),
-    )
-    results = {
-        "verdict": rep.verdict,
-        "eps_used": rep.eps_used,
-        "n_lambda_norm": rep.n_lambda_norm,
-        "tol": rep.tol,
-        "residual_linf": rep.residual_linf,
-        "residual_l2": rep.residual_l2,
-        "notes": rep.notes,
-    }
-    return results, files
-
-
-def run_biregular_check(cfg: dict, outdir: Path):
-    F = _functional_from_cfg(cfg, cfg_get(cfg, "n", 1, int))
-    name = cfg_get(cfg, "metric.name", cast=str)
-    try:
-        g00, g11, periodic0 = make_biregular_metric(name)
-    except ValueError as exc:
-        raise ConfigError(f"metric.name: {exc}") from None
-    shape = (
-        cfg_get(cfg, "numerics.grid0", 64, int),
-        cfg_get(cfg, "numerics.grid1", 64, int),
-    )
-    lengths = (
-        cfg_get(cfg, "numerics.length0", 1.0, float),
-        cfg_get(cfg, "numerics.length1", 1.0, float),
-    )
-    field_name = cfg_get(cfg, "field.name", "zero", choices={"zero"})
-    eps = _eps_from_cfg(cfg)
-
-    grid = BiregularGrid.from_functions(
-        g00, g11, shape=shape, lengths=lengths, periodic0=periodic0
-    )
-    rep = check_biregular_surface(grid, F, eps)
-
-    lam = biregular_normal_curvature(grid)
-    x0, x1 = np.meshgrid(grid.x0, grid.x1, indexing="ij")
-    files = [outdir / "curvature.csv"]
-    write_csv(files[0], ["x0", "x1", "lambda"], (x0.ravel(), x1.ravel(), lam.ravel()))
-    results = {
-        "verdict": rep.verdict,
-        "eps_used": rep.eps_used,
-        "tol": rep.tol,
-        "residual_linf": rep.residual_linf,
-        "residual_l2": rep.residual_l2,
-        "field": field_name,
-        "notes": rep.notes,
-    }
-    return results, files
-
-
-def run_ricci_classify(cfg: dict, outdir: Path):
-    n = cfg_get(cfg, "n", cast=int)
-    tau1 = cfg_get(cfg, "tau1", cast=float)
-    r = cfg_get(cfg, "r", cast=float)
-    try:
-        cls = classify_ricci_soliton(n, tau1, r)
-    except ValueError as exc:
-        raise ConfigError(f"n: {exc}") from None
-    results = {
-        "n": n,
-        "tau1": tau1,
-        "r": r,
-        "discriminant": cls.discriminant,
-        "cpc": cls.cpc,
-        "spectra": [
-            {
-                "kind": sp.kind,
-                "roots": list(sp.roots),
-                "multiplicities": list(sp.multiplicities),
-            }
-            for sp in cls.spectra
-        ],
-    }
-    return results, []
+def direction(value) -> list[float]:
+    """2 or 3 finite numbers"""
+    v = [as_float(c) for c in value] if isinstance(value, list) else []
+    if len(v) not in (2, 3) or not np.isfinite(v).all():
+        raise ValueError(value)
+    return v
 
 
 def _modes_from_cfg(rows):
@@ -415,6 +208,267 @@ def _modes_from_cfg(rows):
     return table
 
 
+def _tag(block: str) -> dict:
+    """A catalog block's variants, its keys named in errors as the catalog does."""
+    return {name: {f"{block}.{k}": Key(cast, default, label=f"{block}: {k}")
+                   for k, (cast, default) in params.items()}
+            for name, params in PARAMS[block].items()}
+
+
+def _size(default=MISSING, lo=8) -> Key:
+    return Key(int, default, range(lo, CAP + 1))
+
+
+FUNCTIONAL = {"functional.name": Key(str, allowed=_tag("functional"))}
+PROFILE = {  # the sampled initial profile of the flow and soliton scenarios
+    **FUNCTIONAL, "initial.kind": Key(str, allowed=_tag("initial")),
+    "numerics.length": Key(float, 1.0), "numerics.seed": Key(int, 0),
+}
+STEPPING = {  # StepControl's fields after t_end, with its defaults
+    "numerics.cfl": Key(float, StepControl.cfl),
+    "numerics.scheme": Key(str, StepControl.scheme, SCHEMES),
+    "numerics.max_steps": _size(StepControl.max_steps, lo=1),
+    "numerics.integrator": Key(str, StepControl.integrator, INTEGRATORS),
+}
+FLOW = {**PROFILE, "numerics.grid": _size(), "numerics.t_end": Key(float), **STEPPING,
+        "numerics.boundary": Key(str, "periodic", BOUNDARIES)}
+EPS = Key(number_or_auto, "auto")
+CURVES = {
+    "cone": {"curve.beta": Key(float), "curve.x0_min": Key(float, 1.0),
+             "curve.x0_max": Key(float, 5.0), "numerics.grid": _size(256)},
+    "constant_lambda": {"curve.x1_min": Key(float, 0.5),
+                        "curve.x1_max": Key(float, 10.0),
+                        "curve.step": Key(float, 1e-3), "curve.C": Key(float, 0.0)},
+}
+
+# scenario -> every key path it accepts
+TABLES = {
+    "umbilical-flow": {"n": _size(2, lo=1), **FLOW,
+                       "output.snapshot_stride": Key(int, 10)},
+    "tau-flow": {"n": _size(lo=1), **FLOW},
+    "soliton-check": {"n": _size(2, lo=1), **PROFILE, "numerics.grid": _size(256),
+                      "eps": EPS},
+    "biregular-check": {
+        "n": _size(1, lo=1), **FUNCTIONAL,
+        "metric.name": Key(str, allowed=tuple(BIREGULAR_METRICS)),
+        "numerics.grid0": _size(64), "numerics.grid1": _size(64),
+        "numerics.length0": Key(float, 1.0), "numerics.length1": Key(float, 1.0),
+        "eps": EPS,
+    },
+    "ricci-classify": {"n": Key(int), "tau1": Key(float), "r": Key(float)},
+    "cohomology": {"v": Key(direction), "K": Key(int), "s": Key(float, 1.0),
+                   "h.modes": Key(_modes_from_cfg, None), "h.grid_csv": Key(str, None)},
+    "revolution": {"curve.kind": Key(str, allowed=CURVES),
+                   "output.gnuplot": Key(bool, False)},
+    "cone-check": {"beta": Key(float, math.pi / 6), "numerics.t_end": Key(float, 1.0),
+                   **STEPPING, "numerics.grid": _size(800),
+                   "domain_min": Key(float, 2.0), "domain_max": Key(float, 6.0)},
+}
+SCENARIO = Key(str, allowed=tuple(TABLES))
+
+
+def parse_config(config) -> dict:
+    """{key path: value} for every key the config's scenario accepts, with
+    defaults filled in.  A malformed or unknown key, or a count beyond the
+    size cap, raises ConfigError; nothing is read from disk or built."""
+    if not isinstance(config, dict):
+        raise ConfigError("config: expected a JSON object")
+    table = accepted_keys(config)
+    _check_unknown(config, "", table)
+    values = {path: _read(config, path, key) for path, key in table.items()}
+    _check_sizes(values)
+    return values
+
+
+def accepted_keys(config: dict) -> dict:
+    """{path: Key} of the config's scenario, with the keys its tags select."""
+    table = {"scenario": SCENARIO, **TABLES[_read(config, "scenario", SCENARIO)]}
+    for path, key in list(table.items()):
+        if isinstance(key.allowed, dict):  # a tag: its value's keys join the table
+            table.update(key.allowed[_read(config, path, key)])
+    return table
+
+
+def _read(config: dict, path: str, key: Key):
+    node = config
+    for part in path.split("."):
+        node = node.get(part, MISSING) if isinstance(node, dict) else MISSING
+    label = key.label or path
+    if node is MISSING:
+        if key.default is MISSING:
+            raise ConfigError(f"{label}: required")
+        return key.default
+    try:
+        value = STRICT_CASTS.get(key.cast, key.cast)(node)
+    except ConfigError:  # names its own row
+        raise
+    except (TypeError, ValueError, OverflowError):  # an int beyond float range
+        expects = key.cast.__name__ if key.cast in STRICT_CASTS else key.cast.__doc__
+        raise ConfigError(f"{label}: expected {expects}, got {node!r}") from None
+    if key.allowed is not None and value not in key.allowed:
+        if isinstance(key.allowed, range):
+            raise ConfigError(f"{label}: must lie in [{key.allowed.start}, "
+                              f"{key.allowed[-1]}], got {value!r}")
+        raise ConfigError(f"{label}: must be one of {sorted(key.allowed)}")
+    return value
+
+
+def _check_unknown(node: dict, prefix: str, table: dict) -> None:
+    """Each key of the config is a table path or a block holding some."""
+    for name, value in node.items():
+        path = f"{prefix}{name}"
+        if "." not in str(name):
+            if path in table:
+                continue
+            if any(p.startswith(path + ".") for p in table):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{path}: expected an object, got {value!r}")
+                _check_unknown(value, path + ".", table)
+                continue
+        siblings = {p[len(prefix):].split(".")[0]
+                    for p in table if p.startswith(prefix)}
+        near = {s.lower(): s for s in siblings}
+        match = difflib.get_close_matches(str(name).lower(), near, n=1)
+        hint = (f"did you mean {prefix}{near[match[0]]}?" if match
+                else f"expected one of {sorted(siblings)}")
+        raise ConfigError(f"{path}: unknown key; {hint}")
+
+
+def _check_sizes(cfg: dict) -> None:
+    """Counts that size an allocation or a loop: (grid, n) power sums, 2-D
+    grids, Fourier modes, revolution steps; each at most the cap."""
+    n = ("n",) if "functional.name" in cfg else ()
+    counts = {" × ".join(k): math.prod(cfg[p] for p in k) for k in (
+        ("numerics.grid", *n), ("numerics.grid0", "numerics.grid1", *n),
+        ("initial.modes",)) if k[0] in cfg}
+    if cfg.get("curve.kind") == "constant_lambda" and not cfg["curve.step"] <= 0:
+        counts["curve.step: (x1_max - x1_min) / step"] = (
+            cfg["curve.x1_max"] - cfg["curve.x1_min"]) / cfg["curve.step"]
+    for label, count in counts.items():
+        if not count <= CAP:
+            raise ConfigError(f"{label} = {count:g} exceeds the size cap {CAP}")
+
+
+def _build(prefix: str, factory, *args, **kwargs):
+    """factory(...), a ValueError becoming a ConfigError under prefix."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _block(cfg: dict, block: str) -> dict:
+    return {k[len(block) + 1:]: v for k, v in cfg.items() if k.startswith(block + ".")}
+
+
+def _functional(cfg: dict):
+    return _build("functional: ", make_functional, cfg["functional.name"], cfg["n"],
+                  _block(cfg, "functional"))
+
+
+def _initial(cfg: dict):
+    return _build("initial: ", make_initial, _block(cfg, "initial"),
+                  cfg["numerics.length"], cfg["numerics.seed"])
+
+
+def _control(cfg: dict) -> StepControl:  # its messages start with the field
+    return _build("numerics.", StepControl, cfg["numerics.t_end"],
+                  **{k.split(".")[1]: cfg[k] for k in STEPPING})
+
+
+# --------------------------------------------------------------- scenarios
+
+
+def run_umbilical_flow(cfg: dict, outdir: Path):
+    F, ctl, lam0 = _functional(cfg), _control(cfg), _initial(cfg)
+    length, boundary = cfg["numerics.length"], cfg["numerics.boundary"]
+    p0 = UmbilicalProfile.from_function(lam0, cfg["numerics.grid"], length, boundary)
+    blocks: list[np.ndarray] = []
+
+    def on_snapshot(prof: UmbilicalProfile):
+        blocks.append(
+            np.column_stack((np.full(prof.s.shape, prof.t), prof.s, prof.lam, prof.phi))
+        )
+
+    stride = max(1, cfg["output.snapshot_stride"])
+    final = evolve_umbilical(p0, F, ctl, record_every=stride, on_snapshot=on_snapshot)
+
+    results = {"final_time": final.t, "steps_recorded": len(blocks),
+               "lambda_min": float(np.min(final.lam)),
+               "lambda_max": float(np.max(final.lam)), "oracle_sup_error": None}
+    if boundary == "periodic":
+        try:
+            exact = characteristics_oracle(lam0, F, final.t, final.s,
+                                           periodic_length=length)
+            results["oracle_sup_error"] = float(np.max(np.abs(final.lam - exact)))
+        except ShockError as exc:
+            results["oracle_note"] = str(exc)
+    files = [outdir / "timeseries.csv"]
+    write_csv(files[0], ["t", "s", "lambda", "phi"], np.concatenate(blocks))
+    return results, files
+
+
+def run_tau_flow(cfg: dict, outdir: Path):
+    n = cfg["n"]
+    F, ctl, lam0 = _functional(cfg), _control(cfg), _initial(cfg)
+    grid, length = cfg["numerics.grid"], cfg["numerics.length"]
+    boundary = cfg["numerics.boundary"]
+
+    fld = TauField.from_umbilical(lam0, n, grid, length, boundary)
+    out = evolve_tau(fld, F, ctl)
+
+    scalar = evolve_umbilical(
+        UmbilicalProfile.from_function(lam0, grid, length, boundary), F, ctl
+    )
+    results = {
+        "final_time": out.t,
+        "umbilicity_defect": float(
+            np.max(np.abs(out.tau[:, 1] - out.tau[:, 0] ** 2 / n))
+        ) if n >= 2 else 0.0,
+        "scalar_match": float(np.max(np.abs(out.tau[:, 0] / n - scalar.lam))),
+    }
+    header = ["s"] + [f"tau{j}" for j in range(1, n + 1)]
+    files = [outdir / "tau_final.csv"]
+    write_csv(files[0], header, np.column_stack((out.s, out.tau)))
+    return results, files
+
+
+def run_soliton_check(cfg: dict, outdir: Path):
+    F, lam0 = _functional(cfg), _initial(cfg)
+    p = UmbilicalProfile.from_function(lam0, cfg["numerics.grid"],
+                                       cfg["numerics.length"])
+    rep = check_normal_soliton(p, F, cfg["eps"])
+
+    mu = np.asarray(mu_of_lambda(F, p.lam))
+    psi_vals = np.asarray(psi_of_lambda(F, p.lam))
+    structure = psi_vals - rep.eps_used + (2.0 / F.n) * mu * p.lam
+    files = [outdir / "residuals.csv"]
+    write_csv(files[0], ["s", "lambda", "mu", "structure_residual"],
+              (p.s, p.lam, mu, structure))
+    return asdict(rep), files
+
+
+def run_biregular_check(cfg: dict, outdir: Path):
+    F = _functional(cfg)
+    g00, g11, periodic0 = BIREGULAR_METRICS[cfg["metric.name"]]
+    grid = BiregularGrid.from_functions(
+        g00, g11, shape=(cfg["numerics.grid0"], cfg["numerics.grid1"]),
+        lengths=(cfg["numerics.length0"], cfg["numerics.length1"]), periodic0=periodic0,
+    )
+    rep = check_biregular_surface(grid, F, cfg["eps"])
+
+    lam = biregular_normal_curvature(grid)
+    x0, x1 = np.meshgrid(grid.x0, grid.x1, indexing="ij")
+    files = [outdir / "curvature.csv"]
+    write_csv(files[0], ["x0", "x1", "lambda"], (x0.ravel(), x1.ravel(), lam.ravel()))
+    return {k: v for k, v in asdict(rep).items() if k != "n_lambda_norm"}, files
+
+
+def run_ricci_classify(cfg: dict, outdir: Path):
+    cls = _build("n: ", classify_ricci_soliton, cfg["n"], cfg["tau1"], cfg["r"])
+    return {**asdict(cls), "cpc": cls.cpc}, []
+
+
 def _grid_csv_modes(path: Path) -> np.ndarray:
     if not path.exists():
         raise ConfigError(f"h.grid_csv: file not found: {path}")
@@ -433,23 +487,15 @@ def _grid_csv_modes(path: Path) -> np.ndarray:
 
 
 def run_cohomology(cfg: dict, outdir: Path):
-    v = [strict_cast("v", c, float) for c in cfg_get(cfg, "v", cast=list)]
-    if len(v) not in (2, 3) or not np.isfinite(v).all():
-        raise ConfigError(f"v: expected 2 or 3 finite numbers, got {v!r}")
-    K = cfg_get(cfg, "K", cast=int)
-    s = cfg_get(cfg, "s", 1.0, float)
-    modes_cfg = cfg_get(cfg, "h.modes", None)
-    grid_csv = cfg_get(cfg, "h.grid_csv", None)
-    if (modes_cfg is None) == (grid_csv is None):
+    modes, grid_csv = cfg["h.modes"], cfg["h.grid_csv"]
+    if (modes is None) == (grid_csv is None):
         raise ConfigError("h: provide exactly one of h.modes or h.grid_csv")
-    if modes_cfg is not None:
-        build, h = TorusCohomologyProblem.from_modes, _modes_from_cfg(modes_cfg)
-    elif isinstance(grid_csv, str):
-        build, h = TorusCohomologyProblem.from_grid, _grid_csv_modes(Path(grid_csv))
+    if modes is not None:
+        build, h = TorusCohomologyProblem.from_modes, modes
     else:
-        raise ConfigError(f"h.grid_csv: expected a path, got {grid_csv!r}")
+        build, h = TorusCohomologyProblem.from_grid, _grid_csv_modes(Path(grid_csv))
     try:
-        problem = build(v, h, K, s)
+        problem = build(cfg["v"], h, cfg["K"], cfg["s"])
     except ValueError as exc:  # errors about K and s name their key already
         named = str(exc).startswith(("K:", "s:"))
         raise ConfigError(str(exc) if named else f"h: {exc}") from None
@@ -463,43 +509,24 @@ def run_cohomology(cfg: dict, outdir: Path):
     write_csv(files[0], header, (*modes.T, coeffs.real, coeffs.imag))
     shell_fields = ["shell", "n_modes", "min_divisor", "max_amplification",
                     "margin_bound"]
-    write_csv(
-        files[1],
-        shell_fields,
-        [np.array([getattr(row, f) for row in shells]) for f in shell_fields],
-    )
-    results = {
-        "eps": sol.eps,
-        "margin": sol.margin,
-        "residual": sol.residual,
-        "max_imag": sol.max_imag,
-        "soliton_field_scale": sol.soliton_field_scale,
-        "modes_solved": len(sol.f_coeffs) - 1,
-    }
-    return results, files
+    write_csv(files[1], shell_fields,
+              [np.array([getattr(row, f) for row in shells]) for f in shell_fields])
+    return {"eps": sol.eps, "margin": sol.margin, "residual": sol.residual,
+            "max_imag": sol.max_imag, "soliton_field_scale": sol.soliton_field_scale,
+            "modes_solved": len(sol.f_coeffs) - 1}, files
 
 
 def run_revolution(cfg: dict, outdir: Path):
-    kind = cfg_get(cfg, "curve.kind", cast=str, choices={"cone", "constant_lambda"})
+    kind = cfg["curve.kind"]
     if kind == "cone":
-        beta = cfg_get(cfg, "curve.beta", cast=float)
-        a = cfg_get(cfg, "curve.x0_min", 1.0, float)
-        b = cfg_get(cfg, "curve.x0_max", 5.0, float)
-        grid = cfg_get(cfg, "numerics.grid", 256, int)
-        try:
-            profile = RevolutionProfile.cone(beta, (a, b), grid)
-        except ValueError as exc:
-            raise ConfigError(f"curve: {exc}") from None
+        x0_range = (cfg["curve.x0_min"], cfg["curve.x0_max"])
+        profile = _build("curve: ", RevolutionProfile.cone, cfg["curve.beta"],
+                         x0_range, cfg["numerics.grid"])
         K_formula = np.zeros_like  # a straight generatrix: flat plane sections
     else:
-        x1_min = cfg_get(cfg, "curve.x1_min", 0.5, float)
-        x1_max = cfg_get(cfg, "curve.x1_max", 10.0, float)
-        step = cfg_get(cfg, "curve.step", 1e-3, float)
-        C = cfg_get(cfg, "curve.C", 0.0, float)
-        try:
-            profile = integrate_constant_lambda(x1_min, x1_max, step, C)
-        except ValueError as exc:
-            raise ConfigError(f"curve: {exc}") from None
+        C = cfg["curve.C"]
+        profile = _build("curve: ", integrate_constant_lambda, cfg["curve.x1_min"],
+                         cfg["curve.x1_max"], cfg["curve.step"], C)
         K_formula = sectional_curvature_formula
 
     g00, g11 = profile_metric(profile)
@@ -509,11 +536,8 @@ def run_revolution(cfg: dict, outdir: Path):
     lam = fp / (profile.x1 * np.sqrt(1.0 + fp ** 2))
 
     files = [outdir / "profile.csv"]
-    write_csv(
-        files[0],
-        ["x0", "x1", "g00", "g11", "lambda", "K_formula", "K_oracle"],
-        (profile.x0, profile.x1, g00, g11, lam, cmp.formula, cmp.oracle),
-    )
+    write_csv(files[0], ["x0", "x1", "g00", "g11", "lambda", "K_formula", "K_oracle"],
+              (profile.x0, profile.x1, g00, g11, lam, cmp.formula, cmp.oracle))
     results = {
         "provenance": profile.provenance,
         "curvature_max_abs_diff": cmp.max_abs_diff,
@@ -527,7 +551,7 @@ def run_revolution(cfg: dict, outdir: Path):
         results["closed_form_sup_error"] = float(
             np.max(np.abs(profile.x0 - closed_form_gamma(profile.x1, C)))
         )
-    if cfg_get(cfg, "output.gnuplot", False, bool):
+    if cfg["output.gnuplot"]:
         gp = outdir / "profile.dat"
         with open(gp, "w", newline="") as fh:
             _write_rows(fh, (profile.x0, profile.x1), " ")
@@ -536,25 +560,19 @@ def run_revolution(cfg: dict, outdir: Path):
 
 
 def run_cone_check(cfg: dict, outdir: Path):
-    beta = cfg_get(cfg, "beta", np.pi / 6, float)
-    ctl = _step_control(cfg, t_end=1.0)
+    beta, ctl = cfg["beta"], _control(cfg)
     t_end = ctl.t_end
-    grid = cfg_get(cfg, "numerics.grid", 800, int)
-    a = cfg_get(cfg, "domain_min", 2.0, float)
-    b = cfg_get(cfg, "domain_max", 6.0, float)
-    rep = cone_flow_check(beta, ctl, grid, (a, b))
+    rep = cone_flow_check(beta, ctl, cfg["numerics.grid"],
+                          (cfg["domain_min"], cfg["domain_max"]))
 
     p = rep.final_profile
     lam_exact = -2.0 / (p.s - t_end / 2.0)
     phi_translated = (p.s - t_end / 2.0) * math.sin(beta)
     phi_integral = math.sin(beta) * (p.s - t_end / 2.0) ** 2 / p.s
     files = [outdir / "cone_final.csv"]
-    write_csv(
-        files[0],
-        ["s", "lambda_num", "lambda_exact", "phi_num", "phi_translated",
-         "phi_integral"],
-        (p.s, p.lam, lam_exact, p.phi, phi_translated, phi_integral),
-    )
+    write_csv(files[0], ["s", "lambda_num", "lambda_exact", "phi_num", "phi_translated",
+                         "phi_integral"],
+              (p.s, p.lam, lam_exact, p.phi, phi_translated, phi_integral))
     return rep.as_dict(), files
 
 
@@ -578,14 +596,14 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    report = {
-        "config": config,
-        "versions": {"egf_lab": __version__, "numpy": np.__version__},
-    }
+    versions = {"egf_lab": __version__, "numpy": np.__version__}
+    report = {"config": config, "versions": versions}
     code = EXIT_OK
+    scenario = "?"
     try:
-        scenario = cfg_get(config, "scenario", cast=str, choices=set(SCENARIOS))
-        results, files = HANDLERS[scenario](config, outdir)
+        cfg = parse_config(config)
+        scenario = cfg["scenario"]
+        results, files = HANDLERS[scenario](cfg, outdir)
         report["results"] = _jsonable(results)
         report["outputs"] = [str(f) for f in files]
     except (FlowBlowUpError, BoundedProgressError) as exc:
@@ -606,13 +624,18 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     report["exit_status"] = code
 
     report_path = outdir / "report.json"
-    with open(report_path, "w", newline="") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report_path, report)
     if not quiet:
         target = report.get("error") or f"results in {report_path}"
-        print(f"[egf-lab] {config.get('scenario', '?')}: {target}")
+        print(f"[egf-lab] {scenario}: {target}")
     return report, code
+
+
+def _check_sweep(cfg: dict, axis: str) -> None:
+    ds = axis == "ds"
+    if not (cfg["scenario"] in SWEEP_ERROR_KEY if ds else "numerics.cfl" in cfg):
+        lacks = "refinement error metric" if ds else "numerics.cfl"
+        raise ConfigError(f"sweep: scenario {cfg['scenario']} has no {lacks}")
 
 
 def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, int]:
@@ -621,77 +644,56 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
     For the ds axis the refinement errors are fitted with a log-log least
     squares line, giving the measured convergence order.  For the cfl axis
     the aggregate records which runs stayed stable and the largest stable
-    value.
+    value.  Every config is parsed before the first one runs.
     """
+    if not configs:
+        raise ConfigError("sweep: no configs to run")
+    parsed = [parse_config(c) for c in configs]
+    scenario = parsed[0]["scenario"]
+    _check_sweep(parsed[0], axis)
+    outside = [{k: v for k, v in cfg.items()
+                if not k.startswith(("numerics.", "output."))} for cfg in parsed]
+    for idx, other in enumerate(outside[1:], start=1):
+        if other != outside[0]:
+            raise ConfigError(f"sweep: config {idx} differs outside the numerics block")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def stripped(c):
-        return {k: v for k, v in c.items() if k not in ("numerics", "output")}
-
-    base = stripped(configs[0])
-    for idx, c in enumerate(configs[1:], start=1):
-        if stripped(c) != base:
-            raise ConfigError(
-                f"sweep: config {idx} differs outside the numerics block"
-            )
-    scenario = cfg_get(configs[0], "scenario", cast=str, choices=set(SCENARIOS))
-
     rows = []
     reports = []
-    for idx, c in enumerate(configs):
-        subdir = outdir / f"run_{idx:03d}"
-        report, code = run(c, subdir, quiet=True)
+    for idx, (c, cfg) in enumerate(zip(configs, parsed)):
+        report, code = run(c, outdir / f"run_{idx:03d}", quiet=True)
         reports.append(report)
         if axis == "ds":
-            if scenario not in SWEEP_ERROR_KEY:
-                raise ConfigError(
-                    f"sweep: scenario {scenario} has no refinement error metric"
-                )
-            grid = cfg_get(c, "numerics.grid", cast=int)
-            length = cfg_get(c, "numerics.length", 1.0, float)
-            err = None
-            if code == EXIT_OK:
-                err = report["results"].get(SWEEP_ERROR_KEY[scenario])
+            grid = cfg["numerics.grid"]
+            length = (cfg["numerics.length"] if "numerics.length" in cfg
+                      else cfg["domain_max"] - cfg["domain_min"])
+            err = (report["results"].get(SWEEP_ERROR_KEY[scenario])
+                   if code == EXIT_OK else None)
             rows.append((length / grid, grid, err, code))
         else:
-            rows.append((cfg_get(c, "numerics.cfl", 0.9, float), code))
+            rows.append((cfg["numerics.cfl"], code))
 
     aggregate: dict = {"scenario": scenario, "axis": axis, "runs": len(configs)}
     if axis == "ds":
-        ok = [
-            (ds, err)
-            for ds, _, err, code in rows
-            if code == EXIT_OK and err is not None and err > 0
-        ]
-        if len(ok) >= 2:
-            logds = np.log([p[0] for p in ok])
-            logerr = np.log([p[1] for p in ok])
-            slope = float(np.polyfit(logds, logerr, 1)[0])
-            aggregate["fitted_order"] = slope
-        ds, grids, errors, codes = zip(*rows)
-        write_csv(
-            outdir / "sweep.csv",
-            ["ds", "grid", "error", "exit_status"],
-            # dtype=float turns a missing error (None) into nan
-            (np.array(ds), np.array(grids), np.array(errors, dtype=float),
-             np.array(codes)),
-        )
+        ok = [(ds, err) for ds, _, err, code in rows
+              if code == EXIT_OK and err is not None and err > 0]
+        if len(ok) >= 2:  # log-log least squares: (log ds, log err) columns
+            aggregate["fitted_order"] = float(np.polyfit(*np.log(ok).T, 1)[0])
+        header = ["ds", "grid", "error", "exit_status"]
     else:
         stable = [cfl for cfl, code in rows if code == EXIT_OK]
         aggregate["largest_stable_cfl"] = max(stable) if stable else None
-        write_csv(
-            outdir / "sweep.csv",
-            ["cfl", "exit_status"],
-            [np.array(column) for column in zip(*rows)],
-        )
+        header = ["cfl", "exit_status"]
+    # dtype=float turns a missing error (None) into nan
+    write_csv(outdir / "sweep.csv", header, [
+        np.array(column, dtype=float if name == "error" else None)
+        for name, column in zip(header, zip(*rows))])
 
     aggregate["reports"] = [
         {"exit_status": r["exit_status"], "error": r.get("error")} for r in reports
     ]
-    with open(outdir / "sweep_report.json", "w", newline="") as fh:
-        json.dump(_jsonable(aggregate), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "sweep_report.json", aggregate)
     return aggregate, EXIT_OK
 
 
@@ -709,34 +711,38 @@ def _load_config(path: str) -> dict:
 
 
 def _outdir(args) -> Path:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    env = os.environ.get("EGF_LAB_OUT")
-    if env:
-        return Path(env)
-    return Path("egf-lab-out")
+    return Path(args.out or os.environ.get("EGF_LAB_OUT") or "egf-lab-out")
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
+    if args.scenario and isinstance(config, dict) and (  # `cohomology` command
+            config.setdefault("scenario", args.scenario) != args.scenario):
+        raise ConfigError(f"scenario: must be {args.scenario}")
     _, code = run(config, _outdir(args), quiet=args.quiet)
     return code
 
 
 def _cmd_sweep(args) -> int:
     base = _load_config(args.config)
+    cfg = parse_config(base)
+    _check_sweep(cfg, args.axis)
+    if args.points < 1:
+        raise ConfigError(f"--points: must be >= 1, got {args.points}")
     if args.axis == "ds":
-        grid0 = cfg_get(base, "numerics.grid", cast=int)
-        key, values = "grid", [grid0 * 2 ** i for i in range(args.points)]
+        grid = cfg["numerics.grid"]
+        key, values = "grid", [grid * 2 ** i for i in range(args.points)]
     elif args.values:
-        key, values = "cfl", [float(v) for v in args.values.split(",")]
+        try:
+            key, values = "cfl", [float(v) for v in args.values.split(",")]
+        except ValueError:
+            raise ConfigError(f"--values: expected comma-separated numbers, "
+                              f"got {args.values!r}") from None
     else:
         key, values = "cfl", list(np.linspace(0.2, 1.0, args.points))
-    variants = []
-    for value in values:
-        c = json.loads(json.dumps(base))
+    variants = [json.loads(json.dumps(base)) for _ in values]
+    for c, value in zip(variants, values):
         c.setdefault("numerics", {})[key] = value
-        variants.append(c)
     aggregate, code = sweep_configs(variants, _outdir(args), args.axis)
     if not args.quiet:
         print(json.dumps(_jsonable(aggregate), indent=2, sort_keys=True))
@@ -744,12 +750,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    config = {
-        "scenario": "ricci-classify",
-        "n": args.n,
-        "tau1": args.tau1,
-        "r": args.r,
-    }
+    config = {"scenario": "ricci-classify", "n": args.n, "tau1": args.tau1, "r": args.r}
     report, code = run(config, _outdir(args), quiet=True)
     if not args.quiet:
         print(json.dumps(report.get("results", report.get("error")), indent=2,
@@ -757,53 +758,36 @@ def _cmd_classify(args) -> int:
     return code
 
 
-def _cmd_cohomology(args) -> int:
-    config = _load_config(args.config)
-    config.setdefault("scenario", "cohomology")
-    if config["scenario"] != "cohomology":
-        print("scenario: must be cohomology", file=sys.stderr)
-        return EXIT_CONFIG
-    _, code = run(config, _outdir(args), quiet=args.quiet)
-    return code
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="egf-lab",
-        description="numerical laboratory for leafwise extrinsic geometric flows",
-    )
+    parser = argparse.ArgumentParser(prog="egf-lab", description=(
+        "numerical laboratory for leafwise extrinsic geometric flows"))
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one scenario config")
     p_run.add_argument("config")
-    p_run.add_argument("--out", help="output directory (or $EGF_LAB_OUT)")
-    p_run.add_argument("--quiet", action="store_true")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, scenario=None)
 
     p_sweep = sub.add_parser("sweep", help="refinement or stability sweep")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--axis", choices=("ds", "cfl"), default="ds")
     p_sweep.add_argument("--points", type=int, default=4)
     p_sweep.add_argument("--values", help="comma-separated cfl values")
-    p_sweep.add_argument("--out", help="output directory (or $EGF_LAB_OUT)")
-    p_sweep.add_argument("--quiet", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cls = sub.add_parser("classify", help="extrinsic Ricci soliton spectra")
     p_cls.add_argument("--n", type=int, required=True)
     p_cls.add_argument("--tau1", type=float, required=True)
     p_cls.add_argument("--r", type=float, required=True)
-    p_cls.add_argument("--out", help="output directory (or $EGF_LAB_OUT)")
-    p_cls.add_argument("--quiet", action="store_true")
     p_cls.set_defaults(func=_cmd_classify)
 
     p_coh = sub.add_parser("cohomology", help="solve a torus cohomological equation")
     p_coh.add_argument("config")
-    p_coh.add_argument("--out", help="output directory (or $EGF_LAB_OUT)")
-    p_coh.add_argument("--quiet", action="store_true")
-    p_coh.set_defaults(func=_cmd_cohomology)
+    p_coh.set_defaults(func=_cmd_run, scenario="cohomology")
 
+    for command in (p_run, p_sweep, p_cls, p_coh):
+        command.add_argument("--out", help="output directory (or $EGF_LAB_OUT)")
+        command.add_argument("--quiet", action="store_true")
     return parser
 
 

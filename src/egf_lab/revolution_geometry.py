@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .catalog import make_functional
 from .flow_engine import StepControl, UmbilicalProfile, evolve_umbilical
@@ -88,24 +87,6 @@ class RevolutionProfile:
 def profile_metric(p: RevolutionProfile) -> tuple[np.ndarray, np.ndarray]:
     """(g00, g11) of the revolved metric in the profile's own parameter."""
     return p.dx0 ** 2 + p.dx1 ** 2, p.x1 ** 2
-
-
-def reparameterize_arclength(p: RevolutionProfile) -> RevolutionProfile:
-    """Resample so the parameter is arclength from the first sample (g00 = 1)."""
-    speed = np.sqrt(p.dx0 ** 2 + p.dx1 ** 2)
-    s = CubicSpline(p.param, speed).antiderivative()(p.param)
-    s -= s[0]
-    s_new = np.linspace(0.0, s[-1], p.param.size)
-    spl_x0 = CubicSpline(s, p.x0)
-    spl_x1 = CubicSpline(s, p.x1)
-    return RevolutionProfile(
-        s_new,
-        spl_x0(s_new),
-        spl_x1(s_new),
-        spl_x0(s_new, 1),
-        spl_x1(s_new, 1),
-        p.provenance,
-    )
 
 
 def closed_form_gamma(x1, C: float = 0.0):

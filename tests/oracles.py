@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
+from egf_lab.revolution_geometry import RevolutionProfile
 from egf_lab.sym_curvature import psi_of_lambda
 
 
@@ -294,3 +296,22 @@ def dict_amplification_report(p: DictCohomologyProblem, f_coeffs, margin):
         (shell, row["n"], row["min_div"], row["max_amp"], row["bound"])
         for shell, row in sorted(shells.items())
     ]
+
+
+def reparameterize_arclength(p: RevolutionProfile) -> RevolutionProfile:
+    """Resample so the parameter is arclength from the first sample (g00 = 1),
+    through cubic splines of the speed and of both coordinates."""
+    speed = np.sqrt(p.dx0 ** 2 + p.dx1 ** 2)
+    s = CubicSpline(p.param, speed).antiderivative()(p.param)
+    s -= s[0]
+    s_new = np.linspace(0.0, s[-1], p.param.size)
+    spl_x0 = CubicSpline(s, p.x0)
+    spl_x1 = CubicSpline(s, p.x1)
+    return RevolutionProfile(
+        s_new,
+        spl_x0(s_new),
+        spl_x1(s_new),
+        spl_x0(s_new, 1),
+        spl_x1(s_new, 1),
+        p.provenance,
+    )

@@ -18,8 +18,8 @@ from egf_lab.cli import (
     EXIT_OK,
     EXIT_UNSOLVABLE,
     ConfigError,
-    cfg_get,
     main,
+    parse_config,
     run,
     sweep_configs,
     write_csv,
@@ -42,41 +42,51 @@ def umbilical_config(grid=128, t_end=0.5, **numerics):
     return cfg
 
 
+REVOLUTION = {"scenario": "revolution", "curve": {"kind": "cone", "beta": 0.5}}
+
+
 class TestConfigAccess:
+    """The parse step alone: strict casts, required keys and choices."""
+
     def test_missing_path_names_key(self):
+        cfg = umbilical_config()
+        del cfg["numerics"]["grid"]
         with pytest.raises(ConfigError, match="numerics.grid: required"):
-            cfg_get({"numerics": {}}, "numerics.grid")
+            parse_config(cfg)
 
     def test_bad_cast(self):
         with pytest.raises(ConfigError, match="numerics.grid"):
-            cfg_get({"numerics": {"grid": "many"}}, "numerics.grid", cast=int)
+            parse_config(umbilical_config(grid="many"))
 
     def test_choices(self):
         with pytest.raises(ConfigError, match="scenario"):
-            cfg_get({"scenario": "nope"}, "scenario", choices={"umbilical-flow"})
+            parse_config({**umbilical_config(), "scenario": "nope"})
 
     @pytest.mark.parametrize("value", [64.9, True, "64", None])
     def test_int_cast_refuses_lossy_values(self, value):
         with pytest.raises(ConfigError, match="numerics.grid"):
-            cfg_get({"numerics": {"grid": value}}, "numerics.grid", cast=int)
+            parse_config(umbilical_config(grid=value))
 
     def test_strict_casts_accept_valid_values(self):
-        assert cfg_get({"g": 64.0}, "g", cast=int) == 64
-        assert cfg_get({"g": -3}, "g", cast=int) == -3
-        assert cfg_get({"f": False}, "f", cast=bool) is False
-        value = cfg_get({"c": 1}, "c", cast=float)
+        assert parse_config(umbilical_config(grid=64.0))["numerics.grid"] == 64
+        periods = _set(umbilical_config(), "initial.periods", -3)
+        assert parse_config(periods)["initial.periods"] == -3
+        flag = _set(json.loads(json.dumps(REVOLUTION)), "output.gnuplot", False)
+        assert parse_config(flag)["output.gnuplot"] is False
+        value = parse_config(umbilical_config(cfl=1))["numerics.cfl"]
         assert value == 1.0 and type(value) is float
-        assert cfg_get({"c": 1e-1}, "c", cast=float) == 0.1
+        assert parse_config(umbilical_config(cfl=1e-1))["numerics.cfl"] == 0.1
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_bool_cast_accepts_only_json_booleans(self, value):
+        cfg = _set(json.loads(json.dumps(REVOLUTION)), "output.gnuplot", value)
         with pytest.raises(ConfigError, match="output.gnuplot"):
-            cfg_get({"output": {"gnuplot": value}}, "output.gnuplot", cast=bool)
+            parse_config(cfg)
 
     @pytest.mark.parametrize("value", [True, "1e-1", "inf", None, [1]])
     def test_float_cast_accepts_only_json_numbers(self, value):
         with pytest.raises(ConfigError, match="numerics.cfl"):
-            cfg_get({"numerics": {"cfl": value}}, "numerics.cfl", cast=float)
+            parse_config(umbilical_config(cfl=value))
 
     def test_fractional_grid_exits_2(self, tmp_path):
         report, code = run(umbilical_config(grid=64.9), tmp_path, quiet=True)
@@ -204,6 +214,83 @@ class TestMalformedValues:
         report, code = run(capped, tmp_path / "capped", quiet=True)
         assert code == EXIT_BLOWUP
         assert "after 1 steps" in report["error"]
+
+
+CAP = cli.MAX_GRID_POINTS
+
+
+class TestConfigTable:
+    """Unknown keys and oversize counts are refused by the parse step."""
+
+    @pytest.mark.parametrize("base,path,value,message", [
+        (umbilical_config(), "numerics.cfll", 0.01,
+         "numerics.cfll: unknown key; did you mean numerics.cfl?"),
+        (umbilical_config(), "numerics.schem", "lax_friedrichs",
+         "numerics.schem: unknown key; did you mean numerics.scheme?"),
+        (umbilical_config(), "outptu", {"snapshot_stride": 1},
+         "outptu: unknown key; did you mean output?"),
+        (AFFINE_FLOW, "functional.A", 5,
+         "functional.A: unknown key; did you mean functional.a?"),
+        (umbilical_config(), "functional.a", 5,  # a parameter of affine, not b1
+         "functional.a: unknown key; expected one of ['name']"),
+        (BIREGULAR, "field.name", "zero", "field: unknown key"),
+        (REVOLUTION, "curve.x1_max", 5.0, "curve.x1_max: unknown key"),
+        ({"scenario": "revolution", "curve": {"kind": "constant_lambda"}},
+         "numerics.grid", 64, "numerics: unknown key"),
+        (COHOMOLOGY, "numerics.cfl", 0.5, "numerics: unknown key"),
+    ])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, base, path, value, message):
+        cfg = _set(json.loads(json.dumps(base)), path, value)
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith(message), report["error"]
+        assert json.loads((tmp_path / "report.json").read_text())["error"] == (
+            report["error"])
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_dotted_key_names_are_unknown(self):
+        cfg = {**umbilical_config(), "numerics.cfl": 0.5}
+        with pytest.raises(ConfigError, match=r"^numerics\.cfl: unknown key"):
+            parse_config(cfg)
+
+    def test_block_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="^numerics: expected an object"):
+            parse_config({**umbilical_config(), "numerics": 5})
+
+    def test_defaults_fill_every_accepted_key(self):
+        parsed = parse_config({"scenario": "cone-check"})
+        assert parsed["numerics.t_end"] == 1.0
+        assert parsed["numerics.cfl"] == 0.9
+        assert parsed["numerics.grid"] == 800
+        assert parsed["beta"] == math.pi / 6
+
+    @pytest.mark.parametrize("base,path,value,key", [
+        (umbilical_config(), "numerics.grid", CAP + 1, "numerics.grid: must lie in"),
+        (umbilical_config(), "numerics.grid", 7, "numerics.grid: must lie in"),
+        (_set(umbilical_config(grid=2 ** 13), "n", 2 ** 12), None,
+         None, "numerics.grid × n = "),
+        (BIREGULAR, "numerics", {"grid0": 2 ** 12, "grid1": 2 ** 13},
+         "numerics.grid0 × numerics.grid1 × n = "),
+        (CONE, "numerics.max_steps", CAP + 1, "numerics.max_steps: must lie in"),
+        (_set(umbilical_config(), "initial",
+              {"kind": "random_fourier", "modes": CAP + 1}), None, None,
+         "initial.modes = "),
+        ({"scenario": "revolution", "curve": {"kind": "constant_lambda",
+                                              "x1_max": 100.0, "step": 1e-6}},
+         None, None, "curve.step: (x1_max - x1_min) / step = "),
+    ])
+    def test_oversize_counts_refused_before_allocating(self, base, path, value, key):
+        # the parse step alone: nothing of the requested size is built
+        cfg = json.loads(json.dumps(base))
+        if path is not None:
+            _set(cfg, path, value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert str(err.value).startswith(key), str(err.value)
+
+    def test_sizes_at_the_cap_pass(self):
+        parsed = parse_config(_set(umbilical_config(grid=2 ** 12), "n", 2 ** 12))
+        assert parsed["numerics.grid"] * parsed["n"] == CAP
 
 
 class TestCsvWriter:
@@ -408,6 +495,13 @@ class TestDeterminism:
         b = (tmp_path / "b" / "timeseries.csv").read_bytes()
         assert a == b
 
+    def test_report_is_one_line_of_sorted_json(self, tmp_path):
+        report, _ = run(umbilical_config(grid=64, t_end=0.25), tmp_path, quiet=True)
+        text = (tmp_path / "report.json").read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert json.loads(text)["config"] == umbilical_config(grid=64, t_end=0.25)
+
     def test_config_echo_reruns_identically(self, tmp_path):
         cfg = umbilical_config(grid=64, t_end=0.25)
         report, _ = run(cfg, tmp_path / "a", quiet=True)
@@ -430,6 +524,25 @@ class TestSweep:
         aggregate, _ = sweep_configs([umbilical_config(grid=64)], tmp_path, "ds")
         assert "fitted_order" not in aggregate
         assert aggregate["runs"] == 1
+
+    def test_no_configs_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="sweep: no configs"):
+            sweep_configs([], tmp_path, "ds")
+
+    @pytest.mark.parametrize("axis,message", [
+        ("ds", "sweep: scenario soliton-check has no refinement error metric"),
+        ("cfl", "sweep: scenario soliton-check has no numerics.cfl"),
+    ])
+    def test_axis_the_scenario_lacks_rejected(self, tmp_path, axis, message):
+        with pytest.raises(ConfigError, match=message):
+            sweep_configs([SOLITON], tmp_path / "sweep", axis)
+        assert not (tmp_path / "sweep").exists()
+
+    def test_malformed_member_rejected_before_any_run(self, tmp_path):
+        configs = [umbilical_config(grid=64), umbilical_config(grid=64.5)]
+        with pytest.raises(ConfigError, match="numerics.grid"):
+            sweep_configs(configs, tmp_path / "sweep", "ds")
+        assert not (tmp_path / "sweep").exists()
 
     def test_inconsistent_configs_rejected(self, tmp_path):
         a = umbilical_config(grid=64)
@@ -481,6 +594,43 @@ class TestCommandLine:
         ])
         assert code == EXIT_OK
         assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["cohomology"], ["sweep", "--axis", "cfl"], ["sweep", "--axis", "ds"],
+    ])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, argv):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text(json.dumps([umbilical_config()]))
+        command, *flags = argv
+        code = main([command, str(cfg_path), *flags, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert "config: expected a JSON object" in printed.out + printed.err
+        assert "Traceback" not in printed.out + printed.err
+        if command != "sweep":
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["error"] == "config: expected a JSON object"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--axis", "ds", "--points", "0"], "config error: --points: must be >= 1"),
+        (["--axis", "cfl", "--points", "0"], "config error: --points: must be >= 1"),
+        (["--axis", "cfl", "--values", "abc"], "config error: --values: expected "),
+        (["--axis", "cfl", "--values", "0.5,x"], "config error: --values: expected "),
+    ])
+    def test_sweep_flag_errors_exit_2(self, tmp_path, capsys, flags, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(umbilical_config(grid=64, t_end=0.25)))
+        code = main(["sweep", str(cfg_path), *flags, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    def test_cohomology_command_refuses_other_scenarios(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(umbilical_config()))
+        assert main(["cohomology", str(cfg_path), "--out", str(tmp_path)]) == (
+            EXIT_CONFIG)
+        assert "scenario: must be cohomology" in capsys.readouterr().err
 
     def test_cohomology_command(self, tmp_path):
         cfg = {
@@ -631,3 +781,97 @@ class TestMalformedCohomologyProperty:
             cfg = {"scenario": "cohomology", "v": [1.0, 1.5], "K": K,
                    "h": {"grid_csv": str(csv_path)}}
             _assert_reported(cfg, Path(tmp) / "out")
+
+
+# one small valid config per scenario; each runs to exit 0 in milliseconds
+SMALL = {
+    "umbilical-flow": umbilical_config(grid=16, t_end=0.05),
+    "tau-flow": {"scenario": "tau-flow", "n": 2, "functional": {"name": "b1"},
+                 "initial": {"kind": "sine", "amplitude": 0.25, "mean": 0.5},
+                 "numerics": {"grid": 16, "t_end": 0.05}},
+    "soliton-check": _set(json.loads(json.dumps(SOLITON)), "numerics.grid", 16),
+    "biregular-check": BIREGULAR,
+    "ricci-classify": {"scenario": "ricci-classify", "n": 4, "tau1": 0.0, "r": 1.0},
+    "cohomology": COHOMOLOGY,
+    "revolution": {"scenario": "revolution", "curve": {
+        "kind": "constant_lambda", "x1_max": 2.0, "step": 0.01}},
+    "cone-check": {"scenario": "cone-check", "numerics": {"grid": 16, "t_end": 0.1}},
+}
+# a JSON value of each type; "wrong type" draws those a key's cast refuses
+JSON_VALUES = [None, True, 7, 0.5, "x", [1.0], {"k": 1}]
+FLOATS = [-1.0, 0.0, 0.125, 0.5, 1.0, 2.0]  # coarse, so no run crawls
+IN_RANGE = {  # valid values of the casts that are not plain JSON types
+    cli.number_or_auto: st.sampled_from(["auto", 0.5, 1.0]),
+    cli.direction: st.sampled_from([[1.0, 1.5], [1.0, 0.5], [1.0, 1.5, 2.5]]),
+    cli._modes_from_cfg: st.sampled_from([[[0, 0, 1.0, 0.0]],
+                                          [[1, -1, 0.5, 0.0], [-1, 1, 0.5, 0.0]]]),
+    str: st.just("no-such-file.csv"),
+    bool: st.booleans(),
+    float: st.sampled_from(FLOATS),
+    int: st.integers(-3, 12),
+}
+
+
+def refused(key, value) -> bool:
+    try:
+        cli._read({"k": value}, "k", key._replace(allowed=None))
+    except ConfigError:
+        return True
+    return False
+
+
+def in_range(key):
+    if isinstance(key.allowed, range):  # the low end: sizes stay small
+        return st.integers(key.allowed.start, key.allowed.start + 8)
+    if key.allowed is not None:
+        return st.sampled_from(sorted(key.allowed))
+    return IN_RANGE[key.cast]
+
+
+def out_of_range(key):
+    if isinstance(key.allowed, range):
+        return st.sampled_from([key.allowed.start - 1, key.allowed.stop])
+    return st.just("not-a-choice")
+
+
+@st.composite
+def mutated_config(draw):
+    """(config, mutation, path, key): a small valid config with one key given
+    a wrong JSON type, a value out of bound, an unknown sibling, or an
+    in-range value."""
+    cfg = json.loads(json.dumps(SMALL[draw(st.sampled_from(sorted(SMALL)))]))
+    table = cli.accepted_keys(cfg)
+    path = draw(st.sampled_from(sorted(table)))
+    key = table[path]
+    mutations = ["type", "unknown", "value"] + ["bound"] * (key.allowed is not None)
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "type":
+        _set(cfg, path, draw(st.sampled_from(JSON_VALUES).filter(
+            lambda v: refused(key, v))))
+    elif mutation == "bound":
+        _set(cfg, path, draw(out_of_range(key)))
+    elif mutation == "unknown":
+        path = path + draw(st.sampled_from(["x", "_", "2"]))
+        _set(cfg, path, draw(st.sampled_from(JSON_VALUES)))
+    else:
+        _set(cfg, path, draw(in_range(key)))
+    return cfg, mutation, path, key
+
+
+class TestMalformedConfigProperty:
+    """Every scenario, one key mutated along its table entry: report.json is
+    written and the exit code is 0, 2, 3 or 4; a refused value names its key."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(case=mutated_config())
+    def test_one_key_mutated(self, case):
+        cfg, mutation, path, key = case
+        with tempfile.TemporaryDirectory() as tmp:
+            report, code = run(cfg, Path(tmp), quiet=True)
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP, EXIT_UNSOLVABLE), report
+            assert json.loads((Path(tmp) / "report.json").read_text())[
+                "exit_status"] == code
+        if mutation != "value":
+            assert code == EXIT_CONFIG, report
+            name = path if mutation == "unknown" else key.label or path
+            assert report["error"].startswith(name), (report["error"], name)

@@ -10,10 +10,11 @@ from egf_lab.revolution_geometry import (
     cone_flow_check,
     integrate_constant_lambda,
     profile_metric,
-    reparameterize_arclength,
     sectional_curvature_formula,
     sectional_curvature_profile,
 )
+
+from oracles import reparameterize_arclength
 
 
 class TestProfileMetric:
