@@ -73,7 +73,7 @@ def read_params(table: dict, spec: dict) -> dict:
 
 
 # parameters of each named functional and initial-data kind, by config block:
-# key -> (cast, default); a None seed stands for make_initial's seed
+# key -> (cast, default)
 PARAMS = {
     "functional": {
         "b1": {}, "tau1_minus_c": {"c": (float, 0.0)}, "ext_ricci": {},
@@ -83,7 +83,7 @@ PARAMS = {
         "constant": {"value": (float, 0.0)},
         "sine": {"amplitude": (float, 1.0), "mean": (float, 0.0), "periods": (int, 1)},
         "random_fourier": {"amplitude": (float, 1.0), "modes": (int, 3),
-                           "seed": (int, None)},
+                           "seed": (int, 0)},
     },
 }
 
@@ -151,9 +151,7 @@ def make_functional(name: str, n: int, params: dict | None = None) -> FlowFuncti
     return FUNCTIONALS[name](n, **read_params(PARAMS["functional"][name], params or {}))
 
 
-def make_initial(
-    spec: dict, length: float, seed: int = 0
-) -> Callable[[np.ndarray], np.ndarray]:
+def make_initial(spec: dict, length: float) -> Callable[[np.ndarray], np.ndarray]:
     """Initial normal-curvature profile lam0(s) from its named description."""
     kind = spec.get("kind")
     if kind not in PARAMS["initial"]:
@@ -168,7 +166,7 @@ def make_initial(
             2.0 * np.pi * p["periods"] * np.asarray(s) / length
         )
     amplitude, modes = p["amplitude"], p["modes"]
-    rng = np.random.default_rng(seed if p["seed"] is None else p["seed"])
+    rng = np.random.default_rng(p["seed"])
     a = rng.normal(size=modes)
     b = rng.normal(size=modes)
     norm = np.sqrt(np.sum(a ** 2 + b ** 2)) or 1.0

@@ -97,16 +97,15 @@ class ConfigError(ValueError):
 _CHUNK_ROWS = 4096
 
 
-def _write_rows(fh, table, sep: str) -> None:
-    """Write a 2-D float array, or a sequence of 1-D columns, one line per row.
+def _write_rows(fh, columns, sep: str) -> None:
+    """Write a sequence of 1-D columns (``table.T`` of a 2-D array), one line
+    per row.
 
     Floats are written as ``%.17g`` (the same bytes as ``format(v, ".17g")``,
     non-finite values included); integer-typed columns as ``%d``, exact for
     |n| < 2**53.
     """
-    if isinstance(table, np.ndarray):
-        table = table.T  # iterate a 2-D array by columns
-    columns = [np.asarray(c) for c in table]
+    columns = [np.asarray(c) for c in columns]
     formats = [
         "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
     ]
@@ -117,11 +116,11 @@ def _write_rows(fh, table, sep: str) -> None:
         fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
-def write_csv(path: Path, header: list[str], table) -> None:
-    """Header line plus one CSV line per row of ``table`` (see _write_rows)."""
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Header line plus one CSV line per row of ``columns`` (see _write_rows)."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        _write_rows(fh, table, ",")
+        _write_rows(fh, columns, ",")
 
 
 def _jsonable(obj):
@@ -177,11 +176,17 @@ def direction(value) -> list[float]:
     return v
 
 
-def _modes_from_cfg(rows):
-    """h.modes rows [u1, ..., ud, re, im], checked all at once into one float
-    array; else a dict built row by row, naming the first bad row."""
-    if not isinstance(rows, list):
-        raise ConfigError(f"h.modes: expected a list of rows, got {rows!r}")
+def positive(value) -> float:
+    """positive finite number"""
+    v = as_float(value)
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(value)
+    return v
+
+
+def _mode_table(rows: list):
+    """rows as one float array if each is a list [u..., re, im] of one width
+    >= 3 of finite JSON numbers with integral |u| < 2**53; else None."""
     if all(type(row) is list for row in rows) and (
         {type(x) for row in rows for x in row} <= {int, float}
     ):
@@ -191,20 +196,24 @@ def _modes_from_cfg(rows):
             if (u.shape[1] and np.isfinite(table).all() and (u == np.rint(u)).all()
                     and (np.abs(u) < 2.0 ** 53).all()):
                 return table
-        except (ValueError, OverflowError, IndexError):  # ragged, or huge ints
+        except (ValueError, OverflowError):  # ragged, or ints beyond float range
             pass
-    table = {}
-    for idx, entry in enumerate(rows):
-        try:
-            *u, re_c, im_c = entry
-            if not u or not np.isfinite([as_float(c) for c in entry]).all():
-                raise ValueError(entry)
-            table[tuple(as_int(c) for c in u)] = complex(re_c, im_c)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: huge ints
-            raise ConfigError(
-                f"h.modes[{idx}]: expected [u1, ..., re, im] with integer u "
-                f"and numeric re, im; got {entry!r}"
-            ) from None
+    return None
+
+
+def _modes_from_cfg(rows) -> np.ndarray:
+    """h.modes rows [u1, ..., ud, re, im], checked all at once into one float
+    array (no rows: h = 0); else the first bad row is named."""
+    if not isinstance(rows, list):
+        raise ConfigError(f"h.modes: expected a list of rows, got {rows!r}")
+    table = _mode_table(rows) if rows else np.empty((0, 0))
+    if table is None:
+        idx = next(i for i, row in enumerate(rows)
+                   if _mode_table([row]) is None or len(row) != len(rows[0]))
+        raise ConfigError(
+            f"h.modes[{idx}]: expected a list [u1, ..., re, im] as wide as the first "
+            f"row, of finite numbers with integer |u| < 2**53; got {rows[idx]!r}"
+        )
     return table
 
 
@@ -222,7 +231,7 @@ def _size(default=MISSING, lo=8) -> Key:
 FUNCTIONAL = {"functional.name": Key(str, allowed=_tag("functional"))}
 PROFILE = {  # the sampled initial profile of the flow and soliton scenarios
     **FUNCTIONAL, "initial.kind": Key(str, allowed=_tag("initial")),
-    "numerics.length": Key(float, 1.0), "numerics.seed": Key(int, 0),
+    "numerics.length": Key(positive, 1.0),
 }
 STEPPING = {  # StepControl's fields after t_end, with its defaults
     "numerics.cfl": Key(float, StepControl.cfl),
@@ -252,7 +261,7 @@ TABLES = {
         "n": _size(1, lo=1), **FUNCTIONAL,
         "metric.name": Key(str, allowed=tuple(BIREGULAR_METRICS)),
         "numerics.grid0": _size(64), "numerics.grid1": _size(64),
-        "numerics.length0": Key(float, 1.0), "numerics.length1": Key(float, 1.0),
+        "numerics.length0": Key(positive, 1.0), "numerics.length1": Key(positive, 1.0),
         "eps": EPS,
     },
     "ricci-classify": {"n": Key(int), "tau1": Key(float), "r": Key(float)},
@@ -368,7 +377,7 @@ def _functional(cfg: dict):
 
 def _initial(cfg: dict):
     return _build("initial: ", make_initial, _block(cfg, "initial"),
-                  cfg["numerics.length"], cfg["numerics.seed"])
+                  cfg["numerics.length"])
 
 
 def _control(cfg: dict) -> StepControl:  # its messages start with the field
@@ -398,13 +407,12 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
                "lambda_max": float(np.max(final.lam)), "oracle_sup_error": None}
     if boundary == "periodic":
         try:
-            exact = characteristics_oracle(lam0, F, final.t, final.s,
-                                           periodic_length=length)
+            exact = characteristics_oracle(lam0, F, final.t, final.s, length)
             results["oracle_sup_error"] = float(np.max(np.abs(final.lam - exact)))
         except ShockError as exc:
             results["oracle_note"] = str(exc)
     files = [outdir / "timeseries.csv"]
-    write_csv(files[0], ["t", "s", "lambda", "phi"], np.concatenate(blocks))
+    write_csv(files[0], ["t", "s", "lambda", "phi"], np.concatenate(blocks).T)
     return results, files
 
 
@@ -429,7 +437,7 @@ def run_tau_flow(cfg: dict, outdir: Path):
     }
     header = ["s"] + [f"tau{j}" for j in range(1, n + 1)]
     files = [outdir / "tau_final.csv"]
-    write_csv(files[0], header, np.column_stack((out.s, out.tau)))
+    write_csv(files[0], header, (out.s, *out.tau.T))
     return results, files
 
 
@@ -560,19 +568,14 @@ def run_revolution(cfg: dict, outdir: Path):
 
 
 def run_cone_check(cfg: dict, outdir: Path):
-    beta, ctl = cfg["beta"], _control(cfg)
-    t_end = ctl.t_end
-    rep = cone_flow_check(beta, ctl, cfg["numerics.grid"],
+    rep = cone_flow_check(cfg["beta"], _control(cfg), cfg["numerics.grid"],
                           (cfg["domain_min"], cfg["domain_max"]))
 
     p = rep.final_profile
-    lam_exact = -2.0 / (p.s - t_end / 2.0)
-    phi_translated = (p.s - t_end / 2.0) * math.sin(beta)
-    phi_integral = math.sin(beta) * (p.s - t_end / 2.0) ** 2 / p.s
     files = [outdir / "cone_final.csv"]
     write_csv(files[0], ["s", "lambda_num", "lambda_exact", "phi_num", "phi_translated",
                          "phi_integral"],
-              (p.s, p.lam, lam_exact, p.phi, phi_translated, phi_integral))
+              (p.s, p.lam, rep.lam_exact, p.phi, rep.phi_translated, rep.phi_integral))
     return rep.as_dict(), files
 
 

@@ -16,7 +16,7 @@ the offending lattice vector.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +32,6 @@ class ResonanceError(RuntimeError):
     def __init__(self, message: str, worst_mode: tuple[int, ...]):
         super().__init__(message)
         self.worst_mode = worst_mode
-
-
-def _as_mode(u: Iterable[int]) -> tuple[int, ...]:
-    return tuple(int(c) for c in u)
 
 
 def _lattice(v: tuple[float, ...], K: int):
@@ -74,26 +70,22 @@ class ModeTable(Mapping):
         return np.argwhere(self.mask) - self.K, self.cube[self.mask]
 
 
-def _mode_rows(coeffs, dim: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Modes (N, dim) and values (N,) of a mapping or of rows [u..., re, im],
-    in input order; the first mode of a wrong dimension or outside K is named."""
-    if isinstance(coeffs, Mapping):
-        for mode in map(_as_mode, coeffs):
-            if len(mode) != dim:
-                raise ValueError(f"mode {mode} does not match dimension {dim}")
-            if max(abs(m) for m in mode) > K:
-                raise ValueError(f"mode {mode} lies outside |u|_inf <= {K}")
-        modes = np.array(list(map(_as_mode, coeffs)), dtype=np.int64)
-        values = np.array([complex(c) for c in coeffs.values()], dtype=complex)
-        return modes.reshape(-1, dim), values
-    rows = np.asarray(coeffs, dtype=float)
+def _mode_rows(rows, dim: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes (N, dim) and values (N,) of rows [u..., re, im] in input order
+    (no rows: no modes); the first mode of a wrong dimension or outside K is
+    named."""
+    rows = np.asarray(rows, dtype=float)
+    if not len(rows):
+        rows = np.empty((0, dim + 2))
     u = rows[:, :-2]
     if u.shape[1] != dim:
-        raise ValueError(f"mode {_as_mode(u[0])} does not match dimension {dim}")
+        raise ValueError(
+            f"mode {tuple(map(int, u[0]))} does not match dimension {dim}"
+        )
     outside = np.max(np.abs(u), axis=1) > K
     if outside.any():
         raise ValueError(
-            f"mode {_as_mode(u[np.argmax(outside)])} lies outside |u|_inf <= {K}"
+            f"mode {tuple(map(int, u[np.argmax(outside)]))} lies outside |u|_inf <= {K}"
         )
     values = np.empty(len(rows), dtype=complex)  # parts set apart: keeps -0.0
     values.real, values.imag = rows[:, -2], rows[:, -1]
@@ -104,19 +96,19 @@ def _mode_rows(coeffs, dim: int, K: int) -> tuple[np.ndarray, np.ndarray]:
 class TorusCohomologyProblem:
     """Right-hand side h (finite Fourier table) and flow direction v.
 
-    ``coeffs`` maps integer modes u (|u|_inf <= K) to complex coefficients of
-    exp(2 pi i <u, x>), or holds rows [u1, ..., ud, re, im] (a repeated mode
-    keeps its last value).  Conjugate symmetry (h real) is completed when one
+    ``coeffs`` holds rows [u1, ..., ud, re, im]: integer modes u (|u|_inf <= K)
+    and the complex coefficients of exp(2 pi i <u, x>) (a repeated mode keeps
+    its last value).  Conjugate symmetry (h real) is completed when one
     of a +-u pair is missing and validated when both are present.  Then
-    ``cube`` holds h at u + K over the ``mask`` of ``coeffs`` keys, ``given``
-    the flat index of each input mode in input order, and ``inner``, ``norm``
-    and ``shell`` hold <u, v>, ||u||_2 and |u|_inf.  ``s`` is the Diophantine
-    exponent of the margin diagnostics; the leaf dimension of the soliton
-    reading is dim - 1.
+    ``cube`` holds h at u + K over the ``mask`` of given modes, ``coeffs``
+    becomes the ModeTable view of it, ``given`` the flat index of each input
+    mode in input order, and ``inner``, ``norm`` and ``shell`` hold <u, v>,
+    ||u||_2 and |u|_inf.  ``s`` is the Diophantine exponent of the margin
+    diagnostics; the leaf dimension of the soliton reading is dim - 1.
     """
 
     v: tuple[float, ...]
-    coeffs: Mapping
+    coeffs: np.ndarray
     K: int
     s: float = 1.0
 
@@ -172,7 +164,7 @@ class TorusCohomologyProblem:
 
     @classmethod
     def from_modes(cls, v, modes, K: int, s: float = 1.0):
-        """From a mapping u -> h_u or from rows [u1, ..., ud, re, im]."""
+        """From rows [u1, ..., ud, re, im]."""
         return cls(tuple(v), modes, K, s)
 
     @classmethod

@@ -372,9 +372,10 @@ def characteristics_oracle(
     F: FlowFunctional,
     t: float,
     s_out: np.ndarray,
-    periodic_length: float | None = None,
+    periodic_length: float,
 ) -> np.ndarray:
-    """Transport lam0 along characteristics s(t) = s0 + psi'(lam0(s0)) t / 2.
+    """Transport lam0 along characteristics s(t) = s0 + psi'(lam0(s0)) t / 2
+    on the periodic domain [s_out[0], s_out[0] + periodic_length).
 
     Exact (up to interpolation) while characteristics stay single-valued; a
     crossing raises ShockError.  When psi' is constant over the sampled range
@@ -390,32 +391,21 @@ def characteristics_oracle(
     scale = max(1.0, float(np.max(np.abs(slopes))))
     if float(np.ptp(slopes)) <= 1e-9 * scale:
         a = 0.5 * float(np.mean(slopes))
-        arg = s_out - a * t
-        if periodic_length is not None:
-            arg = s_out[0] + np.mod(arg - s_out[0], periodic_length)
+        arg = s_out[0] + np.mod(s_out - a * t - s_out[0], periodic_length)
         return np.asarray(lam0(arg), dtype=float) * np.ones_like(arg)
 
     n_fine = ORACLE_REFINE * s_out.size
-    if periodic_length is not None:
-        base = s_out[0] + periodic_length * np.arange(n_fine) / n_fine
-    else:
-        pad = 0.5 * float(np.max(np.abs(slopes))) * abs(t)
-        base = np.linspace(s_out[0] - pad, s_out[-1] + pad, n_fine)
+    base = s_out[0] + periodic_length * np.arange(n_fine) / n_fine
     lam_base = np.asarray(lam0(base), dtype=float) * np.ones_like(base)
     positions = base + 0.5 * np.asarray(psi_prime(F, lam_base)) * t
     if np.any(np.diff(positions) <= 0):
         raise ShockError(
             f"characteristics crossed before t = {t:.6g}; no classical solution"
         )
-    if periodic_length is not None:
-        knots = np.concatenate(
-            [positions - periodic_length, positions, positions + periodic_length]
-        )
-        values = np.tile(lam_base, 3)
-        return np.interp(s_out, knots, values)
-    if s_out[0] < positions[0] or s_out[-1] > positions[-1]:
-        raise ValueError("output grid leaves the domain of the characteristic map")
-    return np.interp(s_out, positions, lam_base)
+    knots = np.concatenate(
+        [positions - periodic_length, positions, positions + periodic_length]
+    )
+    return np.interp(s_out, knots, np.tile(lam_base, 3))
 
 
 def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauField:

@@ -119,27 +119,20 @@ def integrate_constant_lambda(
     h = (x1_end - x1_start) / n_steps
 
     def rhs(x1):
-        return math.sqrt(4.0 + x1 * x1) / x1
+        return np.sqrt(4.0 + x1 * x1) / x1
 
     x1_vals = x1_start + h * np.arange(n_steps + 1)
-    x0_vals = np.empty_like(x1_vals)
-    x0_vals[0] = closed_form_gamma(x1_start, C)
-    x = x1_start
-    acc = x0_vals[0]
-    for i in range(n_steps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h)
-        k3 = rhs(x + 0.5 * h)
-        k4 = rhs(x + h)
-        acc += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        x = x1_start + (i + 1) * h
-        x0_vals[i + 1] = acc
+    x = x1_vals[:-1]
+    k1, k2, k4 = rhs(x), rhs(x + 0.5 * h), rhs(x + h)  # k3 == k2: rhs is x1-only
+    steps = h * (k1 + 2.0 * k2 + 2.0 * k2 + k4) / 6.0
+    # cumsum adds in sequence, as the step-by-step sum x0 += step does
+    x0_vals = np.cumsum(np.concatenate(([closed_form_gamma(x1_start, C)], steps)))
 
     return RevolutionProfile(
         x1_vals,
         x0_vals,
         x1_vals,
-        np.sqrt(4.0 + x1_vals ** 2) / x1_vals,
+        rhs(x1_vals),
         np.ones_like(x1_vals),
         provenance=f"constant_lambda(C={C:g})",
     )
@@ -189,7 +182,8 @@ _CONE_FLOW = make_functional("b1", 2)
 
 @dataclass
 class ConeFlowReport:
-    """Measured deviations of the evolved cone from its closed-form targets."""
+    """Measured deviations of the evolved cone from its closed-form targets,
+    which are kept on the final profile's grid."""
 
     beta: float
     t_end: float
@@ -198,7 +192,10 @@ class ConeFlowReport:
     sup_err_phi_translated: float
     sup_err_phi_integral: float
     notes: list
-    final_profile: "UmbilicalProfile | None" = None
+    final_profile: UmbilicalProfile
+    lam_exact: np.ndarray
+    phi_translated: np.ndarray
+    phi_integral: np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -270,4 +267,7 @@ def cone_flow_check(
             "of the leaf dimension"
         ],
         final_profile=p,
+        lam_exact=lam_exact,
+        phi_translated=phi_translated,
+        phi_integral=phi_integral,
     )

@@ -225,6 +225,11 @@ class DictCohomologyProblem:
         return cls(tuple(v), coeffs, K, s)
 
 
+def mode_rows(table: dict) -> list:
+    """A dict u -> h_u as the solver's rows [u1, ..., ud, re, im], in dict order."""
+    return [[*u, complex(c).real, complex(c).imag] for u, c in table.items()]
+
+
 def dict_inner(u, v) -> float:
     """<u, v> as the dict solver computes it (np.dot, possibly fused)."""
     return float(np.dot(u, np.asarray(v, dtype=float)))

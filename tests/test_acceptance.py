@@ -56,6 +56,7 @@ from egf_lab.sym_curvature import (
 from oracles import (
     canonical_spectrum_key,
     enumerate_ricci_soliton_spectra,
+    mode_rows,
     sigma_by_expansion,
     write_csv_reference,
 )
@@ -350,7 +351,7 @@ def test_criterion_10_extrinsic_ricci_flat():
 def test_criterion_11_cohomological_equation():
     with criterion(11, "torus cohomological equation by small divisors") as info:
         single = TorusCohomologyProblem(
-            GOLDEN, {(0, 0): 3.0, (1, -1): 0.5, (-1, 1): 0.5}, 4
+            GOLDEN, mode_rows({(0, 0): 3.0, (1, -1): 0.5, (-1, 1): 0.5}), 4
         )
         sol = solve_linear_flow(single)
         assert sol.residual <= 1e-10
@@ -365,12 +366,14 @@ def test_criterion_11_cohomological_equation():
             c = complex(rng.normal(), rng.normal())
             coeffs[u] = c
             coeffs[(-u[0], -u[1])] = c.conjugate()
-        sol20 = solve_linear_flow(TorusCohomologyProblem(GOLDEN, coeffs, 20))
+        sol20 = solve_linear_flow(TorusCohomologyProblem(GOLDEN, mode_rows(coeffs), 20))
         assert sol20.residual <= 1e-10
 
         with pytest.raises(ResonanceError) as err:
             solve_linear_flow(
-                TorusCohomologyProblem((1.0, 0.5), {(1, -2): 1.0, (-1, 2): 1.0}, 3)
+                TorusCohomologyProblem(
+                    (1.0, 0.5), [[1, -2, 1.0, 0.0], [-1, 2, 1.0, 0.0]], 3
+                )
             )
         assert err.value.worst_mode in ((1, -2), (-1, 2))
         info["residual_20_modes"] = f"{sol20.residual:.2e}"

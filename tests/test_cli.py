@@ -181,6 +181,11 @@ MALFORMED = [
     (RESONANT, "s", -1, "s"),
     (RESONANT, "K", 0, "K"),
     (COHOMOLOGY, "K", 1025, "K"),  # (4K)^2 verification points exceed the cap
+    (umbilical_config(), "numerics.length", 0, "numerics.length"),
+    (umbilical_config(), "numerics.length", -1, "numerics.length"),
+    (SOLITON, "numerics.length", math.inf, "numerics.length"),
+    (BIREGULAR, "numerics.length0", 0, "numerics.length0"),
+    (BIREGULAR, "numerics.length1", -0.5, "numerics.length1"),
 ]
 
 
@@ -238,6 +243,7 @@ class TestConfigTable:
         ({"scenario": "revolution", "curve": {"kind": "constant_lambda"}},
          "numerics.grid", 64, "numerics: unknown key"),
         (COHOMOLOGY, "numerics.cfl", 0.5, "numerics: unknown key"),
+        (umbilical_config(), "numerics.seed", 7, "numerics.seed: unknown key"),
     ])
     def test_unknown_key_exits_2_naming_it(self, tmp_path, base, path, value, message):
         cfg = _set(json.loads(json.dumps(base)), path, value)
@@ -319,7 +325,7 @@ class TestCsvWriter:
         exponents = rng.integers(-320, 300, (rows, 4))
         table = rng.standard_normal((rows, 4)) * 10.0 ** exponents
         table[5:5 + len(self.EDGE_FLOATS), 2] = self.EDGE_FLOATS
-        write_csv(tmp_path / "chunked.csv", ["a", "b", "c", "d"], table)
+        write_csv(tmp_path / "chunked.csv", ["a", "b", "c", "d"], table.T)
         write_csv_reference(tmp_path / "reference.csv", ["a", "b", "c", "d"],
                             table.tolist())
         assert (tmp_path / "chunked.csv").read_bytes() == (
@@ -487,8 +493,8 @@ class TestRunScenarios:
 class TestDeterminism:
     def test_identical_configs_identical_csvs(self, tmp_path):
         cfg = umbilical_config(grid=128, t_end=0.5)
-        cfg["initial"] = {"kind": "random_fourier", "amplitude": 0.5, "modes": 3}
-        cfg["numerics"]["seed"] = 7
+        cfg["initial"] = {"kind": "random_fourier", "amplitude": 0.5, "modes": 3,
+                          "seed": 7}
         run(cfg, tmp_path / "a", quiet=True)
         run(cfg, tmp_path / "b", quiet=True)
         a = (tmp_path / "a" / "timeseries.csv").read_bytes()
@@ -663,24 +669,28 @@ def _grid_csv(path: Path, M: int, drop=(), duplicate=()) -> Path:
 
 
 class TestCohomologyInput:
-    ROWS = [[0, 0, 3.0, 0.0], [1, -1, 0.5, -0.0], [-2, 3, -0.25, 0.125],
-            [1, -1, 0.75, 0.0], [3, 1, 0.0, -0.5]]
+    @pytest.mark.parametrize("rows,idx", [
+        ([[1, 0, 1.0, 0.0], [1, 0, 0, 1.0, 0.0]], 1),  # ragged
+        ([[0, 0, 1.0, 0.0], [2 ** 60, 0, 1.0, 0.0]], 1),  # |u| >= 2**53: floats
+        ([[-(2 ** 53), 0, 1.0, 0.0]], 0),  # no longer hold every integer
+        ([[1, 0, 1.0, 0.0], (1, 0, 1.0, 0.0)], 1),  # not a JSON list
+    ])
+    def test_bad_row_is_named(self, tmp_path, rows, idx):
+        cfg = {"scenario": "cohomology", "v": [1.0, 1.7], "K": 3, "h": {"modes": rows}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith(f"h.modes[{idx}]: expected "), report["error"]
+        assert not list(tmp_path.glob("*.csv"))
 
-    def test_dense_rows_and_row_loop_write_the_same_tables(self, tmp_path):
-        # list rows take the all-at-once path, tuple rows the row loop
-        tuples = [tuple(r) for r in self.ROWS]
-        assert isinstance(cli._modes_from_cfg(self.ROWS), np.ndarray)
-        assert isinstance(cli._modes_from_cfg(tuples), dict)
-        outputs = []
-        for rows in (self.ROWS, tuples):
-            out = tmp_path / str(len(outputs))
-            cfg = {"scenario": "cohomology", "v": [1.0, 1.7], "K": 3,
-                   "h": {"modes": rows}}
-            report, code = run(cfg, out, quiet=True)
-            assert code == EXIT_OK, report.get("error")
-            outputs.append([(out / f).read_bytes() for f in
-                            ("solution_coeffs.csv", "amplification.csv")])
-        assert outputs[0] == outputs[1]
+    def test_no_rows_solve_h_zero(self, tmp_path):
+        cfg = {"scenario": "cohomology", "v": [1.0, 1.7], "K": 3, "h": {"modes": []}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
+        assert report["results"]["eps"] == 0.0
+        assert report["results"]["modes_solved"] == 0
+        coeffs = (tmp_path / "solution_coeffs.csv").read_text()
+        assert coeffs == "u1,u2,re,im\n0,0,0,0\n"  # the zero mode only
+        assert (tmp_path / "amplification.csv").read_text().count("\n") == 1
 
     @pytest.mark.parametrize("drop,duplicate,message", [
         ((5,), (), "h.grid_csv: grid is not complete/uniform"),
@@ -803,8 +813,9 @@ FLOATS = [-1.0, 0.0, 0.125, 0.5, 1.0, 2.0]  # coarse, so no run crawls
 IN_RANGE = {  # valid values of the casts that are not plain JSON types
     cli.number_or_auto: st.sampled_from(["auto", 0.5, 1.0]),
     cli.direction: st.sampled_from([[1.0, 1.5], [1.0, 0.5], [1.0, 1.5, 2.5]]),
-    cli._modes_from_cfg: st.sampled_from([[[0, 0, 1.0, 0.0]],
+    cli._modes_from_cfg: st.sampled_from([[], [[0, 0, 1.0, 0.0]],
                                           [[1, -1, 0.5, 0.0], [-1, 1, 0.5, 0.0]]]),
+    cli.positive: st.sampled_from([0.5, 1.0, 2.0]),
     str: st.just("no-such-file.csv"),
     bool: st.booleans(),
     float: st.sampled_from(FLOATS),

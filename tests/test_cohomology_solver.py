@@ -18,6 +18,7 @@ from oracles import (
     dict_amplification_report,
     dict_inner,
     dict_solve_linear_flow,
+    mode_rows,
 )
 
 GOLDEN = (1.0, (1.0 + np.sqrt(5.0)) / 2.0)
@@ -26,7 +27,7 @@ GOLDEN = (1.0, (1.0 + np.sqrt(5.0)) / 2.0)
 def single_mode_problem(amp=0.5, mean=0.0, K=4):
     # h = mean + 2*amp*cos(2 pi (x - y)) via modes (1,-1) and (-1,1)
     coeffs = {(0, 0): mean, (1, -1): amp, (-1, 1): amp}
-    return TorusCohomologyProblem(GOLDEN, coeffs, K)
+    return TorusCohomologyProblem(GOLDEN, mode_rows(coeffs), K)
 
 
 class TestDiophantineMargin:
@@ -64,7 +65,7 @@ class TestSolveLinearFlow:
         assert sol.max_imag <= 1e-12
 
     def test_zero_rhs(self):
-        p = TorusCohomologyProblem(GOLDEN, {}, 2)
+        p = TorusCohomologyProblem(GOLDEN, [], 2)
         sol = solve_linear_flow(p)
         assert sol.eps == 0.0
         assert sol.residual == 0.0
@@ -78,7 +79,7 @@ class TestSolveLinearFlow:
     def test_soliton_scale_is_half_leaf_dimension(self):
         sol = solve_linear_flow(single_mode_problem())
         assert sol.soliton_field_scale == pytest.approx(0.5)  # dim 2 -> n = 1
-        p3 = TorusCohomologyProblem((1.0, GOLDEN[1], np.sqrt(2)), {}, 2)
+        p3 = TorusCohomologyProblem((1.0, GOLDEN[1], np.sqrt(2)), [], 2)
         assert solve_linear_flow(p3).soliton_field_scale == pytest.approx(1.0)
 
     def test_twenty_mode_polynomial_is_exact(self):
@@ -91,7 +92,7 @@ class TestSolveLinearFlow:
             c = complex(rng.normal(), rng.normal())
             coeffs[u] = c
             coeffs[(-u[0], -u[1])] = c.conjugate()
-        p = TorusCohomologyProblem(GOLDEN, coeffs, 20)
+        p = TorusCohomologyProblem(GOLDEN, mode_rows(coeffs), 20)
         sol = solve_linear_flow(p)
         assert sol.residual <= 1e-10
         assert sol.max_imag <= 1e-10
@@ -110,9 +111,9 @@ class TestSolveLinearFlow:
         h1, h2 = table(1), table(2)
         a, b = 1.7, -0.3
         combo = {u: a * h1[u] + b * h2[u] for u in h1}
-        s1 = solve_linear_flow(TorusCohomologyProblem(GOLDEN, h1, 5))
-        s2 = solve_linear_flow(TorusCohomologyProblem(GOLDEN, h2, 5))
-        sc = solve_linear_flow(TorusCohomologyProblem(GOLDEN, combo, 5))
+        s1 = solve_linear_flow(TorusCohomologyProblem(GOLDEN, mode_rows(h1), 5))
+        s2 = solve_linear_flow(TorusCohomologyProblem(GOLDEN, mode_rows(h2), 5))
+        sc = solve_linear_flow(TorusCohomologyProblem(GOLDEN, mode_rows(combo), 5))
         for u in modes:
             assert sc.f_coeffs[u] == pytest.approx(
                 a * s1.f_coeffs[u] + b * s2.f_coeffs[u], abs=1e-12
@@ -121,7 +122,7 @@ class TestSolveLinearFlow:
 
     def test_resonant_mode_refused_and_named(self):
         coeffs = {(1, -2): 1.0, (-1, 2): 1.0}  # <u, v> = 0 for v = (1, 1/2)
-        p = TorusCohomologyProblem((1.0, 0.5), coeffs, 3)
+        p = TorusCohomologyProblem((1.0, 0.5), mode_rows(coeffs), 3)
         with pytest.raises(ResonanceError) as err:
             solve_linear_flow(p)
         assert err.value.worst_mode in ((1, -2), (-1, 2))
@@ -130,7 +131,7 @@ class TestSolveLinearFlow:
     def test_rational_direction_off_resonance_succeeds(self):
         # v = (1, 1/2): resonant sublattice is u1 + u2/2 = 0; mode (1, 1) is off it
         coeffs = {(1, 1): 0.5, (-1, -1): 0.5}
-        p = TorusCohomologyProblem((1.0, 0.5), coeffs, 3)
+        p = TorusCohomologyProblem((1.0, 0.5), mode_rows(coeffs), 3)
         sol = solve_linear_flow(p)
         assert sol.residual <= 1e-12
         assert sol.margin == 0.0  # full-lattice margin is still resonant
@@ -145,20 +146,20 @@ class TestSolveLinearFlow:
             c = complex(rng.normal(), rng.normal())
             coeffs[u] = c
             coeffs[(-u[0], -u[1])] = c.conjugate()
-        sol = solve_linear_flow(TorusCohomologyProblem(GOLDEN, coeffs, 6))
+        sol = solve_linear_flow(TorusCohomologyProblem(GOLDEN, mode_rows(coeffs), 6))
         assert sol.max_imag <= 1e-12
 
     def test_three_torus(self):
         v = (1.0, GOLDEN[1], np.sqrt(2))
         coeffs = {(1, -1, 0): 0.3, (-1, 1, 0): 0.3, (0, 1, -1): 0.1j, (0, -1, 1): -0.1j}
-        sol = solve_linear_flow(TorusCohomologyProblem(v, coeffs, 3))
+        sol = solve_linear_flow(TorusCohomologyProblem(v, mode_rows(coeffs), 3))
         assert sol.residual <= 1e-12
 
     def test_conjugate_symmetry_completion_and_validation(self):
-        p = TorusCohomologyProblem(GOLDEN, {(2, 1): 1 + 1j}, 3)
+        p = TorusCohomologyProblem(GOLDEN, [[2, 1, 1.0, 1.0]], 3)
         assert p.coeffs[(-2, -1)] == (1 - 1j)
         with pytest.raises(ValueError, match="conjugate"):
-            TorusCohomologyProblem(GOLDEN, {(2, 1): 1 + 1j, (-2, -1): 5.0}, 3)
+            TorusCohomologyProblem(GOLDEN, [[2, 1, 1.0, 1.0], [-2, -1, 5.0, 0.0]], 3)
 
     def test_from_grid_roundtrip(self):
         M = 32
@@ -190,7 +191,7 @@ class TestAmplificationReport:
         assert row.max_amplification == pytest.approx(1 / (2 * np.pi * inner))
 
     def test_empty_for_zero_rhs(self):
-        sol = solve_linear_flow(TorusCohomologyProblem(GOLDEN, {}, 2))
+        sol = solve_linear_flow(TorusCohomologyProblem(GOLDEN, [], 2))
         assert amplification_report(sol) == []
 
     def test_amplification_below_margin_bound(self):
@@ -203,7 +204,8 @@ class TestAmplificationReport:
             c = complex(rng.normal(), rng.normal())
             coeffs[u] = c
             coeffs[(-u[0], -u[1])] = c.conjugate()
-        sol = solve_linear_flow(TorusCohomologyProblem(GOLDEN, coeffs, 10))
+        p = TorusCohomologyProblem(GOLDEN, mode_rows(coeffs), 10)
+        sol = solve_linear_flow(p)
         for row in amplification_report(sol):
             assert row.max_amplification <= row.margin_bound * (1 + 1e-12)
 
@@ -267,36 +269,35 @@ class TestDenseAgainstDictOracle:
         ref = DictCohomologyProblem(v, as_dict(rows), K)
         f_ref, eps_ref, margin_ref = dict_solve_linear_flow(ref)
 
-        for h in (np.array(rows), as_dict(rows)):  # rows and mapping input
-            p = TorusCohomologyProblem.from_modes(v, h, K)
-            assert dict(p.coeffs) == ref.coeffs
-            sol = solve_linear_flow(p)
-            assert sol.eps == eps_ref
-            assert set(sol.f_coeffs) == set(f_ref)  # so modes_solved matches
-            assert sol.residual <= 1e-10 and sol.max_imag <= 1e-10
+        p = TorusCohomologyProblem.from_modes(v, np.array(rows), K)
+        assert dict(p.coeffs) == ref.coeffs
+        sol = solve_linear_flow(p)
+        assert sol.eps == eps_ref
+        assert set(sol.f_coeffs) == set(f_ref)  # so modes_solved matches
+        assert sol.residual <= 1e-10 and sol.max_imag <= 1e-10
 
-            differ = 0
-            for u, f in f_ref.items():
-                inner = p.inner[tuple(c + K for c in u)]
-                # summed in order in Python floats, never fused
-                assert inner == sum_in_order(u, v)
-                if inner == dict_inner(u, v):
-                    assert bits(sol.f_coeffs[u]) == bits(f), u
-                else:
-                    differ += 1
-                    bound = 4 * 2.0 ** -52 * sum(abs(a * b) for a, b in zip(u, v))
-                    assert abs(inner - dict_inner(u, v)) <= bound, u
-            assert differ < len(f_ref) / 2
+        differ = 0
+        for u, f in f_ref.items():
+            inner = p.inner[tuple(c + K for c in u)]
+            # summed in order in Python floats, never fused
+            assert inner == sum_in_order(u, v)
+            if inner == dict_inner(u, v):
+                assert bits(sol.f_coeffs[u]) == bits(f), u
+            else:
+                differ += 1
+                bound = 4 * 2.0 ** -52 * sum(abs(a * b) for a, b in zip(u, v))
+                assert abs(inner - dict_inner(u, v)) <= bound, u
+        assert differ < len(f_ref) / 2
 
-            ref_rows = dict_amplification_report(ref, f_ref, margin_ref)
-            rows_dense = amplification_report(sol)
-            assert [(r.shell, r.n_modes) for r in rows_dense] == \
-                [r[:2] for r in ref_rows]
-            for got, want in zip(rows_dense, ref_rows):
-                assert got.min_divisor == pytest.approx(want[2], rel=1e-9)
-                assert got.max_amplification == pytest.approx(want[3], rel=1e-9)
-                assert got.margin_bound == pytest.approx(want[4], rel=1e-9)
-            assert sol.margin == pytest.approx(margin_ref, rel=1e-9)
+        ref_rows = dict_amplification_report(ref, f_ref, margin_ref)
+        rows_dense = amplification_report(sol)
+        assert [(r.shell, r.n_modes) for r in rows_dense] == \
+            [r[:2] for r in ref_rows]
+        for got, want in zip(rows_dense, ref_rows):
+            assert got.min_divisor == pytest.approx(want[2], rel=1e-9)
+            assert got.max_amplification == pytest.approx(want[3], rel=1e-9)
+            assert got.margin_bound == pytest.approx(want[4], rel=1e-9)
+        assert sol.margin == pytest.approx(margin_ref, rel=1e-9)
 
     @pytest.mark.parametrize("v,K,resonant", [
         # dyadic directions: <u, v> is exact in both solvers, so every
@@ -319,15 +320,15 @@ class TestDenseAgainstDictOracle:
                             list(resonant[i]) + [1.0, 0.0])
             with pytest.raises(ResonanceError) as want:
                 dict_solve_linear_flow(DictCohomologyProblem(v, as_dict(rows), K))
-            for h in (np.array(rows, dtype=float), as_dict(rows)):
-                with pytest.raises(ResonanceError) as got:
-                    solve_linear_flow(TorusCohomologyProblem.from_modes(v, h, K))
-                assert got.value.worst_mode == want.value.worst_mode
-                assert f"mode u = {want.value.worst_mode} is resonant" in str(got.value)
+            p = TorusCohomologyProblem.from_modes(v, np.array(rows), K)
+            with pytest.raises(ResonanceError) as got:
+                solve_linear_flow(p)
+            assert got.value.worst_mode == want.value.worst_mode
+            assert f"mode u = {want.value.worst_mode} is resonant" in str(got.value)
 
     def test_below_floor_resonance_is_not_refused(self):
         rows = [[1, -2, 1e-20, 0.0], [1, 1, 1.0, 0.5]]
-        sol = solve_linear_flow(TorusCohomologyProblem((1.0, 0.5), as_dict(rows), 3))
+        sol = solve_linear_flow(TorusCohomologyProblem((1.0, 0.5), rows, 3))
         ref, _, _ = dict_solve_linear_flow(
             DictCohomologyProblem((1.0, 0.5), as_dict(rows), 3)
         )
@@ -344,21 +345,9 @@ class TestDenseAgainstDictOracle:
     def test_error_messages_match(self, v, K, rows):
         with pytest.raises(ValueError) as want:
             DictCohomologyProblem(v, as_dict(rows), K)
-        for h in (np.array(rows, dtype=float), as_dict(rows)):
-            with pytest.raises(ValueError) as got:
-                TorusCohomologyProblem.from_modes(v, h, K)
-            assert str(got.value) == str(want.value)
-
-    def test_mapping_names_the_first_bad_key_in_order(self):
-        # the per-key checks run in input order: a key outside K before a key
-        # of the wrong dimension is named first, and the other way round
-        h = {(4, 0): 1.0, (1, 0, 0): 1.0}
-        for coeffs in (h, dict(reversed(h.items()))):
-            with pytest.raises(ValueError) as want:
-                DictCohomologyProblem(GOLDEN, coeffs, 3)
-            with pytest.raises(ValueError) as got:
-                TorusCohomologyProblem(GOLDEN, coeffs, 3)
-            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got:
+            TorusCohomologyProblem.from_modes(v, np.array(rows, dtype=float), K)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("shape,K", [((16, 12), 4), ((9, 10, 11), 3)])
     def test_from_grid_matches_reference(self, shape, K):
