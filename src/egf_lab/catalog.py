@@ -2,6 +2,8 @@
 
 The catalog is deliberately closed: each entry is a hand-written builder, not
 an expression parser.  Adding a flow functional means adding a builder here.
+A flow functional's builder returns its monomial table, the one definition
+from which both its f_j callbacks and psi's coefficients in lam are derived.
 
 The parameters of every named entry sit in one table (PARAMS: key -> cast,
 default), which is also the CLI's config table for the `functional` and
@@ -88,51 +90,75 @@ PARAMS = {
 }
 
 
-def _zeros(tau):
-    return np.zeros(tau.shape[:-1])
+def _mono(n: int, *ks: int) -> tuple[int, ...]:
+    """Exponents (e_1..e_n) of the monomial tau_k1 tau_k2 ... (none: 1)."""
+    e = [0] * n
+    for k in ks:
+        e[k - 1] += 1
+    return tuple(e)
 
 
-def _pad(first, n, *, slot=0):
-    """Coefficient list with one active slot, zeros elsewhere."""
-    f = [_zeros] * n
-    f[slot] = first
-    return FlowFunctional(n, tuple(f))
+def _polynomial(terms: dict) -> Callable[[np.ndarray], np.ndarray]:
+    """f(tau) = sum of coef * prod_k tau_k**e_k over terms {(e_1..e_n): coef},
+    summed in table order; no terms: f = 0."""
+    monomials = [(float(coef), [(k, e) for k, e in enumerate(exps) if e])
+                 for exps, coef in terms.items()]
+
+    def f(tau):
+        out = np.zeros(tau.shape[:-1])
+        for i, (coef, factors) in enumerate(monomials):
+            term = np.full(tau.shape[:-1], coef)
+            for k, e in factors:
+                term = term * tau[..., k] ** e
+            out = term if i == 0 else out + term  # not 0 + term: keeps -0.0
+        return out
+
+    return f
 
 
-def _build_b1(n: int) -> FlowFunctional:
-    if n == 1:
-        return _pad(lambda tau: tau[..., 0], 1)
-    return _pad(lambda tau: np.ones(tau.shape[:-1]), n, slot=1)
+def _psi_coeffs(n: int, table: dict) -> tuple[float, ...]:
+    """psi's coefficients in lam, lowest power first.  On an umbilical
+    spectrum tau_k = n lam^k, so coef * prod tau_k^e_k * lam^j of f_j becomes
+    coef n^(sum e_k) lam^(j + sum k e_k)."""
+    psi: dict[int, float] = {}
+    for j, terms in table.items():
+        for exps, coef in terms.items():
+            power = j + sum(k * e for k, e in enumerate(exps, start=1))
+            psi[power] = psi.get(power, 0.0) + coef * n ** sum(exps)
+    return tuple(psi.get(p, 0.0) for p in range(max(psi, default=0) + 1))
 
 
-def _build_tau1_minus_c(n: int, c: float) -> FlowFunctional:
-    return _pad(lambda tau: tau[..., 0] - c, n)
+# Each catalog functional as its monomial table {j: {(e_1..e_n): coef}}:
+# f_j = sum of coef * prod_k tau_k**e_k over table[j], absent j: f_j = 0.
+def _build_b1(n: int) -> dict:
+    return {0: {_mono(1, 1): 1}} if n == 1 else {1: {_mono(n): 1}}
 
 
-def _build_ext_ricci(n: int) -> FlowFunctional:
+def _build_tau1_minus_c(n: int, c: float) -> dict:
+    return {0: {_mono(n, 1): 1, _mono(n): -c}}
+
+
+def _build_ext_ricci(n: int) -> dict:
     if n < 2:
         raise ValueError("ext_ricci needs leaf dimension n >= 2")
     if n == 2:
-        return _pad(lambda tau: tau[..., 1] - tau[..., 0] ** 2, 2)
-    f = [_zeros] * n
-    f[1] = lambda tau: -2.0 * tau[..., 0]
-    f[2] = lambda tau: 2.0 * np.ones(tau.shape[:-1])
-    return FlowFunctional(n, tuple(f))
+        return {0: {_mono(2, 2): 1, _mono(2, 1, 1): -1}}  # tau_2 - tau_1^2
+    return {1: {_mono(n, 1): -2}, 2: {_mono(n): 2}}
 
 
-def _build_umbilical_square(n: int) -> FlowFunctional:
+def _build_umbilical_square(n: int) -> dict:
     if n == 1:
-        return _pad(lambda tau: tau[..., 0] ** 2, 1)
-    return _pad(lambda tau: tau[..., 1] / n, n)
+        return {0: {_mono(1, 1, 1): 1}}
+    return {0: {_mono(n, 2): 1.0 / n}}
 
 
-def _build_affine(n: int, a: float, b: float) -> FlowFunctional:
+def _build_affine(n: int, a: float, b: float) -> dict:
     if a == 0.0 and b == 0.0:
         raise ValueError("affine functional needs a != 0 or b != 0")
-    return _pad(lambda tau: a * tau[..., 0] / n + b, n)
+    return {0: {_mono(n, 1): a / n, _mono(n): b}}
 
 
-FUNCTIONALS: dict[str, Callable[..., FlowFunctional]] = {
+FUNCTIONALS: dict[str, Callable[..., dict]] = {
     "b1": _build_b1,                        # psi(lam) = lam
     "tau1_minus_c": _build_tau1_minus_c,    # psi(lam) = n lam - c
     "ext_ricci": _build_ext_ricci,          # psi(lam) = (2 - 2n) lam^2
@@ -148,7 +174,9 @@ def make_functional(name: str, n: int, params: dict | None = None) -> FlowFuncti
         )
     if n < 1:
         raise ValueError("leaf dimension n must be >= 1")
-    return FUNCTIONALS[name](n, **read_params(PARAMS["functional"][name], params or {}))
+    table = FUNCTIONALS[name](n, **read_params(PARAMS["functional"][name], params or {}))
+    f = tuple(_polynomial(table.get(j, {})) for j in range(n))
+    return FlowFunctional(n, f, _psi_coeffs(n, table))
 
 
 def make_initial(spec: dict, length: float) -> Callable[[np.ndarray], np.ndarray]:

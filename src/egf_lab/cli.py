@@ -274,17 +274,27 @@ TABLES = {
                    "domain_min": Key(float, 2.0), "domain_max": Key(float, 6.0)},
 }
 SCENARIO = Key(str, allowed=tuple(TABLES))
+# (lower, upper) key pairs that bound one interval: upper must exceed lower
+INTERVALS = (("domain_min", "domain_max"), ("curve.x0_min", "curve.x0_max"),
+             ("curve.x1_min", "curve.x1_max"))
+# most members one `sweep` command runs (one scenario run each)
+MAX_SWEEP_POINTS = 64
 
 
 def parse_config(config) -> dict:
     """{key path: value} for every key the config's scenario accepts, with
-    defaults filled in.  A malformed or unknown key, or a count beyond the
-    size cap, raises ConfigError; nothing is read from disk or built."""
+    defaults filled in.  A malformed or unknown key, an empty interval, or a
+    count beyond the size cap, raises ConfigError; nothing is read from disk
+    or built."""
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
     table = accepted_keys(config)
     _check_unknown(config, "", table)
     values = {path: _read(config, path, key) for path, key in table.items()}
+    for lo, hi in INTERVALS:
+        if lo in values and not values[hi] > values[lo]:
+            raise ConfigError(f"{hi}: must exceed {lo} ({values[lo]!r}), "
+                              f"got {values[hi]!r}")
     _check_sizes(values)
     return values
 
@@ -730,8 +740,9 @@ def _cmd_sweep(args) -> int:
     base = _load_config(args.config)
     cfg = parse_config(base)
     _check_sweep(cfg, args.axis)
-    if args.points < 1:
-        raise ConfigError(f"--points: must be >= 1, got {args.points}")
+    if not 1 <= args.points <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"--points: must be in [1, {MAX_SWEEP_POINTS}], "
+                          f"got {args.points}")
     if args.axis == "ds":
         grid = cfg["numerics.grid"]
         key, values = "grid", [grid * 2 ** i for i in range(args.points)]
@@ -741,6 +752,9 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise ConfigError(f"--values: expected comma-separated numbers, "
                               f"got {args.values!r}") from None
+        if len(values) > MAX_SWEEP_POINTS:
+            raise ConfigError(f"--values: at most {MAX_SWEEP_POINTS} values, "
+                              f"got {len(values)}")
     else:
         key, values = "cfl", list(np.linspace(0.2, 1.0, args.points))
     variants = [json.loads(json.dumps(base)) for _ in values]

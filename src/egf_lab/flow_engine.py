@@ -202,12 +202,12 @@ class StepControl:
 
 
 def _neighbors(u: np.ndarray, periodic: bool):
-    """Left/right neighbors along axis 0; transmissive edges use constant
-    extrapolation."""
+    """Left/right neighbors along the last axis (the grid); transmissive edges
+    use constant extrapolation."""
     if periodic:
-        return np.roll(u, 1, axis=0), np.roll(u, -1, axis=0)
-    left = np.concatenate(([u[0]], u[:-1]))
-    right = np.concatenate((u[1:], [u[-1]]))
+        return np.roll(u, 1, axis=-1), np.roll(u, -1, axis=-1)
+    left = np.concatenate((u[..., :1], u[..., :-1]), axis=-1)
+    right = np.concatenate((u[..., 1:], u[..., -1:]), axis=-1)
     return left, right
 
 
@@ -430,36 +430,45 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     m_top = max(n, 2 * n - 2)
     taux = power_sums_with_tau0(tau, n, m_top)  # (G, m_top+1), index j <-> tau_j
     fvals = F.evaluate(tau)  # (G, n)
+    # one grid row per differenced node function, each differenced once:
+    # f_0..f_{n-1}, then tau_0..tau_m_top (tx[j] is tau_j)
+    rows = np.concatenate([fvals.T, taux.T])
+    f, tx = rows[:n], rows[n:]
 
     # advection coefficients i j f_j / (2(i+j-1)) of equation i: their sum
     # sets the upwind bias, the sum of their moduli the CFL speed
+    eq = np.arange(1, n + 1)[:, None]
     signs = np.zeros((n, tau.shape[0]))
     speeds = np.zeros((n, tau.shape[0]))
-    for i in range(1, n + 1):
-        for j in range(1, n):
-            coef = i * j * fvals[:, j] / (2.0 * (i + j - 1))
-            signs[i - 1] += coef
-            speeds[i - 1] += np.abs(coef)
+    for j in range(1, n):
+        coef = eq * j * f[j] / (2.0 * (eq + j - 1))
+        signs += coef
+        speeds += np.abs(coef)
     dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
 
-    def deriv(u: np.ndarray, eq: int) -> np.ndarray:
-        if ctl.scheme == "upwind":
-            return _upwind_derivative(u, ds, signs[eq - 1], fld.periodic)
-        return _axis_derivative(u, ds, 0, fld.periodic)
-
-    rhs = np.zeros_like(tau)
-    for i in range(1, n + 1):
-        bracket = taux[:, i - 1] * deriv(fvals[:, 0], i)
-        for j in range(1, n):
-            bracket += (j * fvals[:, j] / (i + j - 1)) * deriv(taux[:, i + j - 1], i)
-            bracket += taux[:, i + j - 1] * deriv(fvals[:, j], i)
-        rhs[:, i - 1] = -(i / 2.0) * bracket
-
-    if ctl.scheme == "upwind":
-        tau_new = tau + dt * rhs
+    upwind = ctl.scheme == "upwind"
+    left, right = _neighbors(rows, fld.periodic)
+    if upwind:
+        backward = (rows - left) / ds
+        forward = (right - rows) / ds
     else:
-        left, right = _neighbors(tau, fld.periodic)
-        tau_new = 0.5 * (left + right) + dt * rhs
+        central = _axis_derivative(rows, ds, 1, fld.periodic)
+
+    rhs = np.empty((n, tau.shape[0]))
+    for i in range(1, n + 1):
+        d = np.where(signs[i - 1] >= 0, backward, forward) if upwind else central
+        df, dtau = d[:n], d[n:]
+        bracket = tx[i - 1] * df[0]
+        for j in range(1, n):
+            bracket += (j * f[j] / (i + j - 1)) * dtau[i + j - 1]
+            bracket += tx[i + j - 1] * df[j]
+        rhs[i - 1] = -(i / 2.0) * bracket
+
+    if upwind:
+        tau_new = tau + dt * rhs.T
+    else:  # Lax-Friedrichs: the neighbor average of tau_1..tau_n
+        own = slice(n + 1, 2 * n + 1)
+        tau_new = (0.5 * (left[own] + right[own]) + dt * rhs).T
 
     if not np.all(np.isfinite(tau_new)):
         raise FlowBlowUpError("non-finite power sums", fld.t)

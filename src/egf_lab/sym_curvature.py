@@ -112,11 +112,14 @@ class FlowFunctional:
 
     Each callback receives the tau-vector as an ndarray whose final axis has
     length n (tau[..., j] is tau_{j+1}) and must evaluate elementwise over any
-    leading axes.
+    leading axes.  ``psi_coeffs`` holds psi's coefficients in lam, lowest power
+    first, when every f_j is a polynomial in tau (the catalog functionals);
+    psi_of_lambda then evaluates psi by Horner instead of through the callbacks.
     """
 
     n: int
     f: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    psi_coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -226,13 +229,20 @@ def psi_of_lambda(F: FlowFunctional, lam):
     """Scalar flow speed of the umbilical reduction.
 
     psi(lam) = sum_j f_j(n lam, n lam^2, ..., n lam^n) lam^j.  Vectorized over
-    ``lam`` of any shape.
+    ``lam`` of any shape.  A functional with ``psi_coeffs`` is evaluated by
+    Horner; one given only by callbacks through the sum above.
     """
     lam = np.asarray(lam, dtype=float)
-    tau = umbilical_tau(F.n, lam)
-    coeffs = F.evaluate(tau)
-    lam_pows = np.stack([lam ** j for j in range(F.n)], axis=-1)
-    out = np.sum(coeffs * lam_pows, axis=-1)
+    if F.psi_coeffs is not None:
+        out = np.full(lam.shape, F.psi_coeffs[-1])
+        for c in F.psi_coeffs[-2::-1]:
+            out *= lam
+            out += c
+    else:
+        tau = umbilical_tau(F.n, lam)
+        coeffs = F.evaluate(tau)
+        lam_pows = np.stack([lam ** j for j in range(F.n)], axis=-1)
+        out = np.sum(coeffs * lam_pows, axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -14,8 +14,15 @@ from itertools import permutations
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from egf_lab.flow_engine import (
+    FlowBlowUpError,
+    StepControl,
+    TauField,
+    _axis_derivative,
+    _pick_dt,
+)
 from egf_lab.revolution_geometry import RevolutionProfile
-from egf_lab.sym_curvature import psi_of_lambda
+from egf_lab.sym_curvature import power_sums_with_tau0, psi_of_lambda
 
 
 def direct_power_sums(k, m):
@@ -320,3 +327,74 @@ def reparameterize_arclength(p: RevolutionProfile) -> RevolutionProfile:
         spl_x1(s_new, 1),
         p.provenance,
     )
+
+
+def _neighbors_rows(u, periodic):
+    """Left/right neighbors along axis 0; transmissive edges repeat the edge."""
+    if periodic:
+        return np.roll(u, 1, axis=0), np.roll(u, -1, axis=0)
+    return (np.concatenate(([u[0]], u[:-1])), np.concatenate((u[1:], [u[-1]])))
+
+
+def _upwind_derivative(u, ds, speed, periodic):
+    left, right = _neighbors_rows(u, periodic)
+    return np.where(speed >= 0, (u - left) / ds, (right - u) / ds)
+
+
+def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
+    """flow_engine.step_tau_system as one `deriv` call (two rolls) per
+    differenced term: the reference the one-pass step must match bit for bit.
+
+    d tau_i/dt = -(i/2) [ tau_{i-1} d_s f_0
+                          + sum_j ( j f_j / (i+j-1) d_s tau_{i+j-1}
+                                    + tau_{i+j-1} d_s f_j ) ]
+    Power sums above index n come from the Newton extension of the node
+    values; tau_0 = n stays constant.  Derivatives of the coefficient
+    functions are finite differences of their node-wise evaluations.
+    """
+    if F.n != fld.n:
+        raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
+    n = fld.n
+    tau = fld.tau
+    ds = fld.ds
+    remaining = ctl.t_end - fld.t
+    if remaining <= 0:
+        raise ValueError("field is already at or beyond t_end")
+
+    m_top = max(n, 2 * n - 2)
+    taux = power_sums_with_tau0(tau, n, m_top)  # (G, m_top+1), index j <-> tau_j
+    fvals = F.evaluate(tau)  # (G, n)
+
+    # advection coefficients i j f_j / (2(i+j-1)) of equation i: their sum
+    # sets the upwind bias, the sum of their moduli the CFL speed
+    signs = np.zeros((n, tau.shape[0]))
+    speeds = np.zeros((n, tau.shape[0]))
+    for i in range(1, n + 1):
+        for j in range(1, n):
+            coef = i * j * fvals[:, j] / (2.0 * (i + j - 1))
+            signs[i - 1] += coef
+            speeds[i - 1] += np.abs(coef)
+    dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
+
+    def deriv(u: np.ndarray, eq: int) -> np.ndarray:
+        if ctl.scheme == "upwind":
+            return _upwind_derivative(u, ds, signs[eq - 1], fld.periodic)
+        return _axis_derivative(u, ds, 0, fld.periodic)
+
+    rhs = np.zeros_like(tau)
+    for i in range(1, n + 1):
+        bracket = taux[:, i - 1] * deriv(fvals[:, 0], i)
+        for j in range(1, n):
+            bracket += (j * fvals[:, j] / (i + j - 1)) * deriv(taux[:, i + j - 1], i)
+            bracket += taux[:, i + j - 1] * deriv(fvals[:, j], i)
+        rhs[:, i - 1] = -(i / 2.0) * bracket
+
+    if ctl.scheme == "upwind":
+        tau_new = tau + dt * rhs
+    else:
+        left, right = _neighbors_rows(tau, fld.periodic)
+        tau_new = 0.5 * (left + right) + dt * rhs
+
+    if not np.all(np.isfinite(tau_new)):
+        raise FlowBlowUpError("non-finite power sums", fld.t)
+    return TauField(fld.s, tau_new, fld.boundary, fld.t + dt)

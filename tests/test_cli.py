@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -186,6 +189,8 @@ MALFORMED = [
     (SOLITON, "numerics.length", math.inf, "numerics.length"),
     (BIREGULAR, "numerics.length0", 0, "numerics.length0"),
     (BIREGULAR, "numerics.length1", -0.5, "numerics.length1"),
+    (CONE, "domain_max", 1.0, "domain_max: must exceed domain_min (2.0), got 1.0"),
+    (REVOLUTION, "curve.x0_max", 1.0, "curve.x0_max: must exceed curve.x0_min"),
 ]
 
 
@@ -293,6 +298,19 @@ class TestConfigTable:
         with pytest.raises(ConfigError) as err:
             parse_config(cfg)
         assert str(err.value).startswith(key), str(err.value)
+
+    @pytest.mark.parametrize("base,lo,hi", [
+        (CONE, "domain_min", "domain_max"),
+        (REVOLUTION, "curve.x0_min", "curve.x0_max"),
+        ({"scenario": "revolution", "curve": {"kind": "constant_lambda"}},
+         "curve.x1_min", "curve.x1_max"),
+    ])
+    @pytest.mark.parametrize("upper", [1.0, 1.5, math.nan])
+    def test_empty_interval_names_both_keys(self, base, lo, hi, upper):
+        cfg = _set(_set(json.loads(json.dumps(base)), lo, 1.5), hi, upper)
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert str(err.value) == f"{hi}: must exceed {lo} (1.5), got {upper!r}"
 
     def test_sizes_at_the_cap_pass(self):
         parsed = parse_config(_set(umbilical_config(grid=2 ** 12), "n", 2 ** 12))
@@ -563,7 +581,22 @@ class TestSweep:
         assert aggregate["largest_stable_cfl"] == pytest.approx(1.0)
 
 
+POINTS_BOUND = "config error: --points: must be in [1, 64]"
+
+
 class TestCommandLine:
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency only; `import egf_lab.cli` is the start-up cost
+        code = ("import sys, egf_lab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_run_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(umbilical_config(grid=64, t_end=0.25)))
@@ -618,10 +651,14 @@ class TestCommandLine:
             assert report["error"] == "config: expected a JSON object"
 
     @pytest.mark.parametrize("flags,message", [
-        (["--axis", "ds", "--points", "0"], "config error: --points: must be >= 1"),
-        (["--axis", "cfl", "--points", "0"], "config error: --points: must be >= 1"),
+        (["--axis", "ds", "--points", "0"], POINTS_BOUND),
+        (["--axis", "cfl", "--points", "0"], POINTS_BOUND),
         (["--axis", "cfl", "--values", "abc"], "config error: --values: expected "),
         (["--axis", "cfl", "--values", "0.5,x"], "config error: --values: expected "),
+        (["--axis", "ds", "--points", "65"], POINTS_BOUND),
+        (["--axis", "cfl", "--points", "10000000"], POINTS_BOUND),
+        (["--axis", "cfl", "--values", ",".join(["0.5"] * 65)],
+         "config error: --values: at most 64 values, got 65"),
     ])
     def test_sweep_flag_errors_exit_2(self, tmp_path, capsys, flags, message):
         cfg_path = tmp_path / "cfg.json"

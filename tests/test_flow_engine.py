@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from egf_lab.catalog import make_functional
 from egf_lab.flow_engine import (
     BoundedProgressError,
     FlowBlowUpError,
@@ -20,7 +21,7 @@ from egf_lab.flow_engine import (
 )
 from egf_lab.sym_curvature import FlowFunctional, psi_of_lambda
 
-from oracles import FlowHistory, evolve_warping
+from oracles import FlowHistory, evolve_warping, step_tau_system_reference
 from test_sym_curvature import functional_b1, functional_tau1_minus_c
 
 
@@ -40,6 +41,19 @@ def functional_affine(n, a, b):
         (lambda tau: np.zeros(tau.shape[:-1])) for _ in range(n - 1)
     ]
     return FlowFunctional(n, tuple(f))
+
+
+# every catalog functional, with parameters where it takes any
+CATALOG_CASES = [("b1", {}), ("tau1_minus_c", {"c": 0.3}), ("ext_ricci", {}),
+                 ("umbilical_square", {}), ("affine", {"a": 0.7, "b": -0.2})]
+
+
+def dense_functional(n):
+    """Every f_j varies with tau: no term of the tau system's bracket is zero,
+    so the order in which the terms are added shows in the bytes."""
+    return FlowFunctional(n, tuple(
+        (lambda tau, j=j: 0.1 * (j + 1) * tau[..., 0] + 0.05 * tau[..., -1])
+        for j in range(n)))
 
 
 def sine_profile(grid=128, length=1.0, amplitude=1.0, mean=0.0):
@@ -343,6 +357,26 @@ class TestTauSystem:
         )
         out = evolve_tau(fld, F, StepControl(t_end=0.25, scheme="lax_friedrichs"))
         assert np.all(np.isfinite(out.tau))
+
+    @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
+    @pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+    @pytest.mark.parametrize("name,params,n", [
+        (name, params, n) for name, params in CATALOG_CASES + [("dense", None)]
+        for n in (1, 2, 3, 4) if not (name == "ext_ricci" and n < 2)
+    ])
+    def test_one_pass_step_matches_reference_bytes(self, scheme, boundary, name,
+                                                    params, n):
+        F = dense_functional(n) if name == "dense" else make_functional(name, n, params)
+        fld = ref = TauField.from_umbilical(
+            lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s), n, 64, 1.0, boundary
+        )
+        for _ in range(3):
+            # a horizon 0.01 ahead: three real steps even where no speed bounds dt
+            ctl = StepControl(t_end=fld.t + 0.01, cfl=0.5, scheme=scheme)
+            fld = step_tau_system(fld, F, ctl)
+            ref = step_tau_system_reference(ref, F, ctl)
+            assert fld.t == ref.t
+            assert np.array_equal(fld.tau, ref.tau)
 
     def test_dimension_mismatch(self):
         F = functional_b1(2)

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from egf_lab.catalog import PARAMS, make_functional
 from egf_lab.sym_curvature import (
     FlowFunctional,
     PrincipalCurvatureSpectrum,
@@ -216,6 +219,56 @@ class TestPsiAndH:
     def test_functional_all_zero_rejected(self):
         with pytest.raises(ValueError, match="vanish"):
             FlowFunctional(2, (lambda t: 0.0, lambda t: 0.0))
+
+
+# psi of each catalog functional as written next to catalog.FUNCTIONALS
+CLOSED_FORMS = {
+    "b1": lambda n, p, lam: lam,
+    "tau1_minus_c": lambda n, p, lam: n * lam - p["c"],
+    "ext_ricci": lambda n, p, lam: (2 - 2 * n) * lam ** 2,
+    "umbilical_square": lambda n, p, lam: lam ** 2,
+    "affine": lambda n, p, lam: p["a"] * lam + p["b"],
+}
+
+
+def moderate():
+    """Floats in [-4, 4] that are 0 or at least 1e-100 in modulus, so the
+    products the paths form (up to lam^2 times a parameter) stay normal."""
+    return st.floats(-4.0, 4.0).filter(lambda x: x == 0 or abs(x) >= 1e-100)
+
+
+@st.composite
+def catalog_psi_case(draw):
+    name = draw(st.sampled_from(sorted(CLOSED_FORMS)))
+    n = draw(st.integers(2 if name == "ext_ricci" else 1, 6))
+    params = {key: draw(moderate()) for key in PARAMS["functional"][name]}
+    lam = np.array(draw(st.lists(moderate(), min_size=1, max_size=16)) + [0.0])
+    return name, n, params, lam
+
+
+class TestHornerPsi:
+    """A table-built functional's Horner psi against the composition through
+    its own callbacks and against the closed form."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(case=catalog_psi_case())
+    def test_matches_composition_and_closed_form(self, case):
+        name, n, params, lam = case
+        assume(name != "affine" or params["a"] != 0 or params["b"] != 0)
+        F = make_functional(name, n, params)
+        composed = FlowFunctional(n, F.f)  # the same callbacks, no coefficients
+        horner = psi_of_lambda(F, lam)
+        via_tau = psi_of_lambda(composed, lam)
+        terms = composed.evaluate(umbilical_tau(n, lam)) * (
+            lam[:, None] ** np.arange(n))
+        powers = np.abs(np.asarray(F.psi_coeffs)) * (
+            np.abs(lam)[:, None] ** np.arange(len(F.psi_coeffs)))
+        ulp = np.spacing(np.maximum(np.sum(np.abs(terms), axis=1),
+                                    np.sum(powers, axis=1)))
+        assert np.all(np.abs(horner - via_tau) <= 4 * ulp)
+        assert np.all(np.abs(horner - CLOSED_FORMS[name](n, params, lam)) <= 4 * ulp)
+        if n == 2 or name == "b1":
+            assert np.array_equal(horner, via_tau)
 
 
 class TestConformalShift:
