@@ -14,6 +14,7 @@ accept a value of the wrong JSON type.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Callable
 
@@ -40,6 +41,14 @@ def as_float(value) -> float:
     raise ValueError(value)
 
 
+def as_finite(value) -> float:
+    """finite number"""
+    v = as_float(value)
+    if not math.isfinite(v):
+        raise ValueError(value)
+    return v
+
+
 def as_bool(value) -> bool:
     """A JSON true/false; strings and numbers are refused."""
     if isinstance(value, bool):
@@ -59,12 +68,18 @@ def as_str(value) -> str:
 STRICT_CASTS = {int: as_int, float: as_float, bool: as_bool, str: as_str}
 
 
+def expects(cast) -> str:
+    """What a cast accepts, for error messages: a builtin's name, else the
+    custom cast's docstring."""
+    return cast.__name__ if cast in STRICT_CASTS else cast.__doc__
+
+
 def strict_cast(key: str, value, cast):
     """value through its strict cast (other casts as given); errors name key."""
     try:
         return STRICT_CASTS.get(cast, cast)(value)
     except (TypeError, ValueError, OverflowError):  # an int beyond float range
-        raise ValueError(f"{key}: expected {cast.__name__}, got {value!r}") from None
+        raise ValueError(f"{key}: expected {expects(cast)}, got {value!r}") from None
 
 
 def read_params(table: dict, spec: dict) -> dict:
@@ -78,13 +93,15 @@ def read_params(table: dict, spec: dict) -> dict:
 # key -> (cast, default)
 PARAMS = {
     "functional": {
-        "b1": {}, "tau1_minus_c": {"c": (float, 0.0)}, "ext_ricci": {},
-        "umbilical_square": {}, "affine": {"a": (float, 1.0), "b": (float, 0.0)},
+        "b1": {}, "tau1_minus_c": {"c": (as_finite, 0.0)}, "ext_ricci": {},
+        "umbilical_square": {},
+        "affine": {"a": (as_finite, 1.0), "b": (as_finite, 0.0)},
     },
     "initial": {
-        "constant": {"value": (float, 0.0)},
-        "sine": {"amplitude": (float, 1.0), "mean": (float, 0.0), "periods": (int, 1)},
-        "random_fourier": {"amplitude": (float, 1.0), "modes": (int, 3),
+        "constant": {"value": (as_finite, 0.0)},
+        "sine": {"amplitude": (as_finite, 1.0), "mean": (as_finite, 0.0),
+                 "periods": (int, 1)},
+        "random_fourier": {"amplitude": (as_finite, 1.0), "modes": (int, 3),
                            "seed": (int, 0)},
     },
 }

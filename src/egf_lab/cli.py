@@ -30,8 +30,9 @@ from .catalog import (
     BIREGULAR_METRICS,
     PARAMS,
     STRICT_CASTS,
+    as_finite,
     as_float,
-    as_int,
+    expects,
     make_functional,
     make_initial,
 )
@@ -97,30 +98,63 @@ class ConfigError(ValueError):
 _CHUNK_ROWS = 4096
 
 
-def _write_rows(fh, columns, sep: str) -> None:
+def _lines(columns, sep: str) -> str:
+    """One line per row of equal-length 1-D columns (see _write_rows)."""
+    formats = ["%s" if c.dtype == object
+               else "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
+               for c in columns]
+    rows, width = len(columns[0]), len(columns)
+    values = [None] * (rows * width)  # the columns interleaved row by row
+    for j, c in enumerate(columns):
+        values[j::width] = c.tolist()
+    return (sep.join(formats) + "\n") * rows % tuple(values)
+
+
+def _split(lines: str) -> np.ndarray:
+    """A text column (object array of str) with one row per line of lines."""
+    return np.array(lines.split("\n")[:-1], dtype=object)
+
+
+def _text(values) -> np.ndarray:
+    """A text column of each value's ``%.17g`` string.
+
+    A key repeated over many rows is formatted once here and written as text.
+    """
+    return _split(_lines([np.asarray(values, dtype=float).ravel()], ""))
+
+
+def _write_rows(fh, columns, sep: str, tee=None) -> None:
     """Write a sequence of 1-D columns (``table.T`` of a 2-D array), one line
-    per row.
+    per row, in chunks of _CHUNK_ROWS rows.
 
     Floats are written as ``%.17g`` (the same bytes as ``format(v, ".17g")``,
-    non-finite values included); integer-typed columns as ``%d``, exact for
-    |n| < 2**53.
+    non-finite values included); integer-typed columns as ``%d``; text columns
+    (object arrays of str, see _text) verbatim.
+    With ``tee`` a file, the first two columns also go there, space-separated;
+    each chunk of those lines, with ``sep`` for the space, is then one text
+    column of ``fh``, so those values are formatted once for both files.
     """
     columns = [np.asarray(c) for c in columns]
-    formats = [
-        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
-    ]
-    block = np.column_stack(columns).astype(float, copy=False)
-    line = sep.join(formats) + "\n"
-    for start in range(0, block.shape[0], _CHUNK_ROWS):
-        chunk = block[start:start + _CHUNK_ROWS]
-        fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
+        if tee is not None:
+            lines = _lines(chunk[:2], " ")
+            tee.write(lines)
+            chunk[:2] = [_split(lines.replace(" ", sep))]
+        fh.write(_lines(chunk, sep))
 
 
-def write_csv(path: Path, header: list[str], columns) -> None:
-    """Header line plus one CSV line per row of ``columns`` (see _write_rows)."""
+def write_csv(path: Path, header: list[str], columns, tee: Path | None = None) -> None:
+    """Header line plus one CSV line per row of ``columns`` (see _write_rows);
+    with ``tee`` a path, the first two columns also go there, space-separated
+    and without a header (gnuplot's data format)."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        _write_rows(fh, columns, ",")
+        if tee is None:
+            _write_rows(fh, columns, ",")
+            return
+        with open(tee, "w", newline="") as tee_fh:
+            _write_rows(fh, columns, ",", tee_fh)
 
 
 def _jsonable(obj):
@@ -170,16 +204,16 @@ def number_or_auto(value):
 
 def direction(value) -> list[float]:
     """2 or 3 finite numbers"""
-    v = [as_float(c) for c in value] if isinstance(value, list) else []
-    if len(v) not in (2, 3) or not np.isfinite(v).all():
+    v = [as_finite(c) for c in value] if isinstance(value, list) else []
+    if len(v) not in (2, 3):
         raise ValueError(value)
     return v
 
 
 def positive(value) -> float:
     """positive finite number"""
-    v = as_float(value)
-    if not (math.isfinite(v) and v > 0):
+    v = as_finite(value)
+    if not v > 0:
         raise ValueError(value)
     return v
 
@@ -279,6 +313,13 @@ INTERVALS = (("domain_min", "domain_max"), ("curve.x0_min", "curve.x0_max"),
              ("curve.x1_min", "curve.x1_max"))
 # most members one `sweep` command runs (one scenario run each)
 MAX_SWEEP_POINTS = 64
+# bytes of (t, lam, phi) snapshots an umbilical flow may buffer for
+# timeseries.csv, counted as 16 per node plus SNAPSHOT_OVERHEAD per snapshot
+SNAPSHOT_BUDGET = 2 ** 28
+# bytes a snapshot holds beside its lam and phi data: its tuple, t, the two
+# array headers and its list slot (a stride-1 march grows by 380-394 bytes
+# per snapshot beyond the data, measured with tracemalloc on CPython 3.11)
+SNAPSHOT_OVERHEAD = 400
 
 
 def parse_config(config) -> dict:
@@ -322,8 +363,8 @@ def _read(config: dict, path: str, key: Key):
     except ConfigError:  # names its own row
         raise
     except (TypeError, ValueError, OverflowError):  # an int beyond float range
-        expects = key.cast.__name__ if key.cast in STRICT_CASTS else key.cast.__doc__
-        raise ConfigError(f"{label}: expected {expects}, got {node!r}") from None
+        raise ConfigError(f"{label}: expected {expects(key.cast)}, "
+                          f"got {node!r}") from None
     if key.allowed is not None and value not in key.allowed:
         if isinstance(key.allowed, range):
             raise ConfigError(f"{label}: must lie in [{key.allowed.start}, "
@@ -402,17 +443,21 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
     F, ctl, lam0 = _functional(cfg), _control(cfg), _initial(cfg)
     length, boundary = cfg["numerics.length"], cfg["numerics.boundary"]
     p0 = UmbilicalProfile.from_function(lam0, cfg["numerics.grid"], length, boundary)
-    blocks: list[np.ndarray] = []
+    snaps: list[tuple[float, np.ndarray, np.ndarray]] = []  # (t, lam, phi)
+    snap_bytes = 16 * p0.s.size + SNAPSHOT_OVERHEAD
 
     def on_snapshot(prof: UmbilicalProfile):
-        blocks.append(
-            np.column_stack((np.full(prof.s.shape, prof.t), prof.s, prof.lam, prof.phi))
-        )
+        if (len(snaps) + 1) * snap_bytes > SNAPSHOT_BUDGET:
+            raise ConfigError(
+                f"output.snapshot_stride: snapshot {len(snaps) + 1} (t = {prof.t:.6g}) "
+                f"would exceed the {SNAPSHOT_BUDGET}-byte buffer of {snap_bytes} "
+                f"bytes each; raise the stride")
+        snaps.append((prof.t, prof.lam, prof.phi))  # a step never writes into them
 
     stride = max(1, cfg["output.snapshot_stride"])
     final = evolve_umbilical(p0, F, ctl, record_every=stride, on_snapshot=on_snapshot)
 
-    results = {"final_time": final.t, "steps_recorded": len(blocks),
+    results = {"final_time": final.t, "steps_recorded": len(snaps),
                "lambda_min": float(np.min(final.lam)),
                "lambda_max": float(np.max(final.lam)), "oracle_sup_error": None}
     if boundary == "periodic":
@@ -422,7 +467,10 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
         except ShockError as exc:
             results["oracle_note"] = str(exc)
     files = [outdir / "timeseries.csv"]
-    write_csv(files[0], ["t", "s", "lambda", "phi"], np.concatenate(blocks).T)
+    t, lam, phi = zip(*snaps)
+    write_csv(files[0], ["t", "s", "lambda", "phi"],
+              (np.repeat(_text(t), p0.s.size), np.tile(_text(p0.s), len(t)),
+               np.concatenate(lam), np.concatenate(phi)))
     return results, files
 
 
@@ -476,9 +524,10 @@ def run_biregular_check(cfg: dict, outdir: Path):
     rep = check_biregular_surface(grid, F, cfg["eps"])
 
     lam = biregular_normal_curvature(grid)
-    x0, x1 = np.meshgrid(grid.x0, grid.x1, indexing="ij")
     files = [outdir / "curvature.csv"]
-    write_csv(files[0], ["x0", "x1", "lambda"], (x0.ravel(), x1.ravel(), lam.ravel()))
+    write_csv(files[0], ["x0", "x1", "lambda"],
+              (np.repeat(_text(grid.x0), grid.x1.size),
+               np.tile(_text(grid.x1), grid.x0.size), lam.ravel()))
     return {k: v for k, v in asdict(rep).items() if k != "n_lambda_norm"}, files
 
 
@@ -554,8 +603,10 @@ def run_revolution(cfg: dict, outdir: Path):
     lam = fp / (profile.x1 * np.sqrt(1.0 + fp ** 2))
 
     files = [outdir / "profile.csv"]
+    gp = outdir / "profile.dat" if cfg["output.gnuplot"] else None
     write_csv(files[0], ["x0", "x1", "g00", "g11", "lambda", "K_formula", "K_oracle"],
-              (profile.x0, profile.x1, g00, g11, lam, cmp.formula, cmp.oracle))
+              (profile.x0, profile.x1, g00, g11, lam, cmp.formula, cmp.oracle), tee=gp)
+    files += [gp] if gp else []
     results = {
         "provenance": profile.provenance,
         "curvature_max_abs_diff": cmp.max_abs_diff,
@@ -569,11 +620,6 @@ def run_revolution(cfg: dict, outdir: Path):
         results["closed_form_sup_error"] = float(
             np.max(np.abs(profile.x0 - closed_form_gamma(profile.x1, C)))
         )
-    if cfg["output.gnuplot"]:
-        gp = outdir / "profile.dat"
-        with open(gp, "w", newline="") as fh:
-            _write_rows(fh, (profile.x0, profile.x1), " ")
-        files.append(gp)
     return results, files
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egf_lab import cli
+from egf_lab.catalog import BIREGULAR_METRICS, as_finite
 from egf_lab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -27,6 +29,14 @@ from egf_lab.cli import (
     sweep_configs,
     write_csv,
 )
+from egf_lab.flow_engine import UmbilicalProfile, evolve_umbilical
+from egf_lab.revolution_geometry import (
+    integrate_constant_lambda,
+    profile_metric,
+    sectional_curvature_formula,
+    sectional_curvature_profile,
+)
+from egf_lab.soliton_lab import BiregularGrid, biregular_normal_curvature
 
 from oracles import write_csv_reference
 
@@ -158,6 +168,8 @@ RESONANT = {"scenario": "cohomology", "v": [1, 0.5], "K": 3,
             "h": {"modes": [[1, -2, 1, 0]]}}
 CONE = {"scenario": "cone-check", "numerics": {"grid": 64}}
 AFFINE_FLOW = _set(umbilical_config(), "functional", {"name": "affine"})
+SHIFTED_FLOW = _set(umbilical_config(), "functional", {"name": "tau1_minus_c"})
+FOURIER_FLOW = _set(umbilical_config(), "initial", {"kind": "random_fourier"})
 
 # (valid base config, key path, malformed value, start of the error message)
 MALFORMED = [
@@ -170,6 +182,17 @@ MALFORMED = [
     (umbilical_config(), "initial.amplitude", None, "initial: amplitude"),
     (umbilical_config(), "initial.periods", 1.7, "initial: periods"),
     (SOLITON, "initial.value", "1.3", "initial: value"),
+    # catalog parameters are finite: NaN and infinities name their key
+    (SHIFTED_FLOW, "functional.c", math.nan, "functional: c"),
+    (AFFINE_FLOW, "functional.a", math.inf, "functional: a"),
+    (AFFINE_FLOW, "functional.a", math.nan, "functional: a"),
+    (AFFINE_FLOW, "functional.b", -math.inf, "functional: b"),
+    (SOLITON, "initial.value", math.nan, "initial: value"),
+    (SOLITON, "initial.value", math.inf, "initial: value"),
+    (umbilical_config(), "initial.amplitude", math.inf, "initial: amplitude"),
+    (umbilical_config(), "initial.mean", math.nan, "initial: mean"),
+    (umbilical_config(), "initial.mean", -math.inf, "initial: mean"),
+    (FOURIER_FLOW, "initial.amplitude", math.nan, "initial: amplitude"),
     (COHOMOLOGY, "v", [1, None], "v"),
     (COHOMOLOGY, "v", [1, "a"], "v"),
     (COHOMOLOGY, "v", [1.0], "v"),
@@ -353,6 +376,99 @@ class TestCsvWriter:
     def test_empty_table_writes_header_only(self, tmp_path):
         write_csv(tmp_path / "empty.csv", ["a", "b"], (np.array([]), np.array([])))
         assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(data=st.data(), rows=st.integers(0, 23),
+           kinds=st.lists(st.sampled_from(["text", "float", "int"]),
+                          min_size=1, max_size=5),
+           tee=st.booleans())
+    def test_text_columns_match_reference(self, data, rows, kinds, tee):
+        # chunks of 4 rows: up to six chunks, the last one partial
+        values = [np.array(data.draw(st.lists(
+            st.sampled_from(self.EDGE_FLOATS) if kind != "int"
+            else st.integers(-(2 ** 53) + 1, 2 ** 53 - 1),
+            min_size=rows, max_size=rows)), dtype=int if kind == "int" else float)
+            for kind in kinds]
+        columns = [cli._text(v) if kind == "text" else v
+                   for kind, v in zip(kinds, values)]
+        tee = tee and len(kinds) >= 2
+        header = [f"c{j}" for j in range(len(kinds))]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            with mock.patch.object(cli, "_CHUNK_ROWS", 4):
+                write_csv(tmp / "chunked.csv", header, columns,
+                          tee=tmp / "chunked.dat" if tee else None)
+            listed = [v.tolist() for v in values]
+            write_csv_reference(tmp / "reference.csv", header, zip(*listed))
+            assert (tmp / "chunked.csv").read_bytes() == (
+                tmp / "reference.csv").read_bytes()
+            if tee:
+                write_csv_reference(tmp / "reference.dat", None, zip(*listed[:2]),
+                                    sep=" ")
+                assert (tmp / "chunked.dat").read_bytes() == (
+                    tmp / "reference.dat").read_bytes()
+
+    def test_scenario_tables_match_reference_rendering(self, tmp_path):
+        """The text-keyed tables, each against its per-value rendering from
+        data recomputed through the library."""
+        flow = umbilical_config(grid=64, t_end=0.5, boundary="transmissive")
+        flow["output"]["snapshot_stride"] = 1
+        bireg = json.loads(json.dumps(BIREGULAR))
+        revol = {"scenario": "revolution", "output": {"gnuplot": True}, "curve": {
+            "kind": "constant_lambda", "x1_max": 2.0, "step": 2.5e-4}}
+        for name, cfg in (("flow", flow), ("bireg", bireg), ("revol", revol)):
+            assert run(cfg, tmp_path / name, quiet=True)[1] == EXIT_OK
+
+        cfg = parse_config(flow)
+        rows = []
+        evolve_umbilical(
+            UmbilicalProfile.from_function(cli._initial(cfg), 64, 1.0, "transmissive"),
+            cli._functional(cfg), cli._control(cfg), record_every=1,
+            on_snapshot=lambda q: rows.extend(
+                (q.t, s, lam, phi) for s, lam, phi in zip(q.s, q.lam, q.phi)))
+        assert len(rows) > 64 * 10  # ten snapshots or more
+        tables = {"flow/timeseries.csv": (["t", "s", "lambda", "phi"], rows)}
+
+        g00, g11, periodic0 = BIREGULAR_METRICS["exp_x0"]
+        grid = BiregularGrid.from_functions(g00, g11, shape=(16, 16),
+                                            lengths=(1.0, 1.0), periodic0=periodic0)
+        lam = biregular_normal_curvature(grid)
+        tables["bireg/curvature.csv"] = (["x0", "x1", "lambda"], [
+            (a, b, lam[i, j]) for i, a in enumerate(grid.x0)
+            for j, b in enumerate(grid.x1)])
+
+        prof = integrate_constant_lambda(0.5, 2.0, 2.5e-4, 0.0)
+        cmp = sectional_curvature_profile(prof, sectional_curvature_formula)
+        fp = prof.dx1 / prof.dx0
+        lam = fp / (prof.x1 * np.sqrt(1.0 + fp ** 2))
+        assert prof.x0.size > 4096  # spans two chunks
+        tables["revol/profile.csv"] = (
+            ["x0", "x1", "g00", "g11", "lambda", "K_formula", "K_oracle"],
+            zip(prof.x0, prof.x1, *profile_metric(prof), lam, cmp.formula, cmp.oracle))
+        tables["revol/profile.dat"] = (None, zip(prof.x0, prof.x1))
+
+        for name, (header, table) in tables.items():
+            write_csv_reference(tmp_path / "reference", header, table,
+                                sep=" " if name.endswith(".dat") else ",")
+            assert (tmp_path / name).read_bytes() == (
+                tmp_path / "reference").read_bytes(), name
+
+    @pytest.mark.parametrize("grid", [8, 64])
+    def test_snapshot_buffer_bounded(self, tmp_path, monkeypatch, grid):
+        cfg = umbilical_config(grid=grid, t_end=0.1)
+        cfg["output"]["snapshot_stride"] = 1
+        report, code = run(cfg, tmp_path / "free", quiet=True)
+        assert code == EXIT_OK
+        snapshot = 16 * grid + cli.SNAPSHOT_OVERHEAD  # lam and phi per node
+        snapshots = report["results"]["steps_recorded"]
+        monkeypatch.setattr(cli, "SNAPSHOT_BUDGET", snapshots * snapshot)
+        assert run(cfg, tmp_path / "at_budget", quiet=True)[1] == EXIT_OK
+        monkeypatch.setattr(cli, "SNAPSHOT_BUDGET", snapshots * snapshot - 1)
+        report, code = run(cfg, tmp_path / "over", quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith(
+            f"output.snapshot_stride: snapshot {snapshots} "), report["error"]
+        assert not (tmp_path / "over" / "timeseries.csv").exists()
 
 
 class TestRunScenarios:
@@ -853,6 +969,7 @@ IN_RANGE = {  # valid values of the casts that are not plain JSON types
     cli._modes_from_cfg: st.sampled_from([[], [[0, 0, 1.0, 0.0]],
                                           [[1, -1, 0.5, 0.0], [-1, 1, 0.5, 0.0]]]),
     cli.positive: st.sampled_from([0.5, 1.0, 2.0]),
+    as_finite: st.sampled_from(FLOATS),
     str: st.just("no-such-file.csv"),
     bool: st.booleans(),
     float: st.sampled_from(FLOATS),
