@@ -6,10 +6,10 @@ A flow functional's builder returns its monomial table, the one definition
 from which both its f_j callbacks and psi's coefficients in lam are derived.
 
 The parameters of every named entry sit in one table (PARAMS: key -> cast,
-default), which is also the CLI's config table for the `functional` and
-`initial` blocks.  Values are read through the strict casts defined here,
-which the CLI uses for every config value as well: no cast may be lossy or
-accept a value of the wrong JSON type.
+default and, for an int, its range), which is also the CLI's config table
+for the `functional` and `initial` blocks.  The CLI casts every config value
+once, through the strict casts defined here: no cast may be lossy, accept a
+value of the wrong JSON type, or accept a non-finite number.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cohomology_solver import MAX_GRID_POINTS
 from .sym_curvature import FlowFunctional
 
 
@@ -27,82 +28,66 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+# The strict casts; each one's docstring is what it accepts (see expects).
 def as_int(value) -> int:
-    """An integral JSON number as int; bools and fractional values are refused."""
+    """int"""
     if is_number(value) and (isinstance(value, int) or float(value).is_integer()):
         return int(value)
     raise ValueError(value)
 
 
 def as_float(value) -> float:
-    """A JSON number as float; bools, strings and null are refused."""
-    if is_number(value):
+    """finite number"""
+    if is_number(value) and math.isfinite(value):  # raises OverflowError beyond float
         return float(value)
     raise ValueError(value)
 
 
-def as_finite(value) -> float:
-    """finite number"""
-    v = as_float(value)
-    if not math.isfinite(v):
-        raise ValueError(value)
-    return v
-
-
 def as_bool(value) -> bool:
-    """A JSON true/false; strings and numbers are refused."""
+    """bool"""
     if isinstance(value, bool):
         return value
     raise ValueError(value)
 
 
 def as_str(value) -> str:
-    """A JSON string; numbers, null and the rest are refused."""
+    """str"""
     if isinstance(value, str):
         return value
     raise ValueError(value)
 
 
-# casts that must not be lossy: int(64.9) truncates, float(True) is 1.0,
-# bool("false") is True and str(5) is "5"
+# builtin casts are lossy or lax: int(64.9) truncates, float(True) is 1.0,
+# float("nan") is accepted, bool("false") is True and str(5) is "5"
 STRICT_CASTS = {int: as_int, float: as_float, bool: as_bool, str: as_str}
 
 
 def expects(cast) -> str:
-    """What a cast accepts, for error messages: a builtin's name, else the
-    custom cast's docstring."""
-    return cast.__name__ if cast in STRICT_CASTS else cast.__doc__
-
-
-def strict_cast(key: str, value, cast):
-    """value through its strict cast (other casts as given); errors name key."""
-    try:
-        return STRICT_CASTS.get(cast, cast)(value)
-    except (TypeError, ValueError, OverflowError):  # an int beyond float range
-        raise ValueError(f"{key}: expected {expects(cast)}, got {value!r}") from None
+    """What a cast accepts, for error messages: its strict cast's docstring."""
+    return STRICT_CASTS.get(cast, cast).__doc__
 
 
 def read_params(table: dict, spec: dict) -> dict:
-    """spec's value for each key -> (cast, default) of table, strictly cast;
-    an absent or null key takes its default."""
-    return {key: default if spec.get(key) is None else strict_cast(key, spec[key], cast)
-            for key, (cast, default) in table.items()}
+    """spec's value for each key of table, an absent key taking its default;
+    the values are already cast (the CLI's config parse casts them)."""
+    return {key: spec.get(key, default) for key, (_, default, *_) in table.items()}
 
 
 # parameters of each named functional and initial-data kind, by config block:
-# key -> (cast, default)
+# key -> (cast, default) or, for an int, (cast, default, range of its values)
 PARAMS = {
     "functional": {
-        "b1": {}, "tau1_minus_c": {"c": (as_finite, 0.0)}, "ext_ricci": {},
+        "b1": {}, "tau1_minus_c": {"c": (float, 0.0)}, "ext_ricci": {},
         "umbilical_square": {},
-        "affine": {"a": (as_finite, 1.0), "b": (as_finite, 0.0)},
+        "affine": {"a": (float, 1.0), "b": (float, 0.0)},
     },
     "initial": {
-        "constant": {"value": (as_finite, 0.0)},
-        "sine": {"amplitude": (as_finite, 1.0), "mean": (as_finite, 0.0),
-                 "periods": (int, 1)},
-        "random_fourier": {"amplitude": (as_finite, 1.0), "modes": (int, 3),
-                           "seed": (int, 0)},
+        "constant": {"value": (float, 0.0)},
+        "sine": {"amplitude": (float, 1.0), "mean": (float, 0.0),
+                 "periods": (int, 1, range(-MAX_GRID_POINTS, MAX_GRID_POINTS + 1))},
+        "random_fourier": {"amplitude": (float, 1.0),
+                           "modes": (int, 3, range(MAX_GRID_POINTS + 1)),
+                           "seed": (int, 0, range(2 ** 64))},  # one uint64 word
     },
 }
 

@@ -30,7 +30,6 @@ from .catalog import (
     BIREGULAR_METRICS,
     PARAMS,
     STRICT_CASTS,
-    as_finite,
     as_float,
     expects,
     make_functional,
@@ -189,22 +188,21 @@ CAP = MAX_GRID_POINTS  # one cap for every count that sizes an allocation
 class Key(NamedTuple):
     """One accepted config key: strict cast (a custom cast's docstring says
     what it expects), default, and allowed values: choices, a range, or for a
-    tag a dict from each value to the keys it adds.  `label` names it in errors."""
+    tag a dict from each value to the keys it adds."""
 
     cast: Callable
     default: object = MISSING
     allowed: Container | None = None
-    label: str = ""
 
 
 def number_or_auto(value):
-    """number or 'auto'"""
+    """finite number or 'auto'"""
     return value if value == "auto" else as_float(value)
 
 
 def direction(value) -> list[float]:
     """2 or 3 finite numbers"""
-    v = [as_finite(c) for c in value] if isinstance(value, list) else []
+    v = [as_float(c) for c in value] if isinstance(value, list) else []
     if len(v) not in (2, 3):
         raise ValueError(value)
     return v
@@ -212,7 +210,7 @@ def direction(value) -> list[float]:
 
 def positive(value) -> float:
     """positive finite number"""
-    v = as_finite(value)
+    v = as_float(value)
     if not v > 0:
         raise ValueError(value)
     return v
@@ -252,9 +250,8 @@ def _modes_from_cfg(rows) -> np.ndarray:
 
 
 def _tag(block: str) -> dict:
-    """A catalog block's variants, its keys named in errors as the catalog does."""
-    return {name: {f"{block}.{k}": Key(cast, default, label=f"{block}: {k}")
-                   for k, (cast, default) in params.items()}
+    """A catalog block's variants, each a dict of the keys it adds."""
+    return {name: {f"{block}.{k}": Key(*entry) for k, entry in params.items()}
             for name, params in PARAMS[block].items()}
 
 
@@ -286,8 +283,10 @@ CURVES = {
 
 # scenario -> every key path it accepts
 TABLES = {
-    "umbilical-flow": {"n": _size(2, lo=1), **FLOW,
-                       "output.snapshot_stride": Key(int, 10)},
+    "umbilical-flow": {
+        "n": _size(2, lo=1), **FLOW,
+        # a stride beyond max_steps keeps only the first and the last snapshot
+        "output.snapshot_stride": Key(int, 10, range(1, 2 ** 31))},
     "tau-flow": {"n": _size(lo=1), **FLOW},
     "soliton-check": {"n": _size(2, lo=1), **PROFILE, "numerics.grid": _size(256),
                       "eps": EPS},
@@ -298,8 +297,13 @@ TABLES = {
         "numerics.length0": Key(positive, 1.0), "numerics.length1": Key(positive, 1.0),
         "eps": EPS,
     },
-    "ricci-classify": {"n": Key(int), "tau1": Key(float), "r": Key(float)},
-    "cohomology": {"v": Key(direction), "K": Key(int), "s": Key(float, 1.0),
+    # n up to 2^20: in probes the classifier's sum-rule self-check failed at 2^24
+    "ricci-classify": {"n": Key(int, allowed=range(3, 2 ** 20 + 1)), "tau1": Key(float),
+                       "r": Key(float)},
+    # K up to 1024: the (4K)^2 verification points of a 2-D problem within the cap
+    "cohomology": {"v": Key(direction),
+                   "K": Key(int, allowed=range(1, math.isqrt(CAP) // 4 + 1)),
+                   "s": Key(float, 1.0),
                    "h.modes": Key(_modes_from_cfg, None), "h.grid_csv": Key(str, None)},
     "revolution": {"curve.kind": Key(str, allowed=CURVES),
                    "output.gnuplot": Key(bool, False)},
@@ -333,7 +337,7 @@ def parse_config(config) -> dict:
     _check_unknown(config, "", table)
     values = {path: _read(config, path, key) for path, key in table.items()}
     for lo, hi in INTERVALS:
-        if lo in values and not values[hi] > values[lo]:
+        if lo in values and values[hi] <= values[lo]:
             raise ConfigError(f"{hi}: must exceed {lo} ({values[lo]!r}), "
                               f"got {values[hi]!r}")
     _check_sizes(values)
@@ -353,23 +357,22 @@ def _read(config: dict, path: str, key: Key):
     node = config
     for part in path.split("."):
         node = node.get(part, MISSING) if isinstance(node, dict) else MISSING
-    label = key.label or path
     if node is MISSING:
         if key.default is MISSING:
-            raise ConfigError(f"{label}: required")
+            raise ConfigError(f"{path}: required")
         return key.default
     try:
         value = STRICT_CASTS.get(key.cast, key.cast)(node)
     except ConfigError:  # names its own row
         raise
     except (TypeError, ValueError, OverflowError):  # an int beyond float range
-        raise ConfigError(f"{label}: expected {expects(key.cast)}, "
+        raise ConfigError(f"{path}: expected {expects(key.cast)}, "
                           f"got {node!r}") from None
     if key.allowed is not None and value not in key.allowed:
         if isinstance(key.allowed, range):
-            raise ConfigError(f"{label}: must lie in [{key.allowed.start}, "
+            raise ConfigError(f"{path}: must lie in [{key.allowed.start}, "
                               f"{key.allowed[-1]}], got {value!r}")
-        raise ConfigError(f"{label}: must be one of {sorted(key.allowed)}")
+        raise ConfigError(f"{path}: must be one of {sorted(key.allowed)}")
     return value
 
 
@@ -396,12 +399,11 @@ def _check_unknown(node: dict, prefix: str, table: dict) -> None:
 
 def _check_sizes(cfg: dict) -> None:
     """Counts that size an allocation or a loop: (grid, n) power sums, 2-D
-    grids, Fourier modes, revolution steps; each at most the cap."""
+    grids, revolution steps; each at most the cap."""
     n = ("n",) if "functional.name" in cfg else ()
     counts = {" × ".join(k): math.prod(cfg[p] for p in k) for k in (
-        ("numerics.grid", *n), ("numerics.grid0", "numerics.grid1", *n),
-        ("initial.modes",)) if k[0] in cfg}
-    if cfg.get("curve.kind") == "constant_lambda" and not cfg["curve.step"] <= 0:
+        ("numerics.grid", *n), ("numerics.grid0", "numerics.grid1", *n)) if k[0] in cfg}
+    if cfg.get("curve.kind") == "constant_lambda" and cfg["curve.step"] > 0:
         counts["curve.step: (x1_max - x1_min) / step"] = (
             cfg["curve.x1_max"] - cfg["curve.x1_min"]) / cfg["curve.step"]
     for label, count in counts.items():
@@ -454,8 +456,8 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
                 f"bytes each; raise the stride")
         snaps.append((prof.t, prof.lam, prof.phi))  # a step never writes into them
 
-    stride = max(1, cfg["output.snapshot_stride"])
-    final = evolve_umbilical(p0, F, ctl, record_every=stride, on_snapshot=on_snapshot)
+    final = evolve_umbilical(p0, F, ctl, record_every=cfg["output.snapshot_stride"],
+                             on_snapshot=on_snapshot)
 
     results = {"final_time": final.t, "steps_recorded": len(snaps),
                "lambda_min": float(np.min(final.lam)),
@@ -532,7 +534,7 @@ def run_biregular_check(cfg: dict, outdir: Path):
 
 
 def run_ricci_classify(cfg: dict, outdir: Path):
-    cls = _build("n: ", classify_ricci_soliton, cfg["n"], cfg["tau1"], cfg["r"])
+    cls = classify_ricci_soliton(cfg["n"], cfg["tau1"], cfg["r"])
     return {**asdict(cls), "cpc": cls.cpc}, []
 
 

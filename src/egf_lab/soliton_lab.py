@@ -207,7 +207,9 @@ def estimate_eps_leaf(trace_samples, weights, n: int) -> float:
 
 @dataclass
 class BiregularGrid:
-    """Diagonal surface metric sampled in coordinates (x0 across, x1 along leaves)."""
+    """Diagonal surface metric sampled in coordinates (x0 across, x1 along
+    leaves).  The leaves are closed: the x1 axis is periodic, and the x0 axis
+    is periodic when periodic0 is set."""
 
     x0: np.ndarray
     x1: np.ndarray
@@ -216,7 +218,6 @@ class BiregularGrid:
     X0: np.ndarray | None = None
     X1: np.ndarray | None = None
     periodic0: bool = False
-    periodic1: bool = True
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -256,12 +257,11 @@ class BiregularGrid:
         X0: Callable | None = None,
         X1: Callable | None = None,
         periodic0: bool = False,
-        periodic1: bool = True,
     ) -> "BiregularGrid":
         G0, G1 = shape
         L0, L1 = lengths
         x0 = _uniform_nodes(G0, L0, periodic0, 0.0)
-        x1 = _uniform_nodes(G1, L1, periodic1, 0.0)
+        x1 = _uniform_nodes(G1, L1, True, 0.0)
         U, V = np.meshgrid(x0, x1, indexing="ij")
         ones = np.ones_like(U)
         return cls(
@@ -270,7 +270,7 @@ class BiregularGrid:
             np.asarray(g11(U, V), dtype=float) * ones,
             None if X0 is None else np.asarray(X0(U, V), dtype=float) * ones,
             None if X1 is None else np.asarray(X1(U, V), dtype=float) * ones,
-            periodic0, periodic1,
+            periodic0,
         )
 
 
@@ -305,7 +305,7 @@ def check_biregular_surface(
         eps_val = float(eps)
 
     d0 = lambda a: _axis_derivative(a, g.d0, 0, g.periodic0)
-    d1 = lambda a: _axis_derivative(a, g.d1, 1, g.periodic1)
+    d1 = lambda a: _axis_derivative(a, g.d1, 1, True)
 
     residuals = {
         "R1_structure": psi_vals - eps_val
@@ -361,10 +361,16 @@ def classify_ricci_soliton(n: int, tau1: float, r: float) -> SpectrumClassificat
     an integer of the right parity.
     """
     if n < 3:
-        raise ValueError("classification requires leaf dimension n >= 3")
+        raise ValueError("n: classification requires leaf dimension n >= 3")
     tau1 = float(tau1)
     r = float(r)
-    disc = tau1 ** 2 + 4.0 * r
+    try:
+        disc = tau1 ** 2 + 4.0 * r
+    except OverflowError:  # float ** raises where float * gives inf
+        disc = math.inf
+    if not math.isfinite(disc):
+        name = "tau1" if math.isfinite(4.0 * r) else "r"
+        raise ValueError(f"{name}: the discriminant tau1^2 + 4r = {disc} is not finite")
     spectra: list[AdmissibleSpectrum] = []
     scale = max(1.0, abs(tau1))
 

@@ -275,7 +275,7 @@ def test_criterion_08_biregular_checker():
         F = make_functional("b1", 1)
         flat = BiregularGrid.from_functions(
             lambda u, v: 1.0 + 0 * u, lambda u, v: 1.0 + 0 * u,
-            shape=(128, 128), periodic0=True, periodic1=True,
+            shape=(128, 128), periodic0=True,
         )
         tol = max(1e-8, 10.0 * max(flat.d0, flat.d1) ** 2)
         rep = check_biregular_surface(flat, F, eps=psi_of_lambda(F, 0.0))
@@ -284,7 +284,7 @@ def test_criterion_08_biregular_checker():
 
         exp = BiregularGrid.from_functions(
             lambda u, v: 1.0 + 0 * u, lambda u, v: np.exp(-2.0 * u),
-            shape=(128, 128), periodic0=False, periodic1=True,
+            shape=(128, 128), periodic0=False,
         )
         rep2 = check_biregular_surface(exp, F, eps=psi_of_lambda(F, 1.0))
         assert rep2.verdict == "soliton"

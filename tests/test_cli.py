@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egf_lab import cli
-from egf_lab.catalog import BIREGULAR_METRICS, as_finite
+from egf_lab.catalog import BIREGULAR_METRICS
 from egf_lab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -96,7 +96,8 @@ class TestConfigAccess:
         with pytest.raises(ConfigError, match="output.gnuplot"):
             parse_config(cfg)
 
-    @pytest.mark.parametrize("value", [True, "1e-1", "inf", None, [1]])
+    @pytest.mark.parametrize("value", [True, "1e-1", "inf", None, [1], math.nan,
+                                       -math.inf])
     def test_float_cast_accepts_only_json_numbers(self, value):
         with pytest.raises(ConfigError, match="numerics.cfl"):
             parse_config(umbilical_config(cfl=value))
@@ -170,6 +171,8 @@ CONE = {"scenario": "cone-check", "numerics": {"grid": 64}}
 AFFINE_FLOW = _set(umbilical_config(), "functional", {"name": "affine"})
 SHIFTED_FLOW = _set(umbilical_config(), "functional", {"name": "tau1_minus_c"})
 FOURIER_FLOW = _set(umbilical_config(), "initial", {"kind": "random_fourier"})
+RICCI = {"scenario": "ricci-classify", "n": 4, "tau1": 0.0, "r": 1.0}
+CONSTANT_LAMBDA = {"scenario": "revolution", "curve": {"kind": "constant_lambda"}}
 
 # (valid base config, key path, malformed value, start of the error message)
 MALFORMED = [
@@ -177,22 +180,54 @@ MALFORMED = [
     (umbilical_config(), "numerics.t_end", "1e-1", "numerics.t_end"),
     (SOLITON, "eps", "0.1", "eps"),
     (BIREGULAR, "eps", "0.1", "eps"),
-    (AFFINE_FLOW, "functional.a", [1], "functional: a"),
-    (AFFINE_FLOW, "functional.b", "1", "functional: b"),
-    (umbilical_config(), "initial.amplitude", None, "initial: amplitude"),
-    (umbilical_config(), "initial.periods", 1.7, "initial: periods"),
-    (SOLITON, "initial.value", "1.3", "initial: value"),
-    # catalog parameters are finite: NaN and infinities name their key
-    (SHIFTED_FLOW, "functional.c", math.nan, "functional: c"),
-    (AFFINE_FLOW, "functional.a", math.inf, "functional: a"),
-    (AFFINE_FLOW, "functional.a", math.nan, "functional: a"),
-    (AFFINE_FLOW, "functional.b", -math.inf, "functional: b"),
-    (SOLITON, "initial.value", math.nan, "initial: value"),
-    (SOLITON, "initial.value", math.inf, "initial: value"),
-    (umbilical_config(), "initial.amplitude", math.inf, "initial: amplitude"),
-    (umbilical_config(), "initial.mean", math.nan, "initial: mean"),
-    (umbilical_config(), "initial.mean", -math.inf, "initial: mean"),
-    (FOURIER_FLOW, "initial.amplitude", math.nan, "initial: amplitude"),
+    (AFFINE_FLOW, "functional.a", [1], "functional.a: expected finite number"),
+    (AFFINE_FLOW, "functional.b", "1", "functional.b"),
+    (umbilical_config(), "initial.amplitude", None, "initial.amplitude"),
+    (umbilical_config(), "initial.periods", 1.7, "initial.periods: expected int"),
+    (SOLITON, "initial.value", "1.3", "initial.value"),
+    # every number is finite: NaN and infinities name their key
+    (SHIFTED_FLOW, "functional.c", math.nan,
+     "functional.c: expected finite number, got nan"),
+    (AFFINE_FLOW, "functional.a", math.inf, "functional.a"),
+    (AFFINE_FLOW, "functional.a", math.nan, "functional.a"),
+    (AFFINE_FLOW, "functional.b", -math.inf, "functional.b"),
+    (SOLITON, "initial.value", math.nan, "initial.value"),
+    (SOLITON, "initial.value", math.inf, "initial.value"),
+    (umbilical_config(), "initial.amplitude", math.inf, "initial.amplitude"),
+    (umbilical_config(), "initial.mean", math.nan, "initial.mean"),
+    (umbilical_config(), "initial.mean", -math.inf, "initial.mean"),
+    (FOURIER_FLOW, "initial.amplitude", math.nan, "initial.amplitude"),
+    (RICCI, "r", math.inf, "r: expected finite number, got inf"),
+    (RICCI, "r", math.nan, "r"),
+    (RICCI, "tau1", math.nan, "tau1: expected finite number, got nan"),
+    (RICCI, "tau1", -math.inf, "tau1"),
+    (CONSTANT_LAMBDA, "curve.C", math.nan, "curve.C"),
+    (CONSTANT_LAMBDA, "curve.step", math.inf, "curve.step"),
+    (REVOLUTION, "curve.x0_max", math.inf, "curve.x0_max"),
+    (REVOLUTION, "curve.beta", math.nan, "curve.beta"),
+    (SOLITON, "eps", math.nan, "eps: expected finite number or 'auto', got nan"),
+    (BIREGULAR, "eps", math.nan, "eps"),
+    (BIREGULAR, "eps", -math.inf, "eps"),
+    # the bound of an interval is finite before the interval is checked
+    (CONE, "domain_max", math.nan, "domain_max: expected finite number, got nan"),
+    (REVOLUTION, "curve.x0_max", math.nan, "curve.x0_max: expected finite number"),
+    (_set(json.loads(json.dumps(CONSTANT_LAMBDA)), "curve.x1_min", 1.5), "curve.x1_max",
+     math.nan, "curve.x1_max: expected finite number"),
+    # finite numbers the classifier cannot square: its discriminant overflows
+    (RICCI, "r", 1e308, "r: the discriminant"),
+    (RICCI, "r", -1e308, "r: the discriminant"),
+    (RICCI, "tau1", 1e200, "tau1: the discriminant"),
+    # every int key carries a range
+    (umbilical_config(), "output.snapshot_stride", 0,
+     "output.snapshot_stride: must lie in [1, "),
+    (umbilical_config(), "output.snapshot_stride", -3, "output.snapshot_stride"),
+    (umbilical_config(), "initial.periods", 10 ** 400, "initial.periods: must lie in"),
+    (FOURIER_FLOW, "initial.modes", -1, "initial.modes: must lie in [0, "),
+    (FOURIER_FLOW, "initial.seed", -1, "initial.seed: must lie in [0, "),
+    (FOURIER_FLOW, "initial.seed", 2 ** 64, "initial.seed"),
+    (RICCI, "n", 10 ** 400, "n: must lie in [3, 1048576]"),
+    (RICCI, "n", 2 ** 20 + 1, "n: must lie in"),
+    (RICCI, "n", 2, "n: must lie in"),
     (COHOMOLOGY, "v", [1, None], "v"),
     (COHOMOLOGY, "v", [1, "a"], "v"),
     (COHOMOLOGY, "v", [1.0], "v"),
@@ -207,6 +242,7 @@ MALFORMED = [
     (RESONANT, "s", -1, "s"),
     (RESONANT, "K", 0, "K"),
     (COHOMOLOGY, "K", 1025, "K"),  # (4K)^2 verification points exceed the cap
+    (COHOMOLOGY, "K", 10 ** 400, "K: must lie in [1, 1024]"),
     (umbilical_config(), "numerics.length", 0, "numerics.length"),
     (umbilical_config(), "numerics.length", -1, "numerics.length"),
     (SOLITON, "numerics.length", math.inf, "numerics.length"),
@@ -308,7 +344,7 @@ class TestConfigTable:
         (CONE, "numerics.max_steps", CAP + 1, "numerics.max_steps: must lie in"),
         (_set(umbilical_config(), "initial",
               {"kind": "random_fourier", "modes": CAP + 1}), None, None,
-         "initial.modes = "),
+         "initial.modes: must lie in"),
         ({"scenario": "revolution", "curve": {"kind": "constant_lambda",
                                               "x1_max": 100.0, "step": 1e-6}},
          None, None, "curve.step: (x1_max - x1_min) / step = "),
@@ -325,15 +361,24 @@ class TestConfigTable:
     @pytest.mark.parametrize("base,lo,hi", [
         (CONE, "domain_min", "domain_max"),
         (REVOLUTION, "curve.x0_min", "curve.x0_max"),
-        ({"scenario": "revolution", "curve": {"kind": "constant_lambda"}},
-         "curve.x1_min", "curve.x1_max"),
+        (CONSTANT_LAMBDA, "curve.x1_min", "curve.x1_max"),
     ])
-    @pytest.mark.parametrize("upper", [1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("upper", [1.0, 1.5])
     def test_empty_interval_names_both_keys(self, base, lo, hi, upper):
         cfg = _set(_set(json.loads(json.dumps(base)), lo, 1.5), hi, upper)
         with pytest.raises(ConfigError) as err:
             parse_config(cfg)
         assert str(err.value) == f"{hi}: must exceed {lo} (1.5), got {upper!r}"
+
+    def test_every_int_key_carries_a_range(self):
+        keys = [item for table in cli.TABLES.values() for item in table.items()]
+        for _, key in keys:  # a tag's variants join the walk
+            if isinstance(key.allowed, dict):
+                keys += [item for variant in key.allowed.values()
+                         for item in variant.items()]
+        assert {"initial.seed", "curve.C"} <= {path for path, _ in keys}
+        assert [path for path, key in keys
+                if key.cast is int and not isinstance(key.allowed, range)] == []
 
     def test_sizes_at_the_cap_pass(self):
         parsed = parse_config(_set(umbilical_config(grid=2 ** 12), "n", 2 ** 12))
@@ -962,6 +1007,8 @@ SMALL = {
 }
 # a JSON value of each type; "wrong type" draws those a key's cast refuses
 JSON_VALUES = [None, True, 7, 0.5, "x", [1.0], {"k": 1}]
+# numbers no key accepts: NaN, the infinities and ints beyond the float range
+NEVER = [math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)]
 FLOATS = [-1.0, 0.0, 0.125, 0.5, 1.0, 2.0]  # coarse, so no run crawls
 IN_RANGE = {  # valid values of the casts that are not plain JSON types
     cli.number_or_auto: st.sampled_from(["auto", 0.5, 1.0]),
@@ -969,7 +1016,6 @@ IN_RANGE = {  # valid values of the casts that are not plain JSON types
     cli._modes_from_cfg: st.sampled_from([[], [[0, 0, 1.0, 0.0]],
                                           [[1, -1, 0.5, 0.0], [-1, 1, 0.5, 0.0]]]),
     cli.positive: st.sampled_from([0.5, 1.0, 2.0]),
-    as_finite: st.sampled_from(FLOATS),
     str: st.just("no-such-file.csv"),
     bool: st.booleans(),
     float: st.sampled_from(FLOATS),
@@ -1002,17 +1048,20 @@ def out_of_range(key):
 @st.composite
 def mutated_config(draw):
     """(config, mutation, path, key): a small valid config with one key given
-    a wrong JSON type, a value out of bound, an unknown sibling, or an
-    in-range value."""
+    a wrong JSON type, a value out of bound, a number no key accepts (NEVER),
+    an unknown sibling, or an in-range value."""
     cfg = json.loads(json.dumps(SMALL[draw(st.sampled_from(sorted(SMALL)))]))
     table = cli.accepted_keys(cfg)
     path = draw(st.sampled_from(sorted(table)))
     key = table[path]
-    mutations = ["type", "unknown", "value"] + ["bound"] * (key.allowed is not None)
+    mutations = ["type", "never", "unknown", "value"] + ["bound"] * (
+        key.allowed is not None)
     mutation = draw(st.sampled_from(mutations))
     if mutation == "type":
         _set(cfg, path, draw(st.sampled_from(JSON_VALUES).filter(
             lambda v: refused(key, v))))
+    elif mutation == "never":
+        _set(cfg, path, draw(st.sampled_from(NEVER)))
     elif mutation == "bound":
         _set(cfg, path, draw(out_of_range(key)))
     elif mutation == "unknown":
@@ -1038,5 +1087,4 @@ class TestMalformedConfigProperty:
                 "exit_status"] == code
         if mutation != "value":
             assert code == EXIT_CONFIG, report
-            name = path if mutation == "unknown" else key.label or path
-            assert report["error"].startswith(name), (report["error"], name)
+            assert report["error"].startswith(path), (report["error"], path)

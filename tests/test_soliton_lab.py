@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -246,7 +248,7 @@ class TestBiregular:
         F = functional_b1(1)
         g = BiregularGrid.from_functions(
             lambda u, v: 1.0, lambda u, v: 1.0, shape=(32, 32),
-            periodic0=True, periodic1=True,
+            periodic0=True,
         )
         rep = check_biregular_surface(g, F, eps=psi_of_lambda(F, 0.0))
         assert rep.verdict == "soliton"
@@ -275,7 +277,7 @@ class TestBiregular:
         F = functional_b1(1)
         g = BiregularGrid.from_functions(
             lambda u, v: 1.0, lambda u, v: 2.0 + np.sin(2 * np.pi * v),
-            shape=(32, 64), periodic0=True, periodic1=True,
+            shape=(32, 64), periodic0=True,
         )
         lam = biregular_normal_curvature(g)
         assert np.max(np.abs(lam)) <= 1e-12
@@ -286,7 +288,7 @@ class TestBiregular:
         g = BiregularGrid.from_functions(
             lambda u, v: 1.0, lambda u, v: 1.0,
             X0=lambda u, v: np.sin(2 * np.pi * v), X1=lambda u, v: 0.0,
-            shape=(32, 32), periodic0=True, periodic1=True,
+            shape=(32, 32), periodic0=True,
         )
         rep = check_biregular_surface(g, F, eps=psi_of_lambda(F, 0.0))
         assert rep.verdict == "not_soliton"
@@ -343,8 +345,16 @@ class TestRicciClassifier:
         )
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n: "):
             classify_ricci_soliton(2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("tau1,r,name", [
+        (1e200, 0.0, "tau1"), (-1e155, 1.0, "tau1"), (0.0, 1e308, "r"),
+        (0.0, -1e308, "r"), (1.0, math.nan, "r"), (math.inf, 0.0, "tau1"),
+    ])
+    def test_refuses_a_non_finite_discriminant(self, tau1, r, name):
+        with pytest.raises(ValueError, match=f"^{name}: the discriminant"):
+            classify_ricci_soliton(4, tau1, r)
 
     def test_reconstruction_invariants(self):
         rng = np.random.default_rng(5)
