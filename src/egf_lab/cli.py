@@ -398,9 +398,11 @@ def _check_unknown(node: dict, prefix: str, table: dict) -> None:
 
 
 def _check_sizes(cfg: dict) -> None:
-    """Counts that size an allocation or a loop: (grid, n) power sums, 2-D
-    grids, revolution steps; each at most the cap."""
-    n = ("n",) if "functional.name" in cfg else ()
+    """Counts that size an allocation or a loop: (grid, n) power sums, the
+    O(n^2) column work of a tau-flow step, 2-D grids, revolution steps; each
+    at most the cap."""
+    n = (("n", "n") if cfg["scenario"] == "tau-flow"
+         else ("n",) if "functional.name" in cfg else ())
     counts = {" × ".join(k): math.prod(cfg[p] for p in k) for k in (
         ("numerics.grid", *n), ("numerics.grid0", "numerics.grid1", *n)) if k[0] in cfg}
     if cfg.get("curve.kind") == "constant_lambda" and cfg["curve.step"] > 0:

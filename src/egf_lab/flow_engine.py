@@ -50,7 +50,8 @@ ORACLE_REFINE = 16
 
 
 class FlowBlowUpError(RuntimeError):
-    """Non-finite values or runaway oscillation; t_last is the last valid time."""
+    """Non-finite values, a warping factor that overflows or underflows to
+    zero, or runaway oscillation; t_last is the last valid time."""
 
     def __init__(self, message: str, t_last: float):
         super().__init__(f"{message} (last valid t = {t_last:.6g})")
@@ -305,8 +306,8 @@ def step_umbilical(
         # trapezoid-in-time update of the warping integral phi = phi0 exp(int psi/2)
         psi_new = np.asarray(psi_of_lambda(F, lam_new))
         phi_new = p.phi * np.exp(0.25 * dt * (psi_old + psi_new))
-    if not np.all(np.isfinite(phi_new)):
-        raise FlowBlowUpError("non-finite warping factor", p.t)
+    if not (phi_new.min() > 0 and phi_new.max() < np.inf):  # NaN fails both
+        raise FlowBlowUpError("non-finite or zero warping factor", p.t)
 
     return UmbilicalProfile(p.s, lam_new, phi_new, p.boundary, t_new)
 
@@ -520,8 +521,8 @@ def normalized_ricci_step(
     norm_integral = float(np.sum(rate * weights))
 
     phi_new = p.phi * np.exp(0.5 * dt * rate)
-    if not np.all(np.isfinite(phi_new)):
-        raise FlowBlowUpError("non-finite warping factor", p.t)
+    if not (phi_new.min() > 0 and phi_new.max() < np.inf):  # NaN fails both
+        raise FlowBlowUpError("non-finite or zero warping factor", p.t)
     out = UmbilicalProfile(p.s, lam_new, phi_new, p.boundary, lam_step.t)
     return out, NormalizedStepDiagnostics(out.t, rho, norm_integral)
 

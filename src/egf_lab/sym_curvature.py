@@ -18,7 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,51 +59,6 @@ class PrincipalCurvatureSpectrum:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.k, dtype=float)
-
-
-@dataclass(frozen=True)
-class SymmetricInvariants:
-    """A consistent (tau, sigma) pair for an n-dimensional leaf.
-
-    Construction validates both Newton recurrences, so holding an instance is
-    proof (to tolerance) that the two lists describe the same spectrum.
-    """
-
-    n: int
-    tau: tuple[float, ...]
-    sigma: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("leaf dimension must be >= 1")
-        if len(self.tau) < self.n:
-            raise ValueError("need at least tau_1..tau_n")
-        if len(self.sigma) != self.n:
-            raise ValueError("sigma must have exactly n entries")
-        dev = newton_defect(self.tau, self.sigma, self.n)
-        scale = max(1.0, max(abs(t) for t in self.tau))
-        if dev > _tols(scale):
-            raise ValueError(
-                f"tau/sigma violate the Newton recurrences (defect {dev:.3e})"
-            )
-
-
-def newton_defect(tau: Sequence[float], sigma: Sequence[float], n: int) -> float:
-    """Largest violation of either Newton recurrence over the given entries."""
-    tau = np.asarray(tau, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    worst = 0.0
-    for j in range(1, len(tau) + 1):
-        acc = tau[j - 1]
-        if j <= n:
-            for i in range(1, j):
-                acc += (-1) ** i * tau[j - i - 1] * sigma[i - 1]
-            acc += (-1) ** j * j * sigma[j - 1]
-        else:
-            for i in range(1, n + 1):
-                acc += (-1) ** i * tau[j - i - 1] * sigma[i - 1]
-        worst = max(worst, abs(acc))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -170,52 +125,28 @@ def elementary_from_power(tau, n: int) -> np.ndarray:
     return sigma
 
 
-def extend_power(tau, sigma, m: int, n: int | None = None) -> np.ndarray:
-    """tau_{n+1}..tau_m from (tau_1..tau_n, sigma_1..sigma_n).
-
-    The inputs must already satisfy the Newton recurrences; inconsistent data
-    is rejected with the measured defect.  Batch axes are allowed.
-    """
-    tau = np.asarray(tau, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if n is None:
-        n = sigma.shape[-1]
-    if m <= n:
-        raise ValueError(f"m={m} must exceed n={n}")
-    if tau.ndim == 1 and sigma.ndim == 1:
-        dev = newton_defect(tau, sigma, n)
-        scale = max(1.0, float(np.max(np.abs(tau))))
-        if dev > 100.0 * _tols(scale):
-            raise ValueError(
-                f"inconsistent tau/sigma pair (Newton defect {dev:.3e} "
-                f"exceeds tolerance {100.0 * _tols(scale):.3e})"
-            )
-    seeded = min(tau.shape[-1], m)
-    full = np.zeros(np.broadcast_shapes(tau.shape[:-1], sigma.shape[:-1]) + (m,))
-    full[..., :seeded] = tau[..., :seeded]
-    for j in range(max(n, seeded) + 1, m + 1):
-        acc = np.zeros(full.shape[:-1])
-        for i in range(1, n + 1):
-            acc += (-1) ** (i + 1) * sigma[..., i - 1] * full[..., j - i - 1]
-        full[..., j - 1] = acc
-    return full[..., n:]
-
-
 def power_sums_with_tau0(tau, n: int, m: int) -> np.ndarray:
-    """(tau_0, tau_1, ..., tau_m) with tau_0 = n, extending beyond n as needed.
+    """(tau_0, tau_1, ..., tau_m) with tau_0 = n; tau_{n+1}..tau_m come from
+    the high-range Newton recurrence.
 
-    Convenience for PDE kernels that index the recurrence from zero; ``tau``
-    holds tau_1..tau_n with arbitrary leading axes.
+    ``tau`` holds tau_1..tau_n with arbitrary leading axes.  The pass fills one
+    array of contiguous rows, row j holding tau_j, and returns it with the
+    index on the last axis.
     """
     tau = np.asarray(tau, dtype=float)
+    given = min(n, m)
+    rows = np.zeros((m + 1,) + tau.shape[:-1])
+    rows[0] = n
+    rows[1:given + 1] = np.moveaxis(tau[..., :given], -1, 0)
     if m > n:
-        sigma = elementary_from_power(tau, n)
-        ext = extend_power(tau, sigma, m, n)
-        body = np.concatenate([tau[..., :n], ext], axis=-1)
-    else:
-        body = tau[..., :m]
-    t0 = np.full(body.shape[:-1] + (1,), float(n))
-    return np.concatenate([t0, body], axis=-1)
+        # (-1)^(i+1) sigma_i as row i - 1
+        signed = np.moveaxis(elementary_from_power(tau, n), -1, 0).copy()
+        signed[1::2] *= -1.0
+        for j in range(n + 1, m + 1):
+            # row j sums from its +0.0, so a sum of -0.0 terms reads +0.0
+            for i in range(1, n + 1):
+                rows[j] += signed[i - 1] * rows[j - i]
+    return np.moveaxis(rows, 0, -1)
 
 
 def umbilical_tau(n: int, lam) -> np.ndarray:

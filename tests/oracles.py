@@ -22,7 +22,7 @@ from egf_lab.flow_engine import (
     _pick_dt,
 )
 from egf_lab.revolution_geometry import RevolutionProfile
-from egf_lab.sym_curvature import power_sums_with_tau0, psi_of_lambda
+from egf_lab.sym_curvature import psi_of_lambda
 
 
 def direct_power_sums(k, m):
@@ -34,6 +34,33 @@ def sigma_by_expansion(k):
     """Elementary symmetric functions via coefficients of prod (x - k_i)."""
     coeffs = np.poly(np.asarray(k, dtype=float))  # x^n - s1 x^{n-1} + s2 ...
     return [(-1) ** j * coeffs[j] for j in range(1, len(k) + 1)]
+
+
+def power_sums_with_tau0_reference(tau, n, m):
+    """(tau_0, tau_1, ..., tau_m) with tau_0 = n, one strided column at a time:
+    sigma by the low-range Newton recurrence, then each of tau_{n+1}..tau_m
+    by the high-range one, summed from +0.0.  The reference the library's
+    one-pass sym_curvature.power_sums_with_tau0 must match bit for bit."""
+    tau = np.asarray(tau, dtype=float)
+    if m > n:
+        sigma = np.zeros(tau.shape[:-1] + (n,))
+        for j in range(1, n + 1):
+            acc = tau[..., j - 1].copy()
+            for i in range(1, j):
+                acc += (-1) ** i * tau[..., j - i - 1] * sigma[..., i - 1]
+            sigma[..., j - 1] = (-1) ** (j + 1) * acc / j
+        full = np.zeros(tau.shape[:-1] + (m,))
+        full[..., :n] = tau[..., :n]
+        for j in range(n + 1, m + 1):
+            acc = np.zeros(full.shape[:-1])
+            for i in range(1, n + 1):
+                acc += (-1) ** (i + 1) * sigma[..., i - 1] * full[..., j - i - 1]
+            full[..., j - 1] = acc
+        body = full
+    else:
+        body = tau[..., :m]
+    t0 = np.full(body.shape[:-1] + (1,), float(n))
+    return np.concatenate([t0, body], axis=-1)
 
 
 def shifted_power_sums(k, c, m):
@@ -362,7 +389,7 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
         raise ValueError("field is already at or beyond t_end")
 
     m_top = max(n, 2 * n - 2)
-    taux = power_sums_with_tau0(tau, n, m_top)  # (G, m_top+1), index j <-> tau_j
+    taux = power_sums_with_tau0_reference(tau, n, m_top)  # (G, m_top+1), tau_j at j
     fvals = F.evaluate(tau)  # (G, n)
 
     # advection coefficients i j f_j / (2(i+j-1)) of equation i: their sum

@@ -172,6 +172,9 @@ AFFINE_FLOW = _set(umbilical_config(), "functional", {"name": "affine"})
 SHIFTED_FLOW = _set(umbilical_config(), "functional", {"name": "tau1_minus_c"})
 FOURIER_FLOW = _set(umbilical_config(), "initial", {"kind": "random_fourier"})
 RICCI = {"scenario": "ricci-classify", "n": 4, "tau1": 0.0, "r": 1.0}
+TAU_FLOW = {"scenario": "tau-flow", "n": 2, "functional": {"name": "b1"},
+            "initial": {"kind": "sine", "amplitude": 0.25, "mean": 0.5},
+            "numerics": {"grid": 64, "t_end": 0.05}}
 CONSTANT_LAMBDA = {"scenario": "revolution", "curve": {"kind": "constant_lambda"}}
 
 # (valid base config, key path, malformed value, start of the error message)
@@ -228,6 +231,10 @@ MALFORMED = [
     (RICCI, "n", 10 ** 400, "n: must lie in [3, 1048576]"),
     (RICCI, "n", 2 ** 20 + 1, "n: must lie in"),
     (RICCI, "n", 2, "n: must lie in"),
+    # a tau-flow step does O(n^2) column work: grid * n^2 is capped
+    (TAU_FLOW, "n", 2 ** 10, "numerics.grid × n × n = 6.71089e+07 exceeds"),
+    (_set(json.loads(json.dumps(TAU_FLOW)), "numerics.grid", 8), "n", 1449,
+     "numerics.grid × n × n = "),
     (COHOMOLOGY, "v", [1, None], "v"),
     (COHOMOLOGY, "v", [1, "a"], "v"),
     (COHOMOLOGY, "v", [1.0], "v"),
@@ -383,6 +390,9 @@ class TestConfigTable:
     def test_sizes_at_the_cap_pass(self):
         parsed = parse_config(_set(umbilical_config(grid=2 ** 12), "n", 2 ** 12))
         assert parsed["numerics.grid"] * parsed["n"] == CAP
+        tau = parse_config(_set(_set(json.loads(json.dumps(TAU_FLOW)),
+                                     "numerics.grid", 2 ** 12), "n", 2 ** 6))
+        assert tau["numerics.grid"] * tau["n"] ** 2 == CAP
 
 
 class TestCsvWriter:
@@ -668,6 +678,19 @@ class TestRunScenarios:
         assert code == EXIT_BLOWUP
         assert "steps" in report["error"]
 
+
+    @pytest.mark.parametrize("scenario", ["umbilical-flow", "tau-flow"])
+    def test_underflowing_warping_exits_3(self, tmp_path, scenario):
+        # tau-flow underflows in its scalar companion run
+        cfg = {"scenario": scenario, "n": 2,
+               "functional": {"name": "affine", "a": 0.0, "b": -1e4},
+               "initial": {"kind": "sine", "amplitude": 0.1, "mean": 0.5},
+               "numerics": {"grid": 64, "t_end": 1.0}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_BLOWUP
+        assert report["error"].endswith("(last valid t = 0)")
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["exit_status"] == EXIT_BLOWUP
 
 class TestDeterminism:
     def test_identical_configs_identical_csvs(self, tmp_path):

@@ -178,6 +178,19 @@ class TestStepUmbilical:
             evolve_umbilical(p, Fbig, StepControl(t_end=3.0))
         assert err.value.t_last == 0.0
 
+    def test_blowup_on_underflowing_warping(self):
+        # a large negative constant speed underflows phi to 0 in one jump: a
+        # blow-up at the last valid time, not a malformed profile
+        Fneg = FlowFunctional(
+            2,
+            (lambda tau: -1e4 * np.ones(tau.shape[:-1]),
+             lambda tau: np.zeros(tau.shape[:-1])),
+        )
+        p = UmbilicalProfile.from_function(lambda s: 0.5 + 0.1 * np.sin(s), 64, 1.0)
+        with pytest.raises(FlowBlowUpError, match="warping factor") as err:
+            evolve_umbilical(p, Fneg, StepControl(t_end=1.0))
+        assert err.value.t_last == 0.0
+
     def test_oscillation_growth_detector(self, monkeypatch):
         # the detector itself: make the steppers inject growing oscillation;
         # the scalar, power-sum and normalized marches share the guard

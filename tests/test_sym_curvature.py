@@ -9,12 +9,10 @@ from egf_lab.catalog import PARAMS, make_functional
 from egf_lab.sym_curvature import (
     FlowFunctional,
     PrincipalCurvatureSpectrum,
-    SymmetricInvariants,
     assemble_h_eigen,
     classify_extrinsic_ricci_flat,
     conformal_shift,
     elementary_from_power,
-    extend_power,
     extrinsic_ricci_eigen,
     extrinsic_scalar,
     power_sums,
@@ -28,6 +26,7 @@ from oracles import (
     all_permutations,
     direct_power_sums,
     enumerate_flat_spectra,
+    power_sums_with_tau0_reference,
     shifted_power_sums,
     sigma_by_expansion,
 )
@@ -65,6 +64,19 @@ def functional_ext_ricci(n):
     f[1] = lambda tau: -2.0 * tau[..., 0]
     f[2] = lambda tau: 2.0 * np.ones(tau.shape[:-1])
     return FlowFunctional(n, tuple(f))
+
+
+@st.composite
+def power_sums_case(draw):
+    """(tau, n, m): tau_1..tau_n under a leading shape (), (G,) or (a, b),
+    signed zeros included, and m at both ends of the extension."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.sampled_from([n, n + 1, max(0, 2 * n - 2), 2 * n + 3]))
+    lead = draw(st.sampled_from([(), (5,), (2, 3)]))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+    count = int(np.prod(lead, dtype=int)) * n
+    values = draw(st.lists(value, min_size=count, max_size=count))
+    return np.array(values).reshape(lead + (n,)), n, m
 
 
 class TestPowerSums:
@@ -117,18 +129,17 @@ class TestNewton:
 
     def test_extend_power_known(self):
         # k = (1, 2): tau_3 = tau_2 s1 - tau_1 s2 = 15 - 6 = 9
-        ext = extend_power([3, 5], [3, 2], 3)
+        ext = power_sums_with_tau0([3, 5], 2, 3)[..., 3:]
         np.testing.assert_allclose(ext, [9.0])
 
     def test_extend_umbilical(self):
         lam = 1.7
-        tau = umbilical_tau(2, lam)
-        sigma = elementary_from_power(tau, 2)
-        ext = extend_power(tau, sigma, 3)
+        ext = power_sums_with_tau0(umbilical_tau(2, lam), 2, 3)[..., 3:]
         np.testing.assert_allclose(ext, [2 * lam ** 3], rtol=1e-12)
 
     def test_extend_zero(self):
-        np.testing.assert_array_equal(extend_power([0, 0], [0, 0], 5), np.zeros(3))
+        ext = power_sums_with_tau0([0, 0], 2, 5)[..., 3:]
+        np.testing.assert_array_equal(ext, np.zeros(3))
 
     def test_extension_matches_direct_sums(self):
         rng = np.random.default_rng(13)
@@ -136,24 +147,23 @@ class TestNewton:
             n = int(rng.integers(1, 7))
             k = tuple(rng.uniform(-10, 10, n))
             tau = power_sums(spectrum(*k), n)
-            sigma = elementary_from_power(tau, n)
-            ext = extend_power(tau, sigma, 2 * n) if 2 * n > n else []
+            ext = power_sums_with_tau0(tau, n, 2 * n)[..., n + 1:]
             expected = direct_power_sums(k, 2 * n)[n:]
-            scale = max(1.0, float(np.max(np.abs(expected))) if len(expected) else 1.0)
+            scale = max(1.0, float(np.max(np.abs(expected))))
             np.testing.assert_allclose(ext, expected, rtol=1e-9, atol=1e-9 * scale)
-
-    def test_extend_rejects_inconsistent(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            extend_power([3, 5], [3, 99], 3)
 
     def test_tau0_convention(self):
         full = power_sums_with_tau0(umbilical_tau(3, 2.0), 3, 4)
         np.testing.assert_allclose(full, [3, 6, 12, 24, 48])
 
-    def test_symmetric_invariants_validation(self):
-        SymmetricInvariants(2, (3.0, 5.0), (3.0, 2.0))
-        with pytest.raises(ValueError):
-            SymmetricInvariants(2, (3.0, 5.0), (3.0, 2.5))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=power_sums_case())
+    def test_one_pass_matches_column_reference_bytes(self, case):
+        tau, n, m = case
+        got = power_sums_with_tau0(tau, n, m)
+        want = power_sums_with_tau0_reference(tau, n, m)
+        assert got.shape == want.shape == tau.shape[:-1] + (m + 1,)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_permutation_invariance(self):
         k = (1.25, -0.5, 3.0, 2.0)
