@@ -2,8 +2,8 @@
 
 The catalog is deliberately closed: each entry is a hand-written builder, not
 an expression parser.  Adding a flow functional means adding a builder here.
-A flow functional's builder returns its monomial table, the one definition
-from which both its f_j callbacks and psi's coefficients in lam are derived.
+A flow functional's builder returns its monomial table, the one definition:
+its f_j callbacks are built from it, and the FlowFunctional keeps it.
 
 The parameters of every named entry sit in one table (PARAMS: key -> cast,
 default and, for an int, its range), which is also the CLI's config table
@@ -100,11 +100,11 @@ def _mono(n: int, *ks: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _polynomial(terms: dict) -> Callable[[np.ndarray], np.ndarray]:
-    """f(tau) = sum of coef * prod_k tau_k**e_k over terms {(e_1..e_n): coef},
+def _polynomial(terms: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """f(tau) = sum of coef * prod_k tau_k**e_k over terms ((e_1..e_n), coef),
     summed in table order; no terms: f = 0."""
     monomials = [(float(coef), [(k, e) for k, e in enumerate(exps) if e])
-                 for exps, coef in terms.items()]
+                 for exps, coef in terms]
 
     def f(tau):
         out = np.zeros(tau.shape[:-1])
@@ -116,18 +116,6 @@ def _polynomial(terms: dict) -> Callable[[np.ndarray], np.ndarray]:
         return out
 
     return f
-
-
-def _psi_coeffs(n: int, table: dict) -> tuple[float, ...]:
-    """psi's coefficients in lam, lowest power first.  On an umbilical
-    spectrum tau_k = n lam^k, so coef * prod tau_k^e_k * lam^j of f_j becomes
-    coef n^(sum e_k) lam^(j + sum k e_k)."""
-    psi: dict[int, float] = {}
-    for j, terms in table.items():
-        for exps, coef in terms.items():
-            power = j + sum(k * e for k, e in enumerate(exps, start=1))
-            psi[power] = psi.get(power, 0.0) + coef * n ** sum(exps)
-    return tuple(psi.get(p, 0.0) for p in range(max(psi, default=0) + 1))
 
 
 # Each catalog functional as its monomial table {j: {(e_1..e_n): coef}}:
@@ -176,9 +164,9 @@ def make_functional(name: str, n: int, params: dict | None = None) -> FlowFuncti
         )
     if n < 1:
         raise ValueError("leaf dimension n must be >= 1")
-    table = FUNCTIONALS[name](n, **read_params(PARAMS["functional"][name], params or {}))
-    f = tuple(_polynomial(table.get(j, {})) for j in range(n))
-    return FlowFunctional(n, f, _psi_coeffs(n, table))
+    spec = FUNCTIONALS[name](n, **read_params(PARAMS["functional"][name], params or {}))
+    table = tuple(tuple(spec.get(j, {}).items()) for j in range(n))
+    return FlowFunctional(n, tuple(_polynomial(terms) for terms in table), table)
 
 
 def make_initial(spec: dict, length: float) -> Callable[[np.ndarray], np.ndarray]:

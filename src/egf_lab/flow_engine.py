@@ -415,9 +415,11 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     d tau_i/dt = -(i/2) [ tau_{i-1} d_s f_0
                           + sum_j ( j f_j / (i+j-1) d_s tau_{i+j-1}
                                     + tau_{i+j-1} d_s f_j ) ]
-    Power sums above index n come from the Newton extension of the node
-    values; tau_0 = n stays constant.  Derivatives of the coefficient
-    functions are finite differences of their node-wise evaluations.
+    Only the terms that F.live and F.varying leave nonzero are formed, in
+    this order.  Power sums above index n come from the Newton extension of
+    the node values, as far as the live f_j read; tau_0 = n stays constant.
+    Derivatives of the coefficient functions are finite differences of their
+    node-wise evaluations.
     """
     if F.n != fld.n:
         raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
@@ -428,48 +430,57 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     if remaining <= 0:
         raise ValueError("field is already at or beyond t_end")
 
-    m_top = max(n, 2 * n - 2)
-    taux = power_sums_with_tau0(tau, n, m_top)  # (G, m_top+1), index j <-> tau_j
-    fvals = F.evaluate(tau)  # (G, n)
-    # one grid row per differenced node function, each differenced once:
-    # f_0..f_{n-1}, then tau_0..tau_m_top (tx[j] is tau_j)
-    rows = np.concatenate([fvals.T, taux.T])
-    f, tx = rows[:n], rows[n:]
-
-    # advection coefficients i j f_j / (2(i+j-1)) of equation i: their sum
-    # sets the upwind bias, the sum of their moduli the CFL speed
-    eq = np.arange(1, n + 1)[:, None]
-    signs = np.zeros((n, tau.shape[0]))
-    speeds = np.zeros((n, tau.shape[0]))
-    for j in range(1, n):
-        coef = eq * j * f[j] / (2.0 * (eq + j - 1))
-        signs += coef
-        speeds += np.abs(coef)
-    dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
-
     upwind = ctl.scheme == "upwind"
-    left, right = _neighbors(rows, fld.periodic)
-    if upwind:
-        backward = (rows - left) / ds
-        forward = (right - rows) / ds
-    else:
-        central = _axis_derivative(rows, ds, 1, fld.periodic)
+    live = F.live
+    # np.gradient's one-sided edge stencil leaves rounding on a constant row,
+    # so a transmissive central difference differences the constant f_j too
+    diffed = F.varying if upwind or fld.periodic else tuple(sorted({*live, *F.varying}))
+    m_top = n + max(live) - 1 if live else n
+    k0 = min(live, default=m_top + 1)  # the lowest differenced power sum
 
-    rhs = np.empty((n, tau.shape[0]))
-    for i in range(1, n + 1):
-        d = np.where(signs[i - 1] >= 0, backward, forward) if upwind else central
-        df, dtau = d[:n], d[n:]
-        bracket = tx[i - 1] * df[0]
-        for j in range(1, n):
-            bracket += (j * f[j] / (i + j - 1)) * dtau[i + j - 1]
-            bracket += tx[i + j - 1] * df[j]
-        rhs[i - 1] = -(i / 2.0) * bracket
+    # non-finite intermediates are converted into structured blow-up errors
+    with np.errstate(all="ignore"):
+        tx = power_sums_with_tau0(tau, n, m_top).T  # tx[j] is tau_j
+        f = {j: F.coefficient(j, tau) for j in {*live, *diffed}}
+        # one grid row per differenced node function, each differenced once:
+        # tau_k0..tau_m_top, then the differenced f_j
+        rows = np.vstack([tx[k0:]] + [f[j] for j in diffed])
 
-    if upwind:
-        tau_new = tau + dt * rhs.T
-    else:  # Lax-Friedrichs: the neighbor average of tau_1..tau_n
-        own = slice(n + 1, 2 * n + 1)
-        tau_new = (0.5 * (left[own] + right[own]) + dt * rhs).T
+        # advection coefficients i j f_j / (2(i+j-1)) of equation i: their sum
+        # sets the upwind bias, the sum of their moduli the CFL speed
+        eq = np.arange(1, n + 1)[:, None]
+        coefs = [eq * j * f[j] / (2.0 * (eq + j - 1)) for j in live]
+        signs = sum(coefs, np.zeros((n, tau.shape[0])))
+        speeds = sum(map(np.abs, coefs), np.zeros((n, tau.shape[0])))
+        dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
+
+        if upwind:
+            left, right = _neighbors(rows, fld.periodic)
+            backward = (rows - left) / ds
+            forward = (right - rows) / ds
+        else:
+            central = _axis_derivative(rows, ds, 1, fld.periodic)
+
+        w = max(live) - k0 + 1 if live else 0  # tau rows of each equation
+        rhs = np.zeros((n, tau.shape[0]))
+        for i in range(1, n + 1):
+            # equation i reads tau_{i+k0-1} onward and every differenced f_j
+            dtau, df = (np.where(signs[i - 1] >= 0, backward[sl], forward[sl])
+                        if upwind else central[sl]
+                        for sl in (slice(i - 1, i - 1 + w), slice(m_top + 1 - k0, None)))
+            df = dict(zip(diffed, df))
+            terms = [tx[i - 1] * df[0]] if 0 in df else []
+            for j in range(1, n):
+                terms += [(j * f[j] / (i + j - 1)) * dtau[j - k0]] if j in live else []
+                terms += [tx[i + j - 1] * df[j]] if j in df else []
+            if terms:  # from the first term: 0 + a would turn a -0.0 into +0.0
+                rhs[i - 1] = -(i / 2.0) * sum(terms[1:], terms[0])
+
+        if upwind:
+            tau_new = tau + dt * rhs.T
+        else:  # Lax-Friedrichs: the neighbor average of tau_1..tau_n
+            left, right = _neighbors(tau.T, fld.periodic)
+            tau_new = (0.5 * (left + right) + dt * rhs).T
 
     if not np.all(np.isfinite(tau_new)):
         raise FlowBlowUpError("non-finite power sums", fld.t)

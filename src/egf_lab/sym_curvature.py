@@ -18,6 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -67,14 +68,16 @@ class FlowFunctional:
 
     Each callback receives the tau-vector as an ndarray whose final axis has
     length n (tau[..., j] is tau_{j+1}) and must evaluate elementwise over any
-    leading axes.  ``psi_coeffs`` holds psi's coefficients in lam, lowest power
-    first, when every f_j is a polynomial in tau (the catalog functionals);
-    psi_of_lambda then evaluates psi by Horner instead of through the callbacks.
+    leading axes.  ``table`` holds f_j as its (exponents (e_1..e_n), coef)
+    pairs, f_j = sum of coef * prod_k tau_k**e_k, when every f_j is a
+    polynomial (the catalog functionals); psi_coeffs, live and varying come
+    from it.  Without a table there are no psi_coeffs and live and varying
+    hold every index.
     """
 
     n: int
     f: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    psi_coeffs: tuple[float, ...] | None = None
+    table: tuple[tuple[tuple[tuple[int, ...], float], ...], ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -92,12 +95,40 @@ class FlowFunctional:
                     return True
         return False
 
+    @cached_property
+    def psi_coeffs(self) -> tuple[float, ...] | None:
+        """psi's coefficients in lam, lowest power first, for Horner.  On an
+        umbilical spectrum tau_k = n lam^k, so coef * prod tau_k^e_k * lam^j
+        of f_j becomes coef n^(sum e_k) lam^(j + sum k e_k)."""
+        if self.table is None:
+            return None
+        psi: dict[int, float] = {}
+        for j, terms in enumerate(self.table):
+            for exps, coef in terms:
+                power = j + sum(k * e for k, e in enumerate(exps, start=1))
+                psi[power] = psi.get(power, 0.0) + coef * self.n ** sum(exps)
+        return tuple(psi.get(p, 0.0) for p in range(max(psi, default=0) + 1))
+
+    @cached_property
+    def live(self) -> tuple[int, ...]:
+        """The j >= 1 whose f_j the table does not prove identically zero."""
+        return tuple(j for j in range(1, self.n) if self.table is None or self.table[j])
+
+    @cached_property
+    def varying(self) -> tuple[int, ...]:
+        """The j whose f_j the table does not prove constant."""
+        return tuple(j for j in range(self.n) if self.table is None
+                     or any(any(exps) for exps, _ in self.table[j]))
+
+    def coefficient(self, j: int, tau: np.ndarray) -> np.ndarray:
+        """f_j(tau) over the leading axes of tau, which has shape (..., n)."""
+        return np.broadcast_to(np.asarray(self.f[j](tau), dtype=float),
+                               tau.shape[:-1])
+
     def evaluate(self, tau: np.ndarray) -> np.ndarray:
         """Stack f_j(tau) along a new final axis; tau has shape (..., n)."""
         tau = np.asarray(tau, dtype=float)
-        vals = [np.broadcast_to(np.asarray(fj(tau), dtype=float), tau.shape[:-1])
-                for fj in self.f]
-        return np.stack(vals, axis=-1)
+        return np.stack([self.coefficient(j, tau) for j in range(self.n)], axis=-1)
 
 
 def power_sums(spec: PrincipalCurvatureSpectrum, m: int) -> np.ndarray:
@@ -160,8 +191,8 @@ def psi_of_lambda(F: FlowFunctional, lam):
     """Scalar flow speed of the umbilical reduction.
 
     psi(lam) = sum_j f_j(n lam, n lam^2, ..., n lam^n) lam^j.  Vectorized over
-    ``lam`` of any shape.  A functional with ``psi_coeffs`` is evaluated by
-    Horner; one given only by callbacks through the sum above.
+    ``lam`` of any shape.  A functional with a table is evaluated by Horner
+    over its ``psi_coeffs``; one given only by callbacks through the sum above.
     """
     lam = np.asarray(lam, dtype=float)
     if F.psi_coeffs is not None:

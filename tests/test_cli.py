@@ -692,6 +692,16 @@ class TestRunScenarios:
         written = json.loads((tmp_path / "report.json").read_text())
         assert written["exit_status"] == EXIT_BLOWUP
 
+    def test_overflowing_tau_step_exits_3(self, tmp_path):
+        # the Newton extension to tau_4 overflows at lam ~ 1e80
+        cfg = {"scenario": "tau-flow", "n": 3, "functional": {"name": "ext_ricci"},
+               "initial": {"kind": "sine", "amplitude": 1e79, "mean": 1e80},
+               "numerics": {"grid": 32, "t_end": 0.01}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_BLOWUP
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["exit_status"] == EXIT_BLOWUP
+
 class TestDeterminism:
     def test_identical_configs_identical_csvs(self, tmp_path):
         cfg = umbilical_config(grid=128, t_end=0.5)

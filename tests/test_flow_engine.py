@@ -373,15 +373,16 @@ class TestTauSystem:
 
     @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
     @pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+    @pytest.mark.parametrize("mean,amplitude", [(0.5, 0.25), (-0.1, 0.5)])
     @pytest.mark.parametrize("name,params,n", [
         (name, params, n) for name, params in CATALOG_CASES + [("dense", None)]
-        for n in (1, 2, 3, 4) if not (name == "ext_ricci" and n < 2)
+        for n in range(1, 7) if not (name == "ext_ricci" and n < 2)
     ])
-    def test_one_pass_step_matches_reference_bytes(self, scheme, boundary, name,
-                                                    params, n):
+    def test_one_pass_step_matches_reference_bytes(self, scheme, boundary, mean,
+                                                    amplitude, name, params, n):
         F = dense_functional(n) if name == "dense" else make_functional(name, n, params)
         fld = ref = TauField.from_umbilical(
-            lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s), n, 64, 1.0, boundary
+            lambda s: mean + amplitude * np.sin(2 * np.pi * s), n, 64, 1.0, boundary
         )
         for _ in range(3):
             # a horizon 0.01 ahead: three real steps even where no speed bounds dt
@@ -390,6 +391,54 @@ class TestTauSystem:
             ref = step_tau_system_reference(ref, F, ctl)
             assert fld.t == ref.t
             assert np.array_equal(fld.tau, ref.tau)
+
+    @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
+    @pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+    @pytest.mark.parametrize("name,params,n", [
+        (name, params, n) for name, params in CATALOG_CASES
+        for n in range(1, 7) if not (name == "ext_ricci" and n < 2)
+    ])
+    def test_table_skips_only_terms_that_change_no_byte(self, scheme, boundary,
+                                                         name, params, n):
+        F = make_functional(name, n, params)
+        full = FlowFunctional(n, F.f)  # no table: every term of the bracket
+        # at G = 100 np.gradient's one-sided edge stencil leaves rounding on
+        # the constant rows f_1 = 1 of b1 and f_2 = 2 of ext_ricci
+        for mean, amplitude in ((0.5, 0.25), (-0.1, 0.5)):
+            fld = ref = TauField.from_umbilical(
+                lambda s: mean + amplitude * np.sin(2 * np.pi * s), n, 100, 1.0,
+                boundary)
+            for _ in range(5):
+                ctl = StepControl(t_end=fld.t + 0.01, cfl=0.5, scheme=scheme)
+                fld = step_tau_system(fld, F, ctl)
+                ref = step_tau_system(ref, full, ctl)
+                assert fld.t == ref.t
+                assert fld.tau.tobytes() == ref.tau.tobytes()
+
+    @pytest.mark.parametrize("name,params,n", [
+        (name, params, n) for name, params in CATALOG_CASES
+        for n in range(1, 7) if not (name == "ext_ricci" and n < 2)
+    ])
+    def test_live_and_varying_match_probed_coefficients(self, name, params, n):
+        F = make_functional(name, n, params)
+        vals = F.evaluate(np.random.default_rng(n).normal(size=(32, n)))
+        assert F.live == tuple(j for j in range(1, n) if np.any(vals[:, j] != 0))
+        assert F.varying == tuple(j for j in range(n)
+                                  if np.any(vals[:, j] != vals[0, j]))
+        full = FlowFunctional(n, F.f)
+        assert (full.live, full.varying) == (tuple(range(1, n)), tuple(range(n)))
+        assert full.psi_coeffs is None
+        hash(F)  # the table is stored immutably
+
+    def test_b1_never_extends_past_the_power_sums_it_reads(self):
+        # tau_4 = n lam^4 overflows at lam ~ 1e80; b1 reads only tau_1..tau_n
+        n, amplitude = 3, 1e79
+        F = make_functional("b1", n)
+        lam0 = lambda s: 1e80 + amplitude * np.sin(2 * np.pi * s)
+        out = evolve_tau(TauField.from_umbilical(lam0, n, 256, 1.0), F,
+                         StepControl(t_end=0.25))
+        exact = characteristics_oracle(lam0, F, out.t, out.s, 1.0)
+        assert np.max(np.abs(out.tau[:, 0] / n - exact)) <= 1.1e-3 * amplitude
 
     def test_dimension_mismatch(self):
         F = functional_b1(2)
