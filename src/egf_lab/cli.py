@@ -44,7 +44,6 @@ from .cohomology_solver import (
 )
 from .flow_engine import (
     BOUNDARIES,
-    INTEGRATORS,
     SCHEMES,
     BoundedProgressError,
     FlowBlowUpError,
@@ -268,7 +267,6 @@ STEPPING = {  # StepControl's fields after t_end, with its defaults
     "numerics.cfl": Key(float, StepControl.cfl),
     "numerics.scheme": Key(str, StepControl.scheme, SCHEMES),
     "numerics.max_steps": _size(StepControl.max_steps, lo=1),
-    "numerics.integrator": Key(str, StepControl.integrator, INTEGRATORS),
 }
 FLOW = {**PROFILE, "numerics.grid": _size(), "numerics.t_end": Key(float), **STEPPING,
         "numerics.boundary": Key(str, "periodic", BOUNDARIES)}
@@ -484,7 +482,7 @@ def run_tau_flow(cfg: dict, outdir: Path):
     grid, length = cfg["numerics.grid"], cfg["numerics.length"]
     boundary = cfg["numerics.boundary"]
 
-    fld = TauField.from_umbilical(lam0, n, grid, length, boundary)
+    fld = _build("initial: ", TauField.from_umbilical, lam0, n, grid, length, boundary)
     out = evolve_tau(fld, F, ctl)
 
     scalar = evolve_umbilical(
@@ -567,8 +565,8 @@ def run_cohomology(cfg: dict, outdir: Path):
         build, h = TorusCohomologyProblem.from_grid, _grid_csv_modes(Path(grid_csv))
     try:
         problem = build(cfg["v"], h, cfg["K"], cfg["s"])
-    except ValueError as exc:  # errors about K and s name their key already
-        named = str(exc).startswith(("K:", "s:"))
+    except ValueError as exc:  # errors about K, s and v name their key already
+        named = str(exc).startswith(("K:", "s:", "v:"))
         raise ConfigError(str(exc) if named else f"h: {exc}") from None
 
     sol = solve_linear_flow(problem)

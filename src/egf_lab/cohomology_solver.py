@@ -125,6 +125,9 @@ class TorusCohomologyProblem:
             raise ValueError(
                 f"s: Diophantine exponent must be finite and positive, got {self.s!r}"
             )
+        if not math.isfinite(2 * math.pi * self.K * sum(abs(c) for c in self.v)):
+            raise ValueError(f"v: the divisors 2 pi <u, v> of |u|_inf <= K = {self.K} "
+                             f"overflow for v = {self.v}")
         modes, values = _mode_rows(self.coeffs, self.dim, self.K)
         shape = (2 * self.K + 1,) * self.dim
         self.given = np.ravel_multi_index(tuple((modes + self.K).T), shape)
@@ -200,12 +203,19 @@ def _separable(data: np.ndarray, K: int, sign: complex, shape=None) -> np.ndarra
     return np.einsum(*operands, list(range(dim, 2 * dim)), optimize=True)
 
 
+def _margins(inner: np.ndarray, norm: np.ndarray, s: float) -> np.ndarray:
+    """|<u, v>| ||u||^s per mode.  A power past the float range counts as the
+    largest float, so <u, v> = 0 still gives 0 and never 0 * inf = nan."""
+    with np.errstate(over="ignore"):
+        return np.abs(inner) * np.minimum(norm ** s, np.finfo(float).max)
+
+
 def diophantine_margin(v, K: int, s: float) -> float:
     """min over 0 < |u|_inf <= K of |<u, v>| * ||u||_2^s, by exhaustive scan."""
     if K < 1:
         raise ValueError("K must be >= 1")
     inner, norm, _ = _lattice(tuple(float(c) for c in v), K)
-    margin = np.abs(inner) * norm ** s
+    margin = _margins(inner, norm, s)
     margin.flat[margin.size // 2] = math.inf  # the zero mode
     return float(np.min(margin))
 
@@ -241,7 +251,7 @@ def solve_linear_flow(p: TorusCohomologyProblem) -> CohomologySolution:
     h = p.cube
     floor = ENERGY_FLOOR_REL * max(1.0, float(np.max(np.abs(h))))
     energized = p.mask & (p.shell > 0) & (np.abs(h) > floor)
-    margin = np.abs(p.inner) * p.norm ** p.s
+    margin = _margins(p.inner, p.norm, p.s)
     resonant = energized & (margin < DIVISOR_MARGIN_FLOOR)
     if resonant.any():
         candidates = p.given[resonant.flat[p.given]]
@@ -301,7 +311,8 @@ def amplification_report(sol: CohomologySolution) -> list[ShellRow]:
     shell = p.shell[solved]
     bound = np.full(shell.size, math.inf)
     if sol.margin > 0:
-        bound = p.norm[solved] ** p.s / (2 * np.pi * sol.margin)
+        with np.errstate(over="ignore"):  # a bound past the float range is inf
+            bound = p.norm[solved] ** p.s / (2 * np.pi * sol.margin)
 
     n_modes = np.bincount(shell, minlength=p.K + 1)
     min_div = np.full(p.K + 1, math.inf)

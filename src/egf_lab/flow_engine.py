@@ -9,8 +9,7 @@ normal component of the metric untouched.
 Two explicit schemes are provided.  ``upwind`` discretizes the quasilinear
 form with one-sided differences chosen by the local characteristic speed;
 ``lax_friedrichs`` uses the conservative flux with neighbor averaging.  Time
-stepping is forward Euler under a CFL bound (two-stage Heun available for
-convergence studies on the upwind operator).  Shocks are not captured: the
+stepping is forward Euler under a CFL bound.  Shocks are not captured: the
 steppers detect non-finite values and stop with a blow-up report.
 
 The scalar flow, the power-sum system and the volume-normalized extrinsic
@@ -37,7 +36,6 @@ from .sym_curvature import (
 
 BOUNDARIES = ("periodic", "transmissive")
 SCHEMES = ("upwind", "lax_friedrichs")
-INTEGRATORS = ("euler", "heun")
 
 # Runaway-oscillation threshold: stop when total variation exceeds ten times
 # its initial value (plus an absolute floor so smooth roundoff noise on
@@ -173,8 +171,10 @@ class TauField(_NormalCurveGrid):
         boundary: str = "periodic",
     ) -> "TauField":
         s = _uniform_nodes(grid, length, boundary == "periodic", 0.0)
-        lam = np.asarray(lam0(s), dtype=float) * np.ones_like(s)
-        return cls(s, umbilical_tau(n, lam), boundary)
+        with np.errstate(over="ignore"):  # __post_init__ refuses an overflowed power
+            lam = np.asarray(lam0(s), dtype=float) * np.ones_like(s)
+            tau = umbilical_tau(n, lam)
+        return cls(s, tau, boundary)
 
 
 @dataclass
@@ -185,21 +185,16 @@ class StepControl:
     cfl: float = 0.9
     scheme: str = "upwind"
     max_steps: int = 200_000
-    integrator: str = "euler"
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
-        if self.integrator == "heun" and self.scheme != "upwind":
-            raise ValueError("integrator heun is only wired to the upwind operator")
 
 
 def _neighbors(u: np.ndarray, periodic: bool):
@@ -248,12 +243,6 @@ def _pick_dt(max_speed: float, ds: float, cfl: float, remaining: float) -> float
     return dt
 
 
-def _upwind_increment(lam, F, ds, periodic):
-    """Upwind spatial operator L(lam) with d lam/dt = L(lam)."""
-    speed = 0.5 * np.asarray(psi_prime(F, lam))
-    return -speed * _upwind_derivative(lam, ds, speed, periodic)
-
-
 def step_umbilical(
     p: UmbilicalProfile,
     F: FlowFunctional,
@@ -264,8 +253,7 @@ def step_umbilical(
 
     The step size satisfies (max|psi'|/2) dt / ds <= cfl and never overshoots
     t_end.  ``inflow_left`` imposes Dirichlet data at the left transmissive
-    edge, on Heun's predictor as well; otherwise the edges use constant
-    extrapolation.
+    edge; otherwise the edges use constant extrapolation.
     """
     lam = p.lam
     ds = p.ds
@@ -279,26 +267,17 @@ def step_umbilical(
         speed0 = 0.5 * np.asarray(psi_prime(F, lam))
         dt = _pick_dt(float(np.max(np.abs(speed0))), ds, ctl.cfl, remaining)
         t_new = p.t + dt
-
-        def with_inflow(u):
-            if inflow_left is not None and not p.periodic:
-                u[0] = inflow_left(t_new)
-            return u
-
         if ctl.scheme == "lax_friedrichs":
             flux = 0.5 * psi_old
             ll, lr = _neighbors(lam, p.periodic)
             fl, fr = _neighbors(flux, p.periodic)
             lam_new = 0.5 * (ll + lr) - dt / (2.0 * ds) * (fr - fl)
-        elif ctl.integrator == "heun":
-            k1 = -speed0 * _upwind_derivative(lam, ds, speed0, p.periodic)
-            k2 = _upwind_increment(with_inflow(lam + dt * k1), F, ds, p.periodic)
-            lam_new = lam + 0.5 * dt * (k1 + k2)
         else:
             lam_new = lam - dt * speed0 * _upwind_derivative(
                 lam, ds, speed0, p.periodic
             )
-        with_inflow(lam_new)
+        if inflow_left is not None and not p.periodic:
+            lam_new[0] = inflow_left(t_new)
 
         if not np.all(np.isfinite(lam_new)):
             raise FlowBlowUpError("non-finite normal curvature", p.t)

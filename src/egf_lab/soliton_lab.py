@@ -70,9 +70,11 @@ class SolitonReport:
 
 
 def _norms(residuals: dict) -> tuple[dict, dict]:
-    """Sup and root-mean-square norms of each named residual."""
+    """Sup and root-mean-square norms of each named residual; the mean square
+    is taken of v / sup, so a finite residual never overflows to an infinite norm."""
     linf = {k: float(np.max(np.abs(v))) for k, v in residuals.items()}
-    l2 = {k: float(np.sqrt(np.mean(v ** 2))) for k, v in residuals.items()}
+    l2 = {k: linf[k] * float(np.sqrt(np.mean((v / linf[k]) ** 2))) if linf[k] else 0.0
+          for k, v in residuals.items()}
     return linf, l2
 
 

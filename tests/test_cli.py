@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from egf_lab.cli import (
     sweep_configs,
     write_csv,
 )
-from egf_lab.flow_engine import UmbilicalProfile, evolve_umbilical
+from egf_lab.flow_engine import StepControl, UmbilicalProfile, evolve_umbilical
 from egf_lab.revolution_geometry import (
     integrate_constant_lambda,
     profile_metric,
@@ -240,6 +241,10 @@ MALFORMED = [
     (COHOMOLOGY, "v", [1.0], "v"),
     (COHOMOLOGY, "v", [1.0, math.nan], "v"),
     (COHOMOLOGY, "v", [1.0, 10 ** 400], "v"),
+    # finite directions whose divisors 2 pi <u, v> overflow within the truncation
+    (_set(_set(json.loads(json.dumps(COHOMOLOGY)), "K", 2), "h.modes",
+          [[1, 1, 1.0, 0.0]]), "v", [1.0, 1e308], "v: the divisors"),
+    (_set(json.loads(json.dumps(COHOMOLOGY)), "K", 8), "v", [1.0, 1e307], "v: "),
     (CONE, "numerics.cfl", 1.5, "numerics.cfl"),
     (CONE, "numerics.t_end", -1, "numerics.t_end"),
     (CONE, "numerics.scheme", "magic", "numerics.scheme"),
@@ -280,14 +285,9 @@ class TestMalformedValues:
         assert code == EXIT_OK
         assert report["results"]["t_end"] == 1.0
 
-    def test_cone_check_honours_integrator_and_max_steps(self, tmp_path):
-        euler, _ = run(CONE, tmp_path / "euler", quiet=True)
-        heun_cfg = _set(json.loads(json.dumps(CONE)), "numerics.integrator", "heun")
-        heun, code = run(heun_cfg, tmp_path / "heun", quiet=True)
-        assert code == EXIT_OK
-        assert heun["results"]["sup_err_lambda"] != euler["results"]["sup_err_lambda"]
+    def test_cone_check_honours_max_steps(self, tmp_path):
         capped = _set(json.loads(json.dumps(CONE)), "numerics.max_steps", 1)
-        report, code = run(capped, tmp_path / "capped", quiet=True)
+        report, code = run(capped, tmp_path, quiet=True)
         assert code == EXIT_BLOWUP
         assert "after 1 steps" in report["error"]
 
@@ -315,6 +315,10 @@ class TestConfigTable:
          "numerics.grid", 64, "numerics: unknown key"),
         (COHOMOLOGY, "numerics.cfl", 0.5, "numerics: unknown key"),
         (umbilical_config(), "numerics.seed", 7, "numerics.seed: unknown key"),
+        (umbilical_config(), "numerics.integrator", "euler",
+         "numerics.integrator: unknown key"),
+        (CONE, "numerics.integrator", "heun", "numerics.integrator: unknown key"),
+        (TAU_FLOW, "numerics.integrator", "euler", "numerics.integrator: unknown key"),
     ])
     def test_unknown_key_exits_2_naming_it(self, tmp_path, base, path, value, message):
         cfg = _set(json.loads(json.dumps(base)), path, value)
@@ -324,6 +328,13 @@ class TestConfigTable:
         assert json.loads((tmp_path / "report.json").read_text())["error"] == (
             report["error"])
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_stepping_keys_mirror_step_control_fields(self):
+        # _control passes each STEPPING key to the StepControl field of its name
+        t_end, *fields = dataclasses.fields(StepControl)
+        assert t_end.name == "t_end"
+        assert [f"numerics.{f.name}" for f in fields] == list(cli.STEPPING)
+        assert [f.default for f in fields] == [k.default for k in cli.STEPPING.values()]
 
     def test_dotted_key_names_are_unknown(self):
         cfg = {**umbilical_config(), "numerics.cfl": 0.5}
@@ -702,6 +713,29 @@ class TestRunScenarios:
         written = json.loads((tmp_path / "report.json").read_text())
         assert written["exit_status"] == EXIT_BLOWUP
 
+    @pytest.mark.parametrize("name,grid,eps", [
+        ("ext_ricci", 32, "auto"), ("umbilical_square", 32, "auto"), ("b1", 8, 1e308)])
+    def test_finite_soliton_residuals_have_finite_norms(self, tmp_path, name, grid, eps):
+        # their squares overflow; their root mean squares do not
+        cfg = {"scenario": "soliton-check", "n": 2, "functional": {"name": name},
+               "initial": {"kind": "sine", "amplitude": 1e79, "mean": 1e80},
+               "numerics": {"grid": grid}, "eps": eps}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
+        assert report["results"]["verdict"] == "not_soliton"
+        assert all(0 <= v < math.inf for v in report["results"]["residual_l2"].values())
+
+    @pytest.mark.parametrize("mean", [1e110, 1e160])
+    def test_overflowing_initial_power_sums_name_initial(self, tmp_path, mean):
+        cfg = {"scenario": "tau-flow", "n": 3, "functional": {"name": "b1"},
+               "initial": {"kind": "sine", "amplitude": 0.1, "mean": mean},
+               "numerics": {"grid": 32, "t_end": 0.1}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith("initial: "), report["error"]
+        assert json.loads((tmp_path / "report.json").read_text())["exit_status"] == (
+            EXIT_CONFIG)
+
 class TestDeterminism:
     def test_identical_configs_identical_csvs(self, tmp_path):
         cfg = umbilical_config(grid=128, t_end=0.5)
@@ -912,6 +946,20 @@ class TestCohomologyInput:
         assert code == EXIT_CONFIG
         assert report["error"].startswith(f"h.modes[{idx}]: expected "), report["error"]
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("v,mode,expected", [
+        ([1e-320, 1.0], [1, 0], EXIT_UNSOLVABLE),
+        ([1.0, 1.5], [3, -2], EXIT_UNSOLVABLE),  # <u, v> = 0 beside ||u||^s = inf
+        ([1.0, 2 ** 0.5], [1, 0], EXIT_OK),
+    ])
+    def test_margin_power_past_the_float_range(self, tmp_path, v, mode, expected):
+        cfg = {"scenario": "cohomology", "v": v, "K": 3, "s": 1e300,
+               "h": {"modes": [[*mode, 1.0, 0.0]]}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == expected, report.get("error")
+        if expected == EXIT_OK:
+            assert report["results"]["margin"] == 1.0  # the axis mode (1, 0)
+            assert report["results"]["residual"] < 1e-12
 
     def test_no_rows_solve_h_zero(self, tmp_path):
         cfg = {"scenario": "cohomology", "v": [1.0, 1.7], "K": 3, "h": {"modes": []}}

@@ -109,28 +109,17 @@ class TestStepUmbilical:
         assert out.lam.min() >= lo - 1e-12
         assert out.lam.max() <= hi + 1e-12
 
-    @pytest.mark.parametrize("integrator", ["euler", "heun"])
-    def test_cone_translation_with_exact_inflow(self, integrator):
-        # Heun's predictor carries the inflow too, or the edge error stays O(dt)
+    def test_cone_translation_with_exact_inflow(self):
         F = functional_b1(2)
         p = UmbilicalProfile.from_function(
             lambda s: -2.0 / s, 400, 4.0, "transmissive", s0=2.0
         )
-        ctl = StepControl(t_end=1.0, cfl=0.9, integrator=integrator)
+        ctl = StepControl(t_end=1.0, cfl=0.9)
         out = evolve_umbilical(
             p, F, ctl, inflow_left=lambda t: -2.0 / (2.0 - t / 2.0)
         )
         exact = -2.0 / (p.s - 0.5)
         assert np.max(np.abs(out.lam - exact)) < 5e-3
-
-    def test_heun_runs(self):
-        F = functional_b1(2)
-        p = sine_profile(grid=128)
-        out = evolve_umbilical(
-            p, F, StepControl(t_end=0.3, integrator="heun")
-        )
-        exact = np.sin(2 * np.pi * (p.s - 0.15))
-        assert np.max(np.abs(out.lam - exact)) < 0.05
 
     def test_zero_speed_jumps_to_t_end(self):
         F = functional_tau1_minus_c(2, 0.0)
@@ -227,8 +216,6 @@ class TestStepUmbilical:
             StepControl(t_end=1.0, cfl=1.5)
         with pytest.raises(ValueError):
             StepControl(t_end=1.0, scheme="magic")
-        with pytest.raises(ValueError):
-            StepControl(t_end=1.0, integrator="heun", scheme="lax_friedrichs")
         for t_end in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="t_end"):
                 StepControl(t_end=t_end)
