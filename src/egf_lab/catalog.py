@@ -109,7 +109,8 @@ def _polynomial(terms: tuple) -> Callable[[np.ndarray], np.ndarray]:
     def f(tau):
         out = np.zeros(tau.shape[:-1])
         for i, (coef, factors) in enumerate(monomials):
-            term = np.full(tau.shape[:-1], coef)
+            term = np.empty(tau.shape[:-1])  # empty + fill: np.full is a Python wrapper
+            term.fill(coef)
             for k, e in factors:
                 term = term * tau[..., k] ** e
             out = term if i == 0 else out + term  # not 0 + term: keeps -0.0

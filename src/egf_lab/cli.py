@@ -44,6 +44,7 @@ from .cohomology_solver import (
 )
 from .flow_engine import (
     BOUNDARIES,
+    ORACLE_REFINE,
     SCHEMES,
     BoundedProgressError,
     FlowBlowUpError,
@@ -313,6 +314,13 @@ SCENARIO = Key(str, allowed=tuple(TABLES))
 # (lower, upper) key pairs that bound one interval: upper must exceed lower
 INTERVALS = (("domain_min", "domain_max"), ("curve.x0_min", "curve.x0_max"),
              ("curve.x1_min", "curve.x1_max"))
+# (length, grid) key pairs of the uniform grids the scenarios sample
+SPANS = (("numerics.length", "numerics.grid"), ("numerics.length0", "numerics.grid0"),
+         ("numerics.length1", "numerics.grid1"))
+# largest length x grid: the characteristics oracle samples ORACLE_REFINE x
+# grid nodes over the length, and a phase 2 pi mode s / length of data below
+# the Nyquist mode stays under pi x length x grid
+SPAN_MAX = sys.float_info.max / (2.0 * math.pi * ORACLE_REFINE)
 # most members one `sweep` command runs (one scenario run each)
 MAX_SWEEP_POINTS = 64
 # bytes of (t, lam, phi) snapshots an umbilical flow may buffer for
@@ -326,9 +334,9 @@ SNAPSHOT_OVERHEAD = 400
 
 def parse_config(config) -> dict:
     """{key path: value} for every key the config's scenario accepts, with
-    defaults filled in.  A malformed or unknown key, an empty interval, or a
-    count beyond the size cap, raises ConfigError; nothing is read from disk
-    or built."""
+    defaults filled in.  A malformed or unknown key, an empty interval, a
+    count beyond the size cap, or a grid that cannot hold its length or its
+    initial data, raises ConfigError; nothing is read from disk or built."""
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
     table = accepted_keys(config)
@@ -339,6 +347,7 @@ def parse_config(config) -> dict:
             raise ConfigError(f"{hi}: must exceed {lo} ({values[lo]!r}), "
                               f"got {values[hi]!r}")
     _check_sizes(values)
+    _check_sampling(values)
     return values
 
 
@@ -409,6 +418,26 @@ def _check_sizes(cfg: dict) -> None:
     for label, count in counts.items():
         if not count <= CAP:
             raise ConfigError(f"{label} = {count:g} exceeds the size cap {CAP}")
+
+
+def _check_sampling(cfg: dict) -> None:
+    """Each length spans its grid in double precision: its nodes, the
+    oracle's finer ones and the phases of its initial data stay finite
+    (length x grid <= SPAN_MAX), and its spacing stays normal.  Random
+    Fourier and sine data have every mode below the grid's Nyquist limit
+    grid / 2, so that no mode aliases onto another."""
+    for length, grid in SPANS:
+        if length in cfg and not (cfg[length] * cfg[grid] <= SPAN_MAX
+                                  and cfg[length] / cfg[grid] >= sys.float_info.min):
+            raise ConfigError(
+                f"{length}: {cfg[length]!r} over {grid} = {cfg[grid]} nodes leaves the "
+                f"double range; need length × grid <= {SPAN_MAX:.6g} and "
+                f"length / grid >= {sys.float_info.min:.6g}")
+    top = {"random_fourier": "initial.modes", "sine": "initial.periods"}.get(
+        cfg.get("initial.kind"))  # the key holding the data's highest mode
+    if top and not 2 * abs(cfg[top]) < cfg["numerics.grid"]:
+        raise ConfigError(f"{top}: must stay below numerics.grid / 2 "
+                          f"({cfg['numerics.grid'] / 2:g}) in magnitude, got {cfg[top]!r}")
 
 
 def _build(prefix: str, factory, *args, **kwargs):
@@ -587,22 +616,30 @@ def run_cohomology(cfg: dict, outdir: Path):
 
 def run_revolution(cfg: dict, outdir: Path):
     kind = cfg["curve.kind"]
-    if kind == "cone":
-        x0_range = (cfg["curve.x0_min"], cfg["curve.x0_max"])
-        profile = _build("curve: ", RevolutionProfile.cone, cfg["curve.beta"],
-                         x0_range, cfg["numerics.grid"])
-        K_formula = np.zeros_like  # a straight generatrix: flat plane sections
-    else:
-        C = cfg["curve.C"]
-        profile = _build("curve: ", integrate_constant_lambda, cfg["curve.x1_min"],
-                         cfg["curve.x1_max"], cfg["curve.step"], C)
-        K_formula = sectional_curvature_formula
+    lo, hi = ("curve.x0_min", "curve.x0_max") if kind == "cone" else (
+        "curve.x1_min", "curve.x1_max")
+    # an overflow shows as a non-finite column, refused below
+    with np.errstate(all="ignore"):
+        if kind == "cone":
+            profile = _build("curve: ", RevolutionProfile.cone, cfg["curve.beta"],
+                             (cfg[lo], cfg[hi]), cfg["numerics.grid"])
+            K_formula = np.zeros_like  # a straight generatrix: flat plane sections
+        else:
+            C = cfg["curve.C"]
+            profile = _build("curve: ", integrate_constant_lambda, cfg[lo], cfg[hi],
+                             cfg["curve.step"], C)
+            K_formula = sectional_curvature_formula
 
-    g00, g11 = profile_metric(profile)
-    cmp = sectional_curvature_profile(profile, K_formula)
-    # normal curvature of the parallels under the sin(angle)/radius convention
-    fp = profile.dx1 / profile.dx0
-    lam = fp / (profile.x1 * np.sqrt(1.0 + fp ** 2))
+        g00, g11 = profile_metric(profile)
+        cmp = sectional_curvature_profile(profile, K_formula)
+        # normal curvature of the parallels under the sin(angle)/radius convention
+        fp = profile.dx1 / profile.dx0
+        lam = fp / (profile.x1 * np.sqrt(1.0 + fp ** 2))
+    columns = (profile.x0, profile.x1, g00, g11, lam, cmp.formula, cmp.oracle)
+    if not (all(np.isfinite(c).all() for c in columns)
+            and math.isfinite(cmp.max_abs_diff)):
+        raise ConfigError(f"{lo}, {hi}: the profile's metric or curvature leaves the "
+                          f"double range on [{cfg[lo]:g}, {cfg[hi]:g}]")
 
     files = [outdir / "profile.csv"]
     gp = outdir / "profile.dat" if cfg["output.gnuplot"] else None

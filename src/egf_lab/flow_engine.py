@@ -64,13 +64,22 @@ class ShockError(RuntimeError):
     """Characteristics crossed; the transported solution is no longer single-valued."""
 
 
-def _uniform_spacing(s: np.ndarray) -> float:
-    ds = np.diff(s)
-    if ds.size == 0 or np.any(ds <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if np.max(ds) - np.min(ds) > 1e-9 * np.max(ds):
-        raise ValueError("grid spacing must be uniform")
-    return float(np.mean(ds))
+def _grid_steps(s: np.ndarray) -> np.ndarray:
+    """The steps s[1:] - s[:-1] of a finite, strictly increasing, uniform grid;
+    any other grid raises ValueError.  Finite ends and positive steps leave no
+    room for a non-finite node, and a NaN node makes a NaN step, which fails
+    ``lo > 0``: the check costs two reductions beyond the steps."""
+    if s.size > 1 and math.isfinite(s[0]) and math.isfinite(s[-1]):
+        ds = s[1:] - s[:-1]
+        lo = ds.min()
+        if lo > 0:
+            hi = ds.max()
+            if hi - lo > 1e-9 * hi:
+                raise ValueError("grid spacing must be uniform")
+            return ds
+    if not np.isfinite(s).all():
+        raise ValueError("grid nodes must be finite")
+    raise ValueError("grid must be strictly increasing")
 
 
 def _uniform_nodes(grid: int, length: float, periodic: bool, s0: float) -> np.ndarray:
@@ -90,7 +99,7 @@ class _NormalCurveGrid:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
         if self.s.size < 8:
             raise ValueError("need at least 8 grid nodes")
-        _uniform_spacing(self.s)
+        _grid_steps(self.s)
 
     @property
     def periodic(self) -> bool:
@@ -117,9 +126,9 @@ class UmbilicalProfile(_NormalCurveGrid):
         self.phi = np.asarray(self.phi, dtype=float)
         if self.lam.shape != self.s.shape or self.phi.shape != self.s.shape:
             raise ValueError("lam and phi must match the grid")
-        if not (np.all(np.isfinite(self.lam)) and np.all(np.isfinite(self.phi))):
+        if not (np.isfinite(self.lam).all() and np.isfinite(self.phi).all()):
             raise ValueError("profile values must be finite")
-        if np.any(self.phi <= 0):
+        if (self.phi <= 0).any():
             raise ValueError("warping factor must be positive")
 
     @classmethod
@@ -154,7 +163,7 @@ class TauField(_NormalCurveGrid):
             raise ValueError("tau must have shape (grid, n)")
         if self.tau.shape[1] < 1:
             raise ValueError("need n >= 1")
-        if not np.all(np.isfinite(self.tau)):
+        if not np.isfinite(self.tau).all():
             raise ValueError("tau values must be finite")
 
     @property
@@ -197,13 +206,16 @@ class StepControl:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
 
 
-def _neighbors(u: np.ndarray, periodic: bool):
-    """Left/right neighbors along the last axis (the grid); transmissive edges
-    use constant extrapolation."""
-    if periodic:
-        return np.roll(u, 1, axis=-1), np.roll(u, -1, axis=-1)
-    left = np.concatenate((u[..., :1], u[..., :-1]), axis=-1)
-    right = np.concatenate((u[..., 1:], u[..., -1:]), axis=-1)
+def _neighbors(u: np.ndarray, periodic: bool, axis: int = -1):
+    """Left/right neighbors along ``axis`` (by default the last, the grid);
+    transmissive edges use constant extrapolation.  Slices and one
+    concatenate each: np.roll costs several times as much per call."""
+    head = (slice(None),) * (axis % u.ndim)
+    first, last = u[(*head, slice(None, 1))], u[(*head, slice(-1, None))]
+    left = np.concatenate((last if periodic else first, u[(*head, slice(None, -1))]),
+                          axis=axis)
+    right = np.concatenate((u[(*head, slice(1, None))], first if periodic else last),
+                           axis=axis)
     return left, right
 
 
@@ -218,16 +230,18 @@ def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool)
     """Central difference along ``axis``; second-order one-sided at the edges
     of a non-periodic axis."""
     if periodic:
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (
-            2.0 * spacing
-        )
+        left, right = _neighbors(arr, True, axis)
+        return (right - left) / (2.0 * spacing)
     return np.gradient(arr, spacing, axis=axis, edge_order=2)
 
 
 def total_variation(u: np.ndarray, periodic: bool) -> float:
-    tv = float(np.sum(np.abs(np.diff(u))))
-    if periodic:
-        tv += abs(float(u[0] - u[-1]))
+    """Sum of |u[k+1] - u[k]|, with the wrap-around jump when periodic; an
+    overflow reads inf, which the march's guard and steps handle."""
+    with np.errstate(over="ignore"):
+        tv = float(np.abs(u[1:] - u[:-1]).sum())
+        if periodic:
+            tv += abs(float(u[0] - u[-1]))
     return tv
 
 
@@ -265,7 +279,7 @@ def step_umbilical(
     with np.errstate(all="ignore"):
         psi_old = np.asarray(psi_of_lambda(F, lam))
         speed0 = 0.5 * np.asarray(psi_prime(F, lam))
-        dt = _pick_dt(float(np.max(np.abs(speed0))), ds, ctl.cfl, remaining)
+        dt = _pick_dt(float(np.abs(speed0).max()), ds, ctl.cfl, remaining)
         t_new = p.t + dt
         if ctl.scheme == "lax_friedrichs":
             flux = 0.5 * psi_old
@@ -279,7 +293,7 @@ def step_umbilical(
         if inflow_left is not None and not p.periodic:
             lam_new[0] = inflow_left(t_new)
 
-        if not np.all(np.isfinite(lam_new)):
+        if not np.isfinite(lam_new).all():
             raise FlowBlowUpError("non-finite normal curvature", p.t)
 
         # trapezoid-in-time update of the warping integral phi = phi0 exp(int psi/2)
@@ -431,7 +445,7 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
         coefs = [eq * j * f[j] / (2.0 * (eq + j - 1)) for j in live]
         signs = sum(coefs, np.zeros((n, tau.shape[0])))
         speeds = sum(map(np.abs, coefs), np.zeros((n, tau.shape[0])))
-        dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
+        dt = _pick_dt(float(speeds.max()), ds, ctl.cfl, remaining)
 
         if upwind:
             left, right = _neighbors(rows, fld.periodic)
@@ -461,7 +475,7 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
             left, right = _neighbors(tau.T, fld.periodic)
             tau_new = (0.5 * (left + right) + dt * rhs).T
 
-    if not np.all(np.isfinite(tau_new)):
+    if not np.isfinite(tau_new).all():
         raise FlowBlowUpError("non-finite power sums", fld.t)
     return TauField(fld.s, tau_new, fld.boundary, fld.t + dt)
 

@@ -22,8 +22,8 @@ import numpy as np
 from .flow_engine import (
     UmbilicalProfile,
     _axis_derivative,
+    _grid_steps,
     _uniform_nodes,
-    _uniform_spacing,
 )
 from .sym_curvature import (
     FlowFunctional,
@@ -243,11 +243,11 @@ class BiregularGrid:
 
     @property
     def d0(self) -> float:
-        return _uniform_spacing(self.x0)
+        return float(_grid_steps(self.x0).mean())
 
     @property
     def d1(self) -> float:
-        return _uniform_spacing(self.x1)
+        return float(_grid_steps(self.x1).mean())
 
     @classmethod
     def from_functions(

@@ -166,18 +166,19 @@ def power_sums_with_tau0(tau, n: int, m: int) -> np.ndarray:
     """
     tau = np.asarray(tau, dtype=float)
     given = min(n, m)
+    lead = tuple(range(tau.ndim - 1))  # transpose views: np.moveaxis costs more
     rows = np.zeros((m + 1,) + tau.shape[:-1])
     rows[0] = n
-    rows[1:given + 1] = np.moveaxis(tau[..., :given], -1, 0)
+    rows[1:given + 1] = tau[..., :given].transpose(-1, *lead)
     if m > n:
         # (-1)^(i+1) sigma_i as row i - 1
-        signed = np.moveaxis(elementary_from_power(tau, n), -1, 0).copy()
+        signed = elementary_from_power(tau, n).transpose(-1, *lead).copy()
         signed[1::2] *= -1.0
         for j in range(n + 1, m + 1):
             # row j sums from its +0.0, so a sum of -0.0 terms reads +0.0
             for i in range(1, n + 1):
                 rows[j] += signed[i - 1] * rows[j - i]
-    return np.moveaxis(rows, 0, -1)
+    return rows.transpose(*range(1, rows.ndim), 0)
 
 
 def umbilical_tau(n: int, lam) -> np.ndarray:
@@ -196,7 +197,8 @@ def psi_of_lambda(F: FlowFunctional, lam):
     """
     lam = np.asarray(lam, dtype=float)
     if F.psi_coeffs is not None:
-        out = np.full(lam.shape, F.psi_coeffs[-1])
+        out = np.empty(lam.shape)  # empty + fill: np.full is a Python wrapper
+        out.fill(F.psi_coeffs[-1])
         for c in F.psi_coeffs[-2::-1]:
             out *= lam
             out += c

@@ -18,7 +18,6 @@ from egf_lab.flow_engine import (
     FlowBlowUpError,
     StepControl,
     TauField,
-    _axis_derivative,
     _pick_dt,
 )
 from egf_lab.revolution_geometry import RevolutionProfile
@@ -356,15 +355,31 @@ def reparameterize_arclength(p: RevolutionProfile) -> RevolutionProfile:
     )
 
 
-def _neighbors_rows(u, periodic):
-    """Left/right neighbors along axis 0; transmissive edges repeat the edge."""
+def neighbors_reference(u, periodic, axis=0):
+    """Left/right neighbors along ``axis`` through np.roll; transmissive edges
+    repeat the edge node, gathered by np.take."""
     if periodic:
-        return np.roll(u, 1, axis=0), np.roll(u, -1, axis=0)
-    return (np.concatenate(([u[0]], u[:-1])), np.concatenate((u[1:], [u[-1]])))
+        return np.roll(u, 1, axis=axis), np.roll(u, -1, axis=axis)
+    g = u.shape[axis]
+    return (np.take(u, [0, *range(g - 1)], axis=axis),
+            np.take(u, [*range(1, g), g - 1], axis=axis))
+
+
+def central_difference_reference(u, spacing, axis):
+    """Periodic central difference along ``axis`` through two np.roll calls."""
+    return (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * spacing)
+
+
+def total_variation_reference(u, periodic):
+    """sum |u[k+1] - u[k]| through np.diff and np.sum, plus the wrap-around
+    jump when periodic; an overflow reads inf."""
+    with np.errstate(over="ignore"):
+        tv = float(np.sum(np.abs(np.diff(u))))
+        return tv + abs(float(u[0] - u[-1])) if periodic else tv
 
 
 def _upwind_derivative(u, ds, speed, periodic):
-    left, right = _neighbors_rows(u, periodic)
+    left, right = neighbors_reference(u, periodic)
     return np.where(speed >= 0, (u - left) / ds, (right - u) / ds)
 
 
@@ -406,7 +421,9 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
     def deriv(u: np.ndarray, eq: int) -> np.ndarray:
         if ctl.scheme == "upwind":
             return _upwind_derivative(u, ds, signs[eq - 1], fld.periodic)
-        return _axis_derivative(u, ds, 0, fld.periodic)
+        if fld.periodic:
+            return central_difference_reference(u, ds, 0)
+        return np.gradient(u, ds, axis=0, edge_order=2)
 
     rhs = np.zeros_like(tau)
     for i in range(1, n + 1):
@@ -419,7 +436,7 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
     if ctl.scheme == "upwind":
         tau_new = tau + dt * rhs
     else:
-        left, right = _neighbors_rows(tau, fld.periodic)
+        left, right = neighbors_reference(tau, fld.periodic)
         tau_new = 0.5 * (left + right) + dt * rhs
 
     if not np.all(np.isfinite(tau_new)):

@@ -262,6 +262,29 @@ MALFORMED = [
     (BIREGULAR, "numerics.length1", -0.5, "numerics.length1"),
     (CONE, "domain_max", 1.0, "domain_max: must exceed domain_min (2.0), got 1.0"),
     (REVOLUTION, "curve.x0_max", 1.0, "curve.x0_max: must exceed curve.x0_min"),
+    # a length whose nodes overflow or whose spacing underflows names the pair
+    (TAU_FLOW, "numerics.length", 1e308,
+     "numerics.length: 1e+308 over numerics.grid = 64 nodes leaves the double range"),
+    (umbilical_config(grid=32), "numerics.length", 1e308, "numerics.length: "),
+    # the oracle samples 16 x grid nodes: 1.28e309 here, and a NaN error at exit 0
+    (_set(umbilical_config(grid=8), "functional.name", "umbilical_square"),
+     "numerics.length", 1e307, "numerics.length: 1e+307 over numerics.grid = 8 nodes"),
+    (SOLITON, "numerics.length", 1e-320, "numerics.length: 1e-320 over numerics.grid"),
+    (BIREGULAR, "numerics.length1", 1e308, "numerics.length1: 1e+308 over numerics.grid1"),
+    # random Fourier and sine data alias from the Nyquist mode grid / 2 on
+    (FOURIER_FLOW, "initial.modes", 64,
+     "initial.modes: must stay below numerics.grid / 2 (64) in magnitude, got 64"),
+    (FOURIER_FLOW, "initial.modes", 100, "initial.modes: must stay below"),
+    (umbilical_config(), "initial.periods", 64, "initial.periods: must stay below"),
+    (SOLITON | {"initial": {"kind": "sine"}}, "initial.periods", -32,
+     "initial.periods: must stay below numerics.grid / 2 (32) in magnitude, got -32"),
+    # a profile whose metric or curvature overflows: NaN, not a number, at exit 0
+    (_set(_set(json.loads(json.dumps(CONSTANT_LAMBDA)), "curve.x1_min", 1e-300),
+          "curve.step", 1e-300), "curve.x1_max", 1e-299,
+     "curve.x1_min, curve.x1_max: the profile's metric or curvature leaves"),
+    (_set(_set(json.loads(json.dumps(CONSTANT_LAMBDA)), "curve.x1_min", 1e199),
+          "curve.step", 1e195), "curve.x1_max", 1e200, "curve.x1_min, curve.x1_max: "),
+    (REVOLUTION, "curve.x0_max", 1e200, "curve.x0_min, curve.x0_max: "),
 ]
 
 
@@ -724,6 +747,21 @@ class TestRunScenarios:
         assert code == EXIT_OK, report.get("error")
         assert report["results"]["verdict"] == "not_soliton"
         assert all(0 <= v < math.inf for v in report["results"]["residual_l2"].values())
+
+    def test_overflowing_total_variation_exits_3(self, tmp_path):
+        # the guard's sum overflows to inf, silently; the step reports the blow-up
+        cfg = umbilical_config(grid=32, t_end=0.1)
+        cfg["initial"]["amplitude"] = 1e308
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_BLOWUP, report.get("error")
+        assert report["error"].startswith("non-finite"), report["error"]
+
+    @pytest.mark.parametrize("initial", [{"kind": "random_fourier", "modes": 31},
+                                         {"kind": "sine", "periods": -31}])
+    def test_modes_just_below_nyquist_run(self, tmp_path, initial):
+        cfg = _set(umbilical_config(grid=64, t_end=0.05), "initial", initial)
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
 
     @pytest.mark.parametrize("mean", [1e110, 1e160])
     def test_overflowing_initial_power_sums_name_initial(self, tmp_path, mean):

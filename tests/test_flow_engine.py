@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from egf_lab.catalog import make_functional
 from egf_lab.flow_engine import (
+    BOUNDARIES,
+    SCHEMES,
     BoundedProgressError,
     FlowBlowUpError,
     RICCI_N2,
@@ -16,12 +23,23 @@ from egf_lab.flow_engine import (
     evolve_normalized_ricci,
     evolve_tau,
     evolve_umbilical,
+    _axis_derivative,
+    _neighbors,
     step_tau_system,
     step_umbilical,
+    total_variation,
 )
-from egf_lab.sym_curvature import FlowFunctional, psi_of_lambda
+from egf_lab.sym_curvature import FlowFunctional, power_sums_with_tau0, psi_of_lambda
 
-from oracles import FlowHistory, evolve_warping, step_tau_system_reference
+from oracles import (
+    FlowHistory,
+    central_difference_reference,
+    evolve_warping,
+    neighbors_reference,
+    power_sums_with_tau0_reference,
+    step_tau_system_reference,
+    total_variation_reference,
+)
 from test_sym_curvature import functional_b1, functional_tau1_minus_c
 
 
@@ -227,6 +245,18 @@ class TestStepUmbilical:
             UmbilicalProfile(
                 np.linspace(0, 1, 16), np.zeros(16), np.full(16, -1.0)
             )
+
+    @pytest.mark.parametrize("node", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 5, 15])
+    def test_non_finite_grid_node_refused(self, node, at):
+        # NaN fails every comparison and a +inf end makes an inf step, which
+        # the uniformity test (inf - lo > 1e-9 inf) cannot see
+        s = np.linspace(0.0, 1.0, 16)
+        s[at] = node
+        with pytest.raises(ValueError, match="grid nodes must be finite"):
+            UmbilicalProfile(s, np.zeros(16), np.ones(16))
+        with pytest.raises(ValueError, match="grid nodes must be finite"):
+            TauField(s, np.zeros((16, 2)))
 
 
 class TestWarping:
@@ -473,3 +503,84 @@ class TestNormalizedRicci:
         np.testing.assert_allclose(
             psi_of_lambda(RICCI_N2, lam), -2 * lam ** 2, atol=1e-12
         )
+
+
+# node values: any double, the signed zeros and the non-finite ones drawn often
+NODE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+                        st.floats(width=64))
+GRID_SHAPES = st.one_of(st.tuples(st.integers(1, 24)),
+                        st.tuples(st.integers(1, 4), st.integers(1, 24)))
+
+
+class TestSliceHelpers:
+    """The step's slice and ndarray-method helpers against their np.roll,
+    np.diff and np.moveaxis forms, byte for byte."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(u=arrays(np.float64, GRID_SHAPES, elements=NODE_VALUES),
+           periodic=st.booleans())
+    def test_neighbors_match_roll_form(self, u, periodic):
+        got = _neighbors(u, periodic)
+        want = neighbors_reference(u, periodic, axis=-1)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(u=arrays(np.float64, GRID_SHAPES, elements=NODE_VALUES),
+           axis=st.integers(0, 1), spacing=st.sampled_from([0.1, 1.0, 3.0]))
+    def test_periodic_central_difference_matches_roll_form(self, u, axis, spacing):
+        axis = min(axis, u.ndim - 1)
+        with np.errstate(all="ignore"):  # inf - inf and overflow, alike on both
+            got = _axis_derivative(u, spacing, axis, True)
+            want = central_difference_reference(u, spacing, axis)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(u=arrays(np.float64, st.integers(1, 40),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)),
+           periodic=st.booleans())
+    def test_total_variation_matches_diff_form(self, u, periodic):
+        # the march's states are finite; their jumps may still overflow to inf
+        got = total_variation(u, periodic)
+        want = total_variation_reference(u, periodic)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data(), lead=st.sampled_from([(), (5,), (2, 3)]),
+           n=st.integers(1, 4), m=st.integers(1, 9))
+    def test_power_sums_with_tau0_match_reference(self, data, lead, n, m):
+        tau = data.draw(arrays(np.float64, lead + (n,),
+                               elements=st.floats(-4.0, 4.0, width=64)))
+        got = power_sums_with_tau0(tau, n, m)
+        want = power_sums_with_tau0_reference(tau, n, m)
+        assert got.shape == want.shape == lead + (m + 1,)
+        assert got.tobytes() == want.tobytes()
+
+
+# numpy's Python-level wrappers: ndarray methods and slices do the same work
+# at a fraction of the per-call cost, so none of them belongs on the step path
+WRAPPERS = ("roll", "moveaxis", "diff", "full", "any", "all", "max", "min", "mean",
+            "sum")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("name,n", [("b1", 2), ("b1", 3), ("umbilical_square", 2)])
+def test_marches_call_no_numpy_wrapper(monkeypatch, scheme, boundary, name, n):
+    F = make_functional(name, n)
+    lam0 = lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s)
+    p = UmbilicalProfile.from_function(lam0, 64, 1.0, boundary)
+    fld = TauField.from_umbilical(lam0, n, 64, 1.0, boundary)
+    ctl = StepControl(t_end=0.05, scheme=scheme)
+    calls = Counter()
+    for wrapper in WRAPPERS:
+        def counted(*args, _name=wrapper, _real=getattr(np, wrapper), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, wrapper, counted)
+    steps = []
+    evolve_umbilical(p, F, ctl, on_snapshot=lambda q: steps.append(q.t))
+    assert len(steps) > 2 and calls == Counter(), calls
+    out = evolve_tau(fld, F, ctl)
+    assert out.t == ctl.t_end and calls == Counter(), calls
