@@ -13,9 +13,11 @@ significant digits, LF endings): two runs of one config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -170,13 +172,29 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    return obj
+    if obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    if isinstance(obj, numbers.Real):  # a Fraction, say
+        with contextlib.suppress(OverflowError):  # one beyond the double range
+            return _jsonable(float(obj))
+    return repr(obj)
 
 
 def _write_json(path: Path, obj) -> None:
-    """obj as one line of sorted-key JSON (without indent, the C encoder)."""
+    """obj as one line of sorted-key strict JSON, byte for byte what
+    json.dumps(_jsonable(obj), sort_keys=True) writes.  The C encoder hands
+    what JSON cannot hold to _jsonable; a non-finite float or keys it cannot
+    sort send all of obj through _jsonable first.  It spells a bool or None
+    key true or null and sorts int keys as numbers, so every dict key it
+    meets must be a str."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False, default=_jsonable)
+    except (ValueError, TypeError):
+        text = json.dumps(_jsonable(obj), sort_keys=True)
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(_jsonable(obj), sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 # ------------------------------------------------------------ config table
@@ -321,6 +339,11 @@ SPANS = (("numerics.length", "numerics.grid"), ("numerics.length0", "numerics.gr
 # grid nodes over the length, and a phase 2 pi mode s / length of data below
 # the Nyquist mode stays under pi x length x grid
 SPAN_MAX = sys.float_info.max / (2.0 * math.pi * ORACLE_REFINE)
+# scenarios whose verdict tolerance is 10 × spacing² (soliton_lab.default_grid_tol)
+# and the largest spacing that keeps it finite, with a factor 2 of headroom for
+# the rounding of the nodes: an infinite tolerance would pass any data
+GRID_TOL_SCENARIOS = ("soliton-check", "biregular-check")
+GRID_TOL_SPACING_MAX = math.sqrt(sys.float_info.max / 20.0)
 # most members one `sweep` command runs (one scenario run each)
 MAX_SWEEP_POINTS = 64
 # bytes of (t, lam, phi) snapshots an umbilical flow may buffer for
@@ -423,7 +446,8 @@ def _check_sizes(cfg: dict) -> None:
 def _check_sampling(cfg: dict) -> None:
     """Each length spans its grid in double precision: its nodes, the
     oracle's finer ones and the phases of its initial data stay finite
-    (length x grid <= SPAN_MAX), and its spacing stays normal.  Random
+    (length x grid <= SPAN_MAX), and its spacing stays normal, as does the
+    tolerance 10 × spacing² of the soliton and biregular checks.  Random
     Fourier and sine data have every mode below the grid's Nyquist limit
     grid / 2, so that no mode aliases onto another."""
     for length, grid in SPANS:
@@ -433,6 +457,12 @@ def _check_sampling(cfg: dict) -> None:
                 f"{length}: {cfg[length]!r} over {grid} = {cfg[grid]} nodes leaves the "
                 f"double range; need length × grid <= {SPAN_MAX:.6g} and "
                 f"length / grid >= {sys.float_info.min:.6g}")
+    for length, grid in SPANS if cfg["scenario"] in GRID_TOL_SCENARIOS else ():
+        if length in cfg and not cfg[length] / (cfg[grid] - 1) <= GRID_TOL_SPACING_MAX:
+            raise ConfigError(
+                f"{length}: {cfg[length]!r} over {grid} = {cfg[grid]} nodes makes the "
+                f"grid tolerance 10 × spacing² leave the double range; need "
+                f"length / (grid - 1) <= {GRID_TOL_SPACING_MAX:.6g}")
     top = {"random_fourier": "initial.modes", "sine": "initial.periods"}.get(
         cfg.get("initial.kind"))  # the key holding the data's highest mode
     if top and not 2 * abs(cfg[top]) < cfg["numerics.grid"]:
@@ -698,6 +728,7 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     report = {"config": config, "versions": versions}
     code = EXIT_OK
     scenario = "?"
+    cfg = None
     try:
         cfg = parse_config(config)
         scenario = cfg["scenario"]
@@ -722,7 +753,10 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     report["exit_status"] = code
 
     report_path = outdir / "report.json"
-    _write_json(report_path, report)
+    # an accepted config holds str keys, finite numbers and no dict in a list,
+    # so the encoder may read it as it stands; any other is converted first
+    _write_json(report_path, report if cfg is not None
+                else {**report, "config": _jsonable(config)})
     if not quiet:
         target = report.get("error") or f"results in {report_path}"
         print(f"[egf-lab] {scenario}: {target}")

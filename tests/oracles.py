@@ -7,6 +7,7 @@ they are used to check.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -161,6 +162,34 @@ def write_csv_reference(path, header, rows, sep=","):
             fh.write(sep.join(header) + "\n")
         for row in rows:
             fh.write(sep.join(_fmt_reference(v) for v in row) + "\n")
+
+
+def _jsonable_reference(obj):
+    """obj as JSON values by one recursive walk: numpy scalars and arrays
+    become Python values and lists, dict keys become str(key), and a
+    non-finite float becomes its repr ("nan", "inf", "-inf")."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if math.isfinite(v) else repr(v)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonable_reference(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_reference(v) for v in obj]
+    return obj
+
+
+def write_json_reference(path, obj):
+    """The walk-then-dump report writer: the whole of obj through one Python
+    walk, then one line of sorted-key JSON.  The library's writer must match
+    it byte for byte."""
+    with open(path, "w", newline="") as fh:
+        fh.write(json.dumps(_jsonable_reference(obj), sort_keys=True) + "\n")
 
 
 @dataclass

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -39,7 +41,7 @@ from egf_lab.revolution_geometry import (
 )
 from egf_lab.soliton_lab import BiregularGrid, biregular_normal_curvature
 
-from oracles import write_csv_reference
+from oracles import write_csv_reference, write_json_reference
 
 
 def umbilical_config(grid=128, t_end=0.5, **numerics):
@@ -57,6 +59,16 @@ def umbilical_config(grid=128, t_end=0.5, **numerics):
 
 
 REVOLUTION = {"scenario": "revolution", "curve": {"kind": "cone", "beta": 0.5}}
+
+
+def dense_cohomology_config(K: int) -> dict:
+    """3-D cohomology with one h.modes row per mode of the half lattice
+    |u|_inf <= K (the zero mode and those whose first nonzero entry is
+    positive; the solver completes the conjugates), v rationally independent."""
+    rows = [[*u, (1.0 + sum(c * c for c in u)) ** -1.5, 0.0]
+            for u in itertools.product(range(-K, K + 1), repeat=3) if u >= (0, 0, 0)]
+    return {"scenario": "cohomology", "v": [1.0, 2 ** 0.5, 3 ** 0.5], "K": K,
+            "h": {"modes": rows}}
 
 
 class TestConfigAccess:
@@ -271,6 +283,17 @@ MALFORMED = [
      "numerics.length", 1e307, "numerics.length: 1e+307 over numerics.grid = 8 nodes"),
     (SOLITON, "numerics.length", 1e-320, "numerics.length: 1e-320 over numerics.grid"),
     (BIREGULAR, "numerics.length1", 1e308, "numerics.length1: 1e+308 over numerics.grid1"),
+    # the verdict tolerance 10 × spacing² of the soliton checks overflows: it
+    # raised OverflowError, or read inf and passed any data
+    (_set(json.loads(json.dumps(SOLITON)), "numerics.grid", 8), "numerics.length",
+     1e160, "numerics.length: 1e+160 over numerics.grid = 8 nodes makes the grid "
+     "tolerance 10 × spacing² leave the double range"),
+    (_set(json.loads(json.dumps(SOLITON)), "initial", {"kind": "sine"}),
+     "numerics.length", 8e154 * 8, "numerics.length: "),
+    (_set(_set(json.loads(json.dumps(BIREGULAR)), "metric.name", "flat"),
+          "numerics", {"grid0": 8, "grid1": 8}), "numerics.length0", 1e160,
+     "numerics.length0: 1e+160 over numerics.grid0 = 8 nodes makes the grid tolerance"),
+    (BIREGULAR, "numerics.length1", 1e155, "numerics.length1: "),
     # random Fourier and sine data alias from the Nyquist mode grid / 2 on
     (FOURIER_FLOW, "initial.modes", 64,
      "initial.modes: must stay below numerics.grid / 2 (64) in magnitude, got 64"),
@@ -763,6 +786,19 @@ class TestRunScenarios:
         report, code = run(cfg, tmp_path, quiet=True)
         assert code == EXIT_OK, report.get("error")
 
+    @pytest.mark.parametrize("base,path", [(SOLITON, "numerics.length"),
+                                           (BIREGULAR, "numerics.length0"),
+                                           (BIREGULAR, "numerics.length1")],
+                             ids=["soliton", "biregular_length0", "biregular_length1"])
+    def test_largest_spacing_keeps_a_finite_grid_tolerance(self, tmp_path, base, path):
+        cfg = _set(json.loads(json.dumps(base)), path.replace("length", "grid"), 8)
+        _set(cfg, path, 7 * cli.GRID_TOL_SPACING_MAX)  # spacing length / (8 - 1)
+        if "metric" in cfg:
+            cfg["metric"]["name"] = "flat"  # exp_x0 overflows over such a length
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
+        assert 0 < report["results"]["tol"] < math.inf
+
     @pytest.mark.parametrize("mean", [1e110, 1e160])
     def test_overflowing_initial_power_sums_name_initial(self, tmp_path, mean):
         cfg = {"scenario": "tau-flow", "n": 3, "functional": {"name": "b1"},
@@ -785,12 +821,25 @@ class TestDeterminism:
         b = (tmp_path / "b" / "timeseries.csv").read_bytes()
         assert a == b
 
-    def test_report_is_one_line_of_sorted_json(self, tmp_path):
-        report, _ = run(umbilical_config(grid=64, t_end=0.25), tmp_path, quiet=True)
+    @pytest.mark.parametrize("cfg,non_finite", [
+        (umbilical_config(grid=64, t_end=0.25), False),
+        (dense_cohomology_config(3), False),
+        (RICCI, True),  # its handler replaced by one returning NaN and infinities
+    ], ids=["flow", "cohomology_3d", "non_finite_results"])
+    def test_report_is_one_line_of_sorted_json(self, tmp_path, monkeypatch, cfg,
+                                               non_finite):
+        if non_finite:
+            monkeypatch.setitem(cli.HANDLERS, "ricci-classify", lambda cfg, outdir: (
+                {"a": math.nan, "b": [math.inf, -np.inf], "c": np.float32("nan")}, []))
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
         text = (tmp_path / "report.json").read_text()
         assert text.endswith("}\n") and text.count("\n") == 1
-        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
-        assert json.loads(text)["config"] == umbilical_config(grid=64, t_end=0.25)
+        written = json.loads(text, parse_constant=_not_json)  # strict: no NaN token
+        assert text == json.dumps(written, sort_keys=True) + "\n"
+        assert written["config"] == cfg
+        if non_finite:
+            assert written["results"] == {"a": "nan", "b": ["inf", "-inf"], "c": "nan"}
 
     def test_config_echo_reruns_identically(self, tmp_path):
         cfg = umbilical_config(grid=64, t_end=0.25)
@@ -800,6 +849,102 @@ class TestDeterminism:
         a = (tmp_path / "a" / "timeseries.csv").read_bytes()
         b = (tmp_path / "b" / "timeseries.csv").read_bytes()
         assert a == b
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+# values json cannot hold as they stand: refused (exit 2) or read as numbers
+PYTHON_VALUES = [
+    (_set(dict(RICCI), "tau1", Fraction(1, 2)), EXIT_OK, "tau1", 0.5),
+    (_set(dict(RICCI), "extra", object()), EXIT_CONFIG, "extra", "<object object"),
+    (_set(dict(RICCI), "tau1", Fraction(10 ** 400)), EXIT_CONFIG, "tau1",
+     "Fraction(1000"),
+]
+# configs whose keys json spells or sorts otherwise than str(key) does, with
+# NaN and numpy values: each report must equal the walk-then-dump reference
+REFERENCE_CONFIGS = {
+    "bool_key": {True: 1},
+    "none_key": {None: {"x": 1}},
+    "int_keys": {1: "a", 10: "b", 2: "c"},
+    "nested_keys": {**RICCI, "extra": [{True: 0}, {None: 1}, {1: 0, 10: 0, 2: 0}]},
+    "mixed_keys": {**RICCI, 3: "x", "b": 1, None: 2},
+    "nan": {**RICCI, "r": math.nan},
+    "nan_unknown_key": {**RICCI, "extra": [math.nan, -math.inf, np.float64("inf")]},
+    "numpy_accepted": {"scenario": "ricci-classify", "n": np.int64(4),
+                       "tau1": np.float32(0.1), "r": np.float64(1.0)},
+    "numpy_refused": {**RICCI, "extra": [np.bool_(True), np.arange(3),
+                                         np.array([[0.5, np.nan]])]},
+    "cohomology_3d": dense_cohomology_config(2),
+}
+
+
+class TestReportWriter:
+    """report.json holds strict JSON for every input, byte for byte what the
+    walk-then-dump writer in tests/oracles.py gives."""
+
+    @pytest.mark.parametrize("cfg,code,key,echo", PYTHON_VALUES,
+                             ids=["fraction", "object", "huge_fraction"])
+    def test_run_writes_report_for_any_python_value(self, tmp_path, cfg, code, key,
+                                                    echo):
+        report, got = run(cfg, tmp_path, quiet=True)
+        assert got == code, report.get("error")
+        written = json.loads((tmp_path / "report.json").read_text(),
+                             parse_constant=_not_json)
+        assert written["exit_status"] == code
+        value = written["config"][key]
+        assert value == echo if code == EXIT_OK else value.startswith(echo)
+
+    @pytest.mark.parametrize("name", REFERENCE_CONFIGS)
+    def test_report_matches_reference(self, tmp_path, name):
+        report, code = run(REFERENCE_CONFIGS[name], tmp_path, quiet=True)
+        assert code in (EXIT_OK, EXIT_CONFIG), report.get("error")
+        write_json_reference(tmp_path / "reference.json", report)  # same wall_time_s
+        assert (tmp_path / "report.json").read_bytes() == (
+            tmp_path / "reference.json").read_bytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+            st.floats(width=32).map(np.float32), st.integers(-2 ** 63, 2 ** 63 - 1).map(
+                np.int64), st.booleans().map(np.bool_),
+            st.lists(st.floats(), max_size=4).map(np.array),
+            st.lists(st.integers(-9, 9), max_size=4).map(
+                lambda v: np.array(v, dtype=np.int64).reshape(-1, 1)),
+        ),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=3), children, max_size=4)),
+        max_leaves=20,
+    ))
+    def test_writer_matches_reference_bytes(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            cli._write_json(Path(tmp) / "a.json", obj)
+            write_json_reference(Path(tmp) / "b.json", obj)
+            assert (Path(tmp) / "a.json").read_bytes() == (
+                Path(tmp) / "b.json").read_bytes()
+
+    def test_config_echo_is_not_walked(self, tmp_path, monkeypatch):
+        # the encoder reads an accepted config's mode table as it stands: the
+        # conversions are as many at K = 4 (365 rows) as at K = 8 (2,457)
+        walk, calls = cli._jsonable, []
+
+        def counted(obj):
+            calls.append(type(obj))
+            return walk(obj)
+
+        monkeypatch.setattr(cli, "_jsonable", counted)
+        counts = []
+        for K in (4, 8):
+            calls.clear()
+            report, code = run(dense_cohomology_config(K), tmp_path / str(K), quiet=True)
+            assert code == EXIT_OK, report.get("error")
+            counts.append(len(calls))
+        assert counts[0] == counts[1], counts
 
 
 class TestSweep:
