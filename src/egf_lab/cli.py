@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import os
+import reprlib
 import sys
 import time
 from dataclasses import asdict
@@ -158,14 +159,27 @@ def write_csv(path: Path, header: list[str], columns, tee: Path | None = None) -
             _write_rows(fh, columns, ",", tee_fh)
 
 
+def _shown(value) -> str:
+    """repr(value), but an int past the int-to-str digit limit, which repr
+    refuses alone or inside a container, is described."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            return f"an int of {int(value).bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to print"
+
+
+@reprlib.recursive_repr("a container that contains itself")
 def _jsonable(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+    if isinstance(obj, numbers.Integral):  # np.integer too
+        shown = _shown(int(obj))  # json writes these digits, if there are any
+        return int(obj) if shown.lstrip("-").isdigit() else shown
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -174,12 +188,10 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if obj is None or isinstance(obj, str):
         return obj
-    if isinstance(obj, numbers.Integral):
-        return int(obj)
     if isinstance(obj, numbers.Real):  # a Fraction, say
         with contextlib.suppress(OverflowError):  # one beyond the double range
             return _jsonable(float(obj))
-    return repr(obj)
+    return _shown(obj)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -255,14 +267,14 @@ def _modes_from_cfg(rows) -> np.ndarray:
     """h.modes rows [u1, ..., ud, re, im], checked all at once into one float
     array (no rows: h = 0); else the first bad row is named."""
     if not isinstance(rows, list):
-        raise ConfigError(f"h.modes: expected a list of rows, got {rows!r}")
+        raise ConfigError(f"h.modes: expected a list of rows, got {_shown(rows)}")
     table = _mode_table(rows) if rows else np.empty((0, 0))
     if table is None:
         idx = next(i for i, row in enumerate(rows)
                    if _mode_table([row]) is None or len(row) != len(rows[0]))
         raise ConfigError(
             f"h.modes[{idx}]: expected a list [u1, ..., re, im] as wide as the first "
-            f"row, of finite numbers with integer |u| < 2**53; got {rows[idx]!r}"
+            f"row, of finite numbers with integer |u| < 2**53; got {_shown(rows[idx])}"
         )
     return table
 
@@ -339,11 +351,6 @@ SPANS = (("numerics.length", "numerics.grid"), ("numerics.length0", "numerics.gr
 # grid nodes over the length, and a phase 2 pi mode s / length of data below
 # the Nyquist mode stays under pi x length x grid
 SPAN_MAX = sys.float_info.max / (2.0 * math.pi * ORACLE_REFINE)
-# scenarios whose verdict tolerance is 10 × spacing² (soliton_lab.default_grid_tol)
-# and the largest spacing that keeps it finite, with a factor 2 of headroom for
-# the rounding of the nodes: an infinite tolerance would pass any data
-GRID_TOL_SCENARIOS = ("soliton-check", "biregular-check")
-GRID_TOL_SPACING_MAX = math.sqrt(sys.float_info.max / 20.0)
 # most members one `sweep` command runs (one scenario run each)
 MAX_SWEEP_POINTS = 64
 # bytes of (t, lam, phi) snapshots an umbilical flow may buffer for
@@ -397,11 +404,11 @@ def _read(config: dict, path: str, key: Key):
         raise
     except (TypeError, ValueError, OverflowError):  # an int beyond float range
         raise ConfigError(f"{path}: expected {expects(key.cast)}, "
-                          f"got {node!r}") from None
+                          f"got {_shown(node)}") from None
     if key.allowed is not None and value not in key.allowed:
         if isinstance(key.allowed, range):
             raise ConfigError(f"{path}: must lie in [{key.allowed.start}, "
-                              f"{key.allowed[-1]}], got {value!r}")
+                              f"{key.allowed[-1]}], got {_shown(value)}")
         raise ConfigError(f"{path}: must be one of {sorted(key.allowed)}")
     return value
 
@@ -415,7 +422,7 @@ def _check_unknown(node: dict, prefix: str, table: dict) -> None:
                 continue
             if any(p.startswith(path + ".") for p in table):
                 if not isinstance(value, dict):
-                    raise ConfigError(f"{path}: expected an object, got {value!r}")
+                    raise ConfigError(f"{path}: expected an object, got {_shown(value)}")
                 _check_unknown(value, path + ".", table)
                 continue
         siblings = {p[len(prefix):].split(".")[0]
@@ -446,8 +453,7 @@ def _check_sizes(cfg: dict) -> None:
 def _check_sampling(cfg: dict) -> None:
     """Each length spans its grid in double precision: its nodes, the
     oracle's finer ones and the phases of its initial data stay finite
-    (length x grid <= SPAN_MAX), and its spacing stays normal, as does the
-    tolerance 10 × spacing² of the soliton and biregular checks.  Random
+    (length x grid <= SPAN_MAX), and its spacing stays normal.  Random
     Fourier and sine data have every mode below the grid's Nyquist limit
     grid / 2, so that no mode aliases onto another."""
     for length, grid in SPANS:
@@ -457,12 +463,6 @@ def _check_sampling(cfg: dict) -> None:
                 f"{length}: {cfg[length]!r} over {grid} = {cfg[grid]} nodes leaves the "
                 f"double range; need length × grid <= {SPAN_MAX:.6g} and "
                 f"length / grid >= {sys.float_info.min:.6g}")
-    for length, grid in SPANS if cfg["scenario"] in GRID_TOL_SCENARIOS else ():
-        if length in cfg and not cfg[length] / (cfg[grid] - 1) <= GRID_TOL_SPACING_MAX:
-            raise ConfigError(
-                f"{length}: {cfg[length]!r} over {grid} = {cfg[grid]} nodes makes the "
-                f"grid tolerance 10 × spacing² leave the double range; need "
-                f"length / (grid - 1) <= {GRID_TOL_SPACING_MAX:.6g}")
     top = {"random_fourier": "initial.modes", "sine": "initial.periods"}.get(
         cfg.get("initial.kind"))  # the key holding the data's highest mode
     if top and not 2 * abs(cfg[top]) < cfg["numerics.grid"]:
@@ -755,8 +755,11 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     report_path = outdir / "report.json"
     # an accepted config holds str keys, finite numbers and no dict in a list,
     # so the encoder may read it as it stands; any other is converted first
-    _write_json(report_path, report if cfg is not None
-                else {**report, "config": _jsonable(config)})
+    try:
+        echo = config if cfg is not None else _jsonable(config)
+    except RecursionError:  # nested deeper than the interpreter's stack
+        echo = "a config nested too deep to echo"
+    _write_json(report_path, {**report, "config": echo})
     if not quiet:
         target = report.get("error") or f"results in {report_path}"
         print(f"[egf-lab] {scenario}: {target}")
@@ -838,7 +841,7 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ConfigError(f"config: invalid JSON: {exc}") from None
 
 

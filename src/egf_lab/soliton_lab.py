@@ -33,9 +33,10 @@ from .sym_curvature import (
     psi_prime,
 )
 
-# Residual tolerance defaults: analytic inputs resolve to 1e-8; sampled inputs
-# inherit the second-order error of the central differences, 10 * spacing^2.
-ANALYTIC_TOL = 1e-8
+# Units of rounding of the largest term that the soliton verdicts forgive: a
+# true soliton of the catalog, at lengths 1e-6 to 1e6 and grids 8 to 256, left
+# at most 4.0, so 256 leaves a factor of 64.
+ROUNDING_ULPS = 256
 
 # lam below this magnitude switches mu to its continuous extension at zero.
 MU_BRANCH_CUT = 1e-8
@@ -45,8 +46,10 @@ MU_BRANCH_CUT = 1e-8
 INTEGER_TOL = 1e-9
 
 
-def default_grid_tol(*spacings: float) -> float:
-    return max(ANALYTIC_TOL, 10.0 * max(spacings) ** 2)
+def rounding_floor(*terms) -> float:
+    """ROUNDING_ULPS units of 2^-53 of the largest |term|: the rounding error a
+    sum or difference of the terms may carry (Higham 2002, sections 3.1-3.3)."""
+    return ROUNDING_ULPS * 2.0 ** -53 * max(float(np.max(np.abs(t))) for t in terms)
 
 
 @dataclass
@@ -58,7 +61,7 @@ class SolitonReport:
     eps_used: float
     n_lambda_norm: float
     verdict: str  # soliton | not_soliton | degenerate
-    tol: float = ANALYTIC_TOL
+    tol: float  # the rounding floor of the residuals; nan when they are not finite
     notes: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -116,8 +119,9 @@ def check_normal_soliton(
     of the field equation are evaluated (they differ by the leaf dimension
     factor on the mu-term); the verdict follows the (2/n)-form, with the
     traced form and the X = 0 reading reported alongside.
+    The residuals are judged against tol, the rounding floor of psi, eps and
+    mu lam; lam is constant when its spread is within the floor of lam.
     """
-    tol = default_grid_tol(p.ds)
     eps_val = float(psi_of_lambda(F, 0.0)) if eps == "auto" else float(eps)
 
     lam = p.lam
@@ -125,28 +129,38 @@ def check_normal_soliton(
     mu = np.asarray(mu_of_lambda(F, lam))
     if not (np.all(np.isfinite(psi_vals)) and np.all(np.isfinite(mu))):
         return SolitonReport(
-            {}, {}, eps_val, math.inf, "degenerate", tol,
+            {}, {}, eps_val, math.inf, "degenerate", math.nan,
             ["non-finite values in psi or mu"],
         )
 
+    # below MU_BRANCH_CUT, mu is continued by mu(0), which solves the
+    # (2/n)-form only up to this gap: a constant lam there is still a soliton
+    cut = np.abs(lam) < MU_BRANCH_CUT
+    branch = psi_vals[cut] - psi_of_lambda(F, 0.0) + (2.0 / F.n) * mu[cut] * lam[cut]
+    tol = rounding_floor(psi_vals, eps_val, 2.0 * mu * lam) + float(
+        np.max(np.abs(branch), initial=0.0))
     residuals = {
         "structure": psi_vals - eps_val + (2.0 / F.n) * mu * lam,
         "structure_traced": psi_vals - eps_val + 2.0 * mu * lam,
         "structure_x_zero": psi_vals - eps_val,
     }
     n_lambda = float(np.max(np.abs(_axis_derivative(lam, p.ds, 0, p.periodic))))
+    # not n_lambda: a finer grid shrinks a difference quotient, not a spread
+    spread, spread_tol = float(lam.max()) - float(lam.min()), rounding_floor(lam)
+    constant = spread <= spread_tol
 
     linf, l2 = _norms(residuals)
 
-    notes = []
+    notes = [f"lam spread {spread:.3e} {'<=' if constant else '>'} "
+             f"its rounding floor {spread_tol:.3e}"]
     satisfied = [k for k in ("structure", "structure_traced", "structure_x_zero")
                  if linf[k] <= tol]
     if satisfied:
         notes.append(f"satisfied normalizations: {', '.join(satisfied)}")
-    is_soliton = n_lambda <= tol and (
+    is_soliton = constant and (
         linf["structure"] <= tol or linf["structure_x_zero"] <= tol
     )
-    if n_lambda <= tol:
+    if constant:
         lam_bar = float(np.mean(lam))
         notes.append(
             "constant profile: X = 0 with eps = psi(lam) = "
@@ -177,8 +191,9 @@ def conformal_killing_factor(
     Returns (factor, killing, homothety): the field is leafwise Killing when
     the factor vanishes and an infinitesimal homothety when it is constant.
     """
-    tol = default_grid_tol(p.ds)
-    factor = np.asarray(psi_of_lambda(F, p.lam)) - float(eps)
+    psi_vals = np.asarray(psi_of_lambda(F, p.lam))
+    tol = rounding_floor(psi_vals, eps)
+    factor = psi_vals - float(eps)
     killing = bool(np.max(np.abs(factor)) <= tol)
     homothety = bool(np.ptp(factor) <= tol)
     return factor, killing, homothety
@@ -293,8 +308,10 @@ def check_biregular_surface(
     + X^0 g11_{,0} + X^1 g11_{,1}; R2, R3, R4 are the constraints that X
     preserve the foliation and the unit normal: (X^0)_{,1} = 0, (X^1)_{,0} = 0,
     (X^0)_{,0} = -X(log g00)/2.
+    Each residual is judged against the rounding floor of the terms of R1,
+    plus that of log g11 carried through psi' (lam differences log g11); the
+    verdict is degenerate when the latter exceeds 1/ROUNDING_ULPS of the terms.
     """
-    tol = default_grid_tol(g.d0, g.d1)
     lam = biregular_normal_curvature(g)
     X0 = g.X0 if g.X0 is not None else np.zeros_like(g.g00)
     X1 = g.X1 if g.X1 is not None else np.zeros_like(g.g00)
@@ -309,9 +326,9 @@ def check_biregular_surface(
     d0 = lambda a: _axis_derivative(a, g.d0, 0, g.periodic0)
     d1 = lambda a: _axis_derivative(a, g.d1, 1, True)
 
+    field = 2.0 * d1(X1) * g.g11 + X0 * d0(g.g11) + X1 * d1(g.g11)
     residuals = {
-        "R1_structure": psi_vals - eps_val
-        - (2.0 * d1(X1) * g.g11 + X0 * d0(g.g11) + X1 * d1(g.g11)),
+        "R1_structure": psi_vals - eps_val - field,
         "R2_X0_leafwise_constant": d1(X0),
         "R3_X1_normal_constant": d0(X1),
         "R4_normal_compatibility": d0(X0)
@@ -319,13 +336,25 @@ def check_biregular_surface(
     }
     if not all(np.all(np.isfinite(v)) for v in residuals.values()):
         return SolitonReport(
-            {}, {}, eps_val, math.inf, "degenerate", tol,
+            {}, {}, eps_val, math.inf, "degenerate", math.nan,
             ["non-finite residuals"],
         )
+    # lam differences log g11, which carries a unit of the data's rounding
+    # wherever it changes (lam != 0); psi' carries that over 2 d0 into R1
+    slope = np.abs(psi_prime(F, lam))
+    terms = max(float(np.max(np.abs(t))) for t in (psi_vals, eps_val, field, slope * lam))
+    blur = (float(np.max(slope))
+            * rounding_floor(np.where(lam == 0.0, 0.0, 1.0 + np.abs(np.log(g.g11))))
+            / (2.0 * g.d0 * math.sqrt(np.min(g.g00))))
+    tol = rounding_floor(terms) + blur
     linf, l2 = _norms(residuals)
     n_lambda = float(np.max(np.abs(d0(lam))))
     verdict = "soliton" if all(v <= tol for v in linf.values()) else "not_soliton"
     notes = [f"eps policy: {'leaf average of psi(lam)' if eps == 'auto' else 'given'}"]
+    if blur * ROUNDING_ULPS > terms:  # a floor this near the terms decides nothing
+        verdict = "degenerate"
+        notes.append(f"lam is not resolved at spacing d0 = {g.d0:.3g}: its rounding "
+                     f"moves psi by up to {blur:.3g}, against terms of {terms:.3g}")
     return SolitonReport(linf, l2, eps_val, n_lambda, verdict, tol, notes)
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egf_lab import cli
-from egf_lab.catalog import BIREGULAR_METRICS
+from egf_lab.catalog import BIREGULAR_METRICS, make_functional
 from egf_lab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -40,6 +40,7 @@ from egf_lab.revolution_geometry import (
     sectional_curvature_profile,
 )
 from egf_lab.soliton_lab import BiregularGrid, biregular_normal_curvature
+from egf_lab.sym_curvature import psi_of_lambda
 
 from oracles import write_csv_reference, write_json_reference
 
@@ -190,6 +191,40 @@ TAU_FLOW = {"scenario": "tau-flow", "n": 2, "functional": {"name": "b1"},
             "numerics": {"grid": 64, "t_end": 0.05}}
 CONSTANT_LAMBDA = {"scenario": "revolution", "curve": {"kind": "constant_lambda"}}
 
+
+def _sine_soliton(length, grid):
+    return {"scenario": "soliton-check", "n": 2, "functional": {"name": "b1"},
+            "initial": {"kind": "sine", "amplitude": 0.5, "mean": 1.0, "periods": 1},
+            "numerics": {"grid": grid, "length": length}}
+
+
+# (config, verdict) of the soliton checks at long, short and coarse spacings:
+# a tolerance of 10 × spacing² overflows at the first four lengths, and it
+# passes as solitons the sine data at length 10, grid 8 and length 100, grid
+# 64, and exp_x0 with eps 0 (it needs psi(1) = 1) at grids 16 and 32.  At the
+# shortest lengths the rounding of exp_x0's log g11 over 2 d0 swamps psi, so
+# no verdict is given; the flat metric's g11 = 1 has no rounding to carry.
+SPACING_VERDICTS = [
+    (_set(_set(json.loads(json.dumps(SOLITON)), "numerics.grid", 8), "numerics.length",
+          1e160), "soliton"),
+    (_set(_set(json.loads(json.dumps(SOLITON)), "initial", {"kind": "sine"}),
+          "numerics.length", 8e154 * 8), "not_soliton"),
+    (_set(_set(json.loads(json.dumps(BIREGULAR)), "metric.name", "flat"), "numerics",
+          {"grid0": 8, "grid1": 8, "length0": 1e160}), "soliton"),
+    (_set(json.loads(json.dumps(BIREGULAR)), "numerics.length1", 1e155), "soliton"),
+    *[(_sine_soliton(length, grid), "not_soliton")
+      for length, grid in ((10, 8), (100, 64), (1, 8), (10, 64))],
+    *[(_set(_set(json.loads(json.dumps(BIREGULAR)), "eps", 0.0), "numerics",
+            {"grid0": grid, "grid1": grid, "length0": 10, "length1": 10}), "not_soliton")
+      for grid in (16, 32, 64)],
+    *[(_set(_set(_set(json.loads(json.dumps(BIREGULAR)), "metric.name", metric), "eps",
+                 eps), "numerics", {"length0": length0}), verdict)
+      for metric, eps, length0, verdict in (
+          ("flat", 0.5, 1e-12, "not_soliton"), ("flat", 0.5, 1e-15, "not_soliton"),
+          ("flat", 0.0, 1e-15, "soliton"), ("exp_x0", 0.0, 1e-13, "degenerate"),
+          ("exp_x0", 0.5, 1e-12, "degenerate"), ("exp_x0", "auto", 1e-10, "degenerate"))],
+]
+
 # (valid base config, key path, malformed value, start of the error message)
 MALFORMED = [
     (umbilical_config(), "numerics.cfl", True, "numerics.cfl"),
@@ -283,17 +318,6 @@ MALFORMED = [
      "numerics.length", 1e307, "numerics.length: 1e+307 over numerics.grid = 8 nodes"),
     (SOLITON, "numerics.length", 1e-320, "numerics.length: 1e-320 over numerics.grid"),
     (BIREGULAR, "numerics.length1", 1e308, "numerics.length1: 1e+308 over numerics.grid1"),
-    # the verdict tolerance 10 × spacing² of the soliton checks overflows: it
-    # raised OverflowError, or read inf and passed any data
-    (_set(json.loads(json.dumps(SOLITON)), "numerics.grid", 8), "numerics.length",
-     1e160, "numerics.length: 1e+160 over numerics.grid = 8 nodes makes the grid "
-     "tolerance 10 × spacing² leave the double range"),
-    (_set(json.loads(json.dumps(SOLITON)), "initial", {"kind": "sine"}),
-     "numerics.length", 8e154 * 8, "numerics.length: "),
-    (_set(_set(json.loads(json.dumps(BIREGULAR)), "metric.name", "flat"),
-          "numerics", {"grid0": 8, "grid1": 8}), "numerics.length0", 1e160,
-     "numerics.length0: 1e+160 over numerics.grid0 = 8 nodes makes the grid tolerance"),
-    (BIREGULAR, "numerics.length1", 1e155, "numerics.length1: "),
     # random Fourier and sine data alias from the Nyquist mode grid / 2 on
     (FOURIER_FLOW, "initial.modes", 64,
      "initial.modes: must stay below numerics.grid / 2 (64) in magnitude, got 64"),
@@ -786,18 +810,15 @@ class TestRunScenarios:
         report, code = run(cfg, tmp_path, quiet=True)
         assert code == EXIT_OK, report.get("error")
 
-    @pytest.mark.parametrize("base,path", [(SOLITON, "numerics.length"),
-                                           (BIREGULAR, "numerics.length0"),
-                                           (BIREGULAR, "numerics.length1")],
-                             ids=["soliton", "biregular_length0", "biregular_length1"])
-    def test_largest_spacing_keeps_a_finite_grid_tolerance(self, tmp_path, base, path):
-        cfg = _set(json.loads(json.dumps(base)), path.replace("length", "grid"), 8)
-        _set(cfg, path, 7 * cli.GRID_TOL_SPACING_MAX)  # spacing length / (8 - 1)
-        if "metric" in cfg:
-            cfg["metric"]["name"] = "flat"  # exp_x0 overflows over such a length
+    @pytest.mark.parametrize(
+        "cfg,verdict", SPACING_VERDICTS,
+        ids=[f"{c['scenario']}:{c.get('metric', {}).get('name', '')}:{c['numerics']}:"
+             f"{c.get('eps', 'auto')}" for c, _ in SPACING_VERDICTS])
+    def test_verdict_at_any_spacing(self, tmp_path, cfg, verdict):
         report, code = run(cfg, tmp_path, quiet=True)
         assert code == EXIT_OK, report.get("error")
-        assert 0 < report["results"]["tol"] < math.inf
+        assert report["results"]["verdict"] == verdict
+        assert 0 <= report["results"]["tol"] < math.inf
 
     @pytest.mark.parametrize("mean", [1e110, 1e160])
     def test_overflowing_initial_power_sums_name_initial(self, tmp_path, mean):
@@ -855,12 +876,24 @@ def _not_json(token):
     raise ValueError(f"{token} is not a JSON value")
 
 
-# values json cannot hold as they stand: refused (exit 2) or read as numbers
+def _contains_itself(cfg: dict) -> dict:
+    cfg["extra"] = cfg
+    return cfg
+
+
+# values json cannot hold as they stand: refused (exit 2) or read as numbers;
+# repr and json refuse an int past the int-to-str digit limit, and a config
+# that contains itself has no finite JSON text
 PYTHON_VALUES = [
     (_set(dict(RICCI), "tau1", Fraction(1, 2)), EXIT_OK, "tau1", 0.5),
     (_set(dict(RICCI), "extra", object()), EXIT_CONFIG, "extra", "<object object"),
     (_set(dict(RICCI), "tau1", Fraction(10 ** 400)), EXIT_CONFIG, "tau1",
      "Fraction(1000"),
+    (_set(dict(RICCI), "n", 10 ** 5000), EXIT_CONFIG, "n", "an int of 16610 bits"),
+    (_contains_itself(dict(RICCI)), EXIT_CONFIG, "extra",
+     "a container that contains itself"),
+    (_set(dict(RICCI), "extra", {10 ** 5000}), EXIT_CONFIG, "extra",
+     "a set holding an int too long to print"),
 ]
 # configs whose keys json spells or sorts otherwise than str(key) does, with
 # NaN and numpy values: each report must equal the walk-then-dump reference
@@ -885,7 +918,8 @@ class TestReportWriter:
     walk-then-dump writer in tests/oracles.py gives."""
 
     @pytest.mark.parametrize("cfg,code,key,echo", PYTHON_VALUES,
-                             ids=["fraction", "object", "huge_fraction"])
+                             ids=["fraction", "object", "huge_fraction", "huge_int",
+                                  "contains_itself", "set_of_huge_int"])
     def test_run_writes_report_for_any_python_value(self, tmp_path, cfg, code, key,
                                                     echo):
         report, got = run(cfg, tmp_path, quiet=True)
@@ -893,8 +927,18 @@ class TestReportWriter:
         written = json.loads((tmp_path / "report.json").read_text(),
                              parse_constant=_not_json)
         assert written["exit_status"] == code
+        assert code == EXIT_OK or written["error"].startswith(f"{key}: "), written
         value = written["config"][key]
         assert value == echo if code == EXIT_OK else value.startswith(echo)
+
+    def test_run_writes_report_for_a_deeply_nested_config(self, tmp_path):
+        # json reads 600 levels; the walk of the echo runs out of stack
+        cfg = {**RICCI, "extra": json.loads("[" * 600 + "]" * 600)}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_CONFIG
+        assert report["error"].startswith("extra: unknown key"), report["error"]
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["config"] == "a config nested too deep to echo"
 
     @pytest.mark.parametrize("name", REFERENCE_CONFIGS)
     def test_report_matches_reference(self, tmp_path, name):
@@ -1034,6 +1078,12 @@ class TestCommandLine:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "no-such-config.json", "--quiet"]) == EXIT_CONFIG
+
+    def test_json_nested_past_the_parser_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text('{"x": ' + "[" * 5000 + "]" * 5000 + "}")
+        assert main(["run", str(cfg_path), "--quiet"]) == EXIT_CONFIG
+        assert "config error: config: invalid JSON: " in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -1352,3 +1402,67 @@ class TestMalformedConfigProperty:
         if mutation != "value":
             assert code == EXIT_CONFIG, report
             assert report["error"].startswith(path), (report["error"], path)
+
+
+# (name, n, parameters) of catalog functionals at leaf dimensions they accept
+CATALOG = [("b1", 1, {}), ("b1", 2, {}), ("tau1_minus_c", 2, {"c": 0.3}),
+           ("ext_ricci", 2, {}), ("ext_ricci", 3, {}), ("umbilical_square", 2, {}),
+           ("affine", 2, {"a": 1.5, "b": 0.2})]
+
+
+@st.composite
+def soliton_case(draw):
+    """(config, expected verdict): a soliton-check of constant (a soliton) or
+    sine data (not one), or a biregular-check whose eps is auto or psi(lam)
+    (a soliton) or another number (not one); every length is set."""
+    name, n, params = draw(st.sampled_from(CATALOG))
+    functional = {"name": name, **params}
+    grid = draw(st.sampled_from([8, 16, 64]))
+    base = draw(st.sampled_from([0.3, 1.0, 2.5]))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["constant", "sine"]))
+        initial = ({"kind": "constant", "value": draw(st.sampled_from([-1.3, 0.0, 0.7]))}
+                   if kind == "constant" else
+                   {"kind": "sine", "amplitude": draw(st.sampled_from([0.5, 1e-6])),
+                    "mean": draw(st.sampled_from([1.0, 0.0]))})
+        cfg = {"scenario": "soliton-check", "n": n, "functional": functional,
+               "initial": initial, "numerics": {"grid": grid, "length": base}}
+        verdict = "soliton" if kind == "constant" else "not_soliton"
+    else:
+        metric = draw(st.sampled_from(sorted(BIREGULAR_METRICS)))
+        eps = draw(st.sampled_from(["auto", 0.0, 0.5]))
+        psi = psi_of_lambda(make_functional(name, n, params), 0.0 if metric == "flat"
+                            else 1.0)  # the curvature of the leaves of each metric
+        cfg = {"scenario": "biregular-check", "n": n, "functional": functional,
+               "metric": {"name": metric}, "eps": eps,
+               "numerics": {"grid0": grid, "grid1": grid, "length0": base,
+                            "length1": base}}
+        verdict = "soliton" if eps in ("auto", psi) else "not_soliton"
+    return cfg, verdict
+
+
+class TestSolitonScaleProperty:
+    """A soliton verdict is free of the length: scaling numerics.length (or
+    length0 and length1) by 10^k, k = -6..6, leaves it unchanged and right.
+    Down to 10^-15 it is right or degenerate, where exp_x0's g11 no longer
+    resolves its curvature, and never the wrong one."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(case=soliton_case())
+    def test_verdict_is_free_of_length(self, case):
+        cfg, verdict = case
+        verdicts = set()
+        for k in range(-15, 7):
+            scaled = json.loads(json.dumps(cfg))
+            for key in scaled["numerics"]:
+                if key.startswith("length"):
+                    scaled["numerics"][key] *= 10.0 ** k
+            with tempfile.TemporaryDirectory() as tmp:
+                report, code = run(scaled, Path(tmp), quiet=True)
+            if report.get("error") == "metric must be positive":
+                continue  # exp_x0's g11 = exp(-2 x0) underflows over the length
+            assert code == EXIT_OK, report.get("error")
+            got = report["results"]["verdict"]
+            assert got == verdict or (k < -6 and got == "degenerate"), (k, got)
+            verdicts.add(got)
+        assert verdict in verdicts

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from egf_lab.catalog import make_functional
 from egf_lab.flow_engine import UmbilicalProfile
 from egf_lab.soliton_lab import (
     BiregularGrid,
@@ -108,6 +109,27 @@ class TestNormalSoliton:
         rep = check_normal_soliton(sine_profile(grid=128, amplitude=0.5), F)
         assert rep.verdict == "not_soliton"
         assert rep.n_lambda_norm > rep.tol
+
+    @pytest.mark.parametrize("value", [5e-9, -3e-9, 1e-12])
+    def test_constant_below_the_mu_branch_cut_is_soliton(self, value):
+        # there mu is continued by mu(0), which leaves lam^2 of psi = lam^2 in
+        # the structure residual: far above rounding, yet lam is constant
+        rep = check_normal_soliton(constant_profile(value), functional_square(2))
+        assert rep.residual_linf["structure"] > 0.0
+        assert rep.verdict == "soliton"
+
+    def test_slowly_varying_profile_is_not_constant(self):
+        # a 1e-10 sine on 65,536 nodes moves lam by a few dozen ulps from node
+        # to node, below the rounding floor of its difference quotient; its
+        # spread is 2e-10, thousands of times the floor
+        rep = check_normal_soliton(
+            sine_profile(grid=2 ** 16, amplitude=1e-10, mean=1.0),
+            functional_tau1_minus_c(2, -2.0))
+        assert rep.verdict == "not_soliton"
+        # the report names the spread and the floor that decided it
+        words = rep.notes[0].split()
+        assert words[:2] == ["lam", "spread"] and words[3] == ">"
+        assert float(words[2]) > 1000 * float(words[-1])
 
     def test_structure_residual_vanishes_identically_with_auto_eps(self):
         # the mu(lam) ansatz kills the (2/n)-form structure equation for any
@@ -281,6 +303,27 @@ class TestBiregular:
         )
         lam = biregular_normal_curvature(g)
         assert np.max(np.abs(lam)) <= 1e-12
+
+    @pytest.mark.parametrize("length0", [1.0, 1e-12])
+    def test_leaf_independent_metric_is_decided_at_any_spacing(self, length0):
+        # lam = 0 exactly: log g11 does not change along x0, so no rounding of
+        # it reaches R1 however fine the spacing
+        F = functional_b1(1)
+        g = BiregularGrid.from_functions(
+            lambda u, v: 1.0, lambda u, v: 2.0 + np.sin(2 * np.pi * v),
+            shape=(32, 64), lengths=(length0, 1.0), periodic0=True,
+        )
+        assert check_biregular_surface(g, F, eps="auto").verdict == "soliton"
+        assert check_biregular_surface(g, F, eps=0.5).verdict == "not_soliton"
+
+    def test_soliton_with_vanishing_psi_is_decided(self):
+        # psi(1) = 0 for tau1 - 2 at n = 2, so R1's terms are psi' lam, not psi
+        F = make_functional("tau1_minus_c", 2, {"c": 2.0})
+        g = BiregularGrid.from_functions(
+            lambda u, v: 1.0, lambda u, v: np.exp(-2.0 * u), shape=(64, 32),
+        )
+        assert check_biregular_surface(g, F, eps="auto").verdict == "soliton"
+        assert check_biregular_surface(g, F, eps=0.5).verdict == "not_soliton"
 
     def test_nonzero_field_constraints(self):
         # X0 depending on x1 violates the leafwise-constancy constraint
