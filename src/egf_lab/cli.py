@@ -125,6 +125,32 @@ def _text(values) -> np.ndarray:
     return _split(_lines([np.asarray(values, dtype=float).ravel()], ""))
 
 
+def _conjugate_text(values: np.ndarray):
+    """Text columns of the real and imaginary parts of values, each
+    conjugate pair formatted once.
+
+    In a conjugate-symmetric table of ascending modes, row N-1-k holds the
+    mirror of row k.  A row past the middle whose re and -im equal its
+    twin's bit for bit (signs of zero included), the twin finite, takes the
+    twin's text, im with its sign flipped; every other row is formatted, so
+    the text is each value's ``%.17g`` whatever the modes.
+    """
+    re, im = values.real, values.imag
+    n = len(values)
+    head = (n + 1) // 2  # the first half and the zero mode
+    twin = np.arange(n - head)[::-1]  # the mirror of each row past head
+    re_text, im_text = np.empty(n, dtype=object), np.empty(n, dtype=object)
+    re_text[:head], im_text[:head] = _text(re[:head]), _text(im[:head])
+    re_text[head:] = re_text[twin]
+    im_text[head:] = [t[1:] if t[0] == "-" else "-" + t for t in im_text[twin]]
+    exact = ((re[head:].view(np.int64) == re[twin].view(np.int64))
+             & (im[head:].view(np.int64) == (-im[twin]).view(np.int64))
+             & np.isfinite(values[twin]))
+    redo = head + np.flatnonzero(~exact)
+    re_text[redo], im_text[redo] = _text(re[redo]), _text(im[redo])
+    return re_text, im_text
+
+
 def _write_rows(fh, columns, sep: str, tee=None) -> None:
     """Write a sequence of 1-D columns (``table.T`` of a 2-D array), one line
     per row, in chunks of _CHUNK_ROWS rows.
@@ -353,6 +379,10 @@ SPANS = (("numerics.length", "numerics.grid"), ("numerics.length0", "numerics.gr
 SPAN_MAX = sys.float_info.max / (2.0 * math.pi * ORACLE_REFINE)
 # most members one `sweep` command runs (one scenario run each)
 MAX_SWEEP_POINTS = 64
+# how far an h.grid_csv coordinate may sit from its node j / M, in spacings
+# 1 / M: room for the last digits of a printed coordinate, none for a
+# different grid (%.17g and repr write j / M exactly)
+GRID_NODE_TOL = 1e-9
 # bytes of (t, lam, phi) snapshots an umbilical flow may buffer for
 # timeseries.csv, counted as 16 per node plus SNAPSHOT_OVERHEAD per snapshot
 SNAPSHOT_BUDGET = 2 ** 28
@@ -598,13 +628,31 @@ def run_ricci_classify(cfg: dict, outdir: Path):
 
 
 def _grid_csv_modes(path: Path) -> np.ndarray:
+    """The samples of h.grid_csv as an (Mx, My) array: after a header line,
+    one row x, y, value of finite numbers per node (jx / Mx, jy / My) of the
+    unit square, in any order, each coordinate within GRID_NODE_TOL spacings
+    of its node."""
     if not path.exists():
         raise ConfigError(f"h.grid_csv: file not found: {path}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except (OSError, ValueError) as exc:  # unreadable, not a number, ragged
+        raise ConfigError(f"h.grid_csv: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 3:
         raise ConfigError("h.grid_csv: expected columns x, y, value")
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise ConfigError(f"h.grid_csv: entries must be finite, got "
+                          f"{float(data[row, col])!r} as {('x', 'y', 'value')[col]} "
+                          f"in data row {row + 1}")
     xs, xi = np.unique(data[:, 0], return_inverse=True)
     ys, yi = np.unique(data[:, 1], return_inverse=True)
+    for name, nodes in (("x", xs), ("y", ys)):
+        M = nodes.size
+        if not (np.abs(nodes * M - np.arange(M)) <= GRID_NODE_TOL).all():
+            raise ConfigError(
+                f"h.grid_csv: the {M} distinct {name} values are not the nodes j / {M}, "
+                f"j = 0..{M - 1}, within {GRID_NODE_TOL:g} of the spacing")
     if xs.size * ys.size != data.shape[0]:
         raise ConfigError("h.grid_csv: grid is not complete/uniform")
     grid = np.full((xs.size, ys.size), np.nan)
@@ -634,7 +682,7 @@ def run_cohomology(cfg: dict, outdir: Path):
     files = [outdir / "solution_coeffs.csv", outdir / "amplification.csv"]
     header = [f"u{i + 1}" for i in range(problem.dim)] + ["re", "im"]
     modes, coeffs = sol.f_coeffs.arrays()
-    write_csv(files[0], header, (*modes.T, coeffs.real, coeffs.imag))
+    write_csv(files[0], header, (*modes.T, *_conjugate_text(coeffs)))
     shell_fields = ["shell", "n_modes", "min_divisor", "max_amplification",
                     "margin_bound"]
     write_csv(files[1], shell_fields,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -32,6 +33,7 @@ from egf_lab.cli import (
     sweep_configs,
     write_csv,
 )
+from egf_lab.cohomology_solver import TorusCohomologyProblem, solve_linear_flow
 from egf_lab.flow_engine import StepControl, UmbilicalProfile, evolve_umbilical
 from egf_lab.revolution_geometry import (
     integrate_constant_lambda,
@@ -62,12 +64,14 @@ def umbilical_config(grid=128, t_end=0.5, **numerics):
 REVOLUTION = {"scenario": "revolution", "curve": {"kind": "cone", "beta": 0.5}}
 
 
-def dense_cohomology_config(K: int) -> dict:
+def dense_cohomology_config(K: int, imag: float = 0.0) -> dict:
     """3-D cohomology with one h.modes row per mode of the half lattice
     |u|_inf <= K (the zero mode and those whose first nonzero entry is
-    positive; the solver completes the conjugates), v rationally independent."""
-    rows = [[*u, (1.0 + sum(c * c for c in u)) ** -1.5, 0.0]
-            for u in itertools.product(range(-K, K + 1), repeat=3) if u >= (0, 0, 0)]
+    positive; the solver completes the conjugates), v rationally independent.
+    Each nonzero mode's coefficient is w + i imag w, w = (1 + |u|^2)^-1.5."""
+    rows = [[*u, w, imag * w if any(u) else 0.0]
+            for u in itertools.product(range(-K, K + 1), repeat=3) if u >= (0, 0, 0)
+            for w in [(1.0 + sum(c * c for c in u)) ** -1.5]]
     return {"scenario": "cohomology", "v": [1.0, 2 ** 0.5, 3 ** 0.5], "K": K,
             "h": {"modes": rows}}
 
@@ -605,6 +609,108 @@ class TestCsvWriter:
         assert report["error"].startswith(
             f"output.snapshot_stride: snapshot {snapshots} "), report["error"]
         assert not (tmp_path / "over" / "timeseries.csv").exists()
+
+
+def _half_lattice(dim: int, K: int) -> list[tuple[int, ...]]:
+    """The modes 0 < u, |u|_inf <= K, in lexicographic order: one of each
+    conjugate pair."""
+    return [u for u in itertools.product(range(-K, K + 1), repeat=dim) if u > (0,) * dim]
+
+
+@st.composite
+def conjugate_tables(draw):
+    """A cohomology config whose solution table holds every kind of row the
+    CSV writer tells apart: pairs completed by the solver (exact mirrors),
+    pairs given on both sides with the sign of a zero part flipped or off by
+    a relative 2^-40 (within the solver's tolerance, not exact), a pair with
+    one side below the energy floor (that side dropped: an even row count),
+    signed zeros, and tables of the zero mode alone."""
+    dim = draw(st.sampled_from([2, 3]))
+    K = draw(st.integers(1, 3 if dim == 2 else 2))
+    half = _half_lattice(dim, K)
+    modes = half if draw(st.booleans()) else draw(  # a dense or a sparse mask
+        st.lists(st.sampled_from(half), unique=True, max_size=6))
+    lone = draw(st.sampled_from([None, *modes])) if draw(st.booleans()) else None
+    part = st.sampled_from([0.0, -0.0, 1.0, -0.5, 1 / 3, 1e-300, -2.5e7])
+    zero = [[0] * dim + [draw(part), 0.0]] if draw(st.booleans()) else []
+    rows = []
+    for u in modes:
+        if u == lone:
+            continue
+        re, im, given = draw(part), draw(part), draw(st.sampled_from(
+            ["one side", "both sides", "near"]))
+        mirror = [-c for c in u]
+        rows.append([*u, re, im])
+        if given == "both sides":
+            rows.append([*mirror, re, -im])  # -0.0 for 0.0: a signed zero
+        elif given == "near":
+            rows.append([*mirror, re * (1 + 2 ** -40), -im])
+    if lone is not None:  # one side above the solver's floor 1e-13 scale
+        scale = max([1.0] + [abs(x) for row in zero + rows for x in row[-2:]])
+        rows += [[*lone, 1.5e-13 * scale, 0.0],
+                 [*(-c for c in lone), 0.5e-13 * scale, 0.0]]
+    v = [1.0, 2 ** 0.5, 3 ** 0.5][:dim]
+    return {"scenario": "cohomology", "v": v, "K": K, "h": {"modes": zero + rows}}
+
+
+def _count_formatted(monkeypatch) -> list[int]:
+    """Wraps cli._lines: the list receives the number of float-typed values
+    each call formats (text and integer columns are not counted)."""
+    lines, counts = cli._lines, []
+
+    def counting(columns, sep):
+        counts.append(sum(len(c) for c in columns if c.dtype.kind == "f"))
+        return lines(columns, sep)
+
+    monkeypatch.setattr(cli, "_lines", counting)
+    return counts
+
+
+class TestFormattedOnce:
+    """The CSV writer formats each conjugate pair of a solution table once and
+    writes it twice; the bytes are those of the per-value reference."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(cfg=conjugate_tables())
+    def test_solution_coeffs_match_reference(self, cfg):
+        problem = TorusCohomologyProblem.from_modes(cfg["v"], cfg["h"]["modes"], cfg["K"])
+        modes, coeffs = solve_linear_flow(problem).f_coeffs.arrays()
+        header = [f"u{i + 1}" for i in range(len(cfg["v"]))] + ["re", "im"]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            report, code = run(cfg, tmp / "out", quiet=True)
+            assert code == EXIT_OK, report.get("error")
+            write_csv_reference(tmp / "reference.csv", header, [
+                (*u, c.real, c.imag) for u, c in zip(modes.tolist(), coeffs.tolist())])
+            assert (tmp / "out" / "solution_coeffs.csv").read_bytes() == (
+                tmp / "reference.csv").read_bytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(data=st.data(), n=st.integers(0, 13))
+    def test_conjugate_text_matches_reference(self, data, n):
+        # the parts are edge floats, NaNs of both signs among them, and each
+        # row past the middle is its twin's exact mirror or drawn on its own
+        floats = st.lists(st.sampled_from(TestCsvWriter.EDGE_FLOATS),
+                          min_size=n, max_size=n)
+        values = np.empty(n, dtype=complex)
+        values.real, values.imag = data.draw(floats), data.draw(floats)
+        for k, twin in zip(range((n + 1) // 2, n), reversed(range(n // 2))):
+            if data.draw(st.booleans()):
+                values.real[k], values.imag[k] = values.real[twin], -values.imag[twin]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_csv(tmp / "once.csv", ["re", "im"], cli._conjugate_text(values))
+            write_csv_reference(tmp / "reference.csv", ["re", "im"],
+                                zip(values.real.tolist(), values.imag.tolist()))
+            assert (tmp / "once.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+    def test_conjugate_pairs_are_formatted_once(self, tmp_path, monkeypatch):
+        counts = _count_formatted(monkeypatch)
+        report, code = run(dense_cohomology_config(4, imag=0.5), tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
+        # re and im of the 365 rows up to the zero mode of 9^3 = 729, and the
+        # three float columns of amplification.csv, one row per shell 1..4
+        assert sum(counts) == 2 * 365 + 3 * 4, counts
 
 
 class TestRunScenarios:
@@ -1151,17 +1257,22 @@ class TestCommandLine:
         assert (tmp_path / "out" / "solution_coeffs.csv").exists()
 
 
-def _grid_csv(path: Path, M: int, drop=(), duplicate=()) -> Path:
-    """x,y,value samples of a band-limited h on an M x M grid; rows `drop`
-    are left out and rows `duplicate` written twice, as 0-based row indices."""
+def _grid_csv(path: Path, M: int, drop=(), duplicate=(), node=lambda j, M: j / M,
+              text=None) -> Path:
+    """x,y,value samples of a band-limited h on an M x M grid, taken at the
+    nodes j / M of each axis and written at the coordinates node(j, M); rows
+    `drop` are left out, rows `duplicate` written twice and the rows keyed in
+    `text` written as its values, as 0-based row indices."""
     x = np.arange(M) / M
     X, Y = np.meshgrid(x, x, indexing="ij")
     h = 1.0 + np.cos(2 * np.pi * (X - Y))
+    X, Y = np.meshgrid(node(np.arange(M), M), node(np.arange(M), M), indexing="ij")
     lines = ["x,y,value"]
     for idx, row in enumerate(zip(X.ravel().tolist(), Y.ravel().tolist(),
                                   h.ravel().tolist())):
         if idx not in drop:
-            lines += [",".join(map(repr, row))] * (2 if idx in duplicate else 1)
+            line = (text or {}).get(idx, ",".join(map(repr, row)))
+            lines += [line] * (2 if idx in duplicate else 1)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -1204,17 +1315,63 @@ class TestCohomologyInput:
         assert coeffs == "u1,u2,re,im\n0,0,0,0\n"  # the zero mode only
         assert (tmp_path / "amplification.csv").read_text().count("\n") == 1
 
-    @pytest.mark.parametrize("drop,duplicate,message", [
-        ((5,), (), "h.grid_csv: grid is not complete/uniform"),
-        ((5,), (6,), "h.grid_csv: missing grid entries"),
-    ])
-    def test_grid_csv_errors(self, tmp_path, drop, duplicate, message):
-        csv_path = _grid_csv(tmp_path / "h.csv", 8, drop, duplicate)
+    NOT_NODES = ("h.grid_csv: the 8 distinct x values are not the nodes j / 8, "
+                 "j = 0..7, within 1e-09 of the spacing")
+
+    @pytest.mark.parametrize("edit,message,whole", [(*case, True) for case in [
+        ({"drop": (5,)}, "h.grid_csv: grid is not complete/uniform"),
+        ({"drop": (5,), "duplicate": (6,)}, "h.grid_csv: missing grid entries"),
+        # row 5 is the node (0, 5/8), the sixth data row
+        ({"text": {5: "0,0.625,inf"}}, "h.grid_csv: entries must be finite, "
+                                        "got inf as value in data row 6"),
+        ({"text": {5: "0,0.625,-inf"}}, "h.grid_csv: entries must be finite, "
+                                         "got -inf as value in data row 6"),
+        ({"text": {5: "0,0.625,1e400"}}, "h.grid_csv: entries must be finite, "
+                                          "got inf as value in data row 6"),
+        ({"text": {5: "0,0.625,nan"}}, "h.grid_csv: entries must be finite, "
+                                        "got nan as value in data row 6"),
+        ({"text": {5: "0,nan,1"}}, "h.grid_csv: entries must be finite, "
+                                    "got nan as y in data row 6"),
+        # loadtxt skips comment and blank lines: the count is of data rows
+        ({"text": {5: "# a comment\n\n0,0.625,inf"}},
+         "h.grid_csv: entries must be finite, got inf as value in data row 6"),
+        ({"node": lambda j, M: (j / M) ** 2}, NOT_NODES),  # complete, not uniform
+        ({"node": lambda j, M: 2 * j / M}, NOT_NODES),  # uniform over [0, 2)
+        ({"node": lambda j, M: j / M + 1e-8 / M}, NOT_NODES),  # past the tolerance
+    ]] + [(*case, False) for case in [  # numpy words the rest of these
+        ({"text": {5: "0,0.625,abc"}}, "h.grid_csv: could not convert string 'abc'"),
+        ({"text": {5: "0,0.625,1,2"}},
+         "h.grid_csv: the number of columns changed from 3 to 4"),
+    ]])
+    def test_grid_csv_errors(self, tmp_path, edit, message, whole):
+        csv_path = _grid_csv(tmp_path / "h.csv", 8, **edit)
         cfg = {"scenario": "cohomology", "v": [1.0, 1.7], "K": 2,
                "h": {"grid_csv": str(csv_path)}}
-        report, code = run(cfg, tmp_path / "out", quiet=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a refusal prints no numpy warning
+            report, code = run(cfg, tmp_path / "out", quiet=True)
         assert code == EXIT_CONFIG
-        assert report["error"] == message
+        if whole:
+            assert report["error"] == message
+        else:
+            assert report["error"].startswith(message), report["error"]
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_grid_csv_nodes_within_the_rounding_tolerance(self, tmp_path):
+        # coordinates printed to 12 digits sit within 1e-9 spacings of j / 7;
+        # the samples are read as taken at the nodes, so nothing else changes
+        edit = {"node": lambda j, M: np.array([float(f"{x:.12g}") for x in j / M])}
+        reports = []
+        for name, csv_path in (("exact", _grid_csv(tmp_path / "a.csv", 7)),
+                               ("rounded", _grid_csv(tmp_path / "b.csv", 7, **edit))):
+            report, code = run({"scenario": "cohomology", "v": [1.0, 1.7], "K": 2,
+                                "h": {"grid_csv": str(csv_path)}},
+                               tmp_path / name, quiet=True)
+            assert code == EXIT_OK, report.get("error")
+            reports.append(report["results"])
+        assert reports[0] == reports[1]
+        assert (tmp_path / "exact" / "solution_coeffs.csv").read_bytes() == (
+            tmp_path / "rounded" / "solution_coeffs.csv").read_bytes()
 
     def test_internal_error_writes_report_without_traceback(
         self, tmp_path, monkeypatch, capsys
