@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -226,7 +227,8 @@ SPACING_VERDICTS = [
       for metric, eps, length0, verdict in (
           ("flat", 0.5, 1e-12, "not_soliton"), ("flat", 0.5, 1e-15, "not_soliton"),
           ("flat", 0.0, 1e-15, "soliton"), ("exp_x0", 0.0, 1e-13, "degenerate"),
-          ("exp_x0", 0.5, 1e-12, "degenerate"), ("exp_x0", "auto", 1e-10, "degenerate"))],
+          ("exp_x0", 0.5, 1e-12, "degenerate"), ("exp_x0", "auto", 1e-10, "degenerate"),
+          ("exp_x0", 0.0, 1e-15, "degenerate"))],
 ]
 
 # (valid base config, key path, malformed value, start of the error message)
@@ -322,6 +324,10 @@ MALFORMED = [
      "numerics.length", 1e307, "numerics.length: 1e+307 over numerics.grid = 8 nodes"),
     (SOLITON, "numerics.length", 1e-320, "numerics.length: 1e-320 over numerics.grid"),
     (BIREGULAR, "numerics.length1", 1e308, "numerics.length1: 1e+308 over numerics.grid1"),
+    # exp_x0 sampled as g11 = 1 at every node would be judged flat: soliton at eps 0
+    (_set(json.loads(json.dumps(BIREGULAR)), "eps", 0.0), "numerics.length0", 1e-17,
+     "numerics.length0: 1e-17 is too short to resolve metric exp_x0: every g11 "
+     "sample rounds to 1.0"),
     # random Fourier and sine data alias from the Nyquist mode grid / 2 on
     (FOURIER_FLOW, "initial.modes", 64,
      "initial.modes: must stay below numerics.grid / 2 (64) in magnitude, got 64"),
@@ -517,13 +523,9 @@ class TestCsvWriter:
         write_csv(tmp_path / "empty.csv", ["a", "b"], (np.array([]), np.array([])))
         assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-    @given(data=st.data(), rows=st.integers(0, 23),
-           kinds=st.lists(st.sampled_from(["text", "float", "int"]),
-                          min_size=1, max_size=5),
-           tee=st.booleans())
-    def test_text_columns_match_reference(self, data, rows, kinds, tee):
-        # chunks of 4 rows: up to six chunks, the last one partial
+    def _assert_drawn_table_matches_reference(self, data, rows, kinds, tee):
+        """Writes a drawn table of the kinds' columns, EDGE_FLOATS and large
+        ints, and compares it, and its tee, with the per-value reference."""
         values = [np.array(data.draw(st.lists(
             st.sampled_from(self.EDGE_FLOATS) if kind != "int"
             else st.integers(-(2 ** 53) + 1, 2 ** 53 - 1),
@@ -535,9 +537,10 @@ class TestCsvWriter:
         header = [f"c{j}" for j in range(len(kinds))]
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            with mock.patch.object(cli, "_CHUNK_ROWS", 4):
-                write_csv(tmp / "chunked.csv", header, columns,
-                          tee=tmp / "chunked.dat" if tee else None)
+            write_csv(tmp / "chunked.csv", header, columns,
+                      tee=tmp / "chunked.dat" if tee else None)
+            assert sorted(p.name for p in tmp.iterdir()) == (
+                ["chunked.csv", "chunked.dat"] if tee else ["chunked.csv"])
             listed = [v.tolist() for v in values]
             write_csv_reference(tmp / "reference.csv", header, zip(*listed))
             assert (tmp / "chunked.csv").read_bytes() == (
@@ -547,6 +550,86 @@ class TestCsvWriter:
                                     sep=" ")
                 assert (tmp / "chunked.dat").read_bytes() == (
                     tmp / "reference.dat").read_bytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(data=st.data(), rows=st.integers(0, 23),
+           kinds=st.lists(st.sampled_from(["text", "float", "int"]),
+                          min_size=1, max_size=5),
+           tee=st.booleans())
+    def test_text_columns_match_reference(self, data, rows, kinds, tee):
+        # chunks of 4 rows: up to six chunks, the last one partial
+        with mock.patch.object(cli, "_CHUNK_ROWS", 4):
+            self._assert_drawn_table_matches_reference(data, rows, kinds, tee)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data(), rows=st.sampled_from([7, 8, 9, 17]),
+           kinds=st.lists(st.sampled_from(["text", "float", "int"]),
+                          min_size=1, max_size=5),
+           tee=st.booleans())
+    def test_forked_tables_match_reference(self, data, rows, kinds, tee):
+        # chunks of 4 rows: any float column forks, the child writing from
+        # row 4 (8 for 17 rows); a table of text and ints is written alone
+        with _fork_counter(_FORK_CELLS=1, _CHUNK_ROWS=4) as forks:
+            self._assert_drawn_table_matches_reference(data, rows, kinds, tee)
+        assert len(forks) == ("float" in kinds)
+
+    @pytest.mark.parametrize("half", ["child", "parent"])
+    def test_failing_half_leaves_no_part_and_no_child(self, tmp_path, half):
+        """A failing child makes write_csv raise; a failing parent half kills
+        and reaps the child.  run() reports either as an internal error."""
+        write_rows = cli._write_rows
+
+        def failing(fh, columns, sep, tee=None):
+            if fh.name.endswith(".part") == (half == "child"):
+                raise OSError("no space left on the device")
+            write_rows(fh, columns, sep, tee)
+
+        error, match = ((RuntimeError, r"rows 12\.\. of .* status 1$") if half == "child"
+                        else (OSError, "no space left"))
+        table = np.arange(40.0).reshape(2, 20)
+        with _fork_counter(_FORK_CELLS=1, _CHUNK_ROWS=4, _write_rows=failing) as forks:
+            with pytest.raises(error, match=match):
+                write_csv(tmp_path / "t.csv", ["a", "b"], table, tee=tmp_path / "t.dat")
+            report, code = run(umbilical_config(grid=16, t_end=0.1), tmp_path / "run",
+                               quiet=True)
+        assert len(forks) == 2
+        assert code == EXIT_INTERNAL, report.get("error")
+        assert json.loads((tmp_path / "run" / "report.json").read_text())[
+            "exit_status"] == EXIT_INTERNAL
+        assert not list(tmp_path.rglob("*.part"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("host", ["no fork", "one cpu"])
+    def test_single_process_off_linux_or_on_one_cpu(self, tmp_path, monkeypatch, host):
+        if host == "no fork":  # as on macOS: no sched_getaffinity either
+            monkeypatch.setattr(sys, "platform", "darwin")
+            monkeypatch.delattr(os, "fork")
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(cli, "_FORK_CELLS", 1)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+        table = np.array(self.EDGE_FLOATS * 3).reshape(2, -1)
+        write_csv(tmp_path / "t.csv", ["a", "b"], table)
+        write_csv_reference(tmp_path / "reference.csv", ["a", "b"], table.T.tolist())
+        assert (tmp_path / "t.csv").read_bytes() == (
+            tmp_path / "reference.csv").read_bytes()
+
+    def test_forks_per_run(self, tmp_path):
+        """One fork for the stride-1 flow's 36,864 rows of two float columns,
+        none for its sparse twin and none for 3-D cohomology, whose 15,625
+        solution rows hold int and text columns only."""
+        dense = umbilical_config(grid=256, t_end=1.0)
+        dense["output"]["snapshot_stride"] = 1
+        for cfg, expected in ((dense, 1), (umbilical_config(grid=256, t_end=1.0), 0),
+                              (dense_cohomology_config(12), 0)):
+            with _fork_counter() as forks:
+                report, code = run(cfg, tmp_path / cfg["scenario"], quiet=True)
+            assert code == EXIT_OK, report.get("error")
+            assert len(forks) == expected, cfg["scenario"]
+        assert report["results"]["modes_solved"] == 25 ** 3 - 1
 
     def test_scenario_tables_match_reference_rendering(self, tmp_path):
         """The text-keyed tables, each against its per-value rendering from
@@ -609,6 +692,27 @@ class TestCsvWriter:
         assert report["error"].startswith(
             f"output.snapshot_stride: snapshot {snapshots} "), report["error"]
         assert not (tmp_path / "over" / "timeseries.csv").exists()
+
+
+@contextlib.contextmanager
+def _fork_counter(**cli_attrs):
+    """Sets the given egf_lab.cli attributes and two usable CPUs; yields the
+    list of the pids that write_csv forks."""
+    fork, forks = os.fork, []
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with contextlib.ExitStack() as stack:
+        for name, value in cli_attrs.items():
+            stack.enter_context(mock.patch.object(cli, name, value))
+        stack.enter_context(mock.patch.object(os, "sched_getaffinity",
+                                              lambda pid: {0, 1}))
+        stack.enter_context(mock.patch.object(os, "fork", counting))
+        yield forks
 
 
 def _half_lattice(dim: int, K: int) -> list[tuple[int, ...]]:
@@ -1338,6 +1442,9 @@ class TestCohomologyInput:
         ({"node": lambda j, M: (j / M) ** 2}, NOT_NODES),  # complete, not uniform
         ({"node": lambda j, M: 2 * j / M}, NOT_NODES),  # uniform over [0, 2)
         ({"node": lambda j, M: j / M + 1e-8 / M}, NOT_NODES),  # past the tolerance
+        # a header line alone: numpy's no-data warning is not printed
+        ({"drop": range(64)}, "h.grid_csv: {path} holds no data rows after its "
+                              "header line"),
     ]] + [(*case, False) for case in [  # numpy words the rest of these
         ({"text": {5: "0,0.625,abc"}}, "h.grid_csv: could not convert string 'abc'"),
         ({"text": {5: "0,0.625,1,2"}},
@@ -1352,7 +1459,7 @@ class TestCohomologyInput:
             report, code = run(cfg, tmp_path / "out", quiet=True)
         assert code == EXIT_CONFIG
         if whole:
-            assert report["error"] == message
+            assert report["error"] == message.format(path=csv_path)
         else:
             assert report["error"].startswith(message), report["error"]
         assert not list((tmp_path / "out").glob("*.csv"))
