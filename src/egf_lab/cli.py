@@ -398,11 +398,11 @@ FLOW = {**PROFILE, "numerics.grid": _size(), "numerics.t_end": Key(float), **STE
         "numerics.boundary": Key(str, "periodic", BOUNDARIES)}
 EPS = Key(number_or_auto, "auto")
 CURVES = {
-    "cone": {"curve.beta": Key(float), "curve.x0_min": Key(float, 1.0),
+    "cone": {"curve.beta": Key(float), "curve.x0_min": Key(positive, 1.0),
              "curve.x0_max": Key(float, 5.0), "numerics.grid": _size(256)},
-    "constant_lambda": {"curve.x1_min": Key(float, 0.5),
+    "constant_lambda": {"curve.x1_min": Key(positive, 0.5),
                         "curve.x1_max": Key(float, 10.0),
-                        "curve.step": Key(float, 1e-3), "curve.C": Key(float, 0.0)},
+                        "curve.step": Key(positive, 1e-3), "curve.C": Key(float, 0.0)},
 }
 
 # scenario -> every key path it accepts
@@ -541,7 +541,7 @@ def _check_sizes(cfg: dict) -> None:
          else ("n",) if "functional.name" in cfg else ())
     counts = {" × ".join(k): math.prod(cfg[p] for p in k) for k in (
         ("numerics.grid", *n), ("numerics.grid0", "numerics.grid1", *n)) if k[0] in cfg}
-    if cfg.get("curve.kind") == "constant_lambda" and cfg["curve.step"] > 0:
+    if cfg.get("curve.kind") == "constant_lambda":
         counts["curve.step: (x1_max - x1_min) / step"] = (
             cfg["curve.x1_max"] - cfg["curve.x1_min"]) / cfg["curve.step"]
     for label, count in counts.items():
@@ -779,7 +779,7 @@ def run_revolution(cfg: dict, outdir: Path):
     # an overflow shows as a non-finite column, refused below
     with np.errstate(all="ignore"):
         if kind == "cone":
-            profile = _build("curve: ", RevolutionProfile.cone, cfg["curve.beta"],
+            profile = _build("curve.", RevolutionProfile.cone, cfg["curve.beta"],
                              (cfg[lo], cfg[hi]), cfg["numerics.grid"])
             K_formula = np.zeros_like  # a straight generatrix: flat plane sections
         else:

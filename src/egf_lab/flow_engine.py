@@ -12,9 +12,17 @@ form with one-sided differences chosen by the local characteristic speed;
 stepping is forward Euler under a CFL bound.  Shocks are not captured: the
 steppers detect non-finite values and stop with a blow-up report.
 
-The scalar flow, the power-sum system and the volume-normalized extrinsic
-Ricci flow are all marched by one driver, ``_march``, which owns the step
-budget, the end-time tolerance and the runaway total-variation guard.
+The scalar flow and the power-sum system are marched by one driver,
+``_march``, which owns the step budget, the end-time tolerance and the
+runaway total-variation guard.
+
+The volume-normalized extrinsic Ricci flow needs no step of its own.  Its
+warping law d log phi^2/dt = psi(lam) - <psi(lam)>_{phi^2}, with
+psi(lam) = -2 lam^2 (``make_functional("ext_ricci", 2)``), differs from the
+unnormalized one by a term constant in space that lam never reads.  So its
+lam is the ``evolve_umbilical`` lam, and its phi is the ``evolve_umbilical``
+phi rescaled by sqrt(V0/V), V = integral of phi^2 ds: the rescaling that links
+Hamilton's normalized and unnormalized Ricci flows.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import make_functional
 from .sym_curvature import (
     FlowFunctional,
     power_sums_with_tau0,
@@ -188,7 +195,7 @@ class TauField(_NormalCurveGrid):
 
 @dataclass
 class StepControl:
-    """Explicit time-stepping policy."""
+    """Explicit time-stepping policy; a refusal names its field first."""
 
     t_end: float
     cfl: float = 0.9
@@ -197,13 +204,13 @@ class StepControl:
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
+            raise ValueError("cfl: must lie in (0, 1]")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+            raise ValueError(f"scheme: must be one of {SCHEMES}")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise ValueError("max_steps: must be >= 1")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
-            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
+            raise ValueError(f"t_end: must be finite and >= 0, got {self.t_end!r}")
 
 
 def _neighbors(u: np.ndarray, periodic: bool, axis: int = -1):
@@ -487,61 +494,3 @@ def evolve_tau(
     return _march(
         fld, lambda f: step_tau_system(f, F, ctl), ctl, lambda f: f.tau[:, 0]
     )
-
-
-# Deformation coefficients of the extrinsic Ricci flow on 2-dimensional
-# leaves: h(b) = -2 sigma_2 g, i.e. psi(lam) = -2 lam^2 in the umbilical model.
-RICCI_N2 = make_functional("ext_ricci", 2)
-
-
-@dataclass
-class NormalizedStepDiagnostics:
-    t: float
-    rho: float
-    normalization_integral: float
-
-
-def normalized_ricci_step(
-    p: UmbilicalProfile,
-    ctl: StepControl,
-    negate_normalization: bool = False,
-) -> tuple[UmbilicalProfile, NormalizedStepDiagnostics]:
-    """One step of the volume-normalized extrinsic Ricci flow (n = 2, umbilical).
-
-    lam is transported with psi(lam) = -2 lam^2 (the spatially constant
-    normalization term has zero gradient), then the conformal factor follows
-    d/dt log phi^2 = -2 lam^2 + rho/2 with rho twice the phi^2-weighted mean
-    of the extrinsic scalar curvature 2 lam^2.  With the default sign, data
-    with constant lam is a fixed point of the conformal factor;
-    negate_normalization flips rho to the convention under which it is not.
-    """
-    lam_step = step_umbilical(p, RICCI_N2, ctl)
-    lam_new, dt = lam_step.lam, lam_step.t - p.t
-
-    weights = p.phi ** 2 * p.ds
-    mean_scal = float(np.sum(2.0 * lam_new ** 2 * weights) / np.sum(weights))
-    rho = (-2.0 if negate_normalization else 2.0) * mean_scal
-    rate = -2.0 * lam_new ** 2 + 0.5 * rho
-    norm_integral = float(np.sum(rate * weights))
-
-    phi_new = p.phi * np.exp(0.5 * dt * rate)
-    if not (phi_new.min() > 0 and phi_new.max() < np.inf):  # NaN fails both
-        raise FlowBlowUpError("non-finite or zero warping factor", p.t)
-    out = UmbilicalProfile(p.s, lam_new, phi_new, p.boundary, lam_step.t)
-    return out, NormalizedStepDiagnostics(out.t, rho, norm_integral)
-
-
-def evolve_normalized_ricci(
-    p: UmbilicalProfile,
-    ctl: StepControl,
-    negate_normalization: bool = False,
-) -> tuple[UmbilicalProfile, list[NormalizedStepDiagnostics]]:
-    """March the normalized extrinsic Ricci flow to ctl.t_end."""
-    diagnostics: list[NormalizedStepDiagnostics] = []
-
-    def advance(q):
-        q, diag = normalized_ricci_step(q, ctl, negate_normalization)
-        diagnostics.append(diag)
-        return q
-
-    return _march(p, advance, ctl, lambda q: q.lam), diagnostics

@@ -73,9 +73,9 @@ class RevolutionProfile:
         """Generatrix x1 = tan(beta) x0 of a cone, x0 > 0."""
         a, b = x0_range
         if not 0 < beta < np.pi / 2:
-            raise ValueError("opening angle must lie in (0, pi/2)")
+            raise ValueError("beta: opening angle must lie in (0, pi/2)")
         if a <= 0:
-            raise ValueError("the cone profile must stay away from the apex")
+            raise ValueError("x0_min: the cone profile must stay away from the apex")
         x0 = np.linspace(a, b, grid)
         slope = math.tan(beta)
         return cls.from_graph(
@@ -224,7 +224,7 @@ def cone_flow_check(
     sin(beta) (x0 - t/2)^2 / x0; the two differ because the curvature
     normalization of the cone data does not match the radius convention, so
     only the second is a consistency target for the integrator.  Error
-    messages start with the offending parameter.
+    messages start with the cone-check key at fault: beta or domain_min.
     """
     a, b = domain
     t_end = ctl.t_end
@@ -232,7 +232,7 @@ def cone_flow_check(
         raise ValueError("beta: opening angle must lie in (0, pi/2)")
     if a <= t_end / 2.0:
         raise ValueError(
-            "domain: the apex reaches the domain: need domain start > t_end / 2"
+            "domain_min: the apex reaches the domain: need domain_min > t_end / 2"
         )
 
     sin_b = math.sin(beta)

@@ -19,6 +19,7 @@ from egf_lab.flow_engine import (
     FlowBlowUpError,
     StepControl,
     TauField,
+    UmbilicalProfile,
     _pick_dt,
 )
 from egf_lab.revolution_geometry import RevolutionProfile
@@ -222,6 +223,19 @@ def evolve_warping(history: FlowHistory, p0, F) -> np.ndarray:
         integral += 0.5 * (psi_prev + psi_next) * (times[idx] - times[idx - 1])
         psi_prev = psi_next
     return p0.phi * np.exp(0.5 * integral)
+
+
+def volume(p) -> float:
+    """The warped volume V = sum phi^2 ds of a profile."""
+    return float(np.sum(p.phi ** 2) * p.ds)
+
+
+def volume_normalized(p, v0: float) -> UmbilicalProfile:
+    """The volume-normalized flow's profile from the unnormalized one p: the
+    term -<psi>_{phi^2} of d log phi^2/dt = psi(lam) - <psi>_{phi^2} is
+    constant in space, so it leaves lam alone and rescales phi to volume v0."""
+    phi = p.phi * math.sqrt(v0 / volume(p))
+    return UmbilicalProfile(p.s, p.lam, phi, p.boundary, p.t)
 
 
 # ------------------------------------------- torus cohomology, dict reference

@@ -342,6 +342,19 @@ MALFORMED = [
     (_set(_set(json.loads(json.dumps(CONSTANT_LAMBDA)), "curve.x1_min", 1e199),
           "curve.step", 1e195), "curve.x1_max", 1e200, "curve.x1_min, curve.x1_max: "),
     (REVOLUTION, "curve.x0_max", 1e200, "curve.x0_min, curve.x0_max: "),
+    # a refusal from past the parse step names its key in full too
+    (CONSTANT_LAMBDA, "curve.step", 0, "curve.step: expected positive finite number"),
+    (CONSTANT_LAMBDA, "curve.step", -1e-3, "curve.step: expected positive"),
+    (CONSTANT_LAMBDA, "curve.x1_min", 0, "curve.x1_min: expected positive"),
+    (CONSTANT_LAMBDA, "curve.x1_min", -1, "curve.x1_min: expected positive"),
+    (REVOLUTION, "curve.x0_min", 0, "curve.x0_min: expected positive finite number"),
+    (REVOLUTION, "curve.x0_min", -1, "curve.x0_min: expected positive"),
+    (REVOLUTION, "curve.beta", 2.0, "curve.beta: opening angle must lie in (0, pi/2)"),
+    (REVOLUTION, "curve.beta", 0, "curve.beta: opening angle"),
+    (CONE, "domain_min", 0.5, "domain_min: the apex reaches the domain"),
+    (CONE, "numerics.t_end", -0.5, "numerics.t_end: must be finite and >= 0, got -0.5"),
+    (umbilical_config(), "numerics.t_end", -1, "numerics.t_end: must be finite"),
+    (umbilical_config(), "numerics.cfl", 0, "numerics.cfl: must lie in (0, 1]"),
 ]
 
 

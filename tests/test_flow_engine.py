@@ -14,13 +14,11 @@ from egf_lab.flow_engine import (
     SCHEMES,
     BoundedProgressError,
     FlowBlowUpError,
-    RICCI_N2,
     ShockError,
     StepControl,
     TauField,
     UmbilicalProfile,
     characteristics_oracle,
-    evolve_normalized_ricci,
     evolve_tau,
     evolve_umbilical,
     _axis_derivative,
@@ -39,6 +37,8 @@ from oracles import (
     power_sums_with_tau0_reference,
     step_tau_system_reference,
     total_variation_reference,
+    volume,
+    volume_normalized,
 )
 from test_sym_curvature import functional_b1, functional_tau1_minus_c
 
@@ -200,7 +200,7 @@ class TestStepUmbilical:
 
     def test_oscillation_growth_detector(self, monkeypatch):
         # the detector itself: make the steppers inject growing oscillation;
-        # the scalar, power-sum and normalized marches share the guard
+        # the scalar and power-sum marches share the guard
         import egf_lab.flow_engine as fe
 
         def noise(grid):
@@ -223,7 +223,6 @@ class TestStepUmbilical:
         marches = {
             "umbilical": lambda: fe.evolve_umbilical(p, functional_b1(2), ctl),
             "tau": lambda: fe.evolve_tau(fld, functional_b1(2), ctl),
-            "normalized_ricci": lambda: fe.evolve_normalized_ricci(p, ctl),
         }
         for driver, march in marches.items():
             with pytest.raises(FlowBlowUpError, match="total variation"):
@@ -464,39 +463,53 @@ class TestTauSystem:
             step_tau_system(fld, F, StepControl(t_end=1.0))
 
 
+# psi(lam) = -2 lam^2: the extrinsic Ricci flow on 2-dimensional leaves
+RICCI_N2 = make_functional("ext_ricci", 2)
+
+
+def normalized_ricci(p, t_end):
+    """Every snapshot of the volume-normalized extrinsic Ricci flow from p:
+    the umbilical march, with phi rescaled to the initial volume."""
+    v0, snaps = volume(p), []
+    evolve_umbilical(p, RICCI_N2, StepControl(t_end=t_end),
+                     on_snapshot=lambda q: snaps.append(volume_normalized(q, v0)))
+    return snaps
+
+
 class TestNormalizedRicci:
     def test_zero_lambda_stationary(self):
         p = UmbilicalProfile.from_function(lambda s: 0 * s, 64, 1.0)
-        out, diags = evolve_normalized_ricci(p, StepControl(t_end=1.0))
+        out = normalized_ricci(p, 1.0)[-1]
+        assert out.t == 1.0
         np.testing.assert_allclose(out.lam, 0.0)
         np.testing.assert_allclose(out.phi, 1.0)
-        assert all(d.rho == 0.0 for d in diags)
 
     def test_constant_lambda_fixed_point_of_phi(self):
         C = 0.7
         p = UmbilicalProfile.from_function(lambda s: C + 0 * s, 64, 1.0)
-        out, diags = evolve_normalized_ricci(p, StepControl(t_end=1.0))
-        np.testing.assert_allclose(out.lam, C)
-        np.testing.assert_allclose(out.phi, 1.0, rtol=1e-10)
-        for d in diags:
-            assert d.rho == pytest.approx(4 * C ** 2, rel=1e-12)
-            assert abs(d.normalization_integral) <= 1e-10
+        snaps = normalized_ricci(p, 1.0)
+        assert len(snaps) > 2
+        for q in snaps:
+            np.testing.assert_allclose(q.lam, C)
+            np.testing.assert_allclose(q.phi, 1.0, rtol=1e-10)
 
-    def test_negated_normalization_is_not_stationary(self):
+    def test_unrescaled_phi_is_not_stationary(self):
+        # the rescale does the work: the march alone lets phi decay
         C = 0.7
         p = UmbilicalProfile.from_function(lambda s: C + 0 * s, 64, 1.0)
-        out, _ = evolve_normalized_ricci(p, StepControl(t_end=1.0), negate_normalization=True)
+        out = evolve_umbilical(p, RICCI_N2, StepControl(t_end=1.0))
         assert np.max(np.abs(out.phi - 1.0)) > 1e-3
 
-    def test_nonconstant_normalization_integral_vanishes(self):
+    def test_volume_conserved(self):
         p = UmbilicalProfile.from_function(
             lambda s: 0.5 + 0.2 * np.sin(2 * np.pi * s), 128, 1.0
         )
-        out, diags = evolve_normalized_ricci(p, StepControl(t_end=0.3))
-        scale = max(abs(d.rho) for d in diags)
-        for d in diags:
-            assert abs(d.normalization_integral) <= 1e-10 * max(1.0, scale)
-        assert np.all(out.phi > 0)
+        v0 = volume(p)
+        snaps = normalized_ricci(p, 0.3)
+        assert snaps[-1].t == pytest.approx(0.3)
+        for q in snaps:
+            assert abs(volume(q) - v0) <= 1e-13 * v0
+            assert np.all(q.phi > 0)
 
     def test_psi_of_ricci_functional(self):
         lam = np.linspace(-2, 2, 9)
