@@ -2,8 +2,8 @@
 
 The catalog is deliberately closed: each entry is a hand-written builder, not
 an expression parser.  Adding a flow functional means adding a builder here.
-A flow functional's builder returns its monomial table, the one definition:
-its f_j callbacks are built from it, and the FlowFunctional keeps it.
+A flow functional's builder returns its monomial table, its one definition:
+the FlowFunctional is that table, and evaluates each f_j from it.
 
 The parameters of every named entry sit in one table (PARAMS: key -> cast,
 default and, for an int, its range), which is also the CLI's config table
@@ -100,25 +100,6 @@ def _mono(n: int, *ks: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _polynomial(terms: tuple) -> Callable[[np.ndarray], np.ndarray]:
-    """f(tau) = sum of coef * prod_k tau_k**e_k over terms ((e_1..e_n), coef),
-    summed in table order; no terms: f = 0."""
-    monomials = [(float(coef), [(k, e) for k, e in enumerate(exps) if e])
-                 for exps, coef in terms]
-
-    def f(tau):
-        out = np.zeros(tau.shape[:-1])
-        for i, (coef, factors) in enumerate(monomials):
-            term = np.empty(tau.shape[:-1])  # empty + fill: np.full is a Python wrapper
-            term.fill(coef)
-            for k, e in factors:
-                term = term * tau[..., k] ** e
-            out = term if i == 0 else out + term  # not 0 + term: keeps -0.0
-        return out
-
-    return f
-
-
 # Each catalog functional as its monomial table {j: {(e_1..e_n): coef}}:
 # f_j = sum of coef * prod_k tau_k**e_k over table[j], absent j: f_j = 0.
 def _build_b1(n: int) -> dict:
@@ -166,8 +147,10 @@ def make_functional(name: str, n: int, params: dict | None = None) -> FlowFuncti
     if n < 1:
         raise ValueError("leaf dimension n must be >= 1")
     spec = FUNCTIONALS[name](n, **read_params(PARAMS["functional"][name], params or {}))
-    table = tuple(tuple(spec.get(j, {}).items()) for j in range(n))
-    return FlowFunctional(n, tuple(_polynomial(terms) for terms in table), table)
+    table = [()] * n  # no loop over the absent j: n may be large
+    for j, terms in spec.items():
+        table[j] = tuple(terms.items())
+    return FlowFunctional(n, tuple(table))
 
 
 def make_initial(spec: dict, length: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -27,8 +27,6 @@ from .flow_engine import (
 )
 from .sym_curvature import (
     FlowFunctional,
-    PrincipalCurvatureSpectrum,
-    assemble_h_eigen,
     psi_of_lambda,
     psi_prime,
 )
@@ -179,47 +177,6 @@ def check_normal_soliton(
         "soliton" if is_soliton else "not_soliton",
         tol, notes,
     )
-
-
-def conformal_killing_factor(
-    p: UmbilicalProfile,
-    F: FlowFunctional,
-    eps: float,
-):
-    """Leafwise conformal factor psi(lam(s)) - eps of the soliton field.
-
-    Returns (factor, killing, homothety): the field is leafwise Killing when
-    the factor vanishes and an infinitesimal homothety when it is constant.
-    """
-    psi_vals = np.asarray(psi_of_lambda(F, p.lam))
-    tol = rounding_floor(psi_vals, eps)
-    factor = psi_vals - float(eps)
-    killing = bool(np.max(np.abs(factor)) <= tol)
-    homothety = bool(np.ptp(factor) <= tol)
-    return factor, killing, homothety
-
-
-def check_trace_identity(
-    spec: PrincipalCurvatureSpectrum,
-    F: FlowFunctional,
-    eps: float,
-    divX: float,
-) -> float:
-    """Residual of the traced structure equation: tr h(b) - n eps - 2 div X."""
-    h = assemble_h_eigen(spec, F)
-    return float(np.sum(h) - spec.n * eps - 2.0 * divX)
-
-
-def estimate_eps_leaf(trace_samples, weights, n: int) -> float:
-    """eps from the leaf average of tr h(b): n eps = weighted mean of the trace."""
-    trace_samples = np.asarray(trace_samples, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if trace_samples.shape != weights.shape:
-        raise ValueError("samples and weights must have the same shape")
-    total = float(np.sum(weights))
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError("total weight must be positive")
-    return float(np.sum(trace_samples * weights) / total) / n
 
 
 @dataclass

@@ -64,26 +64,6 @@ def power_sums_with_tau0_reference(tau, n, m):
     return np.concatenate([t0, body], axis=-1)
 
 
-def shifted_power_sums(k, c, m):
-    """Power sums of (k_i - c) by binomial expansion of each term."""
-    out = []
-    for j in range(1, m + 1):
-        total = 0.0
-        for ki in k:
-            total += sum(
-                math.comb(j, i) * ki ** i * (-c) ** (j - i) for i in range(j + 1)
-            )
-        out.append(total)
-    return out
-
-
-def trapezoid_mean(values, weights):
-    """Weighted mean used as quadrature oracle for leaf averages."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    return float(np.sum(values * weights) / np.sum(weights))
-
-
 def enumerate_ricci_soliton_spectra(n, tau1, r, tol=1e-8):
     """All constant spectra with every k a root of k^2 - tau1 k - r and sum tau1.
 
@@ -127,6 +107,13 @@ def canonical_spectrum_key(roots, multiplicities):
     return tuple((round(v, 9), m) for v, m in merged)
 
 
+def is_extrinsic_ricci_flat(k) -> bool:
+    """Whether every extrinsic Ricci eigenvalue k_i (tau_1 - k_i) of the
+    spectrum k is at most 1e-8 in modulus."""
+    tau1 = sum(k)
+    return all(abs(ki * (tau1 - ki)) <= 1e-8 for ki in k)
+
+
 def enumerate_flat_spectra(n, values):
     """All spectra over a value grid whose extrinsic Ricci eigenvalues vanish."""
     flat = set()
@@ -137,8 +124,7 @@ def enumerate_flat_spectra(n, values):
         if key in seen:
             continue
         seen.add(key)
-        tau1 = sum(k)
-        if all(abs(ki * (tau1 - ki)) <= 1e-12 for ki in k):
+        if is_extrinsic_ricci_flat(k):
             flat.add(key)
     return flat
 
@@ -448,7 +434,7 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
 
     m_top = max(n, 2 * n - 2)
     taux = power_sums_with_tau0_reference(tau, n, m_top)  # (G, m_top+1), tau_j at j
-    fvals = F.evaluate(tau)  # (G, n)
+    fvals = np.stack([F.coefficient(j, tau) for j in range(n)], axis=-1)  # (G, n)
 
     # advection coefficients i j f_j / (2(i+j-1)) of equation i: their sum
     # sets the upwind bias, the sum of their moduli the CFL speed

@@ -40,26 +40,6 @@ from oracles import (
     volume,
     volume_normalized,
 )
-from test_sym_curvature import functional_b1, functional_tau1_minus_c
-
-
-def functional_square(n):
-    """psi(lam) = lam^2 for any n."""
-    if n == 1:
-        return FlowFunctional(1, (lambda tau: tau[..., 0] ** 2,))
-    f = [lambda tau: tau[..., 1] / n] + [
-        (lambda tau: np.zeros(tau.shape[:-1])) for _ in range(n - 1)
-    ]
-    return FlowFunctional(n, tuple(f))
-
-
-def functional_affine(n, a, b):
-    """psi(lam) = a lam + b."""
-    f = [lambda tau: a * tau[..., 0] / n + b] + [
-        (lambda tau: np.zeros(tau.shape[:-1])) for _ in range(n - 1)
-    ]
-    return FlowFunctional(n, tuple(f))
-
 
 # every catalog functional, with parameters where it takes any
 CATALOG_CASES = [("b1", {}), ("tau1_minus_c", {"c": 0.3}), ("ext_ricci", {}),
@@ -68,10 +48,11 @@ CATALOG_CASES = [("b1", {}), ("tau1_minus_c", {"c": 0.3}), ("ext_ricci", {}),
 
 def dense_functional(n):
     """Every f_j varies with tau: no term of the tau system's bracket is zero,
-    so the order in which the terms are added shows in the bytes."""
-    return FlowFunctional(n, tuple(
-        (lambda tau, j=j: 0.1 * (j + 1) * tau[..., 0] + 0.05 * tau[..., -1])
-        for j in range(n)))
+    so the order in which the terms are added shows in the bytes.  f_j is
+    0.1 (j + 1) tau_1 + 0.05 tau_n."""
+    tau_1, tau_n = (tuple(int(k == i) for k in range(n)) for i in (0, n - 1))
+    return FlowFunctional(n, tuple(((tau_1, 0.1 * (j + 1)), (tau_n, 0.05))
+                                   for j in range(n)))
 
 
 def sine_profile(grid=128, length=1.0, amplitude=1.0, mean=0.0):
@@ -86,12 +67,12 @@ class TestStepUmbilical:
         for scheme in ("upwind", "lax_friedrichs"):
             p = UmbilicalProfile.from_function(lambda s: 2.5 + 0 * s, 64, 1.0)
             ctl = StepControl(t_end=0.5, scheme=scheme)
-            out = evolve_umbilical(p, functional_square(2), ctl)
+            out = evolve_umbilical(p, make_functional("umbilical_square", 2), ctl)
             assert np.all(out.lam == 2.5)
             assert out.t == pytest.approx(0.5)
 
     def test_traveling_wave_upwind(self):
-        F = functional_b1(2)  # psi(lam) = lam, unit-speed/2 translation
+        F = make_functional("b1", 2)  # psi(lam) = lam, unit-speed/2 translation
         p = sine_profile(grid=512)
         ctl = StepControl(t_end=1.0, cfl=0.9)
         out = evolve_umbilical(p, F, ctl)
@@ -99,7 +80,7 @@ class TestStepUmbilical:
         assert np.max(np.abs(out.lam - exact)) < 0.02
 
     def test_traveling_wave_lax_friedrichs(self):
-        F = functional_b1(2)
+        F = make_functional("b1", 2)
         p = sine_profile(grid=512)
         ctl = StepControl(t_end=1.0, cfl=0.9, scheme="lax_friedrichs")
         out = evolve_umbilical(p, F, ctl)
@@ -108,7 +89,7 @@ class TestStepUmbilical:
 
     @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
     def test_convergence_first_order(self, scheme):
-        F = functional_b1(2)
+        F = make_functional("b1", 2)
         errs = []
         grids = [64, 128, 256]
         for g in grids:
@@ -120,7 +101,7 @@ class TestStepUmbilical:
         assert np.all(rates > 0.9), f"{scheme} measured rates {rates}"
 
     def test_max_principle_upwind(self):
-        F = functional_square(2)  # psi' = 2 lam, varies in sign over the profile
+        F = make_functional("umbilical_square", 2)  # psi' = 2 lam, varies in sign over the profile
         p = sine_profile(grid=128, amplitude=0.4, mean=1.0)  # psi' > 0 everywhere
         lo, hi = p.lam.min(), p.lam.max()
         out = evolve_umbilical(p, F, StepControl(t_end=0.2))
@@ -128,7 +109,7 @@ class TestStepUmbilical:
         assert out.lam.max() <= hi + 1e-12
 
     def test_cone_translation_with_exact_inflow(self):
-        F = functional_b1(2)
+        F = make_functional("b1", 2)
         p = UmbilicalProfile.from_function(
             lambda s: -2.0 / s, 400, 4.0, "transmissive", s0=2.0
         )
@@ -140,10 +121,9 @@ class TestStepUmbilical:
         assert np.max(np.abs(out.lam - exact)) < 5e-3
 
     def test_zero_speed_jumps_to_t_end(self):
-        F = functional_tau1_minus_c(2, 0.0)
+        F = make_functional("tau1_minus_c", 2, {"c": 0.0})
         # psi = 2 lam has psi' = 2 everywhere, so use a constant functional:
-        Fconst = FlowFunctional(2, (lambda tau: np.ones(tau.shape[:-1]),
-                                    lambda tau: np.zeros(tau.shape[:-1])))
+        Fconst = FlowFunctional(2, ((((0, 0), 1.0),), ()))
         p = sine_profile(grid=64)
         snapshots = []
         out = evolve_umbilical(
@@ -157,7 +137,7 @@ class TestStepUmbilical:
         del F
 
     def test_max_steps_exhaustion(self):
-        F = functional_b1(2)
+        F = make_functional("b1", 2)
         p = sine_profile(grid=128)
         with pytest.raises(BoundedProgressError):
             evolve_umbilical(p, F, StepControl(t_end=10.0, max_steps=3))
@@ -165,7 +145,7 @@ class TestStepUmbilical:
     def test_shock_is_smeared_not_amplified(self):
         # first-order upwind is monotone: compressive data under psi = lam^2
         # steepens into a smeared shock with no total-variation growth
-        F = functional_square(2)
+        F = make_functional("umbilical_square", 2)
         p = sine_profile(grid=256, amplitude=2.0)
         from egf_lab.flow_engine import total_variation
         tv0 = total_variation(p.lam, True)
@@ -175,11 +155,7 @@ class TestStepUmbilical:
     def test_blowup_on_overflowing_warping(self):
         # a huge constant deformation speed overflows phi in one jump; the
         # driver reports the last valid time instead of propagating inf
-        Fbig = FlowFunctional(
-            2,
-            (lambda tau: 1e7 * np.ones(tau.shape[:-1]),
-             lambda tau: np.zeros(tau.shape[:-1])),
-        )
+        Fbig = FlowFunctional(2, ((((0, 0), 1e7),), ()))
         p = UmbilicalProfile.from_function(lambda s: 0 * s, 64, 1.0)
         with pytest.raises(FlowBlowUpError) as err:
             evolve_umbilical(p, Fbig, StepControl(t_end=3.0))
@@ -188,11 +164,7 @@ class TestStepUmbilical:
     def test_blowup_on_underflowing_warping(self):
         # a large negative constant speed underflows phi to 0 in one jump: a
         # blow-up at the last valid time, not a malformed profile
-        Fneg = FlowFunctional(
-            2,
-            (lambda tau: -1e4 * np.ones(tau.shape[:-1]),
-             lambda tau: np.zeros(tau.shape[:-1])),
-        )
+        Fneg = FlowFunctional(2, ((((0, 0), -1e4),), ()))
         p = UmbilicalProfile.from_function(lambda s: 0.5 + 0.1 * np.sin(s), 64, 1.0)
         with pytest.raises(FlowBlowUpError, match="warping factor") as err:
             evolve_umbilical(p, Fneg, StepControl(t_end=1.0))
@@ -221,8 +193,8 @@ class TestStepUmbilical:
         p = sine_profile(grid=64)
         fld = TauField.from_umbilical(lambda s: np.sin(2 * np.pi * s), 2, 64, 1.0)
         marches = {
-            "umbilical": lambda: fe.evolve_umbilical(p, functional_b1(2), ctl),
-            "tau": lambda: fe.evolve_tau(fld, functional_b1(2), ctl),
+            "umbilical": lambda: fe.evolve_umbilical(p, make_functional("b1", 2), ctl),
+            "tau": lambda: fe.evolve_tau(fld, make_functional("b1", 2), ctl),
         }
         for driver, march in marches.items():
             with pytest.raises(FlowBlowUpError, match="total variation"):
@@ -259,13 +231,11 @@ class TestStepUmbilical:
 
 
 class TestWarping:
-    @pytest.mark.parametrize("make,n", [
-        (functional_b1, 2),
-        (functional_square, 2),
-        (lambda n: functional_affine(n, 1.5, -0.5), 3),
+    @pytest.mark.parametrize("name,n,params", [
+        ("b1", 2, {}), ("umbilical_square", 2, {}), ("affine", 3, {"a": 1.5, "b": -0.5}),
     ])
-    def test_constant_lambda_closed_form(self, make, n):
-        F = make(n)
+    def test_constant_lambda_closed_form(self, name, n, params):
+        F = make_functional(name, n, params)
         C = 0.8
         p = UmbilicalProfile.from_function(lambda s: C + 0 * s, 64, 1.0)
         t_end = 1.7
@@ -280,13 +250,13 @@ class TestWarping:
         np.testing.assert_allclose(phi, expected, rtol=1e-10)
 
     def test_zero_psi_keeps_phi(self):
-        F = functional_tau1_minus_c(2, 0.0)  # psi(0) = 0 on zero data
+        F = make_functional("tau1_minus_c", 2, {"c": 0.0})  # psi(0) = 0 on zero data
         p = UmbilicalProfile.from_function(lambda s: 0 * s, 64, 1.0)
         out = evolve_umbilical(p, F, StepControl(t_end=2.0))
         np.testing.assert_allclose(out.phi, 1.0)
 
     def test_grid_mismatch_rejected(self):
-        F = functional_b1(2)
+        F = make_functional("b1", 2)
         p = sine_profile(grid=64)
         hist = FlowHistory()
         hist.append(0.0, np.zeros(32))
@@ -294,7 +264,7 @@ class TestWarping:
             evolve_warping(hist, p, F)
 
     def test_warping_stays_positive(self):
-        F = functional_tau1_minus_c(2, 3.0)  # strongly negative psi
+        F = make_functional("tau1_minus_c", 2, {"c": 3.0})  # strongly negative psi
         p = sine_profile(grid=64, amplitude=0.3)
         out = evolve_umbilical(p, F, StepControl(t_end=1.0))
         assert np.all(out.phi > 0)
@@ -302,7 +272,7 @@ class TestWarping:
 
 class TestCharacteristicsOracle:
     def test_translation_for_linear_psi(self):
-        F = functional_b1(2)
+        F = make_functional("b1", 2)
         s = np.linspace(0, 1, 200, endpoint=False)
         lam0 = lambda x: np.sin(2 * np.pi * x)
         out = characteristics_oracle(lam0, F, 0.8, s, periodic_length=1.0)
@@ -311,13 +281,13 @@ class TestCharacteristicsOracle:
         np.testing.assert_allclose(out, lam0(s - 0.4), atol=1e-9)
 
     def test_identity_at_t0(self):
-        F = functional_square(2)
+        F = make_functional("umbilical_square", 2)
         s = np.linspace(0, 1, 50, endpoint=False)
         out = characteristics_oracle(lambda x: np.cos(x), F, 0.0, s, periodic_length=1.0)
         np.testing.assert_allclose(out, np.cos(s))
 
     def test_nonlinear_against_fine_solver(self):
-        F = functional_square(2)  # speed = lam
+        F = make_functional("umbilical_square", 2)  # speed = lam
         length = 1.0
         s = length * np.arange(256) / 256
         lam0 = lambda x: 1.5 + 0.2 * np.sin(2 * np.pi * x / length)
@@ -329,7 +299,7 @@ class TestCharacteristicsOracle:
         assert np.max(np.abs(oracle - solver)) < 5e-3
 
     def test_shock_detection(self):
-        F = functional_square(2)
+        F = make_functional("umbilical_square", 2)
         s = np.linspace(0, 1, 100, endpoint=False)
         # strong compressive data: characteristics cross quickly
         with pytest.raises(ShockError):
@@ -340,20 +310,20 @@ class TestCharacteristicsOracle:
 
 class TestTauSystem:
     def test_constant_field_stationary(self):
-        F = functional_b1(3)
+        F = make_functional("b1", 3)
         fld = TauField.from_umbilical(lambda s: 1.2 + 0 * s, 3, 64, 1.0)
         out = evolve_tau(fld, F, StepControl(t_end=1.0))
         np.testing.assert_allclose(out.tau, fld.tau, atol=1e-13)
 
     def test_zero_field_fixed_point(self):
-        F = functional_b1(3)  # f_0 = 0 at the origin
+        F = make_functional("b1", 3)  # f_0 = 0 at the origin
         fld = TauField.from_umbilical(lambda s: 0 * s, 3, 64, 1.0)
         out = evolve_tau(fld, F, StepControl(t_end=1.0))
         np.testing.assert_allclose(out.tau, 0.0, atol=1e-14)
 
     def test_umbilical_tracks_scalar_solver(self):
         n = 3
-        F = functional_b1(n)
+        F = make_functional("b1", n)
         lam0 = lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s)
         G = 256
         fld = TauField.from_umbilical(lam0, n, G, 1.0)
@@ -365,7 +335,7 @@ class TestTauSystem:
 
     def test_umbilical_relation_persists_first_order(self):
         n = 3
-        F = functional_b1(n)
+        F = make_functional("b1", n)
         lam0 = lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s)
         defects = []
         grids = [64, 128, 256]
@@ -380,7 +350,7 @@ class TestTauSystem:
 
     def test_lax_friedrichs_variant_runs(self):
         n = 2
-        F = functional_b1(n)
+        F = make_functional("b1", n)
         fld = TauField.from_umbilical(
             lambda s: 0.3 * np.sin(2 * np.pi * s), n, 128, 1.0
         )
@@ -417,7 +387,6 @@ class TestTauSystem:
     def test_table_skips_only_terms_that_change_no_byte(self, scheme, boundary,
                                                          name, params, n):
         F = make_functional(name, n, params)
-        full = FlowFunctional(n, F.f)  # no table: every term of the bracket
         # at G = 100 np.gradient's one-sided edge stencil leaves rounding on
         # the constant rows f_1 = 1 of b1 and f_2 = 2 of ext_ricci
         for mean, amplitude in ((0.5, 0.25), (-0.1, 0.5)):
@@ -427,7 +396,7 @@ class TestTauSystem:
             for _ in range(5):
                 ctl = StepControl(t_end=fld.t + 0.01, cfl=0.5, scheme=scheme)
                 fld = step_tau_system(fld, F, ctl)
-                ref = step_tau_system(ref, full, ctl)
+                ref = step_tau_system_reference(ref, F, ctl)
                 assert fld.t == ref.t
                 assert fld.tau.tobytes() == ref.tau.tobytes()
 
@@ -437,13 +406,11 @@ class TestTauSystem:
     ])
     def test_live_and_varying_match_probed_coefficients(self, name, params, n):
         F = make_functional(name, n, params)
-        vals = F.evaluate(np.random.default_rng(n).normal(size=(32, n)))
+        tau = np.random.default_rng(n).normal(size=(32, n))
+        vals = np.stack([F.coefficient(j, tau) for j in range(n)], axis=-1)
         assert F.live == tuple(j for j in range(1, n) if np.any(vals[:, j] != 0))
         assert F.varying == tuple(j for j in range(n)
                                   if np.any(vals[:, j] != vals[0, j]))
-        full = FlowFunctional(n, F.f)
-        assert (full.live, full.varying) == (tuple(range(1, n)), tuple(range(n)))
-        assert full.psi_coeffs is None
         hash(F)  # the table is stored immutably
 
     def test_b1_never_extends_past_the_power_sums_it_reads(self):
@@ -457,7 +424,7 @@ class TestTauSystem:
         assert np.max(np.abs(out.tau[:, 0] / n - exact)) <= 1.1e-3 * amplitude
 
     def test_dimension_mismatch(self):
-        F = functional_b1(2)
+        F = make_functional("b1", 2)
         fld = TauField.from_umbilical(lambda s: 0 * s + 1, 3, 64, 1.0)
         with pytest.raises(ValueError):
             step_tau_system(fld, F, StepControl(t_end=1.0))
