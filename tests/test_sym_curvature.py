@@ -117,6 +117,30 @@ class TestNewton:
             )
 
 
+def _tau1(k):
+    return np.sum(k, axis=-1, keepdims=True)
+
+
+# the eigenvalue of h(b) on the eigenvector of k_i, for each catalog
+# functional: b itself, (tau_1 - c) I, -2 times the extrinsic Ricci tensor
+# tau_1 b - b^2, (tau_2 / n) I and (a tau_1 / n + b) I
+H_EIGEN = {
+    "b1": lambda k, p: k,
+    "tau1_minus_c": lambda k, p: (_tau1(k) - p["c"]) + 0 * k,
+    "ext_ricci": lambda k, p: -2.0 * k * (_tau1(k) - k),
+    "umbilical_square": lambda k, p: np.mean(k ** 2, axis=-1, keepdims=True) + 0 * k,
+    "affine": lambda k, p: p["a"] * _tau1(k) / k.shape[-1] + p["b"] + 0 * k,
+}
+H_EIGEN_CASES = [
+    ("b1", 1, {}), ("b1", 2, {}), ("b1", 5, {}),
+    ("tau1_minus_c", 1, {"c": 0.3}), ("tau1_minus_c", 3, {"c": -1.5}),
+    ("ext_ricci", 2, {}), ("ext_ricci", 3, {}), ("ext_ricci", 5, {}),
+    ("umbilical_square", 1, {}), ("umbilical_square", 2, {}),
+    ("umbilical_square", 4, {}),
+    ("affine", 1, {"a": 0.7, "b": -0.2}), ("affine", 3, {"a": -2.0, "b": 1.0}),
+]
+
+
 class TestPsiAndH:
     def test_psi_b1_is_identity(self):
         F = make_functional("b1", 2)
@@ -143,6 +167,67 @@ class TestPsiAndH:
     def test_functional_all_zero_rejected(self):
         with pytest.raises(ValueError, match="vanish"):
             FlowFunctional(2, ((((0, 0), 0.0), ((1, 0), -0.0)), ()))
+
+    @pytest.mark.parametrize("n,table,match", [
+        (0, (), "leaf dimension"),
+        (2, ((((1, 0), 1.0),),), "one table row"),
+        (2, ((((1, 0), 1.0),), (), ()), "one table row"),
+    ])
+    def test_functional_shape_rejected(self, n, table, match):
+        with pytest.raises(ValueError, match=match):
+            FlowFunctional(n, table)
+
+    @pytest.mark.parametrize("name,n,params,want", [
+        ("b1", 1, {}, (0.0, 1.0)),
+        ("b1", 4, {}, (0.0, 1.0)),
+        ("tau1_minus_c", 3, {"c": 4.0}, (-4.0, 3.0)),
+        ("ext_ricci", 2, {}, (0.0, 0.0, -2.0)),
+        ("ext_ricci", 4, {}, (0.0, 0.0, -6.0)),
+        ("umbilical_square", 1, {}, (0.0, 0.0, 1.0)),
+        ("umbilical_square", 3, {}, (0.0, 0.0, 1.0)),
+        ("affine", 2, {"a": 0.5, "b": -1.0}, (-1.0, 0.5)),
+    ])
+    def test_psi_coeffs(self, name, n, params, want):
+        # coef * n^(sum e_k) of each monomial, collected by power of lam
+        assert make_functional(name, n, params).psi_coeffs == want
+
+    @pytest.mark.parametrize("name,n,params,slope", [
+        ("b1", 3, {}, lambda lam: 1.0 + 0 * lam),
+        ("tau1_minus_c", 3, {"c": 4.0}, lambda lam: 3.0 + 0 * lam),
+        ("ext_ricci", 3, {}, lambda lam: -8.0 * lam),
+        ("umbilical_square", 2, {}, lambda lam: 2.0 * lam),
+        ("affine", 1, {"a": -2.0, "b": 0.3}, lambda lam: -2.0 + 0 * lam),
+    ])
+    def test_psi_prime_closed_form(self, name, n, params, slope):
+        F = make_functional(name, n, params)
+        lam = np.array([-3.0, -0.4, 0.0, 1e-9, 0.37, 2.5])
+        np.testing.assert_allclose(psi_prime(F, lam), slope(lam), rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("name,n,params", H_EIGEN_CASES)
+    def test_h_eigenvalues_match_closed_form(self, name, n, params):
+        # h(b) = sum_j f_j(tau) b^j is diagonal on the eigenbasis of b, with
+        # entry sum_j f_j(tau) k_i^j on the eigenvector of k_i
+        rng = np.random.default_rng(n)
+        k = np.vstack([np.zeros(n), np.full(n, 0.8), rng.uniform(-2, 2, (30, n))])
+        tau = np.stack(direct_power_sums(k.T, n), axis=-1)
+        F = make_functional(name, n, params)
+        h = sum(F.coefficient(j, tau)[:, None] * k ** j for j in range(n))
+        want = H_EIGEN[name](k, params)
+        np.testing.assert_allclose(h, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_coefficient_over_leading_axes(self, lead):
+        n = 4
+        # f_j = (0.5 - j) tau_(j+1) + 1.5
+        F = FlowFunctional(n, tuple(((tuple(e), 0.5 - j), ((0,) * n, 1.5))
+                                    for j, e in enumerate(np.eye(n, dtype=int).tolist())))
+        tau = np.random.default_rng(3).normal(size=lead + (n,))
+        rows = tau.reshape(-1, n)
+        for j in range(n):
+            got = F.coefficient(j, tau)
+            assert np.shape(got) == lead
+            each = [F.coefficient(j, row[None, :])[0] for row in rows]
+            assert np.asarray(got).tobytes() == np.array(each).reshape(lead).tobytes()
 
 
 # psi of each catalog functional as written next to catalog.FUNCTIONALS
