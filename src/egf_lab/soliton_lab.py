@@ -1,9 +1,11 @@
 """Static verification of soliton structures for leafwise geometric flows.
 
 A candidate consists of geometry (an umbilical profile along the normal
-curve, or a biregular surface grid) together with a vector field ansatz and a
-constant eps.  The checkers evaluate the structure equations pointwise and
-report per-equation residual norms; nothing here evolves in time.
+curve, or a biregular surface grid) together with a constant eps and a field:
+the normal field mu(lam) N, whose scale is a polynomial read off psi's
+coefficients, or, on a surface, X = 0.  The checkers evaluate the structure
+equations pointwise and report per-equation residual norms; nothing here
+evolves in time.
 
 The closed-form spectrum classifier for extrinsic Ricci solitons with
 conformally Killing fields lives here as well: every principal curvature must
@@ -35,9 +37,6 @@ from .sym_curvature import (
 # true soliton of the catalog, at lengths 1e-6 to 1e6 and grids 8 to 256, left
 # at most 4.0, so 256 leaves a factor of 64.
 ROUNDING_ULPS = 256
-
-# lam below this magnitude switches mu to its continuous extension at zero.
-MU_BRANCH_CUT = 1e-8
 
 # Distance of a multiplicity difference or a root sum from an integer, or from
 # tau1, that the Ricci spectrum classifier still accepts.
@@ -82,26 +81,20 @@ def _norms(residuals: dict) -> tuple[dict, dict]:
 def mu_of_lambda(F: FlowFunctional, lam):
     """Normal-field scale making a constant-curvature profile a soliton.
 
-    mu = -(n/2) (psi(lam) - psi(0)) / lam away from zero, continued by
-    -(n/2) psi'(0) across |lam| < 1e-8.  Vectorized over lam.
+    mu = -(n/2) (psi(lam) - psi(0)) / lam = -(n/2) sum_{k>=1} c_k lam^(k-1)
+    over psi's coefficients c_k, evaluated by Horner over
+    ``F.psi_coeffs[1:]``: a polynomial, so it needs no division and is the
+    same expression at lam = 0, where it is -(n/2) c_1.  Vectorized over lam.
     """
-    lam_arr = np.asarray(lam, dtype=float)
-    psi0 = psi_of_lambda(F, 0.0)
-    mu_zero = -(F.n / 2.0) * psi_prime(F, 0.0)
-    small = np.abs(lam_arr) < MU_BRANCH_CUT
-    safe = np.where(small, 1.0, lam_arr)
-    psi_vals = np.asarray(psi_of_lambda(F, lam_arr))
-    out = np.where(small, mu_zero, -(F.n / 2.0) * (psi_vals - psi0) / safe)
+    lam = np.asarray(lam, dtype=float)
+    coeffs = F.psi_coeffs[1:] or (0.0,)  # psi = c_0: mu = 0
+    out = np.empty(lam.shape)  # empty + fill: np.full is a Python wrapper
+    out.fill(coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= lam
+        out += c
+    out *= -(F.n / 2.0)
     return out if out.ndim else float(out)
-
-
-def mu_continuity_gap(F: FlowFunctional) -> float:
-    """|mu(+-1e-8) - mu(0)|, the jump across the branch switch (should be ~0)."""
-    mu0 = mu_of_lambda(F, 0.0)
-    return max(
-        abs(mu_of_lambda(F, MU_BRANCH_CUT) - mu0),
-        abs(mu_of_lambda(F, -MU_BRANCH_CUT) - mu0),
-    )
 
 
 def check_normal_soliton(
@@ -131,12 +124,7 @@ def check_normal_soliton(
             ["non-finite values in psi or mu"],
         )
 
-    # below MU_BRANCH_CUT, mu is continued by mu(0), which solves the
-    # (2/n)-form only up to this gap: a constant lam there is still a soliton
-    cut = np.abs(lam) < MU_BRANCH_CUT
-    branch = psi_vals[cut] - psi_of_lambda(F, 0.0) + (2.0 / F.n) * mu[cut] * lam[cut]
-    tol = rounding_floor(psi_vals, eps_val, 2.0 * mu * lam) + float(
-        np.max(np.abs(branch), initial=0.0))
+    tol = rounding_floor(psi_vals, eps_val, 2.0 * mu * lam)
     residuals = {
         "structure": psi_vals - eps_val + (2.0 / F.n) * mu * lam,
         "structure_traced": psi_vals - eps_val + 2.0 * mu * lam,
@@ -168,9 +156,6 @@ def check_normal_soliton(
     if float(np.min(np.abs(psi_prime(F, lam_span)))) <= tol:
         notes.append("psi' vanishes on the sampled range; the constancy "
                      "equivalence is not guaranteed here")
-    gap = mu_continuity_gap(F)
-    if gap > 1e-4:
-        notes.append(f"mu branch switch is discontinuous (gap {gap:.3e})")
 
     return SolitonReport(
         linf, l2, eps_val, n_lambda,
@@ -189,8 +174,6 @@ class BiregularGrid:
     x1: np.ndarray
     g00: np.ndarray
     g11: np.ndarray
-    X0: np.ndarray | None = None
-    X1: np.ndarray | None = None
     periodic0: bool = False
 
     def __post_init__(self):
@@ -205,21 +188,10 @@ class BiregularGrid:
             raise ValueError("metric arrays must have shape (len(x0), len(x1))")
         if np.any(self.g00 <= 0) or np.any(self.g11 <= 0):
             raise ValueError("metric must be positive")
-        for name in ("X0", "X1"):
-            val = getattr(self, name)
-            if val is not None:
-                val = np.asarray(val, dtype=float)
-                if val.shape != shape:
-                    raise ValueError(f"{name} must match the metric shape")
-                setattr(self, name, val)
 
     @property
     def d0(self) -> float:
         return float(_grid_steps(self.x0).mean())
-
-    @property
-    def d1(self) -> float:
-        return float(_grid_steps(self.x1).mean())
 
     @classmethod
     def from_functions(
@@ -228,8 +200,6 @@ class BiregularGrid:
         g11: Callable,
         shape: tuple[int, int] = (64, 64),
         lengths: tuple[float, float] = (1.0, 1.0),
-        X0: Callable | None = None,
-        X1: Callable | None = None,
         periodic0: bool = False,
     ) -> "BiregularGrid":
         G0, G1 = shape
@@ -242,8 +212,6 @@ class BiregularGrid:
             x0, x1,
             np.asarray(g00(U, V), dtype=float) * ones,
             np.asarray(g11(U, V), dtype=float) * ones,
-            None if X0 is None else np.asarray(X0(U, V), dtype=float) * ones,
-            None if X1 is None else np.asarray(X1(U, V), dtype=float) * ones,
             periodic0,
         )
 
@@ -261,17 +229,16 @@ def check_biregular_surface(
 ) -> SolitonReport:
     """Residuals of the surface soliton system in biregular coordinates.
 
-    R1 is the structure equation psi(lam) - eps = 2 (X^1)_{,1} g11
-    + X^0 g11_{,0} + X^1 g11_{,1}; R2, R3, R4 are the constraints that X
-    preserve the foliation and the unit normal: (X^0)_{,1} = 0, (X^1)_{,0} = 0,
-    (X^0)_{,0} = -X(log g00)/2.
-    Each residual is judged against the rounding floor of the terms of R1,
+    The field is X = 0.  The structure equation psi(lam) - eps = 2 (X^1)_{,1}
+    g11 + X^0 g11_{,0} + X^1 g11_{,1} then reads R1 = psi(lam) - eps = 0, and
+    the constraints that X preserve the foliation and the unit normal,
+    (X^0)_{,1} = 0, (X^1)_{,0} = 0 and (X^0)_{,0} = -X(log g00)/2, hold
+    identically.
+    R1 is judged against the rounding floor of psi(lam), eps and psi' lam,
     plus that of log g11 carried through psi' (lam differences log g11); the
     verdict is degenerate when the latter exceeds 1/ROUNDING_ULPS of the terms.
     """
     lam = biregular_normal_curvature(g)
-    X0 = g.X0 if g.X0 is not None else np.zeros_like(g.g00)
-    X1 = g.X1 if g.X1 is not None else np.zeros_like(g.g00)
 
     psi_vals = np.asarray(psi_of_lambda(F, lam))
     if eps == "auto":
@@ -280,18 +247,8 @@ def check_biregular_surface(
     else:
         eps_val = float(eps)
 
-    d0 = lambda a: _axis_derivative(a, g.d0, 0, g.periodic0)
-    d1 = lambda a: _axis_derivative(a, g.d1, 1, True)
-
-    field = 2.0 * d1(X1) * g.g11 + X0 * d0(g.g11) + X1 * d1(g.g11)
-    residuals = {
-        "R1_structure": psi_vals - eps_val - field,
-        "R2_X0_leafwise_constant": d1(X0),
-        "R3_X1_normal_constant": d0(X1),
-        "R4_normal_compatibility": d0(X0)
-        + 0.5 * (X0 * d0(np.log(g.g00)) + X1 * d1(np.log(g.g00))),
-    }
-    if not all(np.all(np.isfinite(v)) for v in residuals.values()):
+    r1 = psi_vals - eps_val
+    if not np.all(np.isfinite(r1)):
         return SolitonReport(
             {}, {}, eps_val, math.inf, "degenerate", math.nan,
             ["non-finite residuals"],
@@ -299,14 +256,14 @@ def check_biregular_surface(
     # lam differences log g11, which carries a unit of the data's rounding
     # wherever it changes (lam != 0); psi' carries that over 2 d0 into R1
     slope = np.abs(psi_prime(F, lam))
-    terms = max(float(np.max(np.abs(t))) for t in (psi_vals, eps_val, field, slope * lam))
+    terms = max(float(np.max(np.abs(t))) for t in (psi_vals, eps_val, slope * lam))
     blur = (float(np.max(slope))
             * rounding_floor(np.where(lam == 0.0, 0.0, 1.0 + np.abs(np.log(g.g11))))
             / (2.0 * g.d0 * math.sqrt(np.min(g.g00))))
     tol = rounding_floor(terms) + blur
-    linf, l2 = _norms(residuals)
-    n_lambda = float(np.max(np.abs(d0(lam))))
-    verdict = "soliton" if all(v <= tol for v in linf.values()) else "not_soliton"
+    linf, l2 = _norms({"R1_structure": r1})
+    n_lambda = float(np.max(np.abs(_axis_derivative(lam, g.d0, 0, g.periodic0))))
+    verdict = "soliton" if linf["R1_structure"] <= tol else "not_soliton"
     notes = [f"eps policy: {'leaf average of psi(lam)' if eps == 'auto' else 'given'}"]
     if blur * ROUNDING_ULPS > terms:  # a floor this near the terms decides nothing
         verdict = "degenerate"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -62,6 +63,22 @@ def power_sums_with_tau0_reference(tau, n, m):
         body = tau[..., :m]
     t0 = np.full(body.shape[:-1] + (1,), float(n))
     return np.concatenate([t0, body], axis=-1)
+
+
+def psi_rational(F, lam: Fraction) -> Fraction:
+    """psi(lam) = sum_j f_j(n lam, ..., n lam^n) lam^j in exact rationals, each
+    f_j summed term by term from F's monomial table."""
+    tau = [F.n * lam ** k for k in range(1, F.n + 1)]
+    return sum((Fraction(coef) * math.prod(t ** e for t, e in zip(tau, exps)) * lam ** j
+                for j, terms in enumerate(F.table) for exps, coef in terms), Fraction(0))
+
+
+def mu_rational(F, lam: float) -> Fraction:
+    """-(n/2) (psi(lam) - psi(0)) / lam in exact rationals.  At lam = 0 the
+    quotient is taken at lam = 1e-30, which moves it by far less than an ulp
+    for coefficients of moderate size."""
+    x = Fraction(lam) or Fraction(1, 10 ** 30)
+    return -Fraction(F.n, 2) * (psi_rational(F, x) - psi_rational(F, Fraction(0))) / x
 
 
 def enumerate_ricci_soliton_spectra(n, tau1, r, tol=1e-8):

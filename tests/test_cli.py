@@ -871,6 +871,14 @@ class TestRunScenarios:
         report, code = run(cfg, tmp_path, quiet=True)
         assert code == EXIT_OK
         assert report["results"]["verdict"] == "soliton"
+        # psi = 3 lam - 0.3 at n = 3: mu is -(3/2) 3 exactly, at lam = 0 too
+        cfg.update(n=3, functional={"name": "tau1_minus_c", "c": 0.3},
+                   initial={"kind": "constant", "value": 0.0})
+        report, code = run(cfg, tmp_path / "zero", quiet=True)
+        assert code == EXIT_OK
+        rows = (tmp_path / "zero" / "residuals.csv").read_text().splitlines()
+        column = rows[0].split(",").index("mu")
+        assert {row.split(",")[column] for row in rows[1:]} == {"-4.5"}
 
     def test_biregular_check(self, tmp_path):
         cfg = {
@@ -884,6 +892,7 @@ class TestRunScenarios:
         assert code == EXIT_OK
         assert report["results"]["verdict"] == "soliton"
         assert report["results"]["eps_used"] == pytest.approx(1.0, abs=1e-8)
+        assert list(report["results"]["residual_linf"]) == ["R1_structure"]
 
     def test_ricci_classify(self, tmp_path):
         cfg = {"scenario": "ricci-classify", "n": 4, "tau1": 0.0, "r": 1.0}

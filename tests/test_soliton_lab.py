@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from egf_lab.soliton_lab import (
     check_biregular_surface,
     check_normal_soliton,
     classify_ricci_soliton,
-    mu_continuity_gap,
     mu_of_lambda,
 )
 from egf_lab.sym_curvature import FlowFunctional, psi_of_lambda
 
-from oracles import canonical_spectrum_key, enumerate_ricci_soliton_spectra
-from test_flow_engine import sine_profile
+from oracles import canonical_spectrum_key, enumerate_ricci_soliton_spectra, mu_rational
+from test_flow_engine import CATALOG_CASES, sine_profile
 
 
 def constant_profile(value, grid=64):
@@ -52,12 +52,29 @@ class TestMuOfLambda:
     def test_continuity_gap(self):
         for F in (make_functional("b1", 2), make_functional("umbilical_square", 2),
                   make_functional("affine", 1, {"a": -2.0, "b": 0.3})):
-            assert mu_continuity_gap(F) <= 1e-4
+            mu0 = mu_of_lambda(F, 0.0)
+            gap = max(abs(mu_of_lambda(F, 1e-8) - mu0), abs(mu_of_lambda(F, -1e-8) - mu0))
+            assert gap <= 1e-4
 
     def test_square_slope(self):
         F = make_functional("umbilical_square", 2)  # mu = -(n/2) lam
         assert mu_of_lambda(F, 0.5) == pytest.approx(-0.5)
         assert mu_of_lambda(F, 0.0) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("name,params,n", [
+        (name, params, n) for name, params in CATALOG_CASES for n in range(1, 5)
+        if name != "ext_ricci" or n >= 2
+    ])
+    def test_matches_exact_rationals(self, name, params, n):
+        # -(n/2) (psi(lam) - psi(0)) / lam of the monomial table in rationals,
+        # at zero, on both sides of it and away from it
+        F = make_functional(name, n, params)
+        lam = np.array([0.0, 1e-12, -1e-12, 1e-8, -1e-8, 0.3, -0.3, 5.0, -5.0])
+        for x, got in zip(lam, mu_of_lambda(F, lam)):
+            want = mu_rational(F, float(x))
+            ulp = Fraction(math.ulp(max(1.0, abs(float(want)))))
+            assert abs(Fraction(float(got)) - want) <= 4 * ulp, x
+        assert mu_of_lambda(F, 0.0) == -(n / 2.0) * F.psi_coeffs[1]  # bitwise
 
 
 class TestNormalSoliton:
@@ -93,11 +110,11 @@ class TestNormalSoliton:
         assert rep.n_lambda_norm > rep.tol
 
     @pytest.mark.parametrize("value", [5e-9, -3e-9, 1e-12])
-    def test_constant_below_the_mu_branch_cut_is_soliton(self, value):
-        # there mu is continued by mu(0), which leaves lam^2 of psi = lam^2 in
-        # the structure residual: far above rounding, yet lam is constant
+    def test_constant_near_zero_is_soliton(self, value):
+        # psi = lam^2 gives mu = -lam at any lam, so the (2/n)-form structure
+        # residual lam^2 - lam^2 is exactly zero
         rep = check_normal_soliton(constant_profile(value), make_functional("umbilical_square", 2))
-        assert rep.residual_linf["structure"] > 0.0
+        assert rep.residual_linf["structure"] == 0.0
         assert rep.verdict == "soliton"
 
     def test_slowly_varying_profile_is_not_constant(self):
@@ -222,18 +239,6 @@ class TestBiregular:
         )
         assert check_biregular_surface(g, F, eps="auto").verdict == "soliton"
         assert check_biregular_surface(g, F, eps=0.5).verdict == "not_soliton"
-
-    def test_nonzero_field_constraints(self):
-        # X0 depending on x1 violates the leafwise-constancy constraint
-        F = make_functional("b1", 1)
-        g = BiregularGrid.from_functions(
-            lambda u, v: 1.0, lambda u, v: 1.0,
-            X0=lambda u, v: np.sin(2 * np.pi * v), X1=lambda u, v: 0.0,
-            shape=(32, 32), periodic0=True,
-        )
-        rep = check_biregular_surface(g, F, eps=psi_of_lambda(F, 0.0))
-        assert rep.verdict == "not_soliton"
-        assert rep.residual_linf["R2_X0_leafwise_constant"] > 1.0
 
     def test_metric_positivity_enforced(self):
         with pytest.raises(ValueError, match="positive"):
