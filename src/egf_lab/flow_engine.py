@@ -27,6 +27,7 @@ Hamilton's normalized and unnormalized Ricci flows.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -226,11 +227,17 @@ def _neighbors(u: np.ndarray, periodic: bool, axis: int = -1):
     return left, right
 
 
-def _upwind_derivative(u, ds, speed, periodic):
-    left, right = _neighbors(u, periodic)
-    backward = (u - left) / ds
-    forward = (right - u) / ds
-    return np.where(speed >= 0, backward, forward)
+def _padded_difference(u: np.ndarray, periodic: bool) -> np.ndarray:
+    """Neighbor differences along the last axis with one ghost node at each
+    end: d[..., :-1] is u - left (backward), d[..., 1:] is right - u (forward)."""
+    first, last = u[..., :1], u[..., -1:]
+    padded = np.concatenate((last, u, first) if periodic else (first, u, last), axis=-1)
+    return padded[..., 1:] - padded[..., :-1]
+
+
+def _upwind_derivative(d: np.ndarray, speed, ds: float) -> np.ndarray:
+    """The side of ``_padded_difference`` output d upwind of speed, over ds."""
+    return np.where(speed >= 0, d[..., :-1], d[..., 1:]) / ds
 
 
 def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool):
@@ -295,7 +302,7 @@ def step_umbilical(
             lam_new = 0.5 * (ll + lr) - dt / (2.0 * ds) * (fr - fl)
         else:
             lam_new = lam - dt * speed0 * _upwind_derivative(
-                lam, ds, speed0, p.periodic
+                _padded_difference(lam, p.periodic), speed0, ds
             )
         if inflow_left is not None and not p.periodic:
             lam_new[0] = inflow_left(t_new)
@@ -416,10 +423,12 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
                           + sum_j ( j f_j / (i+j-1) d_s tau_{i+j-1}
                                     + tau_{i+j-1} d_s f_j ) ]
     Only the terms that F.live and F.varying leave nonzero are formed, in
-    this order.  Power sums above index n come from the Newton extension of
-    the node values, as far as the live f_j read; tau_0 = n stays constant.
-    Derivatives of the coefficient functions are finite differences of their
-    node-wise evaluations.
+    this order, each as one (n, G) array over all n equations.  Power sums
+    above index n come from the Newton extension of the node values, as far
+    as the live f_j read; tau_0 = n stays constant.  Derivatives of the
+    coefficient functions are finite differences of their node-wise
+    evaluations; an undifferenced constant f_j is one node's value.  The new
+    field shares fld's grid, checked once with the march's first field.
     """
     if F.n != fld.n:
         raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
@@ -441,40 +450,36 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     # non-finite intermediates are converted into structured blow-up errors
     with np.errstate(all="ignore"):
         tx = power_sums_with_tau0(tau, n, m_top).T  # tx[j] is tau_j
-        f = {j: F.coefficient(j, tau) for j in {*live, *diffed}}
+        f = {j: F.coefficient(j, tau if j in diffed else tau[:1]) for j in {*live, *diffed}}
         # one grid row per differenced node function, each differenced once:
         # tau_k0..tau_m_top, then the differenced f_j
-        rows = np.vstack([tx[k0:]] + [f[j] for j in diffed])
+        rows = np.concatenate([tx[k0:]] + [f[j][None] for j in diffed])
 
-        # advection coefficients i j f_j / (2(i+j-1)) of equation i: their sum
-        # sets the upwind bias, the sum of their moduli the CFL speed
+        # advection coefficients i j f_j / (2(i+j-1)) of equation i (the column
+        # eq): their sum sets the upwind bias, the sum of their moduli the CFL speed
         eq = np.arange(1, n + 1)[:, None]
-        coefs = [eq * j * f[j] / (2.0 * (eq + j - 1)) for j in live]
-        signs = sum(coefs, np.zeros((n, tau.shape[0])))
-        speeds = sum(map(np.abs, coefs), np.zeros((n, tau.shape[0])))
+        signs = speeds = np.zeros((n, 1))
+        for coef in (eq * j * f[j] / (2.0 * (eq + j - 1)) for j in live):
+            signs, speeds = signs + coef, speeds + np.abs(coef)
         dt = _pick_dt(float(speeds.max()), ds, ctl.cfl, remaining)
 
-        if upwind:
-            left, right = _neighbors(rows, fld.periodic)
-            backward = (rows - left) / ds
-            forward = (right - rows) / ds
+        if upwind:  # d_s of rows[r], on the upwind side of each equation
+            d = _padded_difference(rows, fld.periodic)
+            deriv = lambda r: _upwind_derivative(d[r], signs, ds)
         else:
-            central = _axis_derivative(rows, ds, 1, fld.periodic)
+            deriv = _axis_derivative(rows, ds, 1, fld.periodic).__getitem__
 
-        w = max(live) - k0 + 1 if live else 0  # tau rows of each equation
-        rhs = np.zeros((n, tau.shape[0]))
-        for i in range(1, n + 1):
-            # equation i reads tau_{i+k0-1} onward and every differenced f_j
-            dtau, df = (np.where(signs[i - 1] >= 0, backward[sl], forward[sl])
-                        if upwind else central[sl]
-                        for sl in (slice(i - 1, i - 1 + w), slice(m_top + 1 - k0, None)))
-            df = dict(zip(diffed, df))
-            terms = [tx[i - 1] * df[0]] if 0 in df else []
-            for j in range(1, n):
-                terms += [(j * f[j] / (i + j - 1)) * dtau[j - k0]] if j in live else []
-                terms += [tx[i + j - 1] * df[j]] if j in df else []
-            if terms:  # from the first term: 0 + a would turn a -0.0 into +0.0
-                rhs[i - 1] = -(i / 2.0) * sum(terms[1:], terms[0])
+        # the bracket, summed from its first term: 0 + a would turn a -0.0
+        # into +0.0; equation i reads tau_{i+j-1}, row i-1+j-k0, for f_j
+        bracket = None
+        for j in sorted({*live, *diffed}):
+            if j in live:
+                term = (j * f[j]) / (eq + j - 1) * deriv(slice(j - k0, j - k0 + n))
+                bracket = term if bracket is None else bracket + term
+            if j in diffed:
+                term = tx[j:j + n] * deriv(m_top + 1 - k0 + diffed.index(j))
+                bracket = term if bracket is None else bracket + term
+        rhs = np.zeros((n, tau.shape[0])) if bracket is None else -(eq / 2.0) * bracket
 
         if upwind:
             tau_new = tau + dt * rhs.T
@@ -484,7 +489,9 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
 
     if not np.isfinite(tau_new).all():
         raise FlowBlowUpError("non-finite power sums", fld.t)
-    return TauField(fld.s, tau_new, fld.boundary, fld.t + dt)
+    out = copy.copy(fld)
+    out.tau, out.t = tau_new, fld.t + dt
+    return out
 
 
 def evolve_tau(

@@ -23,6 +23,8 @@ from egf_lab.flow_engine import (
     evolve_umbilical,
     _axis_derivative,
     _neighbors,
+    _padded_difference,
+    _upwind_derivative,
     step_tau_system,
     step_umbilical,
     total_variation,
@@ -359,46 +361,80 @@ class TestTauSystem:
 
     @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
     @pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+    @pytest.mark.parametrize("grid", [64, 100])
     @pytest.mark.parametrize("mean,amplitude", [(0.5, 0.25), (-0.1, 0.5)])
     @pytest.mark.parametrize("name,params,n", [
         (name, params, n) for name, params in CATALOG_CASES + [("dense", None)]
         for n in range(1, 7) if not (name == "ext_ricci" and n < 2)
-    ])
-    def test_one_pass_step_matches_reference_bytes(self, scheme, boundary, mean,
-                                                    amplitude, name, params, n):
+    ] + [("b1", {}, 12), ("ext_ricci", {}, 12), ("dense", None, 12)])
+    def test_step_matches_reference_bytes(self, scheme, boundary, grid, mean,
+                                          amplitude, name, params, n):
+        # the step forms only the terms the table leaves nonzero, each over all
+        # n equations at once; the reference forms every term per equation.
+        # At G = 100 np.gradient's one-sided edge stencil leaves rounding on
+        # the constant rows f_1 = 1 of b1 and f_2 = 2 of ext_ricci
         F = dense_functional(n) if name == "dense" else make_functional(name, n, params)
         fld = ref = TauField.from_umbilical(
-            lambda s: mean + amplitude * np.sin(2 * np.pi * s), n, 64, 1.0, boundary
+            lambda s: mean + amplitude * np.sin(2 * np.pi * s), n, grid, 1.0, boundary
         )
-        for _ in range(3):
-            # a horizon 0.01 ahead: three real steps even where no speed bounds dt
+        for _ in range(5):
+            # a horizon 0.01 ahead: real steps even where no speed bounds dt
             ctl = StepControl(t_end=fld.t + 0.01, cfl=0.5, scheme=scheme)
             fld = step_tau_system(fld, F, ctl)
             ref = step_tau_system_reference(ref, F, ctl)
             assert fld.t == ref.t
-            assert np.array_equal(fld.tau, ref.tau)
+            assert fld.tau.tobytes() == ref.tau.tobytes()
 
-    @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
-    @pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
-    @pytest.mark.parametrize("name,params,n", [
-        (name, params, n) for name, params in CATALOG_CASES
-        for n in range(1, 7) if not (name == "ext_ricci" and n < 2)
+    def test_b1_step_work_does_not_grow_with_n(self, monkeypatch):
+        # one np.where and one coefficient evaluation per live term, not per
+        # equation: b1's only live term is f_1 = 1, whatever n is
+        calls = Counter()
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "where", counted("where", np.where))
+        monkeypatch.setattr(FlowFunctional, "coefficient",
+                            counted("coefficient", FlowFunctional.coefficient))
+        counts = {}
+        for n in (3, 24):
+            fld = TauField.from_umbilical(
+                lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s), n, 64, 1.0)
+            calls.clear()
+            step_tau_system(fld, make_functional("b1", n), StepControl(t_end=1.0))
+            counts[n] = dict(calls)
+        assert counts[3] == counts[24] == {"where": 1, "coefficient": 1}
+
+    def test_march_checks_the_grid_once(self, monkeypatch):
+        # the steps' fields share the first field's grid, so only it is checked
+        import egf_lab.flow_engine as fe
+
+        checks = []
+        real = fe._grid_steps
+        monkeypatch.setattr(fe, "_grid_steps", lambda s: checks.append(s) or real(s))
+        fld = TauField.from_umbilical(
+            lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s), 3, 64, 1.0)
+        out = evolve_tau(fld, make_functional("b1", 3), StepControl(t_end=0.1))
+        assert out.t == 0.1 and out.s is fld.s
+        assert len(checks) == 1 and checks[0] is fld.s
+
+    @pytest.mark.parametrize("args,message", [
+        ((np.linspace(0, 1, 16), np.zeros((16, 2)), "reflective"), "boundary"),
+        ((np.linspace(0, 1, 4), np.zeros((4, 2))), "at least 8"),
+        ((np.linspace(0, 1, 16) ** 2, np.zeros((16, 2))), "uniform"),
+        ((np.linspace(1, 0, 16), np.zeros((16, 2))), "strictly increasing"),
+        ((np.linspace(0, 1, 16), np.zeros(16)), "shape"),
+        ((np.linspace(0, 1, 16), np.zeros((15, 2))), "shape"),
+        ((np.linspace(0, 1, 16), np.zeros((16, 0))), "n >= 1"),
+        ((np.linspace(0, 1, 16), np.full((16, 2), np.nan)), "finite"),
+        ((np.linspace(0, 1, 16), np.full((16, 2), np.inf)), "finite"),
     ])
-    def test_table_skips_only_terms_that_change_no_byte(self, scheme, boundary,
-                                                         name, params, n):
-        F = make_functional(name, n, params)
-        # at G = 100 np.gradient's one-sided edge stencil leaves rounding on
-        # the constant rows f_1 = 1 of b1 and f_2 = 2 of ext_ricci
-        for mean, amplitude in ((0.5, 0.25), (-0.1, 0.5)):
-            fld = ref = TauField.from_umbilical(
-                lambda s: mean + amplitude * np.sin(2 * np.pi * s), n, 100, 1.0,
-                boundary)
-            for _ in range(5):
-                ctl = StepControl(t_end=fld.t + 0.01, cfl=0.5, scheme=scheme)
-                fld = step_tau_system(fld, F, ctl)
-                ref = step_tau_system_reference(ref, F, ctl)
-                assert fld.t == ref.t
-                assert fld.tau.tobytes() == ref.tau.tobytes()
+    def test_field_refusals(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            TauField(*args)
 
     @pytest.mark.parametrize("name,params,n", [
         (name, params, n) for name, params in CATALOG_CASES
@@ -517,6 +553,25 @@ class TestSliceHelpers:
         assert got.tobytes() == want.tobytes()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(data=st.data(), shape=GRID_SHAPES, periodic=st.booleans(),
+           ds=st.sampled_from([0.1, 1.0, 3.0]))
+    def test_padded_difference_matches_roll_form(self, data, shape, periodic, ds):
+        u = data.draw(arrays(np.float64, shape, elements=NODE_VALUES))
+        # speeds of mixed sign, signed zeros included, per node or per row
+        speed = data.draw(arrays(np.float64, st.sampled_from([shape, shape[:-1] + (1,)]),
+                                 elements=st.sampled_from([-1.0, -0.0, 0.0, 2.0])))
+        with np.errstate(all="ignore"):  # inf - inf and overflow, alike on both
+            d = _padded_difference(u, periodic)
+            left, right = neighbors_reference(u, periodic, axis=-1)
+            backward, forward = u - left, right - u
+            got = _upwind_derivative(d, speed, ds)
+            want = np.where(speed >= 0, backward / ds, forward / ds)
+        assert d[..., :-1].tobytes() == backward.tobytes()
+        assert d[..., 1:].tobytes() == forward.tobytes()
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(u=arrays(np.float64, st.integers(1, 40),
                     elements=st.floats(allow_nan=False, allow_infinity=False)),
            periodic=st.booleans())
@@ -541,7 +596,7 @@ class TestSliceHelpers:
 # numpy's Python-level wrappers: ndarray methods and slices do the same work
 # at a fraction of the per-call cost, so none of them belongs on the step path
 WRAPPERS = ("roll", "moveaxis", "diff", "full", "any", "all", "max", "min", "mean",
-            "sum")
+            "sum", "vstack", "broadcast_to")
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
