@@ -75,9 +75,7 @@ from .soliton_lab import (
     check_biregular_surface,
     check_normal_soliton,
     classify_ricci_soliton,
-    mu_of_lambda,
 )
-from .sym_curvature import psi_of_lambda
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -649,14 +647,20 @@ def run_tau_flow(cfg: dict, outdir: Path):
     results = {
         "final_time": out.t,
         "umbilicity_defect": float(
-            np.max(np.abs(out.tau[:, 1] - out.tau[:, 0] ** 2 / n))
+            np.max(np.abs(out.tau[1] - out.tau[0] ** 2 / n))
         ) if n >= 2 else 0.0,
-        "scalar_match": float(np.max(np.abs(out.tau[:, 0] / n - scalar.lam))),
+        "scalar_match": float(np.max(np.abs(out.tau[0] / n - scalar.lam))),
     }
     header = ["s"] + [f"tau{j}" for j in range(1, n + 1)]
     files = [outdir / "tau_final.csv"]
-    write_csv(files[0], header, (out.s, *out.tau.T))
+    write_csv(files[0], header, (out.s, *out.tau))
     return results, files
+
+
+def _soliton_results(rep) -> dict:
+    """A soliton report's fields but its pointwise columns and unset ones."""
+    return {k: v for k, v in vars(rep).items()
+            if v is not None and k not in ("mu", "structure")}
 
 
 def run_soliton_check(cfg: dict, outdir: Path):
@@ -664,14 +668,10 @@ def run_soliton_check(cfg: dict, outdir: Path):
     p = UmbilicalProfile.from_function(lam0, cfg["numerics.grid"],
                                        cfg["numerics.length"])
     rep = check_normal_soliton(p, F, cfg["eps"])
-
-    mu = np.asarray(mu_of_lambda(F, p.lam))
-    psi_vals = np.asarray(psi_of_lambda(F, p.lam))
-    structure = psi_vals - rep.eps_used + (2.0 / F.n) * mu * p.lam
     files = [outdir / "residuals.csv"]
     write_csv(files[0], ["s", "lambda", "mu", "structure_residual"],
-              (p.s, p.lam, mu, structure))
-    return asdict(rep), files
+              (p.s, p.lam, rep.mu, rep.structure))
+    return _soliton_results(rep), files
 
 
 def run_biregular_check(cfg: dict, outdir: Path):
@@ -695,7 +695,7 @@ def run_biregular_check(cfg: dict, outdir: Path):
     write_csv(files[0], ["x0", "x1", "lambda"],
               (np.repeat(_text(grid.x0), grid.x1.size),
                np.tile(_text(grid.x1), grid.x0.size), lam.ravel()))
-    return {k: v for k, v in asdict(rep).items() if k != "n_lambda_norm"}, files
+    return _soliton_results(rep), files
 
 
 def run_ricci_classify(cfg: dict, outdir: Path):

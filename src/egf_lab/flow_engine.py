@@ -1,9 +1,9 @@
 """Time evolution of curvature data along one arclength-parameterized normal curve.
 
 The state lives on a uniform 1-D grid: either a scalar normal-curvature
-profile lam(s) with its warping factor phi(s), or the full vector of power
-sums tau_1..tau_n per node.  Spatial differentiation along the normal curve
-is plain d/ds; the parameterization never changes because the flow leaves the
+profile lam(s) with its warping factor phi(s), or the power sums tau_1..tau_n
+as n rows over the grid.  Spatial differentiation along the normal curve is
+plain d/ds; the parameterization never changes because the flow leaves the
 normal component of the metric untouched.
 
 Two explicit schemes are provided.  ``upwind`` discretizes the quasilinear
@@ -157,26 +157,27 @@ class UmbilicalProfile(_NormalCurveGrid):
 
 @dataclass
 class TauField(_NormalCurveGrid):
-    """Node values of the power sums tau_1..tau_n along the normal curve."""
+    """Node values of the power sums along the normal curve: row k - 1 of
+    ``tau`` holds tau_k at the G nodes, the layout a step computes in."""
 
     s: np.ndarray
-    tau: np.ndarray  # shape (G, n)
+    tau: np.ndarray  # shape (n, G)
     boundary: str = "periodic"
     t: float = 0.0
 
     def __post_init__(self):
         self._check_grid()
         self.tau = np.asarray(self.tau, dtype=float)
-        if self.tau.ndim != 2 or self.tau.shape[0] != self.s.size:
-            raise ValueError("tau must have shape (grid, n)")
-        if self.tau.shape[1] < 1:
+        if self.tau.ndim != 2 or self.tau.shape[1] != self.s.size:
+            raise ValueError("tau must have shape (n, grid)")
+        if self.tau.shape[0] < 1:
             raise ValueError("need n >= 1")
         if not np.isfinite(self.tau).all():
             raise ValueError("tau values must be finite")
 
     @property
     def n(self) -> int:
-        return self.tau.shape[1]
+        return self.tau.shape[0]
 
     @classmethod
     def from_umbilical(
@@ -214,24 +215,24 @@ class StepControl:
             raise ValueError(f"t_end: must be finite and >= 0, got {self.t_end!r}")
 
 
-def _neighbors(u: np.ndarray, periodic: bool, axis: int = -1):
-    """Left/right neighbors along ``axis`` (by default the last, the grid);
-    transmissive edges use constant extrapolation.  Slices and one
-    concatenate each: np.roll costs several times as much per call."""
-    head = (slice(None),) * (axis % u.ndim)
-    first, last = u[(*head, slice(None, 1))], u[(*head, slice(-1, None))]
-    left = np.concatenate((last if periodic else first, u[(*head, slice(None, -1))]),
-                          axis=axis)
-    right = np.concatenate((u[(*head, slice(1, None))], first if periodic else last),
-                           axis=axis)
-    return left, right
+def _padded(u: np.ndarray, periodic: bool) -> np.ndarray:
+    """u with one ghost node at each end of its last axis: the wrapped node
+    when periodic, the edge node otherwise.  Slices and one concatenate:
+    np.roll costs several times as much per call."""
+    first, last = u[..., :1], u[..., -1:]
+    return np.concatenate((last, u, first) if periodic else (first, u, last), axis=-1)
+
+
+def _neighbors(u: np.ndarray, periodic: bool):
+    """Left/right neighbors along the last axis: two views of ``_padded``."""
+    padded = _padded(u, periodic)
+    return padded[..., :-2], padded[..., 2:]
 
 
 def _padded_difference(u: np.ndarray, periodic: bool) -> np.ndarray:
-    """Neighbor differences along the last axis with one ghost node at each
-    end: d[..., :-1] is u - left (backward), d[..., 1:] is right - u (forward)."""
-    first, last = u[..., :1], u[..., -1:]
-    padded = np.concatenate((last, u, first) if periodic else (first, u, last), axis=-1)
+    """Neighbor differences along the last axis, from ``_padded``: d[..., :-1]
+    is u - left (backward), d[..., 1:] is right - u (forward)."""
+    padded = _padded(u, periodic)
     return padded[..., 1:] - padded[..., :-1]
 
 
@@ -244,8 +245,8 @@ def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool)
     """Central difference along ``axis``; second-order one-sided at the edges
     of a non-periodic axis."""
     if periodic:
-        left, right = _neighbors(arr, True, axis)
-        return (right - left) / (2.0 * spacing)
+        left, right = _neighbors(arr.swapaxes(axis, -1), True)
+        return ((right - left) / (2.0 * spacing)).swapaxes(axis, -1)
     return np.gradient(arr, spacing, axis=axis, edge_order=2)
 
 
@@ -423,12 +424,13 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
                           + sum_j ( j f_j / (i+j-1) d_s tau_{i+j-1}
                                     + tau_{i+j-1} d_s f_j ) ]
     Only the terms that F.live and F.varying leave nonzero are formed, in
-    this order, each as one (n, G) array over all n equations.  Power sums
-    above index n come from the Newton extension of the node values, as far
-    as the live f_j read; tau_0 = n stays constant.  Derivatives of the
-    coefficient functions are finite differences of their node-wise
-    evaluations; an undifferenced constant f_j is one node's value.  The new
-    field shares fld's grid, checked once with the march's first field.
+    this order, each as one (n, G) array over all n equations, the layout of
+    fld.tau, and summed from +0.0.  Power sums above index n come from the
+    Newton extension of the node values, as far as the live f_j read;
+    tau_0 = n stays constant.  Derivatives of the coefficient functions are
+    finite differences of their node-wise evaluations; an undifferenced
+    constant f_j is one node's value.  The new field shares fld's grid,
+    checked once with the march's first field.
     """
     if F.n != fld.n:
         raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
@@ -449,8 +451,9 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
 
     # non-finite intermediates are converted into structured blow-up errors
     with np.errstate(all="ignore"):
-        tx = power_sums_with_tau0(tau, n, m_top).T  # tx[j] is tau_j
-        f = {j: F.coefficient(j, tau if j in diffed else tau[:1]) for j in {*live, *diffed}}
+        tx = power_sums_with_tau0(tau, n, m_top)  # tx[j] is tau_j
+        f = {j: F.coefficient(j, tau if j in diffed else tau[:, :1])
+             for j in {*live, *diffed}}
         # one grid row per differenced node function, each differenced once:
         # tau_k0..tau_m_top, then the differenced f_j
         rows = np.concatenate([tx[k0:]] + [f[j][None] for j in diffed])
@@ -467,25 +470,22 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
             d = _padded_difference(rows, fld.periodic)
             deriv = lambda r: _upwind_derivative(d[r], signs, ds)
         else:
-            deriv = _axis_derivative(rows, ds, 1, fld.periodic).__getitem__
+            deriv = _axis_derivative(rows, ds, -1, fld.periodic).__getitem__
 
-        # the bracket, summed from its first term: 0 + a would turn a -0.0
-        # into +0.0; equation i reads tau_{i+j-1}, row i-1+j-k0, for f_j
-        bracket = None
+        # equation i reads tau_{i+j-1}, row i-1+j-k0, for f_j
+        bracket = np.zeros(tau.shape)
         for j in sorted({*live, *diffed}):
             if j in live:
-                term = (j * f[j]) / (eq + j - 1) * deriv(slice(j - k0, j - k0 + n))
-                bracket = term if bracket is None else bracket + term
+                bracket += (j * f[j]) / (eq + j - 1) * deriv(slice(j - k0, j - k0 + n))
             if j in diffed:
-                term = tx[j:j + n] * deriv(m_top + 1 - k0 + diffed.index(j))
-                bracket = term if bracket is None else bracket + term
-        rhs = np.zeros((n, tau.shape[0])) if bracket is None else -(eq / 2.0) * bracket
+                bracket += tx[j:j + n] * deriv(m_top + 1 - k0 + diffed.index(j))
+        rhs = -(eq / 2.0) * bracket
 
         if upwind:
-            tau_new = tau + dt * rhs.T
+            tau_new = tau + dt * rhs
         else:  # Lax-Friedrichs: the neighbor average of tau_1..tau_n
-            left, right = _neighbors(tau.T, fld.periodic)
-            tau_new = (0.5 * (left + right) + dt * rhs).T
+            left, right = _neighbors(tau, fld.periodic)
+            tau_new = 0.5 * (left + right) + dt * rhs
 
     if not np.isfinite(tau_new).all():
         raise FlowBlowUpError("non-finite power sums", fld.t)
@@ -494,10 +494,6 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     return out
 
 
-def evolve_tau(
-    fld: TauField, F: FlowFunctional, ctl: StepControl
-) -> TauField:
-    """March the tau field to ctl.t_end; the guard watches tau_1."""
-    return _march(
-        fld, lambda f: step_tau_system(f, F, ctl), ctl, lambda f: f.tau[:, 0]
-    )
+def evolve_tau(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauField:
+    """March the tau field to ctl.t_end; the guard watches tau_1, row 0."""
+    return _march(fld, lambda f: step_tau_system(f, F, ctl), ctl, lambda f: f.tau[0])

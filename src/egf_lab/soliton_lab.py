@@ -51,15 +51,18 @@ def rounding_floor(*terms) -> float:
 
 @dataclass
 class SolitonReport:
-    """Per-equation residual norms and the resulting verdict."""
+    """Per-equation residual norms and the resulting verdict; the normal
+    check also keeps mu and its structure residual pointwise."""
 
     residual_linf: dict
     residual_l2: dict
     eps_used: float
-    n_lambda_norm: float
+    n_lambda_norm: float | None  # sup |d lam/ds| of the normal check; None on a surface
     verdict: str  # soliton | not_soliton | degenerate
     tol: float  # the rounding floor of the residuals; nan when they are not finite
     notes: list = field(default_factory=list)
+    mu: np.ndarray | None = None
+    structure: np.ndarray | None = None
 
     def __post_init__(self):
         for name, value in list(self.residual_linf.items()) + list(
@@ -118,15 +121,16 @@ def check_normal_soliton(
     lam = p.lam
     psi_vals = np.asarray(psi_of_lambda(F, lam))
     mu = np.asarray(mu_of_lambda(F, lam))
+    structure = psi_vals - eps_val + (2.0 / F.n) * mu * lam
     if not (np.all(np.isfinite(psi_vals)) and np.all(np.isfinite(mu))):
         return SolitonReport(
             {}, {}, eps_val, math.inf, "degenerate", math.nan,
-            ["non-finite values in psi or mu"],
+            ["non-finite values in psi or mu"], mu, structure,
         )
 
     tol = rounding_floor(psi_vals, eps_val, 2.0 * mu * lam)
     residuals = {
-        "structure": psi_vals - eps_val + (2.0 / F.n) * mu * lam,
+        "structure": structure,
         "structure_traced": psi_vals - eps_val + 2.0 * mu * lam,
         "structure_x_zero": psi_vals - eps_val,
     }
@@ -160,7 +164,7 @@ def check_normal_soliton(
     return SolitonReport(
         linf, l2, eps_val, n_lambda,
         "soliton" if is_soliton else "not_soliton",
-        tol, notes,
+        tol, notes, mu, structure,
     )
 
 
@@ -250,8 +254,7 @@ def check_biregular_surface(
     r1 = psi_vals - eps_val
     if not np.all(np.isfinite(r1)):
         return SolitonReport(
-            {}, {}, eps_val, math.inf, "degenerate", math.nan,
-            ["non-finite residuals"],
+            {}, {}, eps_val, None, "degenerate", math.nan, ["non-finite residuals"]
         )
     # lam differences log g11, which carries a unit of the data's rounding
     # wherever it changes (lam != 0); psi' carries that over 2 d0 into R1
@@ -262,14 +265,13 @@ def check_biregular_surface(
             / (2.0 * g.d0 * math.sqrt(np.min(g.g00))))
     tol = rounding_floor(terms) + blur
     linf, l2 = _norms({"R1_structure": r1})
-    n_lambda = float(np.max(np.abs(_axis_derivative(lam, g.d0, 0, g.periodic0))))
     verdict = "soliton" if linf["R1_structure"] <= tol else "not_soliton"
     notes = [f"eps policy: {'leaf average of psi(lam)' if eps == 'auto' else 'given'}"]
     if blur * ROUNDING_ULPS > terms:  # a floor this near the terms decides nothing
         verdict = "degenerate"
         notes.append(f"lam is not resolved at spacing d0 = {g.d0:.3g}: its rounding "
                      f"moves psi by up to {blur:.3g}, against terms of {terms:.3g}")
-    return SolitonReport(linf, l2, eps_val, n_lambda, verdict, tol, notes)
+    return SolitonReport(linf, l2, eps_val, None, verdict, tol, notes)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ Conventions used throughout:
   * tau_j = sum_i k_i**j for j >= 1; tau_0 = n (trace of the identity on the
     leaf) wherever a recurrence reaches index zero.
   * sigma_j are the elementary symmetric functions, sigma_0 = 1 implicit.
+  * An array of them is indexed first: row k - 1 holds tau_k (or sigma_k)
+    over any trailing axes, so a grid of G nodes is an (n, G) array.
   * Newton recurrence, low range (1 <= j <= n):
         tau_j - tau_{j-1} sigma_1 + ... + (-1)^j j sigma_j = 0
   * Newton recurrence, high range (j > n):
@@ -67,66 +69,56 @@ class FlowFunctional:
                      if any(any(exps) for exps, _ in self.table[j]))
 
     def coefficient(self, j: int, tau: np.ndarray) -> np.ndarray:
-        """f_j(tau) over the leading axes of tau, which has shape (..., n):
-        the terms of table[j] summed in table order (no terms: zeros)."""
-        out = np.zeros(tau.shape[:-1])
+        """f_j(tau) over the trailing axes of tau, of shape (n, ...): the
+        terms of table[j] summed in table order (no terms: zeros)."""
+        out = np.zeros(tau.shape[1:])
         for i, (exps, coef) in enumerate(self.table[j]):
-            term = np.empty(tau.shape[:-1])  # empty + fill: np.full is a Python wrapper
+            term = np.empty(tau.shape[1:])  # empty + fill: np.full is a Python wrapper
             term.fill(coef)
             for k, e in enumerate(exps):
                 if e:
-                    term = term * tau[..., k] ** e
+                    term = term * tau[k] ** e
             out = term if i == 0 else out + term  # not 0 + term: keeps -0.0
         return out
 
 
 def elementary_from_power(tau, n: int) -> np.ndarray:
-    """sigma_1..sigma_n from tau_1..tau_n via the low-range Newton recurrence.
-
-    ``tau`` may carry leading batch axes; the recurrence runs on the last one.
-    """
+    """sigma_1..sigma_n from tau_1..tau_n via the low-range Newton recurrence,
+    over any trailing axes of ``tau``."""
     tau = np.asarray(tau, dtype=float)
-    if tau.shape[-1] < n:
-        raise ValueError(f"need at least {n} power sums, got {tau.shape[-1]}")
-    sigma = np.zeros(tau.shape[:-1] + (n,))
+    if tau.shape[0] < n:
+        raise ValueError(f"need at least {n} power sums, got {tau.shape[0]}")
+    sigma = np.zeros((n,) + tau.shape[1:])
     for j in range(1, n + 1):
-        acc = tau[..., j - 1].copy()
+        acc = tau[j - 1].copy()
         for i in range(1, j):
-            acc += (-1) ** i * tau[..., j - i - 1] * sigma[..., i - 1]
-        sigma[..., j - 1] = (-1) ** (j + 1) * acc / j
+            acc += (-1) ** i * tau[j - i - 1] * sigma[i - 1]
+        sigma[j - 1] = (-1) ** (j + 1) * acc / j
     return sigma
 
 
 def power_sums_with_tau0(tau, n: int, m: int) -> np.ndarray:
-    """(tau_0, tau_1, ..., tau_m) with tau_0 = n; tau_{n+1}..tau_m come from
-    the high-range Newton recurrence.
-
-    ``tau`` holds tau_1..tau_n with arbitrary leading axes.  The pass fills one
-    array of contiguous rows, row j holding tau_j, and returns it with the
-    index on the last axis.
-    """
+    """(tau_0, tau_1, ..., tau_m) as the rows of one C-contiguous array, with
+    tau_0 = n; tau_{n+1}..tau_m come from the high-range Newton recurrence."""
     tau = np.asarray(tau, dtype=float)
     given = min(n, m)
-    lead = tuple(range(tau.ndim - 1))  # transpose views: np.moveaxis costs more
-    rows = np.zeros((m + 1,) + tau.shape[:-1])
+    rows = np.zeros((m + 1,) + tau.shape[1:])
     rows[0] = n
-    rows[1:given + 1] = tau[..., :given].transpose(-1, *lead)
+    rows[1:given + 1] = tau[:given]
     if m > n:
-        # (-1)^(i+1) sigma_i as row i - 1
-        signed = elementary_from_power(tau, n).transpose(-1, *lead).copy()
+        signed = elementary_from_power(tau, n)  # (-1)^(i+1) sigma_i as row i - 1
         signed[1::2] *= -1.0
         for j in range(n + 1, m + 1):
             # row j sums from its +0.0, so a sum of -0.0 terms reads +0.0
             for i in range(1, n + 1):
                 rows[j] += signed[i - 1] * rows[j - i]
-    return rows.transpose(*range(1, rows.ndim), 0)
+    return rows
 
 
 def umbilical_tau(n: int, lam) -> np.ndarray:
-    """tau-vector (n*lam, n*lam^2, ..., n*lam^n) of an umbilical spectrum."""
+    """Rows (n*lam, n*lam^2, ..., n*lam^n) of an umbilical spectrum."""
     lam = np.asarray(lam, dtype=float)
-    powers = np.stack([lam ** j for j in range(1, n + 1)], axis=-1)
-    return n * powers
+    return n * np.stack([lam ** j for j in range(1, n + 1)])
 
 
 def psi_of_lambda(F: FlowFunctional, lam):

@@ -443,7 +443,7 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
     if F.n != fld.n:
         raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
     n = fld.n
-    tau = fld.tau
+    tau = fld.tau.T  # (G, n): the field's (n, G) rows as columns
     ds = fld.ds
     remaining = ctl.t_end - fld.t
     if remaining <= 0:
@@ -451,7 +451,7 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
 
     m_top = max(n, 2 * n - 2)
     taux = power_sums_with_tau0_reference(tau, n, m_top)  # (G, m_top+1), tau_j at j
-    fvals = np.stack([F.coefficient(j, tau) for j in range(n)], axis=-1)  # (G, n)
+    fvals = np.stack([F.coefficient(j, fld.tau) for j in range(n)], axis=-1)  # (G, n)
 
     # advection coefficients i j f_j / (2(i+j-1)) of equation i: their sum
     # sets the upwind bias, the sum of their moduli the CFL speed
@@ -487,4 +487,4 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
 
     if not np.all(np.isfinite(tau_new)):
         raise FlowBlowUpError("non-finite power sums", fld.t)
-    return TauField(fld.s, tau_new, fld.boundary, fld.t + dt)
+    return TauField(fld.s, tau_new.T, fld.boundary, fld.t + dt)

@@ -186,7 +186,7 @@ class TestStepUmbilical:
             )
 
         def bad_tau_step(fld, F, ctl):
-            tau = fld.tau + noise(fld.s.size)[:, None]
+            tau = fld.tau + noise(fld.s.size)
             return TauField(fld.s, tau, fld.boundary, fld.t + 0.01)
 
         monkeypatch.setattr(fe, "step_umbilical", bad_step)
@@ -229,7 +229,7 @@ class TestStepUmbilical:
         with pytest.raises(ValueError, match="grid nodes must be finite"):
             UmbilicalProfile(s, np.zeros(16), np.ones(16))
         with pytest.raises(ValueError, match="grid nodes must be finite"):
-            TauField(s, np.zeros((16, 2)))
+            TauField(s, np.zeros((2, 16)))
 
 
 class TestWarping:
@@ -333,7 +333,7 @@ class TestTauSystem:
         ctl = StepControl(t_end=0.5)
         out_tau = evolve_tau(fld, F, ctl)
         out_lam = evolve_umbilical(p, F, ctl)
-        assert np.max(np.abs(out_tau.tau[:, 0] / n - out_lam.lam)) < 1e-6
+        assert np.max(np.abs(out_tau.tau[0] / n - out_lam.lam)) < 1e-6
 
     def test_umbilical_relation_persists_first_order(self):
         n = 3
@@ -345,7 +345,7 @@ class TestTauSystem:
             fld = TauField.from_umbilical(lam0, n, G, 1.0)
             out = evolve_tau(fld, F, StepControl(t_end=0.5))
             defects.append(
-                np.max(np.abs(out.tau[:, 1] - out.tau[:, 0] ** 2 / n))
+                np.max(np.abs(out.tau[1] - out.tau[0] ** 2 / n))
             )
         rates = np.log2(np.array(defects[:-1]) / np.array(defects[1:]))
         assert np.all(rates > 0.8)
@@ -362,7 +362,9 @@ class TestTauSystem:
     @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
     @pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
     @pytest.mark.parametrize("grid", [64, 100])
-    @pytest.mark.parametrize("mean,amplitude", [(0.5, 0.25), (-0.1, 0.5)])
+    # (-0.0, -0.5) is the signed-zero set: lam0 and the odd power sums are
+    # -0.0 at s = 0
+    @pytest.mark.parametrize("mean,amplitude", [(0.5, 0.25), (-0.1, 0.5), (-0.0, -0.5)])
     @pytest.mark.parametrize("name,params,n", [
         (name, params, n) for name, params in CATALOG_CASES + [("dense", None)]
         for n in range(1, 7) if not (name == "ext_ricci" and n < 2)
@@ -383,7 +385,15 @@ class TestTauSystem:
             fld = step_tau_system(fld, F, ctl)
             ref = step_tau_system_reference(ref, F, ctl)
             assert fld.t == ref.t
-            assert fld.tau.tobytes() == ref.tau.tobytes()
+            # row k - 1 holds tau_k over the grid, the layout the step computes in
+            assert fld.tau.shape == (n, grid) and fld.tau.flags.c_contiguous
+            if mean == 0.0:
+                # the step sums its bracket from +0.0 and the reference from
+                # its first term, so a zero entry may differ in sign alone:
+                # array_equal holds -0.0 equal to +0.0
+                assert np.array_equal(fld.tau, ref.tau)
+            else:
+                assert fld.tau.tobytes() == ref.tau.tobytes()
 
     def test_b1_step_work_does_not_grow_with_n(self, monkeypatch):
         # one np.where and one coefficient evaluation per live term, not per
@@ -422,15 +432,15 @@ class TestTauSystem:
         assert len(checks) == 1 and checks[0] is fld.s
 
     @pytest.mark.parametrize("args,message", [
-        ((np.linspace(0, 1, 16), np.zeros((16, 2)), "reflective"), "boundary"),
-        ((np.linspace(0, 1, 4), np.zeros((4, 2))), "at least 8"),
-        ((np.linspace(0, 1, 16) ** 2, np.zeros((16, 2))), "uniform"),
-        ((np.linspace(1, 0, 16), np.zeros((16, 2))), "strictly increasing"),
+        ((np.linspace(0, 1, 16), np.zeros((2, 16)), "reflective"), "boundary"),
+        ((np.linspace(0, 1, 4), np.zeros((2, 4))), "at least 8"),
+        ((np.linspace(0, 1, 16) ** 2, np.zeros((2, 16))), "uniform"),
+        ((np.linspace(1, 0, 16), np.zeros((2, 16))), "strictly increasing"),
         ((np.linspace(0, 1, 16), np.zeros(16)), "shape"),
-        ((np.linspace(0, 1, 16), np.zeros((15, 2))), "shape"),
-        ((np.linspace(0, 1, 16), np.zeros((16, 0))), "n >= 1"),
-        ((np.linspace(0, 1, 16), np.full((16, 2), np.nan)), "finite"),
-        ((np.linspace(0, 1, 16), np.full((16, 2), np.inf)), "finite"),
+        ((np.linspace(0, 1, 16), np.zeros((2, 15))), "shape"),
+        ((np.linspace(0, 1, 16), np.zeros((0, 16))), "n >= 1"),
+        ((np.linspace(0, 1, 16), np.full((2, 16), np.nan)), "finite"),
+        ((np.linspace(0, 1, 16), np.full((2, 16), np.inf)), "finite"),
     ])
     def test_field_refusals(self, args, message):
         with pytest.raises(ValueError, match=message):
@@ -443,7 +453,7 @@ class TestTauSystem:
     def test_live_and_varying_match_probed_coefficients(self, name, params, n):
         F = make_functional(name, n, params)
         tau = np.random.default_rng(n).normal(size=(32, n))
-        vals = np.stack([F.coefficient(j, tau) for j in range(n)], axis=-1)
+        vals = np.stack([F.coefficient(j, tau.T) for j in range(n)], axis=-1)
         assert F.live == tuple(j for j in range(1, n) if np.any(vals[:, j] != 0))
         assert F.varying == tuple(j for j in range(n)
                                   if np.any(vals[:, j] != vals[0, j]))
@@ -457,7 +467,7 @@ class TestTauSystem:
         out = evolve_tau(TauField.from_umbilical(lam0, n, 256, 1.0), F,
                          StepControl(t_end=0.25))
         exact = characteristics_oracle(lam0, F, out.t, out.s, 1.0)
-        assert np.max(np.abs(out.tau[:, 0] / n - exact)) <= 1.1e-3 * amplitude
+        assert np.max(np.abs(out.tau[0] / n - exact)) <= 1.1e-3 * amplitude
 
     def test_dimension_mismatch(self):
         F = make_functional("b1", 2)
@@ -585,12 +595,13 @@ class TestSliceHelpers:
     @given(data=st.data(), lead=st.sampled_from([(), (5,), (2, 3)]),
            n=st.integers(1, 4), m=st.integers(1, 9))
     def test_power_sums_with_tau0_match_reference(self, data, lead, n, m):
-        tau = data.draw(arrays(np.float64, lead + (n,),
+        tau = data.draw(arrays(np.float64, (n,) + lead,
                                elements=st.floats(-4.0, 4.0, width=64)))
         got = power_sums_with_tau0(tau, n, m)
-        want = power_sums_with_tau0_reference(tau, n, m)
-        assert got.shape == want.shape == lead + (m + 1,)
-        assert got.tobytes() == want.tobytes()
+        # the reference keeps the index last
+        want = power_sums_with_tau0_reference(np.moveaxis(tau, 0, -1), n, m)
+        assert got.shape == (m + 1,) + lead
+        assert got.tobytes() == np.moveaxis(want, -1, 0).tobytes()
 
 
 # numpy's Python-level wrappers: ndarray methods and slices do the same work

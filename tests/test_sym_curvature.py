@@ -28,7 +28,7 @@ from oracles import (
 
 @st.composite
 def power_sums_case(draw):
-    """(tau, n, m): tau_1..tau_n under a leading shape (), (G,) or (a, b),
+    """(tau, n, m): tau_1..tau_n over a trailing shape (), (G,) or (a, b),
     signed zeros included, and m at both ends of the extension."""
     n = draw(st.integers(1, 8))
     m = draw(st.sampled_from([n, n + 1, max(0, 2 * n - 2), 2 * n + 3]))
@@ -36,7 +36,7 @@ def power_sums_case(draw):
     value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
     count = int(np.prod(lead, dtype=int)) * n
     values = draw(st.lists(value, min_size=count, max_size=count))
-    return np.array(values).reshape(lead + (n,)), n, m
+    return np.array(values).reshape((n,) + lead), n, m
 
 
 class TestPowerSums:
@@ -69,16 +69,16 @@ class TestNewton:
 
     def test_extend_power_known(self):
         # k = (1, 2): tau_3 = tau_2 s1 - tau_1 s2 = 15 - 6 = 9
-        ext = power_sums_with_tau0([3, 5], 2, 3)[..., 3:]
+        ext = power_sums_with_tau0([3, 5], 2, 3)[3:]
         np.testing.assert_allclose(ext, [9.0])
 
     def test_extend_umbilical(self):
         lam = 1.7
-        ext = power_sums_with_tau0(umbilical_tau(2, lam), 2, 3)[..., 3:]
+        ext = power_sums_with_tau0(umbilical_tau(2, lam), 2, 3)[3:]
         np.testing.assert_allclose(ext, [2 * lam ** 3], rtol=1e-12)
 
     def test_extend_zero(self):
-        ext = power_sums_with_tau0([0, 0], 2, 5)[..., 3:]
+        ext = power_sums_with_tau0([0, 0], 2, 5)[3:]
         np.testing.assert_array_equal(ext, np.zeros(3))
 
     def test_extension_matches_direct_sums(self):
@@ -87,7 +87,7 @@ class TestNewton:
             n = int(rng.integers(1, 7))
             k = tuple(rng.uniform(-10, 10, n))
             tau = direct_power_sums(k, n)
-            ext = power_sums_with_tau0(tau, n, 2 * n)[..., n + 1:]
+            ext = power_sums_with_tau0(tau, n, 2 * n)[n + 1:]
             expected = direct_power_sums(k, 2 * n)[n:]
             scale = max(1.0, float(np.max(np.abs(expected))))
             np.testing.assert_allclose(ext, expected, rtol=1e-9, atol=1e-9 * scale)
@@ -101,9 +101,12 @@ class TestNewton:
     def test_one_pass_matches_column_reference_bytes(self, case):
         tau, n, m = case
         got = power_sums_with_tau0(tau, n, m)
-        want = power_sums_with_tau0_reference(tau, n, m)
-        assert got.shape == want.shape == tau.shape[:-1] + (m + 1,)
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        # the reference keeps the index last
+        want = power_sums_with_tau0_reference(np.moveaxis(tau, 0, -1), n, m)
+        assert got.shape == (m + 1,) + tau.shape[1:] and got.flags.c_contiguous
+        given = min(n, m)
+        assert got[1:given + 1].tobytes() == tau[:given].tobytes()  # row j is tau_j
+        assert got.tobytes() == np.moveaxis(want, -1, 0).tobytes()
 
     def test_permutation_invariance(self):
         k = (1.25, -0.5, 3.0, 2.0)
@@ -209,7 +212,7 @@ class TestPsiAndH:
         # entry sum_j f_j(tau) k_i^j on the eigenvector of k_i
         rng = np.random.default_rng(n)
         k = np.vstack([np.zeros(n), np.full(n, 0.8), rng.uniform(-2, 2, (30, n))])
-        tau = np.stack(direct_power_sums(k.T, n), axis=-1)
+        tau = np.stack(direct_power_sums(k.T, n))
         F = make_functional(name, n, params)
         h = sum(F.coefficient(j, tau)[:, None] * k ** j for j in range(n))
         want = H_EIGEN[name](k, params)
@@ -221,12 +224,12 @@ class TestPsiAndH:
         # f_j = (0.5 - j) tau_(j+1) + 1.5
         F = FlowFunctional(n, tuple(((tuple(e), 0.5 - j), ((0,) * n, 1.5))
                                     for j, e in enumerate(np.eye(n, dtype=int).tolist())))
-        tau = np.random.default_rng(3).normal(size=lead + (n,))
-        rows = tau.reshape(-1, n)
+        tau = np.random.default_rng(3).normal(size=(n,) + lead)
+        nodes = tau.reshape(n, -1).T
         for j in range(n):
             got = F.coefficient(j, tau)
             assert np.shape(got) == lead
-            each = [F.coefficient(j, row[None, :])[0] for row in rows]
+            each = [F.coefficient(j, node[:, None])[0] for node in nodes]
             assert np.asarray(got).tobytes() == np.array(each).reshape(lead).tobytes()
 
 
