@@ -71,7 +71,6 @@ from .revolution_geometry import (
 )
 from .soliton_lab import (
     BiregularGrid,
-    biregular_normal_curvature,
     check_biregular_surface,
     check_normal_soliton,
     classify_ricci_soliton,
@@ -660,7 +659,7 @@ def run_tau_flow(cfg: dict, outdir: Path):
 def _soliton_results(rep) -> dict:
     """A soliton report's fields but its pointwise columns and unset ones."""
     return {k: v for k, v in vars(rep).items()
-            if v is not None and k not in ("mu", "structure")}
+            if v is not None and k not in ("mu", "structure", "lam")}
 
 
 def run_soliton_check(cfg: dict, outdir: Path):
@@ -689,12 +688,10 @@ def run_biregular_check(cfg: dict, outdir: Path):
             f"metric {cfg['metric.name']}: every g11 sample rounds to "
             f"{float(grid.g11[0, 0])!r}")
     rep = check_biregular_surface(grid, F, cfg["eps"])
-
-    lam = biregular_normal_curvature(grid)
     files = [outdir / "curvature.csv"]
     write_csv(files[0], ["x0", "x1", "lambda"],
               (np.repeat(_text(grid.x0), grid.x1.size),
-               np.tile(_text(grid.x1), grid.x0.size), lam.ravel()))
+               np.tile(_text(grid.x1), grid.x0.size), rep.lam.ravel()))
     return _soliton_results(rep), files
 
 

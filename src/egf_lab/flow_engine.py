@@ -6,11 +6,12 @@ as n rows over the grid.  Spatial differentiation along the normal curve is
 plain d/ds; the parameterization never changes because the flow leaves the
 normal component of the metric untouched.
 
-Two explicit schemes are provided.  ``upwind`` discretizes the quasilinear
-form with one-sided differences chosen by the local characteristic speed;
-``lax_friedrichs`` uses the conservative flux with neighbor averaging.  Time
-stepping is forward Euler under a CFL bound.  Shocks are not captured: the
-steppers detect non-finite values and stop with a blow-up report.
+Two explicit schemes, forward Euler under a CFL bound.  The scalar step is
+one conservative face flux, whose dissipation alone depends on the scheme:
+the local Rusanov speed for ``upwind``, ds/dt for ``lax_friedrichs`` (LeVeque
+2002, sections 4.6 and 12.9).  The power-sum step discretizes the quasilinear
+form and does not capture shocks.  Non-finite values stop a step with a
+blow-up report.
 
 The scalar flow and the power-sum system are marched by one driver,
 ``_march``, which owns the step budget, the end-time tolerance and the
@@ -280,9 +281,11 @@ def step_umbilical(
 ) -> UmbilicalProfile:
     """Advance lam (and phi) by one explicit step of d lam/dt + d/ds(psi(lam)/2) = 0.
 
-    The step size satisfies (max|psi'|/2) dt / ds <= cfl and never overshoots
-    t_end.  ``inflow_left`` imposes Dirichlet data at the left transmissive
-    edge; otherwise the edges use constant extrapolation.
+    lam moves by the differences of 4F = psi_- + psi_+ - d (lam_+ - lam_-) over
+    the G + 1 faces of ``_padded``: d = max(|psi'_-|, |psi'_+|) for ``upwind``
+    (Rusanov), 2 ds/dt for ``lax_friedrichs``.  (max|psi'|/2) dt / ds <= cfl,
+    and dt never overshoots t_end.  ``inflow_left`` imposes Dirichlet data at
+    the left transmissive edge; otherwise the edges use constant extrapolation.
     """
     lam = p.lam
     ds = p.ds
@@ -292,19 +295,19 @@ def step_umbilical(
 
     # non-finite intermediates are converted into structured blow-up errors
     with np.errstate(all="ignore"):
-        psi_old = np.asarray(psi_of_lambda(F, lam))
-        speed0 = 0.5 * np.asarray(psi_prime(F, lam))
-        dt = _pick_dt(float(np.abs(speed0).max()), ds, ctl.cfl, remaining)
+        # psi and |psi'| (twice the local speed) over the padded nodes: a
+        # ghost node's values are those of the node it copies
+        lam_p = _padded(lam, p.periodic)
+        psi_p = np.asarray(psi_of_lambda(F, lam_p))
+        rate = np.abs(np.asarray(psi_prime(F, lam_p)))
+        dt = _pick_dt(0.5 * float(rate.max()), ds, ctl.cfl, remaining)
         t_new = p.t + dt
         if ctl.scheme == "lax_friedrichs":
-            flux = 0.5 * psi_old
-            ll, lr = _neighbors(lam, p.periodic)
-            fl, fr = _neighbors(flux, p.periodic)
-            lam_new = 0.5 * (ll + lr) - dt / (2.0 * ds) * (fr - fl)
-        else:
-            lam_new = lam - dt * speed0 * _upwind_derivative(
-                _padded_difference(lam, p.periodic), speed0, ds
-            )
+            d = 2.0 * ds / dt
+        else:  # Rusanov: the larger |psi'| of each face's two nodes
+            d = np.maximum(rate[:-1], rate[1:])
+        flux = psi_p[:-1] + psi_p[1:] - d * (lam_p[1:] - lam_p[:-1])
+        lam_new = lam - dt / (4.0 * ds) * (flux[1:] - flux[:-1])
         if inflow_left is not None and not p.periodic:
             lam_new[0] = inflow_left(t_new)
 
@@ -313,7 +316,7 @@ def step_umbilical(
 
         # trapezoid-in-time update of the warping integral phi = phi0 exp(int psi/2)
         psi_new = np.asarray(psi_of_lambda(F, lam_new))
-        phi_new = p.phi * np.exp(0.25 * dt * (psi_old + psi_new))
+        phi_new = p.phi * np.exp(0.25 * dt * (psi_p[1:-1] + psi_new))
     if not (phi_new.min() > 0 and phi_new.max() < np.inf):  # NaN fails both
         raise FlowBlowUpError("non-finite or zero warping factor", p.t)
 

@@ -27,11 +27,7 @@ from .flow_engine import (
     _grid_steps,
     _uniform_nodes,
 )
-from .sym_curvature import (
-    FlowFunctional,
-    psi_of_lambda,
-    psi_prime,
-)
+from .sym_curvature import FlowFunctional, _horner, psi_of_lambda, psi_prime
 
 # Units of rounding of the largest term that the soliton verdicts forgive: a
 # true soliton of the catalog, at lengths 1e-6 to 1e6 and grids 8 to 256, left
@@ -51,8 +47,8 @@ def rounding_floor(*terms) -> float:
 
 @dataclass
 class SolitonReport:
-    """Per-equation residual norms and the resulting verdict; the normal
-    check also keeps mu and its structure residual pointwise."""
+    """Per-equation residual norms and the resulting verdict; the normal check
+    also keeps mu and its structure residual pointwise, the surface check lam."""
 
     residual_linf: dict
     residual_l2: dict
@@ -63,6 +59,7 @@ class SolitonReport:
     notes: list = field(default_factory=list)
     mu: np.ndarray | None = None
     structure: np.ndarray | None = None
+    lam: np.ndarray | None = None
 
     def __post_init__(self):
         for name, value in list(self.residual_linf.items()) + list(
@@ -89,13 +86,8 @@ def mu_of_lambda(F: FlowFunctional, lam):
     ``F.psi_coeffs[1:]``: a polynomial, so it needs no division and is the
     same expression at lam = 0, where it is -(n/2) c_1.  Vectorized over lam.
     """
-    lam = np.asarray(lam, dtype=float)
     coeffs = F.psi_coeffs[1:] or (0.0,)  # psi = c_0: mu = 0
-    out = np.empty(lam.shape)  # empty + fill: np.full is a Python wrapper
-    out.fill(coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out *= lam
-        out += c
+    out = _horner(coeffs, np.asarray(lam, dtype=float))
     out *= -(F.n / 2.0)
     return out if out.ndim else float(out)
 
@@ -254,7 +246,8 @@ def check_biregular_surface(
     r1 = psi_vals - eps_val
     if not np.all(np.isfinite(r1)):
         return SolitonReport(
-            {}, {}, eps_val, None, "degenerate", math.nan, ["non-finite residuals"]
+            {}, {}, eps_val, None, "degenerate", math.nan, ["non-finite residuals"],
+            lam=lam,
         )
     # lam differences log g11, which carries a unit of the data's rounding
     # wherever it changes (lam != 0); psi' carries that over 2 d0 into R1
@@ -271,7 +264,7 @@ def check_biregular_surface(
         verdict = "degenerate"
         notes.append(f"lam is not resolved at spacing d0 = {g.d0:.3g}: its rounding "
                      f"moves psi by up to {blur:.3g}, against terms of {terms:.3g}")
-    return SolitonReport(linf, l2, eps_val, None, verdict, tol, notes)
+    return SolitonReport(linf, l2, eps_val, None, verdict, tol, notes, lam=lam)
 
 
 @dataclass(frozen=True)

@@ -121,18 +121,23 @@ def umbilical_tau(n: int, lam) -> np.ndarray:
     return n * np.stack([lam ** j for j in range(1, n + 1)])
 
 
+def _horner(coeffs: tuple[float, ...], lam: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] lam^k by Horner, highest power first, into a new array."""
+    out = np.empty(lam.shape)  # empty + fill: np.full is a Python wrapper
+    out.fill(coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= lam
+        out += c
+    return out
+
+
 def psi_of_lambda(F: FlowFunctional, lam):
     """Scalar flow speed of the umbilical reduction.
 
     psi(lam) = sum_j f_j(n lam, n lam^2, ..., n lam^n) lam^j, evaluated by
     Horner over ``F.psi_coeffs``.  Vectorized over ``lam`` of any shape.
     """
-    lam = np.asarray(lam, dtype=float)
-    out = np.empty(lam.shape)  # empty + fill: np.full is a Python wrapper
-    out.fill(F.psi_coeffs[-1])
-    for c in F.psi_coeffs[-2::-1]:
-        out *= lam
-        out += c
+    out = _horner(F.psi_coeffs, np.asarray(lam, dtype=float))
     return out if out.ndim else float(out)
 
 

@@ -24,7 +24,7 @@ from egf_lab.flow_engine import (
     _pick_dt,
 )
 from egf_lab.revolution_geometry import RevolutionProfile
-from egf_lab.sym_curvature import psi_of_lambda
+from egf_lab.sym_curvature import psi_of_lambda, psi_prime
 
 
 def direct_power_sums(k, m):
@@ -427,6 +427,61 @@ def total_variation_reference(u, periodic):
 def _upwind_derivative(u, ds, speed, periodic):
     left, right = neighbors_reference(u, periodic)
     return np.where(speed >= 0, (u - left) / ds, (right - u) / ds)
+
+
+def step_umbilical_reference(p: UmbilicalProfile, F, ctl: StepControl) -> UmbilicalProfile:
+    """flow_engine.step_umbilical in its two-formula form, through the roll-form
+    neighbors: Lax-Friedrichs as the neighbor average of lam minus the central
+    flux difference, upwind as the quasilinear update speed * d lam on the
+    upwind side.  Both are right where the scalar law stays smooth and, for
+    upwind, where psi is linear (there Rusanov's dissipation is |psi'| and the
+    flux form is upwind in exact arithmetic): the reference the face-flux step
+    must match to rounding in those cases.  Quasilinear upwind loses the
+    integral of lam past a shock, so it stays here, in tests/ (the layout guard
+    refuses a library definition that only tests reach).
+    """
+    lam = p.lam
+    ds = p.ds
+    remaining = ctl.t_end - p.t
+    if remaining <= 0:
+        raise ValueError("profile is already at or beyond t_end")
+
+    with np.errstate(all="ignore"):
+        psi_old = np.asarray(psi_of_lambda(F, lam))
+        speed0 = 0.5 * np.asarray(psi_prime(F, lam))
+        dt = _pick_dt(float(np.abs(speed0).max()), ds, ctl.cfl, remaining)
+        t_new = p.t + dt
+        if ctl.scheme == "lax_friedrichs":
+            flux = 0.5 * psi_old
+            ll, lr = neighbors_reference(lam, p.periodic)
+            fl, fr = neighbors_reference(flux, p.periodic)
+            lam_new = 0.5 * (ll + lr) - dt / (2.0 * ds) * (fr - fl)
+        else:
+            lam_new = lam - dt * speed0 * _upwind_derivative(lam, ds, speed0, p.periodic)
+        if not np.all(np.isfinite(lam_new)):
+            raise FlowBlowUpError("non-finite normal curvature", p.t)
+        psi_new = np.asarray(psi_of_lambda(F, lam_new))
+        phi_new = p.phi * np.exp(0.25 * dt * (psi_old + psi_new))
+    return UmbilicalProfile(p.s, lam_new, phi_new, p.boundary, t_new)
+
+
+def hopf_lax_burgers(U0, s, t, y, chunk=32):
+    """The entropy solution of u_t + (u^2/2)_s = 0 (the umbilical law with
+    psi = lam^2) at time t > 0 by the Hopf-Lax formula (Evans, Partial
+    Differential Equations, section 3.4): u(s) = (s - y*)/t, with y* the
+    minimizer of U0(y) + (s - y)^2/(2t) over every node of y, U0 an
+    antiderivative of the initial data.  Brute force, ``chunk`` values of s
+    at a time; where the minimizer is unique its node is off by at most the
+    node spacing h, so u is off by at most h/t.
+    """
+    s = np.asarray(s, dtype=float)
+    u0 = U0(y)
+    out = np.empty(s.shape)
+    for k in range(0, s.size, chunk):
+        part = s[k:k + chunk]
+        best = np.argmin(u0 + (part[:, None] - y) ** 2 / (2.0 * t), axis=1)
+        out[k:k + chunk] = (part - y[best]) / t
+    return out
 
 
 def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egf_lab import cli
+from egf_lab import cli, soliton_lab
 from egf_lab.catalog import BIREGULAR_METRICS, make_functional
 from egf_lab.cli import (
     EXIT_BLOWUP,
@@ -888,8 +888,11 @@ class TestRunScenarios:
             "eps": "auto",
             "numerics": {"grid0": 32, "grid1": 32},
         }
-        report, code = run(cfg, tmp_path, quiet=True)
-        assert code == EXIT_OK
+        # curvature.csv is written from the check's lam: one derivative pass
+        derivative = mock.Mock(wraps=soliton_lab._axis_derivative)
+        with mock.patch.object(soliton_lab, "_axis_derivative", derivative):
+            report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK and derivative.call_count == 1
         assert report["results"]["verdict"] == "soliton"
         assert report["results"]["eps_used"] == pytest.approx(1.0, abs=1e-8)
         assert list(report["results"]["residual_linf"]) == ["R1_structure"]

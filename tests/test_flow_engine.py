@@ -29,15 +29,22 @@ from egf_lab.flow_engine import (
     step_umbilical,
     total_variation,
 )
-from egf_lab.sym_curvature import FlowFunctional, power_sums_with_tau0, psi_of_lambda
+from egf_lab.sym_curvature import (
+    FlowFunctional,
+    power_sums_with_tau0,
+    psi_of_lambda,
+    psi_prime,
+)
 
 from oracles import (
     FlowHistory,
     central_difference_reference,
     evolve_warping,
+    hopf_lax_burgers,
     neighbors_reference,
     power_sums_with_tau0_reference,
     step_tau_system_reference,
+    step_umbilical_reference,
     total_variation_reference,
     volume,
     volume_normalized,
@@ -64,7 +71,85 @@ def sine_profile(grid=128, length=1.0, amplitude=1.0, mean=0.0):
     )
 
 
+# the functionals whose psi is linear in lam: psi' is constant, so Rusanov's
+# dissipation |psi'| makes the flux form upwind in exact arithmetic
+LINEAR_PSI = ("b1", "tau1_minus_c", "affine")
+
+
+@pytest.fixture(scope="module")
+def burgers_past_crossing():
+    """The entropy solution at t = 1 of lam0 = 0.5 + 0.5 sin 2 pi s under
+    psi = lam^2, whose characteristics cross at t* = 1/pi, at the periodic
+    nodes k/1024; the nodes of G = 256 and 512 are every 4th and 2nd of them.
+    0 <= lam <= 1 puts the Hopf-Lax minimizer in [s - 1, s], and its node
+    spacing 2.5e-5 bounds the oracle's error far below the schemes'."""
+    y = np.linspace(-1.0, 1.0, 80_001)
+    U0 = lambda y: 0.5 * y + (1.0 - np.cos(2 * np.pi * y)) / (4 * np.pi)
+    return hopf_lax_burgers(U0, np.arange(1024) / 1024, 1.0, y)
+
+
 class TestStepUmbilical:
+    @pytest.mark.parametrize("scheme,bound", [("upwind", 4e-3), ("lax_friedrichs", 8e-3)])
+    def test_shock_converges_to_entropy_solution(self, burgers_past_crossing,
+                                                 scheme, bound):
+        # past the crossing the conservative step keeps the mean of lam to
+        # rounding and converges in L1 at first order to the entropy solution
+        F = make_functional("umbilical_square", 2)  # psi = lam^2
+        grids = (256, 512, 1024)
+        errs = []
+        for grid in grids:
+            p = sine_profile(grid=grid, amplitude=0.5, mean=0.5)
+            out = evolve_umbilical(p, F, StepControl(t_end=1.0, scheme=scheme))
+            assert abs(out.lam.mean() - p.lam.mean()) <= 1e-14
+            errs.append(np.abs(out.lam - burgers_past_crossing[::1024 // grid]).mean())
+        order = -np.polyfit(np.log(grids), np.log(errs), 1)[0]
+        assert errs[0] <= bound and order >= 0.9, (errs, order)
+
+    def test_sonic_point_before_crossing(self):
+        # lam0 = 0.5 sin 2 pi s under psi = lam^2: psi' changes sign, and
+        # Rusanov's dissipation there, the larger |psi'| of each face, costs
+        # sup-norm order (about 0.7) but keeps first order in L1
+        F = make_functional("umbilical_square", 2)
+        lam0 = lambda s: 0.5 * np.sin(2 * np.pi * s)
+        grids = (256, 512, 1024)
+        sup, l1 = [], []
+        for grid in grids:
+            p = UmbilicalProfile.from_function(lam0, grid, 1.0)
+            out = evolve_umbilical(p, F, StepControl(t_end=0.25))
+            err = np.abs(out.lam - characteristics_oracle(lam0, F, 0.25, p.s, 1.0))
+            sup.append(err.max())
+            l1.append(err.mean())
+        order = -np.polyfit(np.log(grids), np.log(l1), 1)[0]
+        assert sup[0] <= 2.5e-2 and l1[0] <= 2e-3 and order >= 0.9, (sup, l1, order)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("scheme,name,params", [
+        *(("lax_friedrichs", name, params) for name, params in CATALOG_CASES),
+        *(("upwind", name, params) for name, params in CATALOG_CASES
+          if name in LINEAR_PSI),
+    ])
+    def test_step_matches_two_formula_reference(self, scheme, name, params,
+                                                boundary, seed):
+        # where the two-formula step was right, the face-flux step changes
+        # lam by rounding only: a few ulps of the step's largest term.  The
+        # reference's upwind update also carries the error e of psi_prime's
+        # difference stencil, where the face-flux step reads psi' only in its
+        # dissipation: the two differ by up to dt/ds e max|lam_+ - lam_-|
+        F = make_functional(name, 3, params)
+        rng = np.random.default_rng(seed)
+        s = np.arange(64) / 64 if boundary == "periodic" else np.linspace(0.0, 1.0, 64)
+        p = UmbilicalProfile(s, rng.uniform(-1.0, 1.0, 64), rng.uniform(0.5, 2.0, 64),
+                             boundary, 0.25)
+        ctl = StepControl(t_end=1.0, scheme=scheme)
+        got, want = step_umbilical(p, F, ctl), step_umbilical_reference(p, F, ctl)
+        assert got.t == want.t
+        dt, lam = got.t - p.t, p.lam
+        largest = max(np.abs(lam).max(), dt / p.ds * np.abs(psi_of_lambda(F, lam)).max())
+        e = np.abs(psi_prime(F, lam) - F.psi_coeffs[1]).max() if scheme == "upwind" else 0.0
+        bound = 8 * np.spacing(largest) + dt / p.ds * e * 2 * np.abs(lam).max()
+        assert np.abs(got.lam - want.lam).max() <= bound
+
     def test_constant_profile_is_exactly_preserved(self):
         for scheme in ("upwind", "lax_friedrichs"):
             p = UmbilicalProfile.from_function(lambda s: 2.5 + 0 * s, 64, 1.0)

@@ -200,6 +200,7 @@ class TestBiregular:
         np.testing.assert_allclose(lam, 1.0, atol=1e-10)
         rep = check_biregular_surface(g, F, eps=psi_of_lambda(F, 1.0))
         assert rep.verdict == "soliton"
+        assert rep.lam.tobytes() == lam.tobytes()  # the lam the check judged
 
     def test_mismatched_eps_rejected(self):
         F = make_functional("b1", 1)
