@@ -649,7 +649,11 @@ def run_tau_flow(cfg: dict, outdir: Path):
             np.max(np.abs(out.tau[1] - out.tau[0] ** 2 / n))
         ) if n >= 2 else 0.0,
         "scalar_match": float(np.max(np.abs(out.tau[0] / n - scalar.lam))),
+        "oracle_sup_error": None,
     }
+    if boundary == "periodic":  # past the crossing, ShockError: exit 4
+        exact = characteristics_oracle(lam0, F, out.t, out.s, length)
+        results["oracle_sup_error"] = float(np.max(np.abs(out.tau[0] / n - exact)))
     header = ["s"] + [f"tau{j}" for j in range(1, n + 1)]
     files = [outdir / "tau_final.csv"]
     write_csv(files[0], header, (out.s, *out.tau))

@@ -6,12 +6,14 @@ as n rows over the grid.  Spatial differentiation along the normal curve is
 plain d/ds; the parameterization never changes because the flow leaves the
 normal component of the metric untouched.
 
-Two explicit schemes, forward Euler under a CFL bound.  The scalar step is
-one conservative face flux, whose dissipation alone depends on the scheme:
-the local Rusanov speed for ``upwind``, ds/dt for ``lax_friedrichs`` (LeVeque
-2002, sections 4.6 and 12.9).  The power-sum step discretizes the quasilinear
-form and does not capture shocks.  Non-finite values stop a step with a
-blow-up report.
+Two explicit schemes, forward Euler under a CFL bound.  Each step is one
+update whose dissipation alone depends on the scheme: the local Rusanov
+speed for ``upwind``, ds/dt for ``lax_friedrichs`` (LeVeque 2002, sections
+4.6 and 12.9).  The scalar step differences one conservative face flux; the
+power-sum step adds that dissipation to the central difference of its
+quasilinear bracket, so it holds only before characteristics cross, and a
+``tau-flow`` run past the crossing exits 4 on its oracle check.  Non-finite
+values stop a step with a blow-up report.
 
 The scalar flow and the power-sum system are marched by one driver,
 ``_march``, which owns the step budget, the end-time tolerance and the
@@ -237,11 +239,6 @@ def _padded_difference(u: np.ndarray, periodic: bool) -> np.ndarray:
     return padded[..., 1:] - padded[..., :-1]
 
 
-def _upwind_derivative(d: np.ndarray, speed, ds: float) -> np.ndarray:
-    """The side of ``_padded_difference`` output d upwind of speed, over ds."""
-    return np.where(speed >= 0, d[..., :-1], d[..., 1:]) / ds
-
-
 def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool):
     """Central difference along ``axis``; second-order one-sided at the edges
     of a non-periodic axis."""
@@ -421,19 +418,26 @@ def characteristics_oracle(
 
 
 def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauField:
-    """One explicit step of the quasilinear transport system for tau_1..tau_n.
+    """One explicit step of the transport system for tau_1..tau_n.
 
     d tau_i/dt = -(i/2) [ tau_{i-1} d_s f_0
                           + sum_j ( j f_j / (i+j-1) d_s tau_{i+j-1}
                                     + tau_{i+j-1} d_s f_j ) ]
-    Only the terms that F.live and F.varying leave nonzero are formed, in
-    this order, each as one (n, G) array over all n equations, the layout of
-    fld.tau, and summed from +0.0.  Power sums above index n come from the
-    Newton extension of the node values, as far as the live f_j read;
-    tau_0 = n stays constant.  Derivatives of the coefficient functions are
-    finite differences of their node-wise evaluations; an undifferenced
-    constant f_j is one node's value.  The new field shares fld's grid,
-    checked once with the march's first field.
+    Every d_s is the central difference (d_- + d_+) / (2 ds) of one
+    ``_padded_difference`` d of the rows tau_1..tau_m_top and the varying
+    f_j.  One update serves both schemes,
+        tau_new = tau - dt (i/2) bracket + dt/(2 ds) alpha (d_+ - d_-),
+    and the scheme chooses only alpha: ds/dt for ``lax_friedrichs``, and for
+    ``upwind`` each equation's advection speed sum_j |i j f_j / (2(i+j-1))|,
+    whose maximum sets dt (Rusanov; LeVeque 2002, sections 4.6 and 12.9).
+    Only the bracket terms that F.live and F.varying leave nonzero are
+    formed, each as one (n, G) array over all n equations, the layout of
+    fld.tau, and subtracted in this order from the dissipation term, their
+    factor dt (i/2) / (2 ds) folded in.  Power sums above index n come from
+    the Newton extension of the node values, as far as the live f_j read;
+    tau_0 = n stays constant.  A constant f_j is one node's value and is
+    never differenced: ghost copies difference it to 0 at any edge.  The
+    new field shares fld's grid, checked once with the march's first field.
     """
     if F.n != fld.n:
         raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
@@ -444,51 +448,40 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     if remaining <= 0:
         raise ValueError("field is already at or beyond t_end")
 
-    upwind = ctl.scheme == "upwind"
-    live = F.live
-    # np.gradient's one-sided edge stencil leaves rounding on a constant row,
-    # so a transmissive central difference differences the constant f_j too
-    diffed = F.varying if upwind or fld.periodic else tuple(sorted({*live, *F.varying}))
+    live, varying = F.live, F.varying
     m_top = n + max(live) - 1 if live else n
-    k0 = min(live, default=m_top + 1)  # the lowest differenced power sum
 
     # non-finite intermediates are converted into structured blow-up errors
     with np.errstate(all="ignore"):
         tx = power_sums_with_tau0(tau, n, m_top)  # tx[j] is tau_j
-        f = {j: F.coefficient(j, tau if j in diffed else tau[:, :1])
-             for j in {*live, *diffed}}
+        f = {j: F.coefficient(j, tau if j in varying else tau[:, :1])
+             for j in {*live, *varying}}
         # one grid row per differenced node function, each differenced once:
-        # tau_k0..tau_m_top, then the differenced f_j
-        rows = np.concatenate([tx[k0:]] + [f[j][None] for j in diffed])
+        # tau_1..tau_m_top, then the varying f_j
+        d = _padded_difference(
+            np.concatenate([tx[1:]] + [f[j][None] for j in varying]), fld.periodic)
+        central = d[:, :-1] + d[:, 1:]  # 2 ds times the central difference
 
-        # advection coefficients i j f_j / (2(i+j-1)) of equation i (the column
-        # eq): their sum sets the upwind bias, the sum of their moduli the CFL speed
+        # the advection speed of equation i (the column eq): the sum of the
+        # moduli of its coefficients i j f_j / (2(i+j-1))
         eq = np.arange(1, n + 1)[:, None]
-        signs = speeds = np.zeros((n, 1))
-        for coef in (eq * j * f[j] / (2.0 * (eq + j - 1)) for j in live):
-            signs, speeds = signs + coef, speeds + np.abs(coef)
+        speeds = np.zeros((n, 1))
+        for j in live:
+            speeds = speeds + np.abs(eq * j * f[j] / (2.0 * (eq + j - 1)))
         dt = _pick_dt(float(speeds.max()), ds, ctl.cfl, remaining)
+        alpha = ds / dt if ctl.scheme == "lax_friedrichs" else speeds
 
-        if upwind:  # d_s of rows[r], on the upwind side of each equation
-            d = _padded_difference(rows, fld.periodic)
-            deriv = lambda r: _upwind_derivative(d[r], signs, ds)
-        else:
-            deriv = _axis_derivative(rows, ds, -1, fld.periodic).__getitem__
-
-        # equation i reads tau_{i+j-1}, row i-1+j-k0, for f_j
-        bracket = np.zeros(tau.shape)
-        for j in sorted({*live, *diffed}):
+        # tau_new - tau: the dissipation, then each bracket term times
+        # w = dt (i/2) / (2 ds); equation i reads tau_{i+j-1}, row i+j-2, for f_j
+        h = dt / (2.0 * ds)
+        w = (0.5 * h) * eq
+        tau_new = (h * alpha) * (d[:n, 1:] - d[:n, :-1])
+        for j in sorted({*live, *varying}):
             if j in live:
-                bracket += (j * f[j]) / (eq + j - 1) * deriv(slice(j - k0, j - k0 + n))
-            if j in diffed:
-                bracket += tx[j:j + n] * deriv(m_top + 1 - k0 + diffed.index(j))
-        rhs = -(eq / 2.0) * bracket
-
-        if upwind:
-            tau_new = tau + dt * rhs
-        else:  # Lax-Friedrichs: the neighbor average of tau_1..tau_n
-            left, right = _neighbors(tau, fld.periodic)
-            tau_new = 0.5 * (left + right) + dt * rhs
+                tau_new -= (j * f[j]) * (w / (eq + j - 1)) * central[j - 1:j - 1 + n]
+            if j in varying:
+                tau_new -= w * tx[j:j + n] * central[m_top + varying.index(j)]
+        tau_new += tau
 
     if not np.isfinite(tau_new).all():
         raise FlowBlowUpError("non-finite power sums", fld.t)

@@ -485,8 +485,13 @@ def hopf_lax_burgers(U0, s, t, y, chunk=32):
 
 
 def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
-    """flow_engine.step_tau_system as one `deriv` call (two rolls) per
-    differenced term: the reference the one-pass step must match bit for bit.
+    """flow_engine.step_tau_system in its old quasilinear form, one `deriv`
+    call (two rolls) per differenced term: Lax-Friedrichs as the neighbour
+    average plus central differences (np.gradient's one-sided ones at a
+    transmissive edge), upwind as one-sided differences on the side of each
+    equation's signed speed.  The one-update step must match it to rounding
+    where it was right: every functional under Lax-Friedrichs away from a
+    transmissive edge, and b1, whose speed is constant, under upwind.
 
     d tau_i/dt = -(i/2) [ tau_{i-1} d_s f_0
                           + sum_j ( j f_j / (i+j-1) d_s tau_{i+j-1}

@@ -858,7 +858,11 @@ class TestRunScenarios:
         assert code == EXIT_OK
         assert report["results"]["umbilicity_defect"] < 0.05
         assert report["results"]["scalar_match"] < 1e-6
+        assert report["results"]["oracle_sup_error"] < 1e-2
         assert (tmp_path / "tau_final.csv").exists()
+        report, code = run(_set(cfg, "numerics.boundary", "transmissive"),
+                           tmp_path / "edge", quiet=True)
+        assert code == EXIT_OK and report["results"]["oracle_sup_error"] is None
 
     def test_soliton_check(self, tmp_path):
         cfg = {
@@ -1017,6 +1021,18 @@ class TestRunScenarios:
         assert code == EXIT_BLOWUP
         written = json.loads((tmp_path / "report.json").read_text())
         assert written["exit_status"] == EXIT_BLOWUP
+
+    @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tau_flow_past_crossing_exits_4(self, tmp_path, n, scheme):
+        # psi = -2 (n - 1) lam^2 crosses before t = 0.5; periodic runs check
+        # tau_1/n against the characteristics after both marches
+        cfg = {"scenario": "tau-flow", "n": n, "functional": {"name": "ext_ricci"},
+               "initial": {"kind": "sine", "amplitude": 0.25, "mean": 0.5},
+               "numerics": {"grid": 256, "t_end": 0.5, "cfl": 0.5, "scheme": scheme}}
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_UNSOLVABLE, report
+        assert report["error"].startswith("characteristics crossed"), report["error"]
 
     @pytest.mark.parametrize("name,grid,eps", [
         ("ext_ricci", 32, "auto"), ("umbilical_square", 32, "auto"), ("b1", 8, 1e308)])
