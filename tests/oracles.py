@@ -548,3 +548,57 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
     if not np.all(np.isfinite(tau_new)):
         raise FlowBlowUpError("non-finite power sums", fld.t)
     return TauField(fld.s, tau_new.T, fld.boundary, fld.t + dt)
+
+
+def step_tau_system_update_reference(fld: TauField, F, ctl: StepControl) -> TauField:
+    """flow_engine.step_tau_system's one update, formed term by term for each
+    equation i through the roll-form neighbours (ghost copies of the edge
+    node on a transmissive grid), every term of the bracket included:
+
+        tau_i_new = tau_i - dt (i/2) bracket_i
+                    + dt alpha_i (right_i - 2 tau_i + left_i) / (2 ds),
+
+    each d_s in the bracket the central difference (right - left) / (2 ds)
+    of node values, the f_j evaluated at every node.  alpha_i is ds/dt for
+    ``lax_friedrichs`` and, for ``upwind``, equation i's advection speed
+    sum_j |i j f_j / (2(i+j-1))|, whose maximum sets dt.  It is right for
+    every functional and both schemes, so the step must match it to rounding
+    in every case.
+    """
+    if F.n != fld.n:
+        raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
+    n = fld.n
+    tau = fld.tau.T  # (G, n): the field's (n, G) rows as columns
+    ds = fld.ds
+    remaining = ctl.t_end - fld.t
+    if remaining <= 0:
+        raise ValueError("field is already at or beyond t_end")
+
+    taux = power_sums_with_tau0_reference(tau, n, max(n, 2 * n - 2))
+    fvals = np.stack([F.coefficient(j, fld.tau) for j in range(n)], axis=-1)
+
+    speeds = np.zeros_like(tau)
+    for i in range(1, n + 1):
+        for j in range(1, n):
+            speeds[:, i - 1] += np.abs(i * j * fvals[:, j] / (2.0 * (i + j - 1)))
+    dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
+    alpha = np.full_like(tau, ds / dt) if ctl.scheme == "lax_friedrichs" else speeds
+
+    def central(u):
+        left, right = neighbors_reference(u, fld.periodic)
+        return (right - left) / (2.0 * ds)
+
+    left, right = neighbors_reference(tau, fld.periodic)
+    tau_new = np.empty_like(tau)
+    for i in range(1, n + 1):
+        bracket = taux[:, i - 1] * central(fvals[:, 0])
+        for j in range(1, n):
+            bracket += (j * fvals[:, j] / (i + j - 1)) * central(taux[:, i + j - 1])
+            bracket += taux[:, i + j - 1] * central(fvals[:, j])
+        u = tau[:, i - 1]
+        dissipation = alpha[:, i - 1] * (right[:, i - 1] - 2.0 * u + left[:, i - 1])
+        tau_new[:, i - 1] = u - dt * (i / 2.0) * bracket + dt * dissipation / (2.0 * ds)
+
+    if not np.all(np.isfinite(tau_new)):
+        raise FlowBlowUpError("non-finite power sums", fld.t)
+    return TauField(fld.s, np.ascontiguousarray(tau_new.T), fld.boundary, fld.t + dt)
