@@ -57,6 +57,7 @@ from .flow_engine import (
     TauField,
     UmbilicalProfile,
     characteristics_oracle,
+    crossing_time,
     evolve_tau,
     evolve_umbilical,
 )
@@ -654,6 +655,8 @@ def run_tau_flow(cfg: dict, outdir: Path):
     if boundary == "periodic":  # past the crossing, ShockError: exit 4
         exact = characteristics_oracle(lam0, F, out.t, out.s, length)
         results["oracle_sup_error"] = float(np.max(np.abs(out.tau[0] / n - exact)))
+    elif out.t >= (t_star := crossing_time(lam0, F, out.s)):
+        raise ShockError(f"characteristics crossed at t* = {t_star:.6g} <= t = {out.t:.6g}")
     header = ["s"] + [f"tau{j}" for j in range(1, n + 1)]
     files = [outdir / "tau_final.csv"]
     write_csv(files[0], header, (out.s, *out.tau))

@@ -12,8 +12,8 @@ speed for ``upwind``, ds/dt for ``lax_friedrichs`` (LeVeque 2002, sections
 4.6 and 12.9).  The scalar step differences one conservative face flux; the
 power-sum step adds that dissipation to the central difference of its
 quasilinear bracket, so it holds only before characteristics cross, and a
-``tau-flow`` run past the crossing exits 4 on its oracle check.  Non-finite
-values stop a step with a blow-up report.
+``tau-flow`` run past the crossing exits 4 (oracle or ``crossing_time``).
+Non-finite values stop a step with a blow-up report.
 
 The scalar flow and the power-sum system are marched by one driver,
 ``_march``, which owns the step budget, the end-time tolerance and the
@@ -415,6 +415,15 @@ def characteristics_oracle(
         [positions - periodic_length, positions, positions + periodic_length]
     )
     return np.interp(s_out, knots, np.tile(lam_base, 3))
+
+
+def crossing_time(lam0, F: FlowFunctional, s_out: np.ndarray) -> float:
+    """t* = -1 / min_s d_s(psi'(lam0)/2), when characteristics of lam0 first cross,
+    from ORACLE_REFINE x len(s_out) nodes over s_out's span; inf if they never do."""
+    fine = np.linspace(s_out[0], s_out[-1], ORACLE_REFINE * s_out.size)
+    speed = 0.5 * psi_prime(F, np.asarray(lam0(fine), dtype=float) * np.ones_like(fine))
+    steepest = float(np.min(np.diff(speed) / np.diff(fine)))
+    return -1.0 / steepest if steepest < 0 else math.inf
 
 
 def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauField:

@@ -1034,6 +1034,25 @@ class TestRunScenarios:
         assert code == EXIT_UNSOLVABLE, report
         assert report["error"].startswith("characteristics crossed"), report["error"]
 
+    @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
+    def test_transmissive_tau_flow_past_crossing_exits_4(self, tmp_path, scheme):
+        # psi = -4 lam^2 at n = 3 and lam0 = sin 2 pi s: d_s(psi'(lam0)/2) =
+        # -8 pi cos 2 pi s, so characteristics cross at t* = 1 / (8 pi)
+        t_star = 1.0 / (8.0 * math.pi)
+        cfg = {"scenario": "tau-flow", "n": 3, "functional": {"name": "ext_ricci"},
+               "initial": {"kind": "sine"},
+               "numerics": {"grid": 256, "t_end": 0.5, "cfl": 0.5, "scheme": scheme,
+                            "boundary": "transmissive"}}
+        report, code = run(cfg, tmp_path / "past", quiet=True)
+        assert code == EXIT_UNSOLVABLE, report
+        assert report["error"].startswith("characteristics crossed at t* = "), report
+        sampled = float(report["error"].split("t* = ")[1].split(" <= t = 0.5")[0])
+        assert sampled == pytest.approx(t_star, rel=1e-5)
+        report, code = run(_set(cfg, "numerics.t_end", t_star / 2), tmp_path / "before",
+                           quiet=True)
+        assert code == EXIT_OK, report.get("error")
+        assert report["results"]["oracle_sup_error"] is None
+
     @pytest.mark.parametrize("name,grid,eps", [
         ("ext_ricci", 32, "auto"), ("umbilical_square", 32, "auto"), ("b1", 8, 1e308)])
     def test_finite_soliton_residuals_have_finite_norms(self, tmp_path, name, grid, eps):

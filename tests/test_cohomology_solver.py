@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from egf_lab import cohomology_solver
 from egf_lab.cohomology_solver import (
     ResonanceError,
     TorusCohomologyProblem,
@@ -19,6 +21,7 @@ from oracles import (
     dict_inner,
     dict_solve_linear_flow,
     mode_rows,
+    whole_grid_verification,
 )
 
 GOLDEN = (1.0, (1.0 + np.sqrt(5.0)) / 2.0)
@@ -298,6 +301,7 @@ class TestDenseAgainstDictOracle:
             assert got.max_amplification == pytest.approx(want[3], rel=1e-9)
             assert got.margin_bound == pytest.approx(want[4], rel=1e-9)
         assert sol.margin == pytest.approx(margin_ref, rel=1e-9)
+        assert bits(sol.margin) == bits(diophantine_margin(v, K, 1.0))
 
     @pytest.mark.parametrize("v,K,resonant", [
         # dyadic directions: <u, v> is exact in both solvers, so every
@@ -357,3 +361,73 @@ class TestDenseAgainstDictOracle:
         ref = DictCohomologyProblem.from_grid(v, grid, K)
         assert list(p.coeffs) == sorted(ref.coeffs)
         assert all(bits(p.coeffs[u]) == bits(c) for u, c in ref.coeffs.items())
+
+
+# ------------------------------------------ slab pass vs whole-grid fields
+
+V3 = (1.0, GOLDEN[1], np.sqrt(2.0))
+
+
+def dense_rows(rng, dim, K):
+    """Random rows of every mode before the zero mode in lexicographic order;
+    the problem completes their conjugates, so every mode carries energy."""
+    u = np.argwhere(np.ones((2 * K + 1,) * dim, dtype=bool)) - K
+    u = u[:len(u) // 2]
+    return np.column_stack([u, rng.normal(size=(len(u), 2))])
+
+
+class TestSlabVerification:
+    """The slab-by-slab residual check against tests/oracles.py's fields held
+    whole on the verification grid."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("K", [1, 3, 5, 16])
+    @pytest.mark.parametrize("case", ["single_mode", "zero_residual", "dense"])
+    @pytest.mark.parametrize("rows_per_slab", [
+        lambda M: M // 3 + 1,  # three slabs, the last one shorter
+        lambda M: 3,  # where M = 1 (mod 3), a last row that joins its neighbour
+    ], ids=["thirds", "three_rows"])
+    def test_bits_match_whole_grid(self, monkeypatch, dim, K, case, rows_per_slab):
+        M = max(4 * K, 8)
+        monkeypatch.setattr(cohomology_solver, "SLAB_MIN_ROWS", 2)
+        monkeypatch.setattr(cohomology_solver, "SLAB_POINTS",
+                            rows_per_slab(M) * M ** (dim - 1))
+        zero = [0] * (dim - 2)
+        rows = {
+            "single_mode": [[1, -1, *zero, 0.5, 0.0], [-1, 1, *zero, 0.5, 0.0]],
+            "zero_residual": [[0, 0, *zero, 3.0, 0.0]],
+            "dense": dense_rows(np.random.default_rng(K), dim, K),
+        }[case]
+        p = TorusCohomologyProblem(V3[:dim], rows, K)
+        sol = solve_linear_flow(p)
+        residual, max_imag = whole_grid_verification(p, sol.f_coeffs.cube)
+        assert bits(sol.residual) == bits(residual)
+        assert bits(sol.max_imag) == bits(max_imag)
+        if case == "zero_residual":
+            assert sol.residual == 0.0
+
+    def test_last_row_joins_the_slab_before(self):
+        # at M = 848 the module's slabs of 77 rows leave one row over; alone,
+        # numpy takes its sums by a matrix-vector product, which rounds this
+        # residual differently
+        K, M = 212, 848
+        width = max(cohomology_solver.SLAB_MIN_ROWS, cohomology_solver.SLAB_POINTS // M)
+        assert M % width == 1
+        rows = dense_rows(np.random.default_rng(0), 2, K)
+        p = TorusCohomologyProblem(V3[:2], rows, K)
+        sol = solve_linear_flow(p)
+        residual, max_imag = whole_grid_verification(p, sol.f_coeffs.cube)
+        assert bits(sol.residual) == bits(residual)
+        assert bits(sol.max_imag) == bits(max_imag)
+
+    def test_dense_3d_solve_at_K32_peaks_below_64_MB(self):
+        # three complex (128,)^3 fields held whole take 161 MB at this size
+        p = TorusCohomologyProblem(V3, dense_rows(np.random.default_rng(5), 3, 32), 32)
+        tracemalloc.start()
+        try:
+            sol = solve_linear_flow(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.residual <= 1e-10 and sol.max_imag <= 1e-10
+        assert peak <= 64e6, f"{peak / 1e6:.1f} MB"
