@@ -9,11 +9,12 @@ normal component of the metric untouched.
 Two explicit schemes, forward Euler under a CFL bound.  Each step is one
 update whose dissipation alone depends on the scheme: the local Rusanov
 speed for ``upwind``, ds/dt for ``lax_friedrichs`` (LeVeque 2002, sections
-4.6 and 12.9).  The scalar step differences one conservative face flux; the
-power-sum step adds that dissipation to the central difference of its
-quasilinear bracket, so it holds only before characteristics cross, and a
-``tau-flow`` run past the crossing exits 4 (oracle or ``crossing_time``).
-Non-finite values stop a step with a blow-up report.
+4.6 and 12.9), over one array padded by ``_fill_ghosts``.  The scalar step
+differences one conservative face flux; the power-sum step adds that
+dissipation to the central difference of its quasilinear bracket, so it
+holds only before characteristics cross, and a ``tau-flow`` run past the
+crossing exits 4 (oracle or ``crossing_time``).  Non-finite values stop a
+step with a blow-up report.
 
 The scalar flow and the power-sum system are marched by one driver,
 ``_march``, which owns the step budget, the end-time tolerance and the
@@ -218,33 +219,27 @@ class StepControl:
             raise ValueError(f"t_end: must be finite and >= 0, got {self.t_end!r}")
 
 
+def _fill_ghosts(padded: np.ndarray, periodic: bool) -> np.ndarray:
+    """The one ghost rule, in place: the node at each end of padded's last axis
+    copies the wrapped interior node when periodic, the edge node otherwise."""
+    padded[..., 0] = padded[..., -2 if periodic else 1]
+    padded[..., -1] = padded[..., 1 if periodic else -2]
+    return padded
+
+
 def _padded(u: np.ndarray, periodic: bool) -> np.ndarray:
-    """u with one ghost node at each end of its last axis: the wrapped node
-    when periodic, the edge node otherwise.  Slices and one concatenate:
-    np.roll costs several times as much per call."""
-    first, last = u[..., :1], u[..., -1:]
-    return np.concatenate((last, u, first) if periodic else (first, u, last), axis=-1)
-
-
-def _neighbors(u: np.ndarray, periodic: bool):
-    """Left/right neighbors along the last axis: two views of ``_padded``."""
-    padded = _padded(u, periodic)
-    return padded[..., :-2], padded[..., 2:]
-
-
-def _padded_difference(u: np.ndarray, periodic: bool) -> np.ndarray:
-    """Neighbor differences along the last axis, from ``_padded``: d[..., :-1]
-    is u - left (backward), d[..., 1:] is right - u (forward)."""
-    padded = _padded(u, periodic)
-    return padded[..., 1:] - padded[..., :-1]
+    """u with one ghost node at each end of its last axis, in a new array."""
+    padded = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
+    padded[..., 1:-1] = u
+    return _fill_ghosts(padded, periodic)
 
 
 def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool):
     """Central difference along ``axis``; second-order one-sided at the edges
     of a non-periodic axis."""
     if periodic:
-        left, right = _neighbors(arr.swapaxes(axis, -1), True)
-        return ((right - left) / (2.0 * spacing)).swapaxes(axis, -1)
+        padded = _padded(arr.swapaxes(axis, -1), True)
+        return ((padded[..., 2:] - padded[..., :-2]) / (2.0 * spacing)).swapaxes(axis, -1)
     return np.gradient(arr, spacing, axis=axis, edge_order=2)
 
 
@@ -420,6 +415,8 @@ def characteristics_oracle(
 def crossing_time(lam0, F: FlowFunctional, s_out: np.ndarray) -> float:
     """t* = -1 / min_s d_s(psi'(lam0)/2), when characteristics of lam0 first cross,
     from ORACLE_REFINE x len(s_out) nodes over s_out's span; inf if they never do."""
+    if not any(F.psi_coeffs[2:]):  # psi of degree <= 1: psi' is exactly constant
+        return math.inf
     fine = np.linspace(s_out[0], s_out[-1], ORACLE_REFINE * s_out.size)
     speed = 0.5 * psi_prime(F, np.asarray(lam0(fine), dtype=float) * np.ones_like(fine))
     steepest = float(np.min(np.diff(speed) / np.diff(fine)))
@@ -433,8 +430,10 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
                           + sum_j ( j f_j / (i+j-1) d_s tau_{i+j-1}
                                     + tau_{i+j-1} d_s f_j ) ]
     Every d_s is the central difference (d_- + d_+) / (2 ds) of one
-    ``_padded_difference`` d of the rows tau_1..tau_m_top and the varying
-    f_j.  One update serves both schemes,
+    subtraction d over one ghost-padded buffer, filled in place: tau_0 = n
+    and tau_1..tau_m_top by ``power_sums_with_tau0`` (Newton's extension
+    above n, as far as the live f_j read), the varying f_j, then the ghost
+    nodes by ``_fill_ghosts``.  One update serves both schemes,
         tau_new = tau - dt (i/2) bracket + dt/(2 ds) alpha (d_+ - d_-),
     and the scheme chooses only alpha: ds/dt for ``lax_friedrichs``, and for
     ``upwind`` each equation's advection speed sum_j |i j f_j / (2(i+j-1))|,
@@ -442,11 +441,9 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     Only the bracket terms that F.live and F.varying leave nonzero are
     formed, each as one (n, G) array over all n equations, the layout of
     fld.tau, and subtracted in this order from the dissipation term, their
-    factor dt (i/2) / (2 ds) folded in.  Power sums above index n come from
-    the Newton extension of the node values, as far as the live f_j read;
-    tau_0 = n stays constant.  A constant f_j is one node's value and is
-    never differenced: ghost copies difference it to 0 at any edge.  The
-    new field shares fld's grid, checked once with the march's first field.
+    factor dt (i/2) / (2 ds) folded in.  A constant f_j is one node's value
+    and is never differenced: ghost copies difference it to 0 at any edge.
+    The new field shares fld's grid, checked once with the march's first field.
     """
     if F.n != fld.n:
         raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
@@ -462,13 +459,16 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
 
     # non-finite intermediates are converted into structured blow-up errors
     with np.errstate(all="ignore"):
-        tx = power_sums_with_tau0(tau, n, m_top)  # tx[j] is tau_j
+        # the docstring's buffer; tx[j] is tau_j at the nodes
+        padded = np.empty((m_top + 1 + len(varying), tau.shape[1] + 2))
+        tx = power_sums_with_tau0(tau, n, m_top, out=padded[:m_top + 1, 1:-1])
         f = {j: F.coefficient(j, tau if j in varying else tau[:, :1])
              for j in {*live, *varying}}
-        # one grid row per differenced node function, each differenced once:
-        # tau_1..tau_m_top, then the varying f_j
-        d = _padded_difference(
-            np.concatenate([tx[1:]] + [f[j][None] for j in varying]), fld.periodic)
+        for row, j in enumerate(varying, start=m_top + 1):
+            padded[row, 1:-1] = f[j]
+        # d[:, :-1] is d_- and d[:, 1:] d_+ of tau_1..tau_m_top and the varying f_j
+        _fill_ghosts(padded, fld.periodic)
+        d = padded[1:, 1:] - padded[1:, :-1]
         central = d[:, :-1] + d[:, 1:]  # 2 ds times the central difference
 
         # the advection speed of equation i (the column eq): the sum of the

@@ -97,19 +97,19 @@ def elementary_from_power(tau, n: int) -> np.ndarray:
     return sigma
 
 
-def power_sums_with_tau0(tau, n: int, m: int) -> np.ndarray:
-    """(tau_0, tau_1, ..., tau_m) as the rows of one C-contiguous array, with
-    tau_0 = n; tau_{n+1}..tau_m come from the high-range Newton recurrence."""
+def power_sums_with_tau0(tau, n: int, m: int, out=None) -> np.ndarray:
+    """(tau_0, tau_1, ..., tau_m) as the rows of ``out`` or of a new C-contiguous
+    array, tau_0 = n; tau_{n+1}..tau_m come from the high-range Newton recurrence."""
     tau = np.asarray(tau, dtype=float)
     given = min(n, m)
-    rows = np.zeros((m + 1,) + tau.shape[1:])
+    rows = np.empty((m + 1,) + tau.shape[1:]) if out is None else out
     rows[0] = n
     rows[1:given + 1] = tau[:given]
     if m > n:
         signed = elementary_from_power(tau, n)  # (-1)^(i+1) sigma_i as row i - 1
         signed[1::2] *= -1.0
         for j in range(n + 1, m + 1):
-            # row j sums from its +0.0, so a sum of -0.0 terms reads +0.0
+            rows[j] = 0.0  # summed from +0.0, so a sum of -0.0 terms reads +0.0
             for i in range(1, n + 1):
                 rows[j] += signed[i - 1] * rows[j - i]
     return rows

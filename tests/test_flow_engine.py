@@ -19,11 +19,12 @@ from egf_lab.flow_engine import (
     TauField,
     UmbilicalProfile,
     characteristics_oracle,
+    crossing_time,
     evolve_tau,
     evolve_umbilical,
     _axis_derivative,
-    _neighbors,
-    _padded_difference,
+    _fill_ghosts,
+    _padded,
     step_tau_system,
     step_umbilical,
     total_variation,
@@ -395,6 +396,18 @@ class TestCharacteristicsOracle:
                 lambda x: np.sin(2 * np.pi * x), F, 2.0, s, periodic_length=1.0
             )
 
+    @pytest.mark.parametrize("grid", [256, 1024])
+    @pytest.mark.parametrize("name,params,n", [
+        ("b1", {}, 1), ("b1", {}, 3), ("affine", {"a": 1.5, "b": 0.2}, 2),
+        ("tau1_minus_c", {"c": 0.3}, 2)])
+    def test_linear_psi_never_crosses(self, name, params, n, grid):
+        # psi' is constant, so characteristics stay parallel: sampled
+        # differences of psi' would read psi_prime's rounding noise as a
+        # finite t* (8.8e6 for b1 at G = 256)
+        F = make_functional(name, n, params)
+        lam0 = lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s)
+        assert crossing_time(lam0, F, np.linspace(0.0, 1.0, grid)) == np.inf
+
 
 class TestTauSystem:
     def test_constant_field_stationary(self):
@@ -503,7 +516,8 @@ class TestTauSystem:
         assert np.max(np.abs(out.tau[0] / n - scalar.lam)) <= 1e-10
 
     def test_b1_step_work_does_not_grow_with_n(self, monkeypatch):
-        # no np.where and one coefficient evaluation per live term, not per
+        # no np.where, no np.concatenate (tau is written into one padded
+        # buffer) and one coefficient evaluation per live term, not per
         # equation: b1's only live term is f_1 = 1, whatever n is
         calls = Counter()
 
@@ -514,6 +528,7 @@ class TestTauSystem:
             return call
 
         monkeypatch.setattr(np, "where", counted("where", np.where))
+        monkeypatch.setattr(np, "concatenate", counted("concatenate", np.concatenate))
         monkeypatch.setattr(FlowFunctional, "coefficient",
                             counted("coefficient", FlowFunctional.coefficient))
         counts = {}
@@ -685,7 +700,12 @@ class TestSliceHelpers:
     @given(u=arrays(np.float64, GRID_SHAPES, elements=NODE_VALUES),
            periodic=st.booleans())
     def test_neighbors_match_roll_form(self, u, periodic):
-        got = _neighbors(u, periodic)
+        # the interior sits in a wider buffer whose ghost columns hold NaN
+        # until _fill_ghosts writes them
+        padded = np.full(u.shape[:-1] + (u.shape[-1] + 2,), np.nan)
+        padded[..., 1:-1] = u
+        assert _fill_ghosts(padded, periodic) is padded
+        got = padded[..., :-2], padded[..., 2:]
         want = neighbors_reference(u, periodic, axis=-1)
         assert [a.shape for a in got] == [a.shape for a in want]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -705,8 +725,10 @@ class TestSliceHelpers:
     @given(u=arrays(np.float64, GRID_SHAPES, elements=NODE_VALUES),
            periodic=st.booleans())
     def test_padded_difference_matches_roll_form(self, u, periodic):
+        # the tau step's one subtraction over its padded buffer
         with np.errstate(all="ignore"):  # inf - inf and overflow, alike on both
-            d = _padded_difference(u, periodic)
+            padded = _padded(u, periodic)
+            d = padded[..., 1:] - padded[..., :-1]
             left, right = neighbors_reference(u, periodic, axis=-1)
             backward, forward = u - left, right - u
         assert d.shape == u.shape[:-1] + (u.shape[-1] + 1,)
@@ -731,9 +753,21 @@ class TestSliceHelpers:
                                elements=st.floats(-4.0, 4.0, width=64)))
         got = power_sums_with_tau0(tau, n, m)
         # the reference keeps the index last
-        want = power_sums_with_tau0_reference(np.moveaxis(tau, 0, -1), n, m)
+        want = np.moveaxis(power_sums_with_tau0_reference(np.moveaxis(tau, 0, -1), n, m),
+                           -1, 0)
         assert got.shape == (m + 1,) + lead
-        assert got.tobytes() == np.moveaxis(want, -1, 0).tobytes()
+        assert got.tobytes() == want.tobytes()
+        # the out form, as the tau step uses it: the strided interior of a
+        # wider buffer, whose NaN fill shows any row left unwritten and any
+        # Newton row not reset to +0.0 before it sums
+        wide = np.full((m + 2,) + tuple(k + 2 for k in lead), np.nan)
+        interior = (slice(m + 1),) + (slice(1, -1),) * len(lead)
+        out = wide[interior]
+        assert power_sums_with_tau0(tau, n, m, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        untouched = np.isnan(wide)
+        untouched[interior] = True
+        assert untouched.all()  # nothing written outside out
 
 
 # numpy's Python-level wrappers: ndarray methods and slices do the same work
