@@ -17,7 +17,6 @@ the offending lattice vector.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,21 +48,12 @@ def _lattice(v: tuple[float, ...], K: int):
     return inner, np.sqrt(sum(a * a for a in axes)), np.max(np.abs(axes), axis=0)
 
 
-class ModeTable(Mapping):
-    """Read-only mapping u -> complex over the masked part of a cube (u + K)."""
+class ModeTable:
+    """The modes u of a cube indexed by u + K that ``mask`` marks, and their
+    values; ``len`` counts them."""
 
     def __init__(self, cube: np.ndarray, mask: np.ndarray, K: int):
         self.cube, self.mask, self.K = cube, mask, K
-
-    def __getitem__(self, u):
-        idx = tuple(c + self.K for c in u)
-        if len(idx) == self.mask.ndim and all(0 <= i <= 2 * self.K for i in idx):
-            if self.mask[idx]:
-                return complex(self.cube[idx])
-        raise KeyError(u)
-
-    def __iter__(self):
-        return map(tuple, self.arrays()[0].tolist())
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
@@ -102,12 +92,12 @@ class TorusCohomologyProblem:
     ``coeffs`` holds rows [u1, ..., ud, re, im]: integer modes u (|u|_inf <= K)
     and the complex coefficients of exp(2 pi i <u, x>) (a repeated mode keeps
     its last value).  Conjugate symmetry (h real) is completed when one
-    of a +-u pair is missing and validated when both are present.  Then
-    ``cube`` holds h at u + K over the ``mask`` of given modes, ``coeffs``
-    becomes the ModeTable view of it, ``given`` the flat index of each input
-    mode in input order, and ``inner``, ``norm`` and ``shell`` hold <u, v>,
-    ||u||_2 and |u|_inf.  ``s`` is the Diophantine exponent of the margin
-    diagnostics; the leaf dimension of the soliton reading is dim - 1.
+    of a +-u pair is missing and validated when both are present.  ``coeffs``
+    stays the rows given; ``cube`` holds h at u + K over the ``mask`` of given
+    and completed modes, ``given`` the flat index of each input mode in input
+    order, and ``inner``, ``norm`` and ``shell`` hold <u, v>, ||u||_2 and
+    |u|_inf.  ``s`` is the Diophantine exponent of the margin diagnostics;
+    the leaf dimension of the soliton reading is dim - 1.
     """
 
     v: tuple[float, ...]
@@ -152,7 +142,6 @@ class TorusCohomologyProblem:
         missing = np.flip(present) & ~present
         cube[missing] = mirror[missing]
         self.cube, self.mask = cube, present | missing
-        self.coeffs = ModeTable(cube, self.mask, self.K)
         self.inner, self.norm, self.shell = _lattice(self.v, self.K)
 
     @property
@@ -217,15 +206,10 @@ def _margins(inner: np.ndarray, norm: np.ndarray, s: float) -> np.ndarray:
         return np.abs(inner) * np.minimum(norm ** s, np.finfo(float).max)
 
 
-def diophantine_margin(v, K: int, s: float, margins: np.ndarray | None = None) -> float:
-    """min over 0 < |u|_inf <= K of |<u, v>| * ||u||_2^s, by exhaustive scan, or
-    over ``margins``, the cube of those values, when given (zero mode set to inf)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if margins is None:
-        inner, norm, _ = _lattice(tuple(float(c) for c in v), K)
-        margins = _margins(inner, norm, s)
-    margins.flat[margins.size // 2] = math.inf  # the zero mode
+def diophantine_margin(margins: np.ndarray) -> float:
+    """min over 0 < |u|_inf <= K of |<u, v>| * ||u||_2^s, read off ``margins``,
+    the cube of those values (u + K), whose zero mode it sets to inf."""
+    margins.flat[margins.size // 2] = math.inf
     return float(np.min(margins))
 
 
@@ -296,7 +280,7 @@ def solve_linear_flow(p: TorusCohomologyProblem) -> CohomologySolution:
     return CohomologySolution(
         f_coeffs=ModeTable(f, energized | (p.shell == 0), p.K),
         eps=float(h[(p.K,) * p.dim].real),
-        margin=diophantine_margin(p.v, p.K, p.s, margin),
+        margin=diophantine_margin(margin),
         residual=max(float(peaks[0]), float(peaks[1])),
         max_imag=float(peaks[2]),
         soliton_field_scale=p.leaf_dim / 2.0,

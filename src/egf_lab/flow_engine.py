@@ -73,7 +73,11 @@ class BoundedProgressError(RuntimeError):
 
 
 class ShockError(RuntimeError):
-    """Characteristics crossed; the transported solution is no longer single-valued."""
+    """Characteristics crossed at t* <= t; the transported solution is no
+    longer single-valued."""
+
+    def __init__(self, t_star: float, t: float):
+        super().__init__(f"characteristics crossed at t* = {t_star:.6g} <= t = {t:.6g}")
 
 
 def _grid_steps(s: np.ndarray) -> np.ndarray:
@@ -234,13 +238,13 @@ def _padded(u: np.ndarray, periodic: bool) -> np.ndarray:
     return _fill_ghosts(padded, periodic)
 
 
-def _axis_derivative(arr: np.ndarray, spacing: float, axis: int, periodic: bool):
-    """Central difference along ``axis``; second-order one-sided at the edges
+def _axis_derivative(arr: np.ndarray, spacing: float, periodic: bool):
+    """Central difference along axis 0; second-order one-sided at the edges
     of a non-periodic axis."""
     if periodic:
-        padded = _padded(arr.swapaxes(axis, -1), True)
-        return ((padded[..., 2:] - padded[..., :-2]) / (2.0 * spacing)).swapaxes(axis, -1)
-    return np.gradient(arr, spacing, axis=axis, edge_order=2)
+        padded = _padded(arr.swapaxes(0, -1), True)
+        return ((padded[..., 2:] - padded[..., :-2]) / (2.0 * spacing)).swapaxes(0, -1)
+    return np.gradient(arr, spacing, axis=0, edge_order=2)
 
 
 def total_variation(u: np.ndarray, periodic: bool) -> float:
@@ -381,46 +385,47 @@ def characteristics_oracle(
     """Transport lam0 along characteristics s(t) = s0 + psi'(lam0(s0)) t / 2
     on the periodic domain [s_out[0], s_out[0] + periodic_length).
 
-    Exact (up to interpolation) while characteristics stay single-valued; a
-    crossing raises ShockError.  When psi' is constant over the sampled range
-    the solution is a pure translation and is evaluated directly through the
-    lam0 callable with no interpolation error.
+    A psi of degree <= 1 translates lam0 at exactly psi_coeffs[1] / 2, read
+    through the lam0 callable.  Otherwise the solution is interpolated between
+    the characteristics of ORACLE_REFINE x len(s_out) nodes, exact up to that
+    while they stay single-valued; from their crossing time t* on, ShockError.
     """
     s_out = np.asarray(s_out, dtype=float)
     if t == 0:
         return np.asarray(lam0(s_out), dtype=float) * np.ones_like(s_out)
-
-    lam_probe = np.asarray(lam0(s_out), dtype=float) * np.ones_like(s_out)
-    slopes = np.asarray(psi_prime(F, lam_probe))
-    scale = max(1.0, float(np.max(np.abs(slopes))))
-    if float(np.ptp(slopes)) <= 1e-9 * scale:
-        a = 0.5 * float(np.mean(slopes))
-        arg = s_out[0] + np.mod(s_out - a * t - s_out[0], periodic_length)
+    if not any(F.psi_coeffs[2:]):
+        arg = s_out[0] + np.mod(s_out - F.psi_coeffs[1] / 2 * t - s_out[0], periodic_length)
         return np.asarray(lam0(arg), dtype=float) * np.ones_like(arg)
 
     n_fine = ORACLE_REFINE * s_out.size
     base = s_out[0] + periodic_length * np.arange(n_fine) / n_fine
-    lam_base = np.asarray(lam0(base), dtype=float) * np.ones_like(base)
-    positions = base + 0.5 * np.asarray(psi_prime(F, lam_base)) * t
-    if np.any(np.diff(positions) <= 0):
-        raise ShockError(
-            f"characteristics crossed before t = {t:.6g}; no classical solution"
-        )
+    lam_base, speed, t_star = _characteristics(lam0, F, base)
+    if t >= t_star:
+        raise ShockError(t_star, t)
+    positions = base + speed * t
     knots = np.concatenate(
         [positions - periodic_length, positions, positions + periodic_length]
     )
     return np.interp(s_out, knots, np.tile(lam_base, 3))
 
 
+def _characteristics(lam0, F: FlowFunctional, nodes: np.ndarray):
+    """lam0 and the characteristic speed psi'(lam0)/2 at the nodes, and
+    t* = -1 / min d_s speed over them, when characteristics first cross
+    (inf if they never do)."""
+    lam = np.asarray(lam0(nodes), dtype=float) * np.ones_like(nodes)
+    speed = 0.5 * np.asarray(psi_prime(F, lam))
+    steepest = float(np.min(np.diff(speed) / np.diff(nodes)))
+    return lam, speed, -1.0 / steepest if steepest < 0 else math.inf
+
+
 def crossing_time(lam0, F: FlowFunctional, s_out: np.ndarray) -> float:
-    """t* = -1 / min_s d_s(psi'(lam0)/2), when characteristics of lam0 first cross,
-    from ORACLE_REFINE x len(s_out) nodes over s_out's span; inf if they never do."""
-    if not any(F.psi_coeffs[2:]):  # psi of degree <= 1: psi' is exactly constant
+    """``_characteristics``' t* over ORACLE_REFINE x len(s_out) nodes across s_out's
+    span; inf for a psi of degree <= 1, whose psi' is exactly constant."""
+    if not any(F.psi_coeffs[2:]):
         return math.inf
     fine = np.linspace(s_out[0], s_out[-1], ORACLE_REFINE * s_out.size)
-    speed = 0.5 * psi_prime(F, np.asarray(lam0(fine), dtype=float) * np.ones_like(fine))
-    steepest = float(np.min(np.diff(speed) / np.diff(fine)))
-    return -1.0 / steepest if steepest < 0 else math.inf
+    return _characteristics(lam0, F, fine)[2]
 
 
 def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauField:

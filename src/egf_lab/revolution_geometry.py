@@ -56,19 +56,6 @@ class RevolutionProfile:
             raise ValueError("the radius x1 = f(x0) must stay positive")
 
     @classmethod
-    def from_graph(
-        cls,
-        x0: np.ndarray,
-        f: Callable[[np.ndarray], np.ndarray],
-        fprime: Callable[[np.ndarray], np.ndarray],
-        provenance: str = "user",
-    ) -> "RevolutionProfile":
-        x0 = np.asarray(x0, dtype=float)
-        x1 = np.asarray(f(x0), dtype=float) * np.ones_like(x0)
-        df = np.asarray(fprime(x0), dtype=float) * np.ones_like(x0)
-        return cls(x0, x0, x1, np.ones_like(x0), df, provenance)
-
-    @classmethod
     def cone(cls, beta: float, x0_range: tuple[float, float], grid: int = 256):
         """Generatrix x1 = tan(beta) x0 of a cone, x0 > 0."""
         a, b = x0_range
@@ -78,10 +65,8 @@ class RevolutionProfile:
             raise ValueError("x0_min: the cone profile must stay away from the apex")
         x0 = np.linspace(a, b, grid)
         slope = math.tan(beta)
-        return cls.from_graph(
-            x0, lambda u: slope * u, lambda u: slope + 0 * u,
-            provenance=f"cone(beta={beta:g})",
-        )
+        return cls(x0, x0, slope * x0, np.ones_like(x0), np.full_like(x0, slope),
+                   f"cone(beta={beta:g})")
 
 
 def profile_metric(p: RevolutionProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +132,6 @@ def sectional_curvature_formula(x1):
 
 @dataclass
 class CurvatureComparison:
-    x1: np.ndarray
     formula: np.ndarray
     oracle: np.ndarray
     max_abs_diff: float
@@ -173,7 +157,7 @@ def sectional_curvature_profile(
     oracle = -fpp / (p.x1 * (1.0 + fp ** 2) ** 2)
     closed = np.asarray(formula(p.x1), dtype=float)
     diff = float(np.max(np.abs(closed[2:-2] - oracle[2:-2])))
-    return CurvatureComparison(p.x1, closed, oracle, diff)
+    return CurvatureComparison(closed, oracle, diff)
 
 
 # psi(lam) = lam on 2-dimensional leaves, the flow driving the cone example

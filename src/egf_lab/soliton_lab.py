@@ -126,7 +126,7 @@ def check_normal_soliton(
         "structure_traced": psi_vals - eps_val + 2.0 * mu * lam,
         "structure_x_zero": psi_vals - eps_val,
     }
-    n_lambda = float(np.max(np.abs(_axis_derivative(lam, p.ds, 0, p.periodic))))
+    n_lambda = float(np.max(np.abs(_axis_derivative(lam, p.ds, p.periodic))))
     # not n_lambda: a finer grid shrinks a difference quotient, not a spread
     spread, spread_tol = float(lam.max()) - float(lam.min()), rounding_floor(lam)
     constant = spread <= spread_tol
@@ -214,7 +214,7 @@ class BiregularGrid:
 
 def biregular_normal_curvature(g: BiregularGrid) -> np.ndarray:
     """Geodesic curvature of the leaves: -(log g11)_{,0} / (2 sqrt(g00))."""
-    dlog = _axis_derivative(np.log(g.g11), g.d0, 0, g.periodic0)
+    dlog = _axis_derivative(np.log(g.g11), g.d0, g.periodic0)
     return -0.5 * dlog / np.sqrt(g.g00)
 
 

@@ -309,6 +309,13 @@ def mode_rows(table: dict) -> list:
     return [[*u, complex(c).real, complex(c).imag] for u, c in table.items()]
 
 
+def mode_dict(table) -> dict:
+    """The modes and values of a ModeTable's arrays() as a dict u -> complex,
+    in their ascending order."""
+    modes, values = table.arrays()
+    return dict(zip(map(tuple, modes.tolist()), values.tolist()))
+
+
 def dict_inner(u, v) -> float:
     """<u, v> as the dict solver computes it (np.dot, possibly fused)."""
     return float(np.dot(u, np.asarray(v, dtype=float)))

@@ -1034,6 +1034,21 @@ class TestRunScenarios:
         assert code == EXIT_UNSOLVABLE, report
         assert report["error"].startswith("characteristics crossed"), report["error"]
 
+    @pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+    def test_umbilical_flow_past_crossing_notes_t_star(self, tmp_path, boundary):
+        # psi = lam^2 and lam0 = 0.5 sin 2 pi s: d_s(psi'(lam0)/2) = pi cos 2 pi s,
+        # so characteristics cross at t* = 1 / pi; the conservative march goes on
+        cfg = umbilical_config(grid=256, t_end=1.0, boundary=boundary)
+        cfg["functional"] = {"name": "umbilical_square"}
+        cfg["initial"]["amplitude"] = 0.5
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
+        assert report["results"]["oracle_sup_error"] is None
+        note = report["results"]["oracle_note"]
+        assert note.startswith("characteristics crossed at t* = "), note
+        sampled = float(note.split("t* = ")[1].split(" <= t = 1")[0])
+        assert sampled == pytest.approx(1.0 / math.pi, rel=1e-5)
+
     @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
     def test_transmissive_tau_flow_past_crossing_exits_4(self, tmp_path, scheme):
         # psi = -4 lam^2 at n = 3 and lam0 = sin 2 pi s: d_s(psi'(lam0)/2) =

@@ -8,23 +8,30 @@ import pytest
 
 from egf_lab import cohomology_solver
 from egf_lab.cohomology_solver import (
+    ModeTable,
     ResonanceError,
     TorusCohomologyProblem,
     amplification_report,
-    diophantine_margin,
     solve_linear_flow,
 )
 
 from oracles import (
     DictCohomologyProblem,
     dict_amplification_report,
+    dict_diophantine_margin,
     dict_inner,
     dict_solve_linear_flow,
+    mode_dict,
     mode_rows,
     whole_grid_verification,
 )
 
 GOLDEN = (1.0, (1.0 + np.sqrt(5.0)) / 2.0)
+
+
+def problem_dict(p: TorusCohomologyProblem) -> dict:
+    """The problem's mode table h_u, given and completed, as a dict."""
+    return mode_dict(ModeTable(p.cube, p.mask, p.K))
 
 
 def single_mode_problem(amp=0.5, mean=0.0, K=4):
@@ -33,16 +40,25 @@ def single_mode_problem(amp=0.5, mean=0.0, K=4):
     return TorusCohomologyProblem(GOLDEN, mode_rows(coeffs), K)
 
 
+def lattice_margin(v, K, s=1.0) -> float:
+    """The solver's margin over the whole lattice |u|_inf <= K: no data."""
+    return solve_linear_flow(TorusCohomologyProblem(v, [], K, s)).margin
+
+
 class TestDiophantineMargin:
     def test_golden_ratio_positive(self):
-        margin = diophantine_margin(GOLDEN, 50, 1.0)
+        margin = lattice_margin(GOLDEN, 50)
         assert margin > 0.4  # badly approximable: |u1 + u2 phi| ||u|| stays O(1)
+        assert margin == pytest.approx(dict_diophantine_margin(GOLDEN, 50, 1.0),
+                                       rel=1e-12)
 
     def test_rational_resonance(self):
-        assert diophantine_margin((1.0, 0.5), 5, 1.0) == 0.0
+        assert lattice_margin((1.0, 0.5), 5) == 0.0
+        assert dict_diophantine_margin((1.0, 0.5), 5, 1.0) == 0.0
 
     def test_axis_direction(self):
-        assert diophantine_margin((1.0, 0.0), 3, 1.0) == 0.0
+        assert lattice_margin((1.0, 0.0), 3) == 0.0
+        assert dict_diophantine_margin((1.0, 0.0), 3, 1.0) == 0.0
 
     def test_scan_matches_bruteforce(self):
         rng = np.random.default_rng(1)
@@ -54,7 +70,8 @@ class TestDiophantineMargin:
                 if u1 == u2 == 0:
                     continue
                 best = min(best, abs(u1 * v[0] + u2 * v[1]) * np.hypot(u1, u2) ** s)
-        assert diophantine_margin(v, K, s) == pytest.approx(best, rel=1e-12)
+        assert lattice_margin(v, K, s) == pytest.approx(best, rel=1e-12)
+        assert dict_diophantine_margin(v, K, s) == pytest.approx(best, rel=1e-12)
 
 
 class TestSolveLinearFlow:
@@ -63,7 +80,7 @@ class TestSolveLinearFlow:
         u = (1, -1)
         inner = u[0] * GOLDEN[0] + u[1] * GOLDEN[1]
         expected = 0.5 / (2j * np.pi * inner)
-        assert sol.f_coeffs[u] == pytest.approx(expected)
+        assert mode_dict(sol.f_coeffs)[u] == pytest.approx(expected)
         assert sol.residual <= 1e-12
         assert sol.max_imag <= 1e-12
 
@@ -72,7 +89,7 @@ class TestSolveLinearFlow:
         sol = solve_linear_flow(p)
         assert sol.eps == 0.0
         assert sol.residual == 0.0
-        assert all(c == 0 for c in sol.f_coeffs.values())
+        assert all(c == 0 for c in mode_dict(sol.f_coeffs).values())
 
     def test_mean_absorbed_into_eps(self):
         sol = solve_linear_flow(single_mode_problem(amp=0.5, mean=3.0))
@@ -117,10 +134,9 @@ class TestSolveLinearFlow:
         s1 = solve_linear_flow(TorusCohomologyProblem(GOLDEN, mode_rows(h1), 5))
         s2 = solve_linear_flow(TorusCohomologyProblem(GOLDEN, mode_rows(h2), 5))
         sc = solve_linear_flow(TorusCohomologyProblem(GOLDEN, mode_rows(combo), 5))
+        f1, f2, fc = (mode_dict(sol.f_coeffs) for sol in (s1, s2, sc))
         for u in modes:
-            assert sc.f_coeffs[u] == pytest.approx(
-                a * s1.f_coeffs[u] + b * s2.f_coeffs[u], abs=1e-12
-            )
+            assert fc[u] == pytest.approx(a * f1[u] + b * f2[u], abs=1e-12)
         del rng
 
     def test_resonant_mode_refused_and_named(self):
@@ -159,8 +175,10 @@ class TestSolveLinearFlow:
         assert sol.residual <= 1e-12
 
     def test_conjugate_symmetry_completion_and_validation(self):
-        p = TorusCohomologyProblem(GOLDEN, [[2, 1, 1.0, 1.0]], 3)
-        assert p.coeffs[(-2, -1)] == (1 - 1j)
+        rows = [[2, 1, 1.0, 1.0]]
+        p = TorusCohomologyProblem(GOLDEN, rows, 3)
+        assert p.coeffs is rows  # completed in the cube, not in the rows given
+        assert problem_dict(p) == {(-2, -1): 1 - 1j, (2, 1): 1 + 1j}
         with pytest.raises(ValueError, match="conjugate"):
             TorusCohomologyProblem(GOLDEN, [[2, 1, 1.0, 1.0], [-2, -1, 5.0, 0.0]], 3)
 
@@ -170,9 +188,10 @@ class TestSolveLinearFlow:
         X, Y = np.meshgrid(x, x, indexing="ij")
         h = 1.5 + np.cos(2 * np.pi * (X - Y)) + 0.25 * np.sin(2 * np.pi * (2 * X + Y))
         p = TorusCohomologyProblem.from_grid(GOLDEN, h, K=4)
-        assert p.coeffs[(0, 0)] == pytest.approx(1.5)
-        assert p.coeffs[(1, -1)] == pytest.approx(0.5)
-        assert p.coeffs[(2, 1)] == pytest.approx(-0.125j)
+        h_u = problem_dict(p)
+        assert h_u[(0, 0)] == pytest.approx(1.5)
+        assert h_u[(1, -1)] == pytest.approx(0.5)
+        assert h_u[(2, 1)] == pytest.approx(-0.125j)
         sol = solve_linear_flow(p)
         assert sol.eps == pytest.approx(1.5)
         assert sol.residual <= 1e-10
@@ -273,10 +292,11 @@ class TestDenseAgainstDictOracle:
         f_ref, eps_ref, margin_ref = dict_solve_linear_flow(ref)
 
         p = TorusCohomologyProblem.from_modes(v, np.array(rows), K)
-        assert dict(p.coeffs) == ref.coeffs
+        assert problem_dict(p) == ref.coeffs
         sol = solve_linear_flow(p)
         assert sol.eps == eps_ref
-        assert set(sol.f_coeffs) == set(f_ref)  # so modes_solved matches
+        f_u = mode_dict(sol.f_coeffs)
+        assert set(f_u) == set(f_ref) and len(sol.f_coeffs) == len(f_ref)  # modes_solved
         assert sol.residual <= 1e-10 and sol.max_imag <= 1e-10
 
         differ = 0
@@ -285,7 +305,7 @@ class TestDenseAgainstDictOracle:
             # summed in order in Python floats, never fused
             assert inner == sum_in_order(u, v)
             if inner == dict_inner(u, v):
-                assert bits(sol.f_coeffs[u]) == bits(f), u
+                assert bits(f_u[u]) == bits(f), u
             else:
                 differ += 1
                 bound = 4 * 2.0 ** -52 * sum(abs(a * b) for a, b in zip(u, v))
@@ -301,7 +321,7 @@ class TestDenseAgainstDictOracle:
             assert got.max_amplification == pytest.approx(want[3], rel=1e-9)
             assert got.margin_bound == pytest.approx(want[4], rel=1e-9)
         assert sol.margin == pytest.approx(margin_ref, rel=1e-9)
-        assert bits(sol.margin) == bits(diophantine_margin(v, K, 1.0))
+        assert bits(sol.margin) == bits(lattice_margin(v, K))  # no mode left out
 
     @pytest.mark.parametrize("v,K,resonant", [
         # dyadic directions: <u, v> is exact in both solvers, so every
@@ -336,7 +356,7 @@ class TestDenseAgainstDictOracle:
         ref, _, _ = dict_solve_linear_flow(
             DictCohomologyProblem((1.0, 0.5), as_dict(rows), 3)
         )
-        assert set(sol.f_coeffs) == set(ref) == {(0, 0), (1, 1), (-1, -1)}
+        assert set(mode_dict(sol.f_coeffs)) == set(ref) == {(0, 0), (1, 1), (-1, -1)}
 
     @pytest.mark.parametrize("v,K,rows", [
         (GOLDEN, 3, [[1, 0, 1.0, 0.0], [2, 1, 1.0, 1.0], [-2, -1, 5.0, 0.0],
@@ -359,8 +379,9 @@ class TestDenseAgainstDictOracle:
         v = (1.0, GOLDEN[1], np.sqrt(2.0))[:len(shape)]
         p = TorusCohomologyProblem.from_grid(v, grid, K)
         ref = DictCohomologyProblem.from_grid(v, grid, K)
-        assert list(p.coeffs) == sorted(ref.coeffs)
-        assert all(bits(p.coeffs[u]) == bits(c) for u, c in ref.coeffs.items())
+        h_u = problem_dict(p)
+        assert list(h_u) == sorted(ref.coeffs)
+        assert all(bits(h_u[u]) == bits(c) for u, c in ref.coeffs.items())
 
 
 # ------------------------------------------ slab pass vs whole-grid fields

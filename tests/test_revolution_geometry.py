@@ -19,9 +19,8 @@ from oracles import reparameterize_arclength
 
 class TestProfileMetric:
     def test_cylinder(self):
-        p = RevolutionProfile.from_graph(
-            np.linspace(0, 1, 16), lambda u: 3.0 + 0 * u, lambda u: 0 * u
-        )
+        x0 = np.linspace(0, 1, 16)
+        p = RevolutionProfile(x0, x0, np.full(16, 3.0), np.ones(16), np.zeros(16))
         g00, g11 = profile_metric(p)
         np.testing.assert_allclose(g00, 1.0)
         np.testing.assert_allclose(g11, 9.0)
@@ -53,7 +52,7 @@ class TestArclength:
 
     def test_unit_profile_is_fixed(self):
         x0 = np.linspace(0, 2, 64)
-        p = RevolutionProfile.from_graph(x0, lambda u: 1.0 + 0 * u, lambda u: 0 * u)
+        p = RevolutionProfile(x0, x0, np.ones(64), np.ones(64), np.zeros(64))
         q = reparameterize_arclength(p)
         np.testing.assert_allclose(q.x0, p.x0, atol=1e-10)
         np.testing.assert_allclose(q.x1, p.x1, atol=1e-10)
