@@ -49,7 +49,6 @@ from .cohomology_solver import (
 from .flow_engine import (
     BOUNDARIES,
     ORACLE_REFINE,
-    SCHEMES,
     BoundedProgressError,
     FlowBlowUpError,
     ShockError,
@@ -60,6 +59,7 @@ from .flow_engine import (
     crossing_time,
     evolve_tau,
     evolve_umbilical,
+    _uniform_nodes,
 )
 from .revolution_geometry import (
     RevolutionProfile,
@@ -389,7 +389,6 @@ PROFILE = {  # the sampled initial profile of the flow and soliton scenarios
 }
 STEPPING = {  # StepControl's fields after t_end, with its defaults
     "numerics.cfl": Key(float, StepControl.cfl),
-    "numerics.scheme": Key(str, StepControl.scheme, SCHEMES),
     "numerics.max_steps": _size(StepControl.max_steps, lo=1),
 }
 FLOW = {**PROFILE, "numerics.grid": _size(), "numerics.t_end": Key(float), **STEPPING,
@@ -723,12 +722,12 @@ def _grid_csv_modes(path: Path) -> np.ndarray:
     try:
         with warnings.catch_warnings():  # a file without data rows, refused below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:  # unreadable, not a number, ragged
         raise ConfigError(f"h.grid_csv: {exc}") from None
     if data.size == 0:
         raise ConfigError(f"h.grid_csv: {path} holds no data rows after its header line")
-    if data.ndim != 2 or data.shape[1] != 3:
+    if data.shape[1] != 3:
         raise ConfigError("h.grid_csv: expected columns x, y, value")
     if not np.isfinite(data).all():
         row, col = np.argwhere(~np.isfinite(data))[0]
@@ -911,6 +910,18 @@ def _check_sweep(cfg: dict, axis: str) -> None:
         raise ConfigError(f"sweep: scenario {cfg['scenario']} has no {lacks}")
 
 
+def _spacing(cfg: dict) -> float:
+    """The node spacing of a flow or cone-check config's grid: length / G
+    when periodic, length / (G - 1) otherwise, as flow_engine places them."""
+    if "numerics.length" in cfg:
+        s = _uniform_nodes(cfg["numerics.grid"], cfg["numerics.length"],
+                           cfg["numerics.boundary"] == "periodic", 0.0)
+    else:  # cone-check: transmissive over [domain_min, domain_max]
+        lo = cfg["domain_min"]
+        s = _uniform_nodes(cfg["numerics.grid"], cfg["domain_max"] - lo, False, lo)
+    return float(s[1] - s[0])
+
+
 def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, int]:
     """Run several configs that differ only in numerics; aggregate the errors.
 
@@ -938,12 +949,9 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
         report, code = run(c, outdir / f"run_{idx:03d}", quiet=True)
         reports.append(report)
         if axis == "ds":
-            grid = cfg["numerics.grid"]
-            length = (cfg["numerics.length"] if "numerics.length" in cfg
-                      else cfg["domain_max"] - cfg["domain_min"])
             err = (report["results"].get(SWEEP_ERROR_KEY[scenario])
                    if code == EXIT_OK else None)
-            rows.append((length / grid, grid, err, code))
+            rows.append((_spacing(cfg), cfg["numerics.grid"], err, code))
         else:
             rows.append((cfg["numerics.cfl"], code))
 

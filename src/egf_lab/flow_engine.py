@@ -6,15 +6,14 @@ as n rows over the grid.  Spatial differentiation along the normal curve is
 plain d/ds; the parameterization never changes because the flow leaves the
 normal component of the metric untouched.
 
-Two explicit schemes, forward Euler under a CFL bound.  Each step is one
-update whose dissipation alone depends on the scheme: the local Rusanov
-speed for ``upwind``, ds/dt for ``lax_friedrichs`` (LeVeque 2002, sections
-4.6 and 12.9), over one array padded by ``_fill_ghosts``.  The scalar step
-differences one conservative face flux; the power-sum step adds that
-dissipation to the central difference of its quasilinear bracket, so it
-holds only before characteristics cross, and a ``tau-flow`` run past the
-crossing exits 4 (oracle or ``crossing_time``).  Non-finite values stop a
-step with a blow-up report.
+One explicit scheme, forward Euler under a CFL bound with the local
+Rusanov dissipation (LeVeque 2002, sections 4.6 and 12.9), over one array
+padded by ``_fill_ghosts``.  The scalar step differences one conservative
+face flux; the power-sum step adds that dissipation to the central
+difference of its quasilinear bracket, so it holds only before
+characteristics cross, and a ``tau-flow`` run past the crossing exits 4
+(oracle or ``crossing_time``).  Non-finite values stop a step with a
+blow-up report.
 
 The scalar flow and the power-sum system are marched by one driver,
 ``_march``, which owns the step budget, the end-time tolerance and the
@@ -47,7 +46,6 @@ from .sym_curvature import (
 )
 
 BOUNDARIES = ("periodic", "transmissive")
-SCHEMES = ("upwind", "lax_friedrichs")
 
 # Runaway-oscillation threshold: stop when total variation exceeds ten times
 # its initial value (plus an absolute floor so smooth roundoff noise on
@@ -209,14 +207,11 @@ class StepControl:
 
     t_end: float
     cfl: float = 0.9
-    scheme: str = "upwind"
     max_steps: int = 200_000
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl: must lie in (0, 1]")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme: must be one of {SCHEMES}")
         if self.max_steps < 1:
             raise ValueError("max_steps: must be >= 1")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
@@ -278,10 +273,11 @@ def step_umbilical(
     """Advance lam (and phi) by one explicit step of d lam/dt + d/ds(psi(lam)/2) = 0.
 
     lam moves by the differences of 4F = psi_- + psi_+ - d (lam_+ - lam_-) over
-    the G + 1 faces of ``_padded``: d = max(|psi'_-|, |psi'_+|) for ``upwind``
-    (Rusanov), 2 ds/dt for ``lax_friedrichs``.  (max|psi'|/2) dt / ds <= cfl,
-    and dt never overshoots t_end.  ``inflow_left`` imposes Dirichlet data at
-    the left transmissive edge; otherwise the edges use constant extrapolation.
+    the G + 1 faces of ``_padded``, with the Rusanov dissipation
+    d = max(|psi'_-|, |psi'_+|), the larger |psi'| of each face's two nodes.
+    (max|psi'|/2) dt / ds <= cfl, and dt never overshoots t_end.
+    ``inflow_left`` imposes Dirichlet data at the left transmissive edge;
+    otherwise the edges use constant extrapolation.
     """
     lam = p.lam
     ds = p.ds
@@ -298,10 +294,7 @@ def step_umbilical(
         rate = np.abs(np.asarray(psi_prime(F, lam_p)))
         dt = _pick_dt(0.5 * float(rate.max()), ds, ctl.cfl, remaining)
         t_new = p.t + dt
-        if ctl.scheme == "lax_friedrichs":
-            d = 2.0 * ds / dt
-        else:  # Rusanov: the larger |psi'| of each face's two nodes
-            d = np.maximum(rate[:-1], rate[1:])
+        d = np.maximum(rate[:-1], rate[1:])
         flux = psi_p[:-1] + psi_p[1:] - d * (lam_p[1:] - lam_p[:-1])
         lam_new = lam - dt / (4.0 * ds) * (flux[1:] - flux[:-1])
         if inflow_left is not None and not p.periodic:
@@ -438,11 +431,10 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     subtraction d over one ghost-padded buffer, filled in place: tau_0 = n
     and tau_1..tau_m_top by ``power_sums_with_tau0`` (Newton's extension
     above n, as far as the live f_j read), the varying f_j, then the ghost
-    nodes by ``_fill_ghosts``.  One update serves both schemes,
-        tau_new = tau - dt (i/2) bracket + dt/(2 ds) alpha (d_+ - d_-),
-    and the scheme chooses only alpha: ds/dt for ``lax_friedrichs``, and for
-    ``upwind`` each equation's advection speed sum_j |i j f_j / (2(i+j-1))|,
-    whose maximum sets dt (Rusanov; LeVeque 2002, sections 4.6 and 12.9).
+    nodes by ``_fill_ghosts``.  The update is
+        tau_new = tau - dt (i/2) bracket + dt/(2 ds) alpha_i (d_+ - d_-),
+    alpha_i equation i's advection speed sum_j |i j f_j / (2(i+j-1))|, whose
+    maximum sets dt (Rusanov; LeVeque 2002, sections 4.6 and 12.9).
     Only the bracket terms that F.live and F.varying leave nonzero are
     formed, each as one (n, G) array over all n equations, the layout of
     fld.tau, and subtracted in this order from the dissipation term, their
@@ -483,13 +475,12 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
         for j in live:
             speeds = speeds + np.abs(eq * j * f[j] / (2.0 * (eq + j - 1)))
         dt = _pick_dt(float(speeds.max()), ds, ctl.cfl, remaining)
-        alpha = ds / dt if ctl.scheme == "lax_friedrichs" else speeds
 
         # tau_new - tau: the dissipation, then each bracket term times
         # w = dt (i/2) / (2 ds); equation i reads tau_{i+j-1}, row i+j-2, for f_j
         h = dt / (2.0 * ds)
         w = (0.5 * h) * eq
-        tau_new = (h * alpha) * (d[:n, 1:] - d[:n, :-1])
+        tau_new = (h * speeds) * (d[:n, 1:] - d[:n, :-1])
         for j in sorted({*live, *varying}):
             if j in live:
                 tau_new -= (j * f[j]) * (w / (eq + j - 1)) * central[j - 1:j - 1 + n]

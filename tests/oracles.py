@@ -458,13 +458,11 @@ def _upwind_derivative(u, ds, speed, periodic):
 
 
 def step_umbilical_reference(p: UmbilicalProfile, F, ctl: StepControl) -> UmbilicalProfile:
-    """flow_engine.step_umbilical in its two-formula form, through the roll-form
-    neighbors: Lax-Friedrichs as the neighbor average of lam minus the central
-    flux difference, upwind as the quasilinear update speed * d lam on the
-    upwind side.  Both are right where the scalar law stays smooth and, for
-    upwind, where psi is linear (there Rusanov's dissipation is |psi'| and the
-    flux form is upwind in exact arithmetic): the reference the face-flux step
-    must match to rounding in those cases.  Quasilinear upwind loses the
+    """flow_engine.step_umbilical in its old quasilinear form, through the
+    roll-form neighbors: lam moves by speed * d lam on the upwind side.  It
+    is right where psi is linear (there Rusanov's dissipation is |psi'| and
+    the flux form is upwind in exact arithmetic): the reference the face-flux
+    step must match to rounding in those cases.  Quasilinear upwind loses the
     integral of lam past a shock, so it stays here, in tests/ (the layout guard
     refuses a library definition that only tests reach).
     """
@@ -479,13 +477,7 @@ def step_umbilical_reference(p: UmbilicalProfile, F, ctl: StepControl) -> Umbili
         speed0 = 0.5 * np.asarray(psi_prime(F, lam))
         dt = _pick_dt(float(np.abs(speed0).max()), ds, ctl.cfl, remaining)
         t_new = p.t + dt
-        if ctl.scheme == "lax_friedrichs":
-            flux = 0.5 * psi_old
-            ll, lr = neighbors_reference(lam, p.periodic)
-            fl, fr = neighbors_reference(flux, p.periodic)
-            lam_new = 0.5 * (ll + lr) - dt / (2.0 * ds) * (fr - fl)
-        else:
-            lam_new = lam - dt * speed0 * _upwind_derivative(lam, ds, speed0, p.periodic)
+        lam_new = lam - dt * speed0 * _upwind_derivative(lam, ds, speed0, p.periodic)
         if not np.all(np.isfinite(lam_new)):
             raise FlowBlowUpError("non-finite normal curvature", p.t)
         psi_new = np.asarray(psi_of_lambda(F, lam_new))
@@ -513,13 +505,10 @@ def hopf_lax_burgers(U0, s, t, y, chunk=32):
 
 
 def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
-    """flow_engine.step_tau_system in its old quasilinear form, one `deriv`
-    call (two rolls) per differenced term: Lax-Friedrichs as the neighbour
-    average plus central differences (np.gradient's one-sided ones at a
-    transmissive edge), upwind as one-sided differences on the side of each
-    equation's signed speed.  The one-update step must match it to rounding
-    where it was right: every functional under Lax-Friedrichs away from a
-    transmissive edge, and b1, whose speed is constant, under upwind.
+    """flow_engine.step_tau_system in its old quasilinear form, one
+    `_upwind_derivative` call (two rolls) per differenced term, on the side of
+    each equation's signed speed.  The one-update step must match it to
+    rounding where it was right: for b1, whose speed is constant.
 
     d tau_i/dt = -(i/2) [ tau_{i-1} d_s f_0
                           + sum_j ( j f_j / (i+j-1) d_s tau_{i+j-1}
@@ -553,11 +542,7 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
     dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
 
     def deriv(u: np.ndarray, eq: int) -> np.ndarray:
-        if ctl.scheme == "upwind":
-            return _upwind_derivative(u, ds, signs[eq - 1], fld.periodic)
-        if fld.periodic:
-            return central_difference_reference(u, ds, 0)
-        return np.gradient(u, ds, axis=0, edge_order=2)
+        return _upwind_derivative(u, ds, signs[eq - 1], fld.periodic)
 
     rhs = np.zeros_like(tau)
     for i in range(1, n + 1):
@@ -567,12 +552,7 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
             bracket += taux[:, i + j - 1] * deriv(fvals[:, j], i)
         rhs[:, i - 1] = -(i / 2.0) * bracket
 
-    if ctl.scheme == "upwind":
-        tau_new = tau + dt * rhs
-    else:
-        left, right = neighbors_reference(tau, fld.periodic)
-        tau_new = 0.5 * (left + right) + dt * rhs
-
+    tau_new = tau + dt * rhs
     if not np.all(np.isfinite(tau_new)):
         raise FlowBlowUpError("non-finite power sums", fld.t)
     return TauField(fld.s, tau_new.T, fld.boundary, fld.t + dt)
@@ -587,11 +567,10 @@ def step_tau_system_update_reference(fld: TauField, F, ctl: StepControl) -> TauF
                     + dt alpha_i (right_i - 2 tau_i + left_i) / (2 ds),
 
     each d_s in the bracket the central difference (right - left) / (2 ds)
-    of node values, the f_j evaluated at every node.  alpha_i is ds/dt for
-    ``lax_friedrichs`` and, for ``upwind``, equation i's advection speed
-    sum_j |i j f_j / (2(i+j-1))|, whose maximum sets dt.  It is right for
-    every functional and both schemes, so the step must match it to rounding
-    in every case.
+    of node values, the f_j evaluated at every node.  alpha_i is equation i's
+    advection speed sum_j |i j f_j / (2(i+j-1))|, whose maximum sets dt.  It
+    is right for every functional, so the step must match it to rounding in
+    every case.
     """
     if F.n != fld.n:
         raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
@@ -610,7 +589,6 @@ def step_tau_system_update_reference(fld: TauField, F, ctl: StepControl) -> TauF
         for j in range(1, n):
             speeds[:, i - 1] += np.abs(i * j * fvals[:, j] / (2.0 * (i + j - 1)))
     dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
-    alpha = np.full_like(tau, ds / dt) if ctl.scheme == "lax_friedrichs" else speeds
 
     def central(u):
         left, right = neighbors_reference(u, fld.periodic)
@@ -624,7 +602,7 @@ def step_tau_system_update_reference(fld: TauField, F, ctl: StepControl) -> TauF
             bracket += (j * fvals[:, j] / (i + j - 1)) * central(taux[:, i + j - 1])
             bracket += taux[:, i + j - 1] * central(fvals[:, j])
         u = tau[:, i - 1]
-        dissipation = alpha[:, i - 1] * (right[:, i - 1] - 2.0 * u + left[:, i - 1])
+        dissipation = speeds[:, i - 1] * (right[:, i - 1] - 2.0 * u + left[:, i - 1])
         tau_new[:, i - 1] = u - dt * (i / 2.0) * bracket + dt * dissipation / (2.0 * ds)
 
     if not np.all(np.isfinite(tau_new)):

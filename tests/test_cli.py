@@ -54,8 +54,7 @@ def umbilical_config(grid=128, t_end=0.5, **numerics):
         "n": 2,
         "functional": {"name": "b1"},
         "initial": {"kind": "sine", "amplitude": 1.0, "mean": 0.0, "periods": 1},
-        "numerics": {"grid": grid, "t_end": t_end, "cfl": 0.9,
-                     "scheme": "upwind", "length": 1.0},
+        "numerics": {"grid": grid, "t_end": t_end, "cfl": 0.9, "length": 1.0},
         "output": {"snapshot_stride": 50},
     }
     cfg["numerics"].update(numerics)
@@ -300,7 +299,6 @@ MALFORMED = [
     (_set(json.loads(json.dumps(COHOMOLOGY)), "K", 8), "v", [1.0, 1e307], "v: "),
     (CONE, "numerics.cfl", 1.5, "numerics.cfl"),
     (CONE, "numerics.t_end", -1, "numerics.t_end"),
-    (CONE, "numerics.scheme", "magic", "numerics.scheme"),
     (CONE, "beta", 2.0, "beta"),
     (RESONANT, "s", math.nan, "s"),
     (RESONANT, "s", math.inf, "s"),
@@ -394,8 +392,8 @@ class TestConfigTable:
     @pytest.mark.parametrize("base,path,value,message", [
         (umbilical_config(), "numerics.cfll", 0.01,
          "numerics.cfll: unknown key; did you mean numerics.cfl?"),
-        (umbilical_config(), "numerics.schem", "lax_friedrichs",
-         "numerics.schem: unknown key; did you mean numerics.scheme?"),
+        (umbilical_config(), "numerics.max_step", 100,
+         "numerics.max_step: unknown key; did you mean numerics.max_steps?"),
         (umbilical_config(), "outptu", {"snapshot_stride": 1},
          "outptu: unknown key; did you mean output?"),
         (AFFINE_FLOW, "functional.A", 5,
@@ -412,6 +410,10 @@ class TestConfigTable:
          "numerics.integrator: unknown key"),
         (CONE, "numerics.integrator", "heun", "numerics.integrator: unknown key"),
         (TAU_FLOW, "numerics.integrator", "euler", "numerics.integrator: unknown key"),
+        # Rusanov's is the one dissipation: there is no scheme to select
+        (umbilical_config(), "numerics.scheme", "upwind", "numerics.scheme: unknown key"),
+        (CONE, "numerics.scheme", "lax_friedrichs", "numerics.scheme: unknown key"),
+        (TAU_FLOW, "numerics.scheme", "upwind", "numerics.scheme: unknown key"),
     ])
     def test_unknown_key_exits_2_naming_it(self, tmp_path, base, path, value, message):
         cfg = _set(json.loads(json.dumps(base)), path, value)
@@ -1022,14 +1024,13 @@ class TestRunScenarios:
         written = json.loads((tmp_path / "report.json").read_text())
         assert written["exit_status"] == EXIT_BLOWUP
 
-    @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_tau_flow_past_crossing_exits_4(self, tmp_path, n, scheme):
+    def test_tau_flow_past_crossing_exits_4(self, tmp_path, n):
         # psi = -2 (n - 1) lam^2 crosses before t = 0.5; periodic runs check
         # tau_1/n against the characteristics after both marches
         cfg = {"scenario": "tau-flow", "n": n, "functional": {"name": "ext_ricci"},
                "initial": {"kind": "sine", "amplitude": 0.25, "mean": 0.5},
-               "numerics": {"grid": 256, "t_end": 0.5, "cfl": 0.5, "scheme": scheme}}
+               "numerics": {"grid": 256, "t_end": 0.5, "cfl": 0.5}}
         report, code = run(cfg, tmp_path, quiet=True)
         assert code == EXIT_UNSOLVABLE, report
         assert report["error"].startswith("characteristics crossed"), report["error"]
@@ -1049,14 +1050,13 @@ class TestRunScenarios:
         sampled = float(note.split("t* = ")[1].split(" <= t = 1")[0])
         assert sampled == pytest.approx(1.0 / math.pi, rel=1e-5)
 
-    @pytest.mark.parametrize("scheme", ["upwind", "lax_friedrichs"])
-    def test_transmissive_tau_flow_past_crossing_exits_4(self, tmp_path, scheme):
+    def test_transmissive_tau_flow_past_crossing_exits_4(self, tmp_path):
         # psi = -4 lam^2 at n = 3 and lam0 = sin 2 pi s: d_s(psi'(lam0)/2) =
         # -8 pi cos 2 pi s, so characteristics cross at t* = 1 / (8 pi)
         t_star = 1.0 / (8.0 * math.pi)
         cfg = {"scenario": "tau-flow", "n": 3, "functional": {"name": "ext_ricci"},
                "initial": {"kind": "sine"},
-               "numerics": {"grid": 256, "t_end": 0.5, "cfl": 0.5, "scheme": scheme,
+               "numerics": {"grid": 256, "t_end": 0.5, "cfl": 0.5,
                             "boundary": "transmissive"}}
         report, code = run(cfg, tmp_path / "past", quiet=True)
         assert code == EXIT_UNSOLVABLE, report
@@ -1283,6 +1283,23 @@ class TestSweep:
         assert code == EXIT_OK
         assert 0.9 <= aggregate["fitted_order"] <= 1.2
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_ds_is_the_node_spacing_of_each_member(self, tmp_path):
+        # a cone-check grid is transmissive: G nodes over the domain are
+        # length / (G - 1) apart, not length / G
+        configs = [_set(json.loads(json.dumps(CONE)), "numerics.grid", g)
+                   for g in (16, 32, 64)]
+        aggregate, code = sweep_configs(configs, tmp_path, "ds")
+        assert code == EXIT_OK
+        rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
+        for idx, (ds, grid, err, status) in enumerate(rows):
+            assert status == EXIT_OK
+            s = np.loadtxt(tmp_path / f"run_{idx:03d}" / "cone_final.csv",
+                           delimiter=",", skiprows=1, usecols=0)
+            assert s.size == grid and ds == s[1] - s[0], (idx, ds, s[1] - s[0])
+        assert ds == pytest.approx(4.0 / 63)
+        assert aggregate["fitted_order"] == pytest.approx(
+            np.polyfit(np.log(rows[:, 0]), np.log(rows[:, 2]), 1)[0])
 
     def test_single_config_no_fit(self, tmp_path):
         aggregate, _ = sweep_configs([umbilical_config(grid=64)], tmp_path, "ds")
@@ -1520,6 +1537,12 @@ class TestCohomologyInput:
         # a header line alone: numpy's no-data warning is not printed
         ({"drop": range(64)}, "h.grid_csv: {path} holds no data rows after its "
                               "header line"),
+        # one data row has the three columns: the refusal names its real fault
+        ({"drop": range(1, 64)}, "h: grid of shape (1, 1) cannot resolve modes up "
+                                 "to K=2"),
+        ({"drop": range(1, 64), "text": {0: "0.5,0,1"}},
+         "h.grid_csv: the 1 distinct x values are not the nodes j / 1, j = 0..0, "
+         "within 1e-09 of the spacing"),
     ]] + [(*case, False) for case in [  # numpy words the rest of these
         ({"text": {5: "0,0.625,abc"}}, "h.grid_csv: could not convert string 'abc'"),
         ({"text": {5: "0,0.625,1,2"}},
@@ -1805,3 +1828,12 @@ class TestSolitonScaleProperty:
             assert got == verdict or (k < -6 and got == "degenerate"), (k, got)
             verdicts.add(got)
         assert verdict in verdicts
+
+
+def test_readme_json_configs_parse():
+    # every config README shows is one the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```json\n")[1:]
+    assert blocks
+    for block in blocks:
+        parse_config(json.loads(block.split("```", 1)[0]))
