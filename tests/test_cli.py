@@ -299,6 +299,8 @@ MALFORMED = [
     (_set(json.loads(json.dumps(COHOMOLOGY)), "K", 8), "v", [1.0, 1e307], "v: "),
     (CONE, "numerics.cfl", 1.5, "numerics.cfl"),
     (CONE, "numerics.t_end", -1, "numerics.t_end"),
+    (CONE, "numerics.max_steps", 0, "numerics.max_steps"),
+    (TAU_FLOW, "numerics.max_steps", 2.5, "numerics.max_steps"),
     (CONE, "beta", 2.0, "beta"),
     (RESONANT, "s", math.nan, "s"),
     (RESONANT, "s", math.inf, "s"),
@@ -1050,11 +1052,12 @@ class TestRunScenarios:
         sampled = float(note.split("t* = ")[1].split(" <= t = 1")[0])
         assert sampled == pytest.approx(1.0 / math.pi, rel=1e-5)
 
-    def test_transmissive_tau_flow_past_crossing_exits_4(self, tmp_path):
-        # psi = -4 lam^2 at n = 3 and lam0 = sin 2 pi s: d_s(psi'(lam0)/2) =
-        # -8 pi cos 2 pi s, so characteristics cross at t* = 1 / (8 pi)
-        t_star = 1.0 / (8.0 * math.pi)
-        cfg = {"scenario": "tau-flow", "n": 3, "functional": {"name": "ext_ricci"},
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_transmissive_tau_flow_past_crossing_exits_4(self, tmp_path, n):
+        # psi = -2 (n - 1) lam^2 and lam0 = sin 2 pi s: d_s(psi'(lam0)/2) =
+        # -4 pi (n - 1) cos 2 pi s, so characteristics cross at t* = 1 / (4 pi (n - 1))
+        t_star = 1.0 / (4.0 * math.pi * (n - 1))
+        cfg = {"scenario": "tau-flow", "n": n, "functional": {"name": "ext_ricci"},
                "initial": {"kind": "sine"},
                "numerics": {"grid": 256, "t_end": 0.5, "cfl": 0.5,
                             "boundary": "transmissive"}}
