@@ -648,6 +648,11 @@ def run_tau_flow(cfg: dict, outdir: Path):
     boundary = cfg["numerics.boundary"]
 
     fld = _build("initial: ", TauField.from_umbilical, lam0, n, grid, length, boundary)
+    # the step differences the quasilinear bracket, which has no entropy
+    # solution past the crossing: refused from the initial data, exit 4
+    t_star = crossing_time(lam0, F, fld.s, length if fld.periodic else None)
+    if ctl.t_end >= t_star:
+        raise ShockError(t_star, ctl.t_end)
     out = evolve_tau(fld, F, ctl)
 
     scalar = evolve_umbilical(
@@ -659,7 +664,6 @@ def run_tau_flow(cfg: dict, outdir: Path):
             np.max(np.abs(out.tau[1] - out.tau[0] ** 2 / n))
         ) if n >= 2 else 0.0,
         "scalar_match": float(np.max(np.abs(out.tau[0] / n - scalar.lam))),
-        # past the crossing, ShockError: exit 4
         "oracle_sup_error": _oracle_sup_error(lam0, F, out, out.tau[0] / n, length),
     }
     header = ["s"] + [f"tau{j}" for j in range(1, n + 1)]
@@ -772,10 +776,7 @@ def run_cohomology(cfg: dict, outdir: Path):
     header = [f"u{i + 1}" for i in range(problem.dim)] + ["re", "im"]
     modes, coeffs = sol.f_coeffs.arrays()
     write_csv(files[0], header, (*modes.T, *_conjugate_text(coeffs)))
-    shell_fields = ["shell", "n_modes", "min_divisor", "max_amplification",
-                    "margin_bound"]
-    write_csv(files[1], shell_fields,
-              [np.array([getattr(row, f) for row in shells]) for f in shell_fields])
+    write_csv(files[1], list(shells), shells.values())
     return {"eps": sol.eps, "margin": sol.margin, "residual": sol.residual,
             "max_imag": sol.max_imag, "soliton_field_scale": sol.soliton_field_scale,
             "modes_solved": len(sol.f_coeffs) - 1}, files
@@ -830,15 +831,11 @@ def run_revolution(cfg: dict, outdir: Path):
 
 
 def run_cone_check(cfg: dict, outdir: Path):
-    rep = cone_flow_check(cfg["beta"], _control(cfg), cfg["numerics.grid"],
-                          (cfg["domain_min"], cfg["domain_max"]))
-
-    p = rep.final_profile
+    results, columns = cone_flow_check(cfg["beta"], _control(cfg), cfg["numerics.grid"],
+                                       (cfg["domain_min"], cfg["domain_max"]))
     files = [outdir / "cone_final.csv"]
-    write_csv(files[0], ["s", "lambda_num", "lambda_exact", "phi_num", "phi_translated",
-                         "phi_integral"],
-              (p.s, p.lam, rep.lam_exact, p.phi, rep.phi_translated, rep.phi_integral))
-    return rep.as_dict(), files
+    write_csv(files[0], list(columns), columns.values())
+    return results, files
 
 
 HANDLERS = {
@@ -1012,6 +1009,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--points: must be in [1, {MAX_SWEEP_POINTS}], "
                           f"got {args.points}")
     if args.axis == "ds":
+        if args.values is not None:
+            raise ConfigError("--values: applies to --axis cfl only")
         grid = cfg["numerics.grid"]
         key, values = "grid", [grid * 2 ** i for i in range(args.points)]
     elif args.values:

@@ -288,22 +288,14 @@ def solve_linear_flow(p: TorusCohomologyProblem) -> CohomologySolution:
     )
 
 
-@dataclass(frozen=True)
-class ShellRow:
-    """Small-divisor amplification within one shell |u|_inf = const."""
-
-    shell: int
-    n_modes: int
-    min_divisor: float
-    max_amplification: float
-    margin_bound: float
-
-
-def amplification_report(sol: CohomologySolution) -> list[ShellRow]:
+def amplification_report(sol: CohomologySolution) -> dict:
     """Per-shell worst-case |f_u| / |h_u| against the Diophantine bound.
 
-    The bound per mode is ||u||_2^s / (2 pi margin); a solution obtained
-    through the solver always sits below it.
+    One entry per shell |u|_inf = k that holds a solved mode, in ascending k,
+    in the columns ``shell``, ``n_modes`` (integer arrays), ``min_divisor``
+    (min |<u, v>|), ``max_amplification`` and ``margin_bound``.  The bound
+    per mode is ||u||_2^s / (2 pi margin); a solution obtained through the
+    solver always sits below it.
     """
     p = sol.problem
     h = np.abs(p.cube)
@@ -321,8 +313,6 @@ def amplification_report(sol: CohomologySolution) -> list[ShellRow]:
     np.maximum.at(max_amp, shell, np.abs(sol.f_coeffs.cube[solved]) / h[solved])
     max_bound = np.zeros(p.K + 1)
     np.maximum.at(max_bound, shell, bound)
-    return [
-        ShellRow(int(k), int(n_modes[k]), float(min_div[k]), float(max_amp[k]),
-                 float(max_bound[k]))
-        for k in np.flatnonzero(n_modes)
-    ]
+    held = np.flatnonzero(n_modes)
+    return {"shell": held, "n_modes": n_modes[held], "min_divisor": min_div[held],
+            "max_amplification": max_amp[held], "margin_bound": max_bound[held]}

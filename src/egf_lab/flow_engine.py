@@ -11,9 +11,9 @@ Rusanov dissipation (LeVeque 2002, sections 4.6 and 12.9), over one array
 padded by ``_fill_ghosts``.  The scalar step differences one conservative
 face flux; the power-sum step adds that dissipation to the central
 difference of its quasilinear bracket, so it holds only before
-characteristics cross, and a ``tau-flow`` run past the crossing exits 4
-(oracle or ``crossing_time``).  Non-finite values stop a step with a
-blow-up report.
+characteristics cross, and a ``tau-flow`` run whose t_end reaches the
+``crossing_time`` of its initial data exits 4 before it marches.
+Non-finite values stop a step with a blow-up report.
 
 The scalar flow and the power-sum system are marched by one driver,
 ``_march``, which owns the step budget, the end-time tolerance and the
@@ -390,8 +390,7 @@ def characteristics_oracle(
         arg = s_out[0] + np.mod(s_out - F.psi_coeffs[1] / 2 * t - s_out[0], periodic_length)
         return np.asarray(lam0(arg), dtype=float) * np.ones_like(arg)
 
-    n_fine = ORACLE_REFINE * s_out.size
-    base = s_out[0] + periodic_length * np.arange(n_fine) / n_fine
+    base = _oracle_nodes(s_out, periodic_length)
     lam_base, speed, t_star = _characteristics(lam0, F, base)
     if t >= t_star:
         raise ShockError(t_star, t)
@@ -412,13 +411,24 @@ def _characteristics(lam0, F: FlowFunctional, nodes: np.ndarray):
     return lam, speed, -1.0 / steepest if steepest < 0 else math.inf
 
 
-def crossing_time(lam0, F: FlowFunctional, s_out: np.ndarray) -> float:
-    """``_characteristics``' t* over ORACLE_REFINE x len(s_out) nodes across s_out's
-    span; inf for a psi of degree <= 1, whose psi' is exactly constant."""
+def _oracle_nodes(s_out: np.ndarray, periodic_length: float | None) -> np.ndarray:
+    """ORACLE_REFINE x len(s_out) nodes: wrapped over [s_out[0], s_out[0] +
+    periodic_length) on a periodic domain, across s_out's span otherwise."""
+    n_fine = ORACLE_REFINE * s_out.size
+    if periodic_length is None:
+        return np.linspace(s_out[0], s_out[-1], n_fine)
+    return _uniform_nodes(n_fine, periodic_length, True, s_out[0])
+
+
+def crossing_time(
+    lam0, F: FlowFunctional, s_out: np.ndarray, periodic_length: float | None = None
+) -> float:
+    """``_characteristics``' t* over ``_oracle_nodes``, so on a periodic domain
+    the t* at which ``characteristics_oracle`` refuses; inf for a psi of
+    degree <= 1, whose psi' is exactly constant."""
     if not any(F.psi_coeffs[2:]):
         return math.inf
-    fine = np.linspace(s_out[0], s_out[-1], ORACLE_REFINE * s_out.size)
-    return _characteristics(lam0, F, fine)[2]
+    return _characteristics(lam0, F, _oracle_nodes(s_out, periodic_length))[2]
 
 
 def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauField:

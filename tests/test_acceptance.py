@@ -137,7 +137,7 @@ def test_criterion_03_cone_example():
         grids = (200, 400, 800)
         ctl = StepControl(t_end=1.0)
         errors = [
-            cone_flow_check(np.pi / 6, ctl, g, (2.0, 6.0)).sup_err_lambda
+            cone_flow_check(np.pi / 6, ctl, g, (2.0, 6.0))[0]["sup_err_lambda"]
             for g in grids
         ]
         assert errors[-1] <= 5e-3

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egf_lab import cli, soliton_lab
+from egf_lab import cli, flow_engine, soliton_lab
 from egf_lab.catalog import BIREGULAR_METRICS, make_functional
 from egf_lab.cli import (
     EXIT_BLOWUP,
@@ -992,6 +993,9 @@ class TestRunScenarios:
         }
         report, code = run(cfg, tmp_path, quiet=True)
         assert code == EXIT_OK
+        assert set(report["results"]) == {
+            "beta", "t_end", "grid", "sup_err_lambda", "sup_err_phi_translated",
+            "sup_err_phi_integral", "notes"}
         assert report["results"]["sup_err_lambda"] <= 1e-2
         header = (tmp_path / "cone_final.csv").read_text().splitlines()[0]
         assert header == "s,lambda_num,lambda_exact,phi_num,phi_translated,phi_integral"
@@ -1017,25 +1021,38 @@ class TestRunScenarios:
         assert written["exit_status"] == EXIT_BLOWUP
 
     def test_overflowing_tau_step_exits_3(self, tmp_path):
-        # the Newton extension to tau_4 overflows at lam ~ 1e80
+        # the Newton extension to tau_4 overflows at lam ~ 1e80; over a length
+        # of 1e100 the data crosses at t* ~ 4e19, so the first step runs
         cfg = {"scenario": "tau-flow", "n": 3, "functional": {"name": "ext_ricci"},
                "initial": {"kind": "sine", "amplitude": 1e79, "mean": 1e80},
-               "numerics": {"grid": 32, "t_end": 0.01}}
-        report, code = run(cfg, tmp_path, quiet=True)
+               "numerics": {"grid": 32, "t_end": 0.01, "length": 1e100}}
+        report, code = run(cfg, tmp_path / "long", quiet=True)
         assert code == EXIT_BLOWUP
-        written = json.loads((tmp_path / "report.json").read_text())
+        assert report["error"] == "non-finite power sums (last valid t = 0)"
+        written = json.loads((tmp_path / "long" / "report.json").read_text())
         assert written["exit_status"] == EXIT_BLOWUP
+        # over a unit length the same data crosses at t* ~ 4e-81: refused
+        report, code = run(_set(cfg, "numerics.length", 1.0), tmp_path / "unit",
+                           quiet=True)
+        assert code == EXIT_UNSOLVABLE
+        assert report["error"].startswith("characteristics crossed at t* = 3.97897e-81")
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_tau_flow_past_crossing_exits_4(self, tmp_path, n):
-        # psi = -2 (n - 1) lam^2 crosses before t = 0.5; periodic runs check
-        # tau_1/n against the characteristics after both marches
+        # psi = -2 (n - 1) lam^2 and lam0 = 0.5 + 0.25 sin 2 pi s: d_s(psi'(lam0)/2)
+        # = -(n - 1) pi cos 2 pi s, so characteristics cross at t* = 1 / ((n - 1) pi),
+        # before t = 0.5; the run is refused before either march
         cfg = {"scenario": "tau-flow", "n": n, "functional": {"name": "ext_ricci"},
                "initial": {"kind": "sine", "amplitude": 0.25, "mean": 0.5},
                "numerics": {"grid": 256, "t_end": 0.5, "cfl": 0.5}}
-        report, code = run(cfg, tmp_path, quiet=True)
+        with mock.patch.object(flow_engine, "step_tau_system",
+                               wraps=flow_engine.step_tau_system) as step:
+            report, code = run(cfg, tmp_path, quiet=True)
         assert code == EXIT_UNSOLVABLE, report
-        assert report["error"].startswith("characteristics crossed"), report["error"]
+        assert report["error"].startswith("characteristics crossed at t* = "), report
+        sampled = float(report["error"].split("t* = ")[1].split(" <= t = 0.5")[0])
+        assert sampled == pytest.approx(1.0 / ((n - 1) * math.pi), abs=1e-5)
+        assert step.call_count == 0
 
     @pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
     def test_umbilical_flow_past_crossing_notes_t_star(self, tmp_path, boundary):
@@ -1425,6 +1442,8 @@ class TestCommandLine:
         (["--axis", "cfl", "--points", "10000000"], POINTS_BOUND),
         (["--axis", "cfl", "--values", ",".join(["0.5"] * 65)],
          "config error: --values: at most 64 values, got 65"),
+        (["--axis", "ds", "--points", "2", "--values", "0.5,0.9"],
+         "config error: --values: applies to --axis cfl only"),
     ])
     def test_sweep_flag_errors_exit_2(self, tmp_path, capsys, flags, message):
         cfg_path = tmp_path / "cfg.json"
@@ -1840,3 +1859,16 @@ def test_readme_json_configs_parse():
     assert blocks
     for block in blocks:
         parse_config(json.loads(block.split("```", 1)[0]))
+
+
+def test_readme_cli_examples_parse():
+    # every command line of README's CLI block, its [optional] groups
+    # dropped, is one the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("egf-lab ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        words = re.sub(r"\[[^\]]*\]", "", line).split()
+        parser.parse_args(words[1:])

@@ -201,20 +201,26 @@ class TestSolveLinearFlow:
             TorusCohomologyProblem.from_grid(GOLDEN, np.zeros((8, 8)), K=6)
 
 
+SHELL_COLUMNS = ["shell", "n_modes", "min_divisor", "max_amplification", "margin_bound"]
+
+
 class TestAmplificationReport:
     def test_single_mode_row(self):
         sol = solve_linear_flow(single_mode_problem(amp=0.5))
-        rows = amplification_report(sol)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.shell == 1
-        assert row.n_modes == 2
+        shells = amplification_report(sol)
+        assert list(shells) == SHELL_COLUMNS
+        assert all(len(c) == 1 for c in shells.values())
+        assert shells["shell"][0] == 1
+        assert shells["n_modes"][0] == 2
+        assert shells["shell"].dtype.kind == shells["n_modes"].dtype.kind == "i"
         inner = abs(GOLDEN[0] - GOLDEN[1])
-        assert row.max_amplification == pytest.approx(1 / (2 * np.pi * inner))
+        assert shells["max_amplification"][0] == pytest.approx(1 / (2 * np.pi * inner))
 
     def test_empty_for_zero_rhs(self):
         sol = solve_linear_flow(TorusCohomologyProblem(GOLDEN, [], 2))
-        assert amplification_report(sol) == []
+        shells = amplification_report(sol)
+        assert list(shells) == SHELL_COLUMNS
+        assert all(len(c) == 0 for c in shells.values())
 
     def test_amplification_below_margin_bound(self):
         rng = np.random.default_rng(31)
@@ -227,9 +233,10 @@ class TestAmplificationReport:
             coeffs[u] = c
             coeffs[(-u[0], -u[1])] = c.conjugate()
         p = TorusCohomologyProblem(GOLDEN, mode_rows(coeffs), 10)
-        sol = solve_linear_flow(p)
-        for row in amplification_report(sol):
-            assert row.max_amplification <= row.margin_bound * (1 + 1e-12)
+        shells = amplification_report(solve_linear_flow(p))
+        assert len(shells["shell"])
+        assert np.all(shells["max_amplification"]
+                      <= shells["margin_bound"] * (1 + 1e-12))
 
 
 # --------------------------------------------- dense solver vs dict reference
@@ -313,13 +320,13 @@ class TestDenseAgainstDictOracle:
         assert differ < len(f_ref) / 2
 
         ref_rows = dict_amplification_report(ref, f_ref, margin_ref)
-        rows_dense = amplification_report(sol)
-        assert [(r.shell, r.n_modes) for r in rows_dense] == \
+        shells = amplification_report(sol)
+        assert list(zip(shells["shell"].tolist(), shells["n_modes"].tolist())) == \
             [r[:2] for r in ref_rows]
-        for got, want in zip(rows_dense, ref_rows):
-            assert got.min_divisor == pytest.approx(want[2], rel=1e-9)
-            assert got.max_amplification == pytest.approx(want[3], rel=1e-9)
-            assert got.margin_bound == pytest.approx(want[4], rel=1e-9)
+        for k, want in enumerate(ref_rows):
+            assert shells["min_divisor"][k] == pytest.approx(want[2], rel=1e-9)
+            assert shells["max_amplification"][k] == pytest.approx(want[3], rel=1e-9)
+            assert shells["margin_bound"][k] == pytest.approx(want[4], rel=1e-9)
         assert sol.margin == pytest.approx(margin_ref, rel=1e-9)
         assert bits(sol.margin) == bits(lattice_margin(v, K))  # no mode left out
 

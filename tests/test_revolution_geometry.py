@@ -130,29 +130,29 @@ class TestSectionalCurvature:
 
 class TestConeFlow:
     def test_zero_time_zero_error(self):
-        rep = cone_flow_check(np.pi / 6, StepControl(t_end=0.0), 200)
-        assert rep.sup_err_lambda == 0.0
-        assert rep.sup_err_phi_integral <= 1e-12
+        results, _ = cone_flow_check(np.pi / 6, StepControl(t_end=0.0), 200)
+        assert results["sup_err_lambda"] == 0.0
+        assert results["sup_err_phi_integral"] <= 1e-12
 
     def test_lambda_tracks_translated_cone(self):
-        rep = cone_flow_check(np.pi / 6, StepControl(t_end=1.0), 800)
-        assert rep.sup_err_lambda <= 5e-3
+        results, _ = cone_flow_check(np.pi / 6, StepControl(t_end=1.0), 800)
+        assert results["sup_err_lambda"] <= 5e-3
 
     def test_error_halves_under_refinement(self):
         errs = [
-            cone_flow_check(np.pi / 6, StepControl(t_end=1.0), g).sup_err_lambda
+            cone_flow_check(np.pi / 6, StepControl(t_end=1.0), g)[0]["sup_err_lambda"]
             for g in (200, 400, 800)
         ]
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates >= 0.9)
 
     def test_phi_matches_exact_integral_not_translated_radius(self):
-        rep = cone_flow_check(np.pi / 6, StepControl(t_end=1.0), 800)
-        assert rep.sup_err_phi_integral <= 1e-2
+        results, _ = cone_flow_check(np.pi / 6, StepControl(t_end=1.0), 800)
+        assert results["sup_err_phi_integral"] <= 1e-2
         # the translated-cone radius uses the other curvature convention and
         # stays visibly off
-        assert rep.sup_err_phi_translated > 0.05
-        assert any("convention" in n or "reported" in n for n in rep.notes)
+        assert results["sup_err_phi_translated"] > 0.05
+        assert any("convention" in n or "reported" in n for n in results["notes"])
 
     def test_apex_guard(self):
         with pytest.raises(ValueError, match="apex"):
