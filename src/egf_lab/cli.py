@@ -59,6 +59,7 @@ from .flow_engine import (
     crossing_time,
     evolve_tau,
     evolve_umbilical,
+    reached,
     _uniform_nodes,
 )
 from .revolution_geometry import (
@@ -97,8 +98,11 @@ class ConfigError(ValueError):
 
 # rows formatted by one `%` per chunk; bounds the size of the formatted string
 _CHUNK_ROWS = 4096
-# float cells from which a table is formatted by two processes (write_csv):
-# fork and reap cost ~4 ms, 2^16 doubles ~60 ms of `%.17g`
+# float cells from which a table is formatted by two processes (write_csv),
+# and numbers in a config's parsed arrays from which a forked child encodes
+# the report echo beside the tables (run): fork and reap cost ~4 ms against
+# ~60 ms of `%.17g` for 2^16 doubles and ~30 ms of json for a 3-D h.modes
+# echo of 2^16 numbers (2/5 of them doubles, whose repr dominates)
 _FORK_CELLS = 1 << 16
 
 
@@ -186,13 +190,53 @@ def _write_table(path: Path, header, columns, tee) -> None:
             _write_rows(fh, columns, ",", tee_fh)
 
 
+def _two_cpus() -> bool:
+    """A forked child can run beside this process: Linux, two usable CPUs."""
+    return sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+
+
+@contextlib.contextmanager
+def _forked(work: Callable[[], object], parts: list[Path]):
+    """Runs work() in a forked child while the with-block runs here, and
+    hands the block reap(), which waits for the child and returns its exit
+    status, 0 once work returned.  The child never returns into the caller,
+    flushes nothing and prints nothing.  It does not outlive the block: an
+    exception kills it, it is reaped, and the part files it writes are
+    removed."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            work()
+            code = 0
+        finally:
+            os._exit(code)
+    status = None
+
+    def reap() -> int:
+        nonlocal status
+        if status is None:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return status
+
+    try:
+        yield reap
+    except BaseException:
+        if status is None:  # its work is of no use
+            import signal  # the error path only
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        reap()
+        for part in parts:
+            part.unlink(missing_ok=True)
+
+
 def _fork_row(columns) -> int:
     """The row from which a forked child formats the table, or 0 to write it
-    in this process: tables of at least _FORK_CELLS float cells, on Linux
-    with two usable CPUs, split at the _CHUNK_ROWS boundary nearest the
-    middle."""
-    if (sum(c.size for c in columns if c.dtype.kind == "f") < _FORK_CELLS
-            or sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2):
+    in this process: tables of at least _FORK_CELLS float cells, with
+    ``_two_cpus``, split at the _CHUNK_ROWS boundary nearest the middle."""
+    if sum(c.size for c in columns if c.dtype.kind == "f") < _FORK_CELLS or not _two_cpus():
         return 0
     rows = len(columns[0])
     mid = (rows + _CHUNK_ROWS) // (2 * _CHUNK_ROWS) * _CHUNK_ROWS
@@ -210,46 +254,33 @@ def _append(target: Path, part: Path) -> None:
 def write_csv(path: Path, header: list[str], columns, tee: Path | None = None) -> None:
     """Header line plus one CSV line per row of ``columns`` (see _write_rows);
     with ``tee`` a path, the first two columns also go there, space-separated
-    and without a header (gnuplot's data format).
+    and without a header (gnuplot's data format).  A complex column is
+    written as two, the text of its real and imaginary parts by the
+    conjugate rule of _conjugate_text, so the header names both.
 
-    A large table (see _fork_row) is written by two processes: a forked child
-    formats the rows from the middle on into ``<name>.part`` files while this
-    process writes the header and the first half; the parts are then appended
-    and removed.  The bytes are those of one process.
+    A large table (see _fork_row; a complex column counts as text) is
+    written by two processes: a ``_forked`` child formats the rows from the
+    middle on into ``<name>.part`` files while this process writes the header
+    and the first half; the parts are then appended.  The bytes are those of
+    one process.
     """
-    columns = [np.asarray(c) for c in columns]
+    columns = [part for c in map(np.asarray, columns)
+               for part in (_conjugate_text(c) if c.dtype.kind == "c" else (c,))]
     mid = _fork_row(columns)
     if not mid:
         _write_table(path, header, columns, tee)
         return
     targets = [Path(path)] + ([] if tee is None else [Path(tee)])
     parts = [t.with_name(t.name + ".part") for t in targets]
-    pid = os.fork()
-    if pid == 0:  # never returns into the caller, flushes nothing, prints nothing
-        code = 1
-        try:
-            _write_table(parts[0], None, [c[mid:] for c in columns],
-                         parts[1] if tee is not None else None)
-            code = 0
-        finally:
-            os._exit(code)
-    try:
-        try:
-            _write_table(path, header, [c[:mid] for c in columns], tee)
-        except BaseException:  # the child's half is of no use
-            import signal  # the error path only
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status:
+    with _forked(lambda: _write_table(parts[0], None, [c[mid:] for c in columns],
+                                      parts[1] if tee is not None else None),
+                 parts) as reap:
+        _write_table(path, header, [c[:mid] for c in columns], tee)
+        if status := reap():
             raise RuntimeError(f"write_csv: the child writing rows {mid}.. of "
                                f"{path} exited with status {status}")
         for target, part in zip(targets, parts):
             _append(target, part)
-    finally:
-        for part in parts:
-            part.unlink(missing_ok=True)
 
 
 def _shown(value) -> str:
@@ -287,19 +318,23 @@ def _jsonable(obj):
     return _shown(obj)
 
 
-def _write_json(path: Path, obj) -> None:
-    """obj as one line of sorted-key strict JSON, byte for byte what
-    json.dumps(_jsonable(obj), sort_keys=True) writes.  The C encoder hands
+def _json_text(obj) -> str:
+    """obj as sorted-key strict JSON, byte for byte what
+    json.dumps(_jsonable(obj), sort_keys=True) gives.  The C encoder hands
     what JSON cannot hold to _jsonable; a non-finite float or keys it cannot
     sort send all of obj through _jsonable first.  It spells a bool or None
     key true or null and sorts int keys as numbers, so every dict key it
     meets must be a str."""
     try:
-        text = json.dumps(obj, sort_keys=True, allow_nan=False, default=_jsonable)
+        return json.dumps(obj, sort_keys=True, allow_nan=False, default=_jsonable)
     except (ValueError, TypeError):
-        text = json.dumps(_jsonable(obj), sort_keys=True)
+        return json.dumps(_jsonable(obj), sort_keys=True)
+
+
+def _write_json(path: Path, obj) -> None:
+    """obj as one line of _json_text."""
     with open(path, "w", newline="") as fh:
-        fh.write(text + "\n")
+        fh.write(_json_text(obj) + "\n")
 
 
 # ------------------------------------------------------------ config table
@@ -596,10 +631,25 @@ def _control(cfg: dict) -> StepControl:  # its messages start with the field
 # --------------------------------------------------------------- scenarios
 
 
-def _oracle_sup_error(lam0, F, state, lam: np.ndarray, length: float):
+class Table(NamedTuple):
+    """One CSV table that a handler returns beside its results, for run to
+    write: its file name in the output directory, header and columns (see
+    write_csv), and the file name of its gnuplot tee, if any."""
+
+    name: str
+    header: list[str]
+    columns: object
+    tee: str | None = None
+
+
+def _oracle_sup_error(lam0, F, state, lam: np.ndarray, length: float, t_end: float):
     """sup |lam - exact| at state.t against the characteristics oracle on a
     periodic domain, None on a transmissive one; ShockError from the crossing
-    time t* on, on either."""
+    time t* on, on either.  A state the march left short of t_end (see
+    ``reached``) is refused: the oracle would judge it at another time."""
+    if not reached(state.t, t_end):
+        raise RuntimeError(f"the march stopped at t = {state.t!r}, short of "
+                           f"t_end = {t_end!r}")
     if state.periodic:
         exact = characteristics_oracle(lam0, F, state.t, state.s, length)
         return float(np.max(np.abs(lam - exact)))
@@ -608,7 +658,7 @@ def _oracle_sup_error(lam0, F, state, lam: np.ndarray, length: float):
     return None
 
 
-def run_umbilical_flow(cfg: dict, outdir: Path):
+def run_umbilical_flow(cfg: dict):
     F, ctl, lam0 = _functional(cfg), _control(cfg), _initial(cfg)
     length, boundary = cfg["numerics.length"], cfg["numerics.boundary"]
     p0 = UmbilicalProfile.from_function(lam0, cfg["numerics.grid"], length, boundary)
@@ -630,18 +680,17 @@ def run_umbilical_flow(cfg: dict, outdir: Path):
                "lambda_min": float(np.min(final.lam)),
                "lambda_max": float(np.max(final.lam)), "oracle_sup_error": None}
     try:  # the conservative march holds past the crossing: a note, not an exit
-        results["oracle_sup_error"] = _oracle_sup_error(lam0, F, final, final.lam, length)
+        results["oracle_sup_error"] = _oracle_sup_error(lam0, F, final, final.lam, length,
+                                                        ctl.t_end)
     except ShockError as exc:
         results["oracle_note"] = str(exc)
-    files = [outdir / "timeseries.csv"]
     t, lam, phi = zip(*snaps)
-    write_csv(files[0], ["t", "s", "lambda", "phi"],
-              (np.repeat(_text(t), p0.s.size), np.tile(_text(p0.s), len(t)),
-               np.concatenate(lam), np.concatenate(phi)))
-    return results, files
+    return results, [Table("timeseries.csv", ["t", "s", "lambda", "phi"], (
+        np.repeat(_text(t), p0.s.size), np.tile(_text(p0.s), len(t)),
+        np.concatenate(lam), np.concatenate(phi)))]
 
 
-def run_tau_flow(cfg: dict, outdir: Path):
+def run_tau_flow(cfg: dict):
     n = cfg["n"]
     F, ctl, lam0 = _functional(cfg), _control(cfg), _initial(cfg)
     grid, length = cfg["numerics.grid"], cfg["numerics.length"]
@@ -664,12 +713,11 @@ def run_tau_flow(cfg: dict, outdir: Path):
             np.max(np.abs(out.tau[1] - out.tau[0] ** 2 / n))
         ) if n >= 2 else 0.0,
         "scalar_match": float(np.max(np.abs(out.tau[0] / n - scalar.lam))),
-        "oracle_sup_error": _oracle_sup_error(lam0, F, out, out.tau[0] / n, length),
+        "oracle_sup_error": _oracle_sup_error(lam0, F, out, out.tau[0] / n, length,
+                                              ctl.t_end),
     }
     header = ["s"] + [f"tau{j}" for j in range(1, n + 1)]
-    files = [outdir / "tau_final.csv"]
-    write_csv(files[0], header, (out.s, *out.tau))
-    return results, files
+    return results, [Table("tau_final.csv", header, (out.s, *out.tau))]
 
 
 def _soliton_results(rep) -> dict:
@@ -678,18 +726,17 @@ def _soliton_results(rep) -> dict:
             if v is not None and k not in ("mu", "structure", "lam")}
 
 
-def run_soliton_check(cfg: dict, outdir: Path):
+def run_soliton_check(cfg: dict):
     F, lam0 = _functional(cfg), _initial(cfg)
     p = UmbilicalProfile.from_function(lam0, cfg["numerics.grid"],
                                        cfg["numerics.length"])
     rep = check_normal_soliton(p, F, cfg["eps"])
-    files = [outdir / "residuals.csv"]
-    write_csv(files[0], ["s", "lambda", "mu", "structure_residual"],
-              (p.s, p.lam, rep.mu, rep.structure))
-    return _soliton_results(rep), files
+    return _soliton_results(rep), [Table(
+        "residuals.csv", ["s", "lambda", "mu", "structure_residual"],
+        (p.s, p.lam, rep.mu, rep.structure))]
 
 
-def run_biregular_check(cfg: dict, outdir: Path):
+def run_biregular_check(cfg: dict):
     F = _functional(cfg)
     g00, g11, periodic0 = BIREGULAR_METRICS[cfg["metric.name"]]
     grid = BiregularGrid.from_functions(
@@ -704,14 +751,12 @@ def run_biregular_check(cfg: dict, outdir: Path):
             f"metric {cfg['metric.name']}: every g11 sample rounds to "
             f"{float(grid.g11[0, 0])!r}")
     rep = check_biregular_surface(grid, F, cfg["eps"])
-    files = [outdir / "curvature.csv"]
-    write_csv(files[0], ["x0", "x1", "lambda"],
-              (np.repeat(_text(grid.x0), grid.x1.size),
-               np.tile(_text(grid.x1), grid.x0.size), rep.lam.ravel()))
-    return _soliton_results(rep), files
+    return _soliton_results(rep), [Table("curvature.csv", ["x0", "x1", "lambda"], (
+        np.repeat(_text(grid.x0), grid.x1.size), np.tile(_text(grid.x1), grid.x0.size),
+        rep.lam.ravel()))]
 
 
-def run_ricci_classify(cfg: dict, outdir: Path):
+def run_ricci_classify(cfg: dict):
     cls = classify_ricci_soliton(cfg["n"], cfg["tau1"], cfg["r"])
     return {**asdict(cls), "cpc": cls.cpc}, []
 
@@ -755,7 +800,7 @@ def _grid_csv_modes(path: Path) -> np.ndarray:
     return grid
 
 
-def run_cohomology(cfg: dict, outdir: Path):
+def run_cohomology(cfg: dict):
     modes, grid_csv = cfg["h.modes"], cfg["h.grid_csv"]
     if (modes is None) == (grid_csv is None):
         raise ConfigError("h: provide exactly one of h.modes or h.grid_csv")
@@ -772,17 +817,16 @@ def run_cohomology(cfg: dict, outdir: Path):
     sol = solve_linear_flow(problem)
     shells = amplification_report(sol)
 
-    files = [outdir / "solution_coeffs.csv", outdir / "amplification.csv"]
     header = [f"u{i + 1}" for i in range(problem.dim)] + ["re", "im"]
     modes, coeffs = sol.f_coeffs.arrays()
-    write_csv(files[0], header, (*modes.T, *_conjugate_text(coeffs)))
-    write_csv(files[1], list(shells), shells.values())
     return {"eps": sol.eps, "margin": sol.margin, "residual": sol.residual,
             "max_imag": sol.max_imag, "soliton_field_scale": sol.soliton_field_scale,
-            "modes_solved": len(sol.f_coeffs) - 1}, files
+            "modes_solved": len(sol.f_coeffs) - 1}, [
+        Table("solution_coeffs.csv", header, (*modes.T, coeffs)),
+        Table("amplification.csv", list(shells), shells.values())]
 
 
-def run_revolution(cfg: dict, outdir: Path):
+def run_revolution(cfg: dict):
     kind = cfg["curve.kind"]
     lo, hi = ("curve.x0_min", "curve.x0_max") if kind == "cone" else (
         "curve.x1_min", "curve.x1_max")
@@ -809,11 +853,9 @@ def run_revolution(cfg: dict, outdir: Path):
         raise ConfigError(f"{lo}, {hi}: the profile's metric or curvature leaves the "
                           f"double range on [{cfg[lo]:g}, {cfg[hi]:g}]")
 
-    files = [outdir / "profile.csv"]
-    gp = outdir / "profile.dat" if cfg["output.gnuplot"] else None
-    write_csv(files[0], ["x0", "x1", "g00", "g11", "lambda", "K_formula", "K_oracle"],
-              (profile.x0, profile.x1, g00, g11, lam, cmp.formula, cmp.oracle), tee=gp)
-    files += [gp] if gp else []
+    tables = [Table("profile.csv",
+                    ["x0", "x1", "g00", "g11", "lambda", "K_formula", "K_oracle"],
+                    columns, "profile.dat" if cfg["output.gnuplot"] else None)]
     results = {
         "provenance": profile.provenance,
         "curvature_max_abs_diff": cmp.max_abs_diff,
@@ -827,17 +869,16 @@ def run_revolution(cfg: dict, outdir: Path):
         results["closed_form_sup_error"] = float(
             np.max(np.abs(profile.x0 - closed_form_gamma(profile.x1, C)))
         )
-    return results, files
+    return results, tables
 
 
-def run_cone_check(cfg: dict, outdir: Path):
+def run_cone_check(cfg: dict):
     results, columns = cone_flow_check(cfg["beta"], _control(cfg), cfg["numerics.grid"],
                                        (cfg["domain_min"], cfg["domain_max"]))
-    files = [outdir / "cone_final.csv"]
-    write_csv(files[0], list(columns), columns.values())
-    return results, files
+    return results, [Table("cone_final.csv", list(columns), columns.values())]
 
 
+# scenario -> handler(parsed config) -> (results, [Table, ...])
 HANDLERS = {
     "umbilical-flow": run_umbilical_flow,
     "tau-flow": run_tau_flow,
@@ -853,8 +894,37 @@ HANDLERS = {
 # ------------------------------------------------------------------ driver
 
 
+def _output_stage(config: dict, cfg: dict, outdir: Path, tables) -> tuple[list, str | None]:
+    """Writes the tables; returns their paths, and the JSON text of the
+    config's echo if a forked child encoded it meanwhile, else None.
+
+    A child runs when the config's parsed arrays (h.modes) hold at least
+    _FORK_CELLS numbers, with ``_two_cpus``.  It encodes the config as
+    _json_text does into ``report.json.part``; a child that fails leaves
+    the echo to run.  It starts after the handler's numerical work, beside
+    the text formatting of the tables, so it never competes with the solve
+    for the CPUs (OpenBLAS's threads, when BLAS is not pinned to one).
+    """
+    part = outdir / "report.json.part"
+    fork = (sum(v.size for v in cfg.values() if isinstance(v, np.ndarray)) >= _FORK_CELLS
+            and _two_cpus())
+    with (_forked(lambda: part.write_text(_json_text(config)), [part]) if fork
+          else contextlib.nullcontext()) as reap:
+        outputs = []
+        for table in tables:
+            write_csv(outdir / table.name, table.header, table.columns,
+                      table.tee and outdir / table.tee)
+            outputs += [str(outdir / name) for name in (table.name, table.tee) if name]
+        return outputs, None if reap is None or reap() else part.read_text()
+
+
 def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
-    """Execute one scenario and write its report; returns (report, exit code)."""
+    """Execute one scenario and write its report; returns (report, exit code).
+
+    report.json is one line of sorted-key JSON, the config's echo first: an
+    accepted config of many numbers is encoded beside the output stage (see
+    _output_stage), any other here, with the same bytes either way.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -862,13 +932,13 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     report = {"config": config, "versions": versions}
     code = EXIT_OK
     scenario = "?"
-    cfg = None
+    cfg = echo = None
     try:
         cfg = parse_config(config)
         scenario = cfg["scenario"]
-        results, files = HANDLERS[scenario](cfg, outdir)
+        results, tables = HANDLERS[scenario](cfg)
         report["results"] = _jsonable(results)
-        report["outputs"] = [str(f) for f in files]
+        report["outputs"], echo = _output_stage(config, cfg, outdir, tables)
     except (FlowBlowUpError, BoundedProgressError) as exc:
         report["error"] = str(exc)
         code = EXIT_BLOWUP
@@ -887,13 +957,18 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     report["exit_status"] = code
 
     report_path = outdir / "report.json"
-    # an accepted config holds str keys, finite numbers and no dict in a list,
-    # so the encoder may read it as it stands; any other is converted first
-    try:
-        echo = config if cfg is not None else _jsonable(config)
-    except RecursionError:  # nested deeper than the interpreter's stack
-        echo = "a config nested too deep to echo"
-    _write_json(report_path, {**report, "config": echo})
+    if echo is None:
+        # an accepted config holds str keys, finite numbers and no dict in a
+        # list, so the encoder may read it as it stands; any other is
+        # converted first
+        try:
+            echo = _json_text(config if cfg is not None else _jsonable(config))
+        except RecursionError:  # nested deeper than the interpreter's stack
+            echo = _json_text("a config nested too deep to echo")
+    # "config" sorts before every other key: the echo, then the rest
+    rest = _json_text({k: v for k, v in report.items() if k != "config"})
+    with open(report_path, "w", newline="") as fh:
+        fh.write('{"config": ' + echo + ", " + rest[1:] + "\n")
     if not quiet:
         target = report.get("error") or f"results in {report_path}"
         print(f"[egf-lab] {scenario}: {target}")

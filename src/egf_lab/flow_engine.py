@@ -39,6 +39,7 @@ import numpy as np
 
 from .sym_curvature import (
     FlowFunctional,
+    _horner,
     power_sums_with_tau0,
     psi_of_lambda,
     psi_prime,
@@ -252,12 +253,15 @@ def total_variation(u: np.ndarray, periodic: bool) -> float:
     return tv
 
 
-def _pick_dt(max_speed: float, ds: float, cfl: float, remaining: float) -> float:
+def _pick_dt(max_speed: float, ds: float, ctl: StepControl, remaining: float) -> float:
+    """ctl.cfl ds / max_speed, at most remaining.  A dt of at most 1e-15
+    t_end has collapsed: the floor is relative to t_end, as ``reached`` is,
+    so a tiny t_end still steps."""
     if max_speed > 0:
-        dt = min(cfl * ds / max_speed, remaining)
+        dt = min(ctl.cfl * ds / max_speed, remaining)
     else:
         dt = remaining
-    if dt <= 1e-15 * max(1.0, remaining):
+    if dt <= 1e-15 * ctl.t_end:
         raise BoundedProgressError(
             f"time step collapsed to {dt:.3e}; cannot make progress"
         )
@@ -292,7 +296,7 @@ def step_umbilical(
         lam_p = _padded(lam, p.periodic)
         psi_p = np.asarray(psi_of_lambda(F, lam_p))
         rate = np.abs(np.asarray(psi_prime(F, lam_p)))
-        dt = _pick_dt(0.5 * float(rate.max()), ds, ctl.cfl, remaining)
+        dt = _pick_dt(0.5 * float(rate.max()), ds, ctl, remaining)
         t_new = p.t + dt
         d = np.maximum(rate[:-1], rate[1:])
         flux = psi_p[:-1] + psi_p[1:] - d * (lam_p[1:] - lam_p[:-1])
@@ -312,18 +316,25 @@ def step_umbilical(
     return UmbilicalProfile(p.s, lam_new, phi_new, p.boundary, t_new)
 
 
+def reached(t: float, t_end: float) -> bool:
+    """t is t_end to within the end-time tolerance, 1e-12 t_end: relative,
+    so a positive t_end however small takes a step, and a last step of dt =
+    t_end - t, which lands within an ulp, leaves no sliver step after it."""
+    return t >= t_end - 1e-12 * t_end
+
+
 def _march(state, advance, ctl: StepControl, tv_of, on_step=None):
-    """Advance ``state`` to ctl.t_end with ``advance(state) -> state``.
+    """Advance ``state`` with ``advance(state) -> state`` until it has
+    ``reached`` ctl.t_end.
 
     The one time-march loop: it stops with BoundedProgressError when the step
     budget runs out and with FlowBlowUpError when the total variation of
     ``tv_of(state)`` exceeds TV_GROWTH_LIMIT times its initial value.
     ``on_step(state, steps, done)`` sees every accepted step.
     """
-    eps = 1e-12 * max(1.0, abs(ctl.t_end))
     tv0 = total_variation(tv_of(state), state.periodic)
     steps = 0
-    while state.t < ctl.t_end - eps:
+    while not reached(state.t, ctl.t_end):
         if steps >= ctl.max_steps:
             raise BoundedProgressError(
                 f"t = {state.t:.6g} after {steps} steps; t_end = {ctl.t_end:.6g} unreached"
@@ -336,7 +347,7 @@ def _march(state, advance, ctl: StepControl, tv_of, on_step=None):
                 f"total variation grew to {tv:.3e} from {tv0:.3e}", state.t
             )
         if on_step is not None:
-            on_step(state, steps, state.t >= ctl.t_end - eps)
+            on_step(state, steps, reached(state.t, ctl.t_end))
     return state
 
 
@@ -443,8 +454,14 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     above n, as far as the live f_j read), the varying f_j, then the ghost
     nodes by ``_fill_ghosts``.  The update is
         tau_new = tau - dt (i/2) bracket + dt/(2 ds) alpha_i (d_+ - d_-),
-    alpha_i equation i's advection speed sum_j |i j f_j / (2(i+j-1))|, whose
-    maximum sets dt (Rusanov; LeVeque 2002, sections 4.6 and 12.9).
+    with, at each node, the speed
+        alpha_i = max(sum_j |i j f_j / (2(i+j-1))|, |psi'(tau_1/n)| / 2),
+    whose maximum sets dt (Rusanov; LeVeque 2002, sections 4.6 and 12.9).
+    The second term, psi' exact by Horner over F.psi_prime_coeffs, is the
+    spectral radius of the system's Jacobian on the umbilical manifold
+    (every k_i = tau_1/n) for every catalog functional, and an O(defect)
+    approximation near it, where every field from ``TauField.from_umbilical``
+    stays; the sum alone falls below it (0 when only f_0 is live).
     Only the bracket terms that F.live and F.varying leave nonzero are
     formed, each as one (n, G) array over all n equations, the layout of
     fld.tau, and subtracted in this order from the dissipation term, their
@@ -479,12 +496,16 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
         central = d[:, :-1] + d[:, 1:]  # 2 ds times the central difference
 
         # the advection speed of equation i (the column eq): the sum of the
-        # moduli of its coefficients i j f_j / (2(i+j-1))
+        # moduli of its coefficients i j f_j / (2(i+j-1)), or the umbilical
+        # speed |psi'(tau_1/n)| / 2 of the node where that is larger; a
+        # constant psi' is one node's value
         eq = np.arange(1, n + 1)[:, None]
         speeds = np.zeros((n, 1))
         for j in live:
             speeds = speeds + np.abs(eq * j * f[j] / (2.0 * (eq + j - 1)))
-        dt = _pick_dt(float(speeds.max()), ds, ctl.cfl, remaining)
+        lam = tau[0] if len(F.psi_prime_coeffs) > 1 else tau[0, :1]
+        speeds = np.maximum(speeds, 0.5 * np.abs(_horner(F.psi_prime_coeffs, lam / n)))
+        dt = _pick_dt(float(speeds.max()), ds, ctl, remaining)
 
         # tau_new - tau: the dissipation, then each bracket term times
         # w = dt (i/2) / (2 ds); equation i reads tau_{i+j-1}, row i+j-2, for f_j

@@ -58,6 +58,12 @@ class FlowFunctional:
         return tuple(psi.get(p, 0.0) for p in range(max(psi, default=0) + 1))
 
     @cached_property
+    def psi_prime_coeffs(self) -> tuple[float, ...]:
+        """The coefficients k c_k of psi', lowest power first, for Horner:
+        psi' exactly, with no difference step."""
+        return tuple(k * c for k, c in enumerate(self.psi_coeffs))[1:] or (0.0,)
+
+    @cached_property
     def live(self) -> tuple[int, ...]:
         """The j >= 1 whose f_j the table does not prove identically zero."""
         return tuple(j for j in range(1, self.n) if self.table[j])

@@ -475,7 +475,7 @@ def step_umbilical_reference(p: UmbilicalProfile, F, ctl: StepControl) -> Umbili
     with np.errstate(all="ignore"):
         psi_old = np.asarray(psi_of_lambda(F, lam))
         speed0 = 0.5 * np.asarray(psi_prime(F, lam))
-        dt = _pick_dt(float(np.abs(speed0).max()), ds, ctl.cfl, remaining)
+        dt = _pick_dt(float(np.abs(speed0).max()), ds, ctl, remaining)
         t_new = p.t + dt
         lam_new = lam - dt * speed0 * _upwind_derivative(lam, ds, speed0, p.periodic)
         if not np.all(np.isfinite(lam_new)):
@@ -539,7 +539,7 @@ def step_tau_system_reference(fld: TauField, F, ctl: StepControl) -> TauField:
             coef = i * j * fvals[:, j] / (2.0 * (i + j - 1))
             signs[i - 1] += coef
             speeds[i - 1] += np.abs(coef)
-    dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
+    dt = _pick_dt(float(np.max(speeds)), ds, ctl, remaining)
 
     def deriv(u: np.ndarray, eq: int) -> np.ndarray:
         return _upwind_derivative(u, ds, signs[eq - 1], fld.periodic)
@@ -568,9 +568,10 @@ def step_tau_system_update_reference(fld: TauField, F, ctl: StepControl) -> TauF
 
     each d_s in the bracket the central difference (right - left) / (2 ds)
     of node values, the f_j evaluated at every node.  alpha_i is equation i's
-    advection speed sum_j |i j f_j / (2(i+j-1))|, whose maximum sets dt.  It
-    is right for every functional, so the step must match it to rounding in
-    every case.
+    advection speed sum_j |i j f_j / (2(i+j-1))| or, where larger, the
+    umbilical speed |psi'(tau_1/n)| / 2 of the node (psi' by numpy's
+    polynomial derivative), and its maximum sets dt.  It is right for every
+    functional, so the step must match it to rounding in every case.
     """
     if F.n != fld.n:
         raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
@@ -588,7 +589,9 @@ def step_tau_system_update_reference(fld: TauField, F, ctl: StepControl) -> TauF
     for i in range(1, n + 1):
         for j in range(1, n):
             speeds[:, i - 1] += np.abs(i * j * fvals[:, j] / (2.0 * (i + j - 1)))
-    dt = _pick_dt(float(np.max(speeds)), ds, ctl.cfl, remaining)
+    psi_prime = np.polyval(np.polyder(F.psi_coeffs[::-1]), tau[:, 0] / n)
+    speeds = np.maximum(speeds, 0.5 * np.abs(psi_prime)[:, None])
+    dt = _pick_dt(float(np.max(speeds)), ds, ctl, remaining)
 
     def central(u):
         left, right = neighbors_reference(u, fld.periodic)

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -35,8 +36,17 @@ from egf_lab.cli import (
     sweep_configs,
     write_csv,
 )
-from egf_lab.cohomology_solver import TorusCohomologyProblem, solve_linear_flow
-from egf_lab.flow_engine import StepControl, UmbilicalProfile, evolve_umbilical
+from egf_lab.cohomology_solver import (
+    ResonanceError,
+    TorusCohomologyProblem,
+    solve_linear_flow,
+)
+from egf_lab.flow_engine import (
+    FlowBlowUpError,
+    StepControl,
+    UmbilicalProfile,
+    evolve_umbilical,
+)
 from egf_lab.revolution_geometry import (
     integrate_constant_lambda,
     profile_metric,
@@ -637,11 +647,14 @@ class TestCsvWriter:
 
     def test_forks_per_run(self, tmp_path):
         """One fork for the stride-1 flow's 36,864 rows of two float columns,
-        none for its sparse twin and none for 3-D cohomology, whose 15,625
-        solution rows hold int and text columns only."""
+        none for its sparse twin.  3-D cohomology's solution rows hold int
+        columns and one complex column, which is text, so its tables never
+        fork: at K = 16 the one fork is the echo's, for the 89,845 numbers of
+        its 17,969 h.modes rows, and at K = 12 (39,065 numbers) none."""
         dense = umbilical_config(grid=256, t_end=1.0)
         dense["output"]["snapshot_stride"] = 1
         for cfg, expected in ((dense, 1), (umbilical_config(grid=256, t_end=1.0), 0),
+                              (dense_cohomology_config(16), 1),
                               (dense_cohomology_config(12), 0)):
             with _fork_counter() as forks:
                 report, code = run(cfg, tmp_path / cfg["scenario"], quiet=True)
@@ -715,7 +728,7 @@ class TestCsvWriter:
 @contextlib.contextmanager
 def _fork_counter(**cli_attrs):
     """Sets the given egf_lab.cli attributes and two usable CPUs; yields the
-    list of the pids that write_csv forks."""
+    list of the pids that write_csv and run's echo fork."""
     fork, forks = os.fork, []
 
     def counting():
@@ -821,7 +834,7 @@ class TestFormattedOnce:
                 values.real[k], values.imag[k] = values.real[twin], -values.imag[twin]
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            write_csv(tmp / "once.csv", ["re", "im"], cli._conjugate_text(values))
+            write_csv(tmp / "once.csv", ["re", "im"], [values])
             write_csv_reference(tmp / "reference.csv", ["re", "im"],
                                 zip(values.real.tolist(), values.imag.tolist()))
             assert (tmp / "once.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
@@ -1037,6 +1050,68 @@ class TestRunScenarios:
         assert code == EXIT_UNSOLVABLE
         assert report["error"].startswith("characteristics crossed at t* = 3.97897e-81")
 
+    @pytest.mark.parametrize("t_end", [5e-13, 1e-20, 1e-300])
+    @pytest.mark.parametrize("cfg,collapses_from", [
+        (_set(umbilical_config(grid=64), "functional", {"name": "umbilical_square"}),
+         math.inf),
+        (_set(umbilical_config(grid=64, boundary="transmissive"), "functional",
+              {"name": "umbilical_square"}), math.inf),
+        (_set(_set(json.loads(json.dumps(TAU_FLOW)), "n", 3), "functional",
+              {"name": "ext_ricci"}), math.inf),
+        (CONE, math.inf),
+        # speed psi' / 2 ~ 1e150 over ds = 1/64: dt ~ 1.3e-152, a collapse
+        # wherever that is at most 1e-15 t_end
+        (_set(_set(umbilical_config(grid=64), "functional", {"name": "umbilical_square"}),
+              "initial", {"kind": "sine", "amplitude": 1e149, "mean": 1e150}), 1.3e-137),
+    ], ids=["umbilical", "umbilical-transmissive", "tau", "cone", "umbilical-fast"])
+    def test_tiny_t_end_is_reached_or_collapses(self, tmp_path, cfg, collapses_from,
+                                                t_end):
+        # the march's end tolerance and its collapse floor are relative to
+        # t_end, so a positive t_end however small takes a step
+        cfg = _set(json.loads(json.dumps(cfg)), "numerics.t_end", t_end)
+        with mock.patch.object(flow_engine, "step_umbilical",
+                               wraps=flow_engine.step_umbilical) as scalar, \
+                mock.patch.object(flow_engine, "step_tau_system",
+                                  wraps=flow_engine.step_tau_system) as tau:
+            report, code = run(cfg, tmp_path, quiet=True)
+        if t_end >= collapses_from:
+            assert code == EXIT_BLOWUP, report
+            assert report["error"].startswith("time step collapsed to "), report["error"]
+            return
+        assert code == EXIT_OK, report.get("error")
+        assert scalar.call_count + tau.call_count >= 1
+        results = report["results"]
+        # cone-check reports the t_end its oracle is evaluated at
+        reached = results["final_time" if "final_time" in results else "t_end"]
+        assert reached == pytest.approx(t_end, rel=1e-12, abs=0)
+
+    def test_tiny_t_end_is_judged_at_t_end(self, tmp_path):
+        # psi = 2e11 lam translates lam0 = sin 2 pi s by 1e11 t: 0.05 by
+        # t_end = 5e-13, where the march used to take no step and report the
+        # initial data with oracle_sup_error 0
+        cfg = _set(umbilical_config(grid=256, t_end=5e-13), "functional",
+                   {"name": "affine", "a": 2e11, "b": 0.0})
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
+        assert report["results"]["final_time"] == 5e-13
+        assert 0 < report["results"]["oracle_sup_error"] < 1e-3
+        # umbilical_square from amplitude 1e10 about 1e11: phi = exp(int psi / 2)
+        # reaches about exp(2.5e9) by t_end, so the first step overflows it
+        cfg = _set(_set(umbilical_config(grid=256, t_end=5e-13), "functional",
+                        {"name": "umbilical_square"}),
+                   "initial", {"kind": "sine", "amplitude": 1e10, "mean": 1e11})
+        report, code = run(cfg, tmp_path / "square", quiet=True)
+        assert code == EXIT_BLOWUP, report
+        assert report["error"] == "non-finite or zero warping factor (last valid t = 0)"
+
+    def test_oracle_refuses_a_state_short_of_t_end(self):
+        F = make_functional("b1", 2)
+        lam0 = lambda s: np.sin(2 * np.pi * s)
+        p = UmbilicalProfile.from_function(lam0, 64, 1.0)
+        assert cli._oracle_sup_error(lam0, F, p, p.lam, 1.0, 0.0) == 0.0
+        with pytest.raises(RuntimeError, match=r"stopped at t = 0\.0, short of t_end = 0\.5"):
+            cli._oracle_sup_error(lam0, F, p, p.lam, 1.0, 0.5)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_tau_flow_past_crossing_exits_4(self, tmp_path, n):
         # psi = -2 (n - 1) lam^2 and lam0 = 0.5 + 0.25 sin 2 pi s: d_s(psi'(lam0)/2)
@@ -1155,7 +1230,7 @@ class TestDeterminism:
     def test_report_is_one_line_of_sorted_json(self, tmp_path, monkeypatch, cfg,
                                                non_finite):
         if non_finite:
-            monkeypatch.setitem(cli.HANDLERS, "ricci-classify", lambda cfg, outdir: (
+            monkeypatch.setitem(cli.HANDLERS, "ricci-classify", lambda cfg: (
                 {"a": math.nan, "b": [math.inf, -np.inf], "c": np.float32("nan")}, []))
         report, code = run(cfg, tmp_path, quiet=True)
         assert code == EXIT_OK, report.get("error")
@@ -1276,6 +1351,107 @@ class TestReportWriter:
             write_json_reference(Path(tmp) / "b.json", obj)
             assert (Path(tmp) / "a.json").read_bytes() == (
                 Path(tmp) / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("name", [*REFERENCE_CONFIGS, "non_finite_results"])
+    def test_report_matches_reference_with_the_echo_forked(self, tmp_path, monkeypatch,
+                                                           name):
+        # every accepted config forks its echo at _FORK_CELLS = 0
+        if name == "non_finite_results":
+            monkeypatch.setitem(cli.HANDLERS, "cohomology", lambda cfg: (
+                {"a": math.nan, "b": [math.inf, -np.inf], "c": np.float32("nan")}, []))
+        cfg = REFERENCE_CONFIGS.get(name, dense_cohomology_config(2))
+        with _fork_counter(_FORK_CELLS=0) as forks:
+            report, code = run(cfg, tmp_path, quiet=True)
+        assert code in (EXIT_OK, EXIT_CONFIG), report.get("error")
+        assert len(forks) == (code == EXIT_OK)
+        write_json_reference(tmp_path / "reference.json", report)
+        assert (tmp_path / "report.json").read_bytes() == (
+            tmp_path / "reference.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".csv") == [
+            "reference.json", "report.json"]
+
+    def test_failing_echo_child_leaves_the_echo_to_run(self, tmp_path, monkeypatch):
+        parent, encode = os.getpid(), cli._json_text
+
+        def failing(obj):
+            if os.getpid() != parent:
+                raise MemoryError("the child ran out of memory")
+            return encode(obj)
+
+        monkeypatch.setattr(cli, "_json_text", failing)
+        with _fork_counter(_FORK_CELLS=0) as forks:
+            report, code = run(dense_cohomology_config(2), tmp_path, quiet=True)
+        assert code == EXIT_OK and len(forks) == 1, report.get("error")
+        write_json_reference(tmp_path / "reference.json", report)
+        assert (tmp_path / "report.json").read_bytes() == (
+            tmp_path / "reference.json").read_bytes()
+        assert not list(tmp_path.glob("*.part"))
+
+    def test_failing_tables_kill_the_echo_child(self, tmp_path, monkeypatch):
+        parent, encode = os.getpid(), cli._json_text
+
+        def slow(obj):  # the child would take a minute
+            if os.getpid() != parent:
+                time.sleep(60)
+            return encode(obj)
+
+        def full(path, header, columns, tee=None):
+            raise OSError("no space left on the device")
+
+        monkeypatch.setattr(cli, "_json_text", slow)
+        monkeypatch.setattr(cli, "write_csv", full)
+        cfg = dense_cohomology_config(2)
+        started = time.monotonic()
+        with _fork_counter(_FORK_CELLS=0) as forks:
+            report, code = run(cfg, tmp_path, quiet=True)
+        assert time.monotonic() - started < 30  # killed, not waited for
+        assert code == EXIT_INTERNAL and len(forks) == 1
+        assert report["error"] == "internal error: OSError: no space left on the device"
+        assert json.loads((tmp_path / "report.json").read_text())["config"] == cfg
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("error,code", [
+        (FlowBlowUpError("non-finite power sums", 0.0), EXIT_BLOWUP),
+        (ResonanceError("resonant", (1, 0, 0)), EXIT_UNSOLVABLE),
+        (RuntimeError("boom"), EXIT_INTERNAL),
+    ], ids=["exit_3", "exit_4", "exit_5"])
+    def test_handler_errors_echo_without_a_fork(self, tmp_path, monkeypatch, error, code):
+        def failing(cfg):
+            raise error
+
+        monkeypatch.setitem(cli.HANDLERS, "cohomology", failing)
+        cfg = dense_cohomology_config(2)
+        with _fork_counter(_FORK_CELLS=0) as forks:
+            report, got = run(cfg, tmp_path, quiet=True)
+        assert got == code and not forks, report.get("error")
+        assert json.loads((tmp_path / "report.json").read_text())["config"] == cfg
+        write_json_reference(tmp_path / "reference.json", report)
+        assert (tmp_path / "report.json").read_bytes() == (
+            tmp_path / "reference.json").read_bytes()
+
+    @pytest.mark.parametrize("cfg", [
+        _set(dense_cohomology_config(2), "extra", 1),  # refused by the parse
+        _set(dense_cohomology_config(2), "h.grid_csv", "h.csv"),  # by the handler
+    ], ids=["parse", "handler"])
+    def test_refused_config_never_forks(self, tmp_path, cfg):
+        with _fork_counter(_FORK_CELLS=0) as forks:
+            report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_CONFIG and not forks, report.get("error")
+        assert json.loads((tmp_path / "report.json").read_text())["config"] == cfg
+
+    def test_no_handler_mutates_its_config(self, tmp_path):
+        # a forked child encodes the config as it stands when the tables are
+        # written, this process as it stands at the end
+        for cfg in (umbilical_config(grid=32, t_end=0.1), TAU_FLOW, SOLITON, BIREGULAR,
+                    RICCI, COHOMOLOGY, dense_cohomology_config(2), CONSTANT_LAMBDA,
+                    REVOLUTION, CONE):
+            before = json.dumps(cfg, sort_keys=True)
+            report, code = run(cfg, tmp_path / cfg["scenario"], quiet=True)
+            assert code == EXIT_OK, report.get("error")
+            assert json.dumps(cfg, sort_keys=True) == before, cfg["scenario"]
+        assert {cfg["scenario"] for cfg in (
+            TAU_FLOW, SOLITON, BIREGULAR, RICCI, COHOMOLOGY, REVOLUTION, CONE)} | {
+            "umbilical-flow"} == set(cli.HANDLERS)
 
     def test_config_echo_is_not_walked(self, tmp_path, monkeypatch):
         # the encoder reads an accepted config's mode table as it stands: the
@@ -1603,7 +1779,7 @@ class TestCohomologyInput:
     def test_internal_error_writes_report_without_traceback(
         self, tmp_path, monkeypatch, capsys
     ):
-        def broken(cfg, outdir):
+        def broken(cfg):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(cli.HANDLERS, "ricci-classify", broken)

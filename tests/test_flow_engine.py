@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from egf_lab import flow_engine
 from egf_lab.catalog import make_functional
 from egf_lab.flow_engine import (
     BOUNDARIES,
@@ -593,27 +594,29 @@ class TestTauSystem:
             step_tau_system(fld, F, StepControl(t_end=1.0))
 
 
-# (name, params, n, t_end) of every catalog functional at n = 2..4, each at a
-# horizon before its characteristics cross from 0.5 + 0.25 sin 2 pi s
+# (name, params, n, mean, t_end, grids) of every catalog functional at
+# n = 2..4 from mean + 0.25 sin 2 pi s, each at a horizon before its
+# characteristics cross; and ext_ricci at n = 4 and 6 about lam = 1, at 0.6
+# of its crossing time t* = 1 / ((n - 1) pi), where the sum of the moduli
+# of its coefficients falls below the umbilical speed (2n - 2) |lam|
 TAU_CONVERGENCE = [
-    (name, params, n, {("ext_ricci", 2): 0.25, ("ext_ricci", 3): 0.12,
-                       ("ext_ricci", 4): 0.08}.get((name, n), 0.5))
+    (name, params, n, 0.5, {("ext_ricci", 2): 0.25, ("ext_ricci", 3): 0.12,
+                            ("ext_ricci", 4): 0.08}.get((name, n), 0.5),
+     (512, 1024, 2048))
     for name, params in CATALOG_CASES for n in (2, 3, 4)
-]
+] + [("ext_ricci", {}, n, 1.0, 0.6 / ((n - 1) * np.pi), (256, 512, 1024, 2048))
+     for n in (4, 6)]
 
 
-@pytest.mark.parametrize("name,params,n,t_end", [
-    pytest.param(*case, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: speed 0 when only f_0 is live"))
-    if not make_functional(case[0], case[2], case[1]).live else case
-    for case in TAU_CONVERGENCE
-], ids=[f"{name}-n{n}" for name, _, n, _ in TAU_CONVERGENCE])
-def test_tau_system_converges_before_crossing(name, params, n, t_end):
+@pytest.mark.parametrize(
+    "name,params,n,mean,t_end,grids", TAU_CONVERGENCE,
+    ids=[f"{name}-n{n}" + ("" if mean == 0.5 else "-about-1")
+         for name, _, n, mean, _, _ in TAU_CONVERGENCE])
+def test_tau_system_converges_before_crossing(name, params, n, mean, t_end, grids):
     # tau_1/n against the characteristics and the umbilicity defect
-    # tau_2 - tau_1^2/n, both at first order
+    # tau_2 - tau_1^2/n, both at first order at the default CFL 0.9
     F = make_functional(name, n, params)
-    lam0 = lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s)
-    grids = (512, 1024, 2048)
+    lam0 = lambda s: mean + 0.25 * np.sin(2 * np.pi * s)
     errors, defects = [], []
     for grid in grids:
         out = evolve_tau(TauField.from_umbilical(lam0, n, grid, 1.0), F,
@@ -817,3 +820,22 @@ def test_sliver_step_past_a_step_boundary_moves_lam_by_its_dt(march, name, bound
     past = evolve(state, F, StepControl(t_end=t_k.t + 1e-9))
     assert np.abs(lam(at) - lam(t_k)).max() <= 1e-14
     assert np.abs(lam(past) - lam(at)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("G,steps", [(64, 10), (128, 13), (256, 10)])
+def test_uniform_steps_to_a_whole_t_end_add_no_sliver(monkeypatch, G, steps):
+    # b1's tau march steps by exactly dt = cfl ds / (1/2), and t_end is a
+    # whole number of those steps; their running sum falls an ulp short of
+    # it, which the end-time tolerance counts as t_end: no sliver step
+    cfl = 0.3
+    dt = cfl * (1.0 / G) / 0.5
+    t = 0.0
+    for _ in range(steps):
+        t += dt
+    assert t < steps * dt
+    calls = []
+    monkeypatch.setattr(flow_engine, "step_tau_system",
+                        lambda *args: calls.append(args) or step_tau_system(*args))
+    fld = TauField.from_umbilical(lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s), 2, G, 1.0)
+    out = evolve_tau(fld, make_functional("b1", 2), StepControl(t_end=steps * dt, cfl=cfl))
+    assert len(calls) == steps and out.t == t
