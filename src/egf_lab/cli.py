@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import os
+import pickle
 import reprlib
 import sys
 import time
@@ -190,46 +191,72 @@ def _write_table(path: Path, header, columns, tee) -> None:
             _write_rows(fh, columns, ",", tee_fh)
 
 
+_busy = False  # a _forked child is alive, or this process is one
+
+
 def _two_cpus() -> bool:
-    """A forked child can run beside this process: Linux, two usable CPUs."""
-    return sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+    """A forked child can run beside this process: Linux, two usable CPUs,
+    and no _forked child alive, nor this process one.  So a child never
+    forks, and two CPUs never carry three processes."""
+    return not _busy and sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
 
 
 @contextlib.contextmanager
-def _forked(work: Callable[[], object], parts: list[Path]):
-    """Runs work() in a forked child while the with-block runs here, and
-    hands the block reap(), which waits for the child and returns its exit
-    status, 0 once work returned.  The child never returns into the caller,
-    flushes nothing and prints nothing.  It does not outlive the block: an
-    exception kills it, it is reaped, and the part files it writes are
-    removed."""
-    pid = os.fork()
+def _forked(work: Callable[[], object], fork: bool = True):
+    """Runs work() in a forked child, if fork and ``_two_cpus``, while the
+    with-block runs here, and hands the block result(): the value work()
+    returned in the child, sent back through a pipe.  Without a child, or
+    when the child failed, result() runs work() here, so its value, or the
+    exception it raises, is that of one process.  The child never returns
+    into the caller, flushes nothing and prints nothing.  It does not
+    outlive the block: a block that leaves without result(), by an
+    exception say, kills it; it is reaped either way."""
+    global _busy
+    pid = None
+    if fork and _two_cpus():
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the work is done here
+            os.close(read)
+            os.close(write)
+    if pid is None:
+        yield work
+        return
+    _busy = True  # in both processes
     if pid == 0:
         code = 1
         try:
-            work()
+            os.close(read)
+            with open(write, "wb") as fh:
+                pickle.dump(work(), fh, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
+    os.close(write)
     status = None
 
     def reap() -> int:
         nonlocal status
-        if status is None:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        global _busy
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        _busy = False
         return status
 
+    def result():
+        chunks = []  # read before the reap: a value beyond the pipe's buffer
+        while chunk := os.read(read, 1 << 20):
+            chunks.append(chunk)
+        return pickle.loads(b"".join(chunks)) if reap() == 0 else work()
+
     try:
-        yield reap
-    except BaseException:
-        if status is None:  # its work is of no use
+        yield result
+    finally:
+        if status is None:  # its value is of no use
             import signal  # the error path only
             os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        reap()
-        for part in parts:
-            part.unlink(missing_ok=True)
+            reap()
+        os.close(read)
 
 
 def _fork_row(columns) -> int:
@@ -272,15 +299,16 @@ def write_csv(path: Path, header: list[str], columns, tee: Path | None = None) -
         return
     targets = [Path(path)] + ([] if tee is None else [Path(tee)])
     parts = [t.with_name(t.name + ".part") for t in targets]
-    with _forked(lambda: _write_table(parts[0], None, [c[mid:] for c in columns],
-                                      parts[1] if tee is not None else None),
-                 parts) as reap:
-        _write_table(path, header, [c[:mid] for c in columns], tee)
-        if status := reap():
-            raise RuntimeError(f"write_csv: the child writing rows {mid}.. of "
-                               f"{path} exited with status {status}")
+    try:
+        with _forked(lambda: _write_table(parts[0], None, [c[mid:] for c in columns],
+                                          parts[1] if tee is not None else None)) as rest:
+            _write_table(path, header, [c[:mid] for c in columns], tee)
+            rest()
         for target, part in zip(targets, parts):
             _append(target, part)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def _shown(value) -> str:
@@ -702,17 +730,19 @@ def run_tau_flow(cfg: dict):
     t_star = crossing_time(lam0, F, fld.s, length if fld.periodic else None)
     if ctl.t_end >= t_star:
         raise ShockError(t_star, ctl.t_end)
-    out = evolve_tau(fld, F, ctl)
-
-    scalar = evolve_umbilical(
-        UmbilicalProfile.from_function(lam0, grid, length, boundary), F, ctl
-    )
+    # the umbilical companion, whose lam the march must match, marches
+    # beside the tau system in a second process
+    with _forked(lambda: evolve_umbilical(
+            UmbilicalProfile.from_function(lam0, grid, length, boundary), F, ctl).lam
+    ) as companion:
+        out = evolve_tau(fld, F, ctl)
+        scalar_lam = companion()
     results = {
         "final_time": out.t,
         "umbilicity_defect": float(
             np.max(np.abs(out.tau[1] - out.tau[0] ** 2 / n))
         ) if n >= 2 else 0.0,
-        "scalar_match": float(np.max(np.abs(out.tau[0] / n - scalar.lam))),
+        "scalar_match": float(np.max(np.abs(out.tau[0] / n - scalar_lam))),
         "oracle_sup_error": _oracle_sup_error(lam0, F, out, out.tau[0] / n, length,
                                               ctl.t_end),
     }
@@ -894,35 +924,31 @@ HANDLERS = {
 # ------------------------------------------------------------------ driver
 
 
-def _output_stage(config: dict, cfg: dict, outdir: Path, tables) -> tuple[list, str | None]:
-    """Writes the tables; returns their paths, and the JSON text of the
-    config's echo if a forked child encoded it meanwhile, else None.
+def _output_stage(config: dict, cfg: dict, outdir: Path, tables) -> tuple[list, str]:
+    """Writes the tables; returns their paths and the JSON text of the
+    config's echo.
 
-    A child runs when the config's parsed arrays (h.modes) hold at least
-    _FORK_CELLS numbers, with ``_two_cpus``.  It encodes the config as
-    _json_text does into ``report.json.part``; a child that fails leaves
-    the echo to run.  It starts after the handler's numerical work, beside
-    the text formatting of the tables, so it never competes with the solve
-    for the CPUs (OpenBLAS's threads, when BLAS is not pinned to one).
+    A ``_forked`` child encodes the echo meanwhile when the config's parsed
+    arrays (h.modes) hold at least _FORK_CELLS numbers.  It starts after the
+    handler's numerical work, beside the text formatting of the tables, so it
+    never competes with the solve for the CPUs (OpenBLAS's threads, when
+    BLAS is not pinned to one).
     """
-    part = outdir / "report.json.part"
-    fork = (sum(v.size for v in cfg.values() if isinstance(v, np.ndarray)) >= _FORK_CELLS
-            and _two_cpus())
-    with (_forked(lambda: part.write_text(_json_text(config)), [part]) if fork
-          else contextlib.nullcontext()) as reap:
+    large = sum(v.size for v in cfg.values() if isinstance(v, np.ndarray)) >= _FORK_CELLS
+    with _forked(lambda: _json_text(config), large) as echo:
         outputs = []
         for table in tables:
             write_csv(outdir / table.name, table.header, table.columns,
                       table.tee and outdir / table.tee)
             outputs += [str(outdir / name) for name in (table.name, table.tee) if name]
-        return outputs, None if reap is None or reap() else part.read_text()
+        return outputs, echo()
 
 
 def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     """Execute one scenario and write its report; returns (report, exit code).
 
     report.json is one line of sorted-key JSON, the config's echo first: an
-    accepted config of many numbers is encoded beside the output stage (see
+    accepted config's echo is encoded by the output stage (see
     _output_stage), any other here, with the same bytes either way.
     """
     outdir = Path(outdir)
@@ -1000,7 +1026,8 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
     For the ds axis the refinement errors are fitted with a log-log least
     squares line, giving the measured convergence order.  For the cfl axis
     the aggregate records which runs stayed stable and the largest stable
-    value.  Every config is parsed before the first one runs.
+    value.  Every config is parsed before the first one runs.  The second
+    half of the members runs in a ``_forked`` child beside the first.
     """
     if not configs:
         raise ConfigError("sweep: no configs to run")
@@ -1015,11 +1042,16 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    def members(first: int, stop: int) -> list[tuple[dict, int]]:
+        return [run(configs[idx], outdir / f"run_{idx:03d}", quiet=True)
+                for idx in range(first, stop)]
+
+    half = len(configs) // 2  # the second half runs in a second process meanwhile
+    with _forked(lambda: members(half, len(configs)), half > 0) as rest:
+        done = members(0, half)
+        done += rest()
     rows = []
-    reports = []
-    for idx, (c, cfg) in enumerate(zip(configs, parsed)):
-        report, code = run(c, outdir / f"run_{idx:03d}", quiet=True)
-        reports.append(report)
+    for cfg, (report, code) in zip(parsed, done):
         if axis == "ds":
             err = (report["results"].get(SWEEP_ERROR_KEY[scenario])
                    if code == EXIT_OK else None)
@@ -1044,7 +1076,7 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
         for name, column in zip(header, zip(*rows))])
 
     aggregate["reports"] = [
-        {"exit_status": r["exit_status"], "error": r.get("error")} for r in reports
+        {"exit_status": r["exit_status"], "error": r.get("error")} for r, _ in done
     ]
     _write_json(outdir / "sweep_report.json", aggregate)
     return aggregate, EXIT_OK

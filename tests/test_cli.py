@@ -44,8 +44,11 @@ from egf_lab.cohomology_solver import (
 from egf_lab.flow_engine import (
     FlowBlowUpError,
     StepControl,
+    TauField,
     UmbilicalProfile,
+    evolve_tau,
     evolve_umbilical,
+    reached,
 )
 from egf_lab.revolution_geometry import (
     integrate_constant_lambda,
@@ -603,27 +606,40 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("half", ["child", "parent"])
     def test_failing_half_leaves_no_part_and_no_child(self, tmp_path, half):
-        """A failing child makes write_csv raise; a failing parent half kills
-        and reaps the child.  run() reports either as an internal error."""
-        write_rows = cli._write_rows
+        """A failing child leaves its rows to this process, which writes the
+        bytes of one process; a failing parent half kills and reaps the
+        child, and run() reports it as an internal error."""
+        parent, write_rows = os.getpid(), cli._write_rows
 
         def failing(fh, columns, sep, tee=None):
-            if fh.name.endswith(".part") == (half == "child"):
+            if (os.getpid() != parent if half == "child"
+                    else not fh.name.endswith(".part")):
                 raise OSError("no space left on the device")
             write_rows(fh, columns, sep, tee)
 
-        error, match = ((RuntimeError, r"rows 12\.\. of .* status 1$") if half == "child"
-                        else (OSError, "no space left"))
         table = np.arange(40.0).reshape(2, 20)
         with _fork_counter(_FORK_CELLS=1, _CHUNK_ROWS=4, _write_rows=failing) as forks:
-            with pytest.raises(error, match=match):
+            if half == "child":
                 write_csv(tmp_path / "t.csv", ["a", "b"], table, tee=tmp_path / "t.dat")
+            else:
+                with pytest.raises(OSError, match="no space left"):
+                    write_csv(tmp_path / "t.csv", ["a", "b"], table,
+                              tee=tmp_path / "t.dat")
             report, code = run(umbilical_config(grid=16, t_end=0.1), tmp_path / "run",
                                quiet=True)
         assert len(forks) == 2
-        assert code == EXIT_INTERNAL, report.get("error")
+        if half == "child":
+            assert code == EXIT_OK, report.get("error")
+            write_csv_reference(tmp_path / "reference.csv", ["a", "b"], table.T.tolist())
+            write_csv_reference(tmp_path / "reference.dat", None, table.T.tolist(),
+                                sep=" ")
+            for name in ("t.csv", "t.dat"):
+                assert (tmp_path / name).read_bytes() == (
+                    tmp_path / name.replace("t.", "reference.")).read_bytes(), name
+        else:
+            assert code == EXIT_INTERNAL, report.get("error")
         assert json.loads((tmp_path / "run" / "report.json").read_text())[
-            "exit_status"] == EXIT_INTERNAL
+            "exit_status"] == code
         assert not list(tmp_path.rglob("*.part"))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -650,17 +666,27 @@ class TestCsvWriter:
         none for its sparse twin.  3-D cohomology's solution rows hold int
         columns and one complex column, which is text, so its tables never
         fork: at K = 16 the one fork is the echo's, for the 89,845 numbers of
-        its 17,969 h.modes rows, and at K = 12 (39,065 numbers) none."""
+        its 17,969 h.modes rows, and at K = 12 (39,065 numbers) none.  A
+        tau-flow forks its umbilical companion, a sweep of two or more
+        members its second half, a one-member sweep nothing."""
         dense = umbilical_config(grid=256, t_end=1.0)
         dense["output"]["snapshot_stride"] = 1
+        sweep = [umbilical_config(grid=64, cfl=c) for c in (0.5, 0.7, 0.9)]
+        reports = {}
         for cfg, expected in ((dense, 1), (umbilical_config(grid=256, t_end=1.0), 0),
                               (dense_cohomology_config(16), 1),
-                              (dense_cohomology_config(12), 0)):
+                              (dense_cohomology_config(12), 0), (TAU_FLOW, 1),
+                              (sweep, 1), (sweep[:1], 0)):
+            name = f"sweep{len(cfg)}" if isinstance(cfg, list) else cfg["scenario"]
             with _fork_counter() as forks:
-                report, code = run(cfg, tmp_path / cfg["scenario"], quiet=True)
+                if isinstance(cfg, list):
+                    report, code = sweep_configs(cfg, tmp_path / name, "cfl")
+                else:
+                    report, code = run(cfg, tmp_path / name, quiet=True)
             assert code == EXIT_OK, report.get("error")
-            assert len(forks) == expected, cfg["scenario"]
-        assert report["results"]["modes_solved"] == 25 ** 3 - 1
+            assert len(forks) == expected, name
+            reports[name] = report
+        assert reports["cohomology"]["results"]["modes_solved"] == 25 ** 3 - 1  # K = 12
 
     def test_scenario_tables_match_reference_rendering(self, tmp_path):
         """The text-keyed tables, each against its per-value rendering from
@@ -728,7 +754,7 @@ class TestCsvWriter:
 @contextlib.contextmanager
 def _fork_counter(**cli_attrs):
     """Sets the given egf_lab.cli attributes and two usable CPUs; yields the
-    list of the pids that write_csv and run's echo fork."""
+    list of the pids that cli._forked forks."""
     fork, forks = os.fork, []
 
     def counting():
@@ -1532,6 +1558,179 @@ class TestSweep:
         configs = [umbilical_config(grid=64, t_end=0.5, cfl=c) for c in (0.4, 0.8, 1.0)]
         aggregate, _ = sweep_configs(configs, tmp_path, "cfl")
         assert aggregate["largest_stable_cfl"] == pytest.approx(1.0)
+
+
+def _tau_config(n: int, name: str, boundary: str) -> dict:
+    cfg = _set(_set(json.loads(json.dumps(TAU_FLOW)), "n", n), "functional", {"name": name})
+    return _set(cfg, "numerics.boundary", boundary)
+
+
+# (name, configs, axis): every tau-flow slot periodic and transmissive, a cfl
+# sweep with a member past t* (exit 4), a ds sweep whose finest member runs
+# out of steps (exit 3)
+SECOND_PROCESS_RUNS = [
+    *((f"tau-{name}-n{n}-{boundary}", [_tau_config(n, name, boundary)], None)
+      for n, name in ((3, "b1"), (4, "b1"), (3, "ext_ricci"))
+      for boundary in ("periodic", "transmissive")),
+    ("sweep-cfl", [_set(_tau_config(3, "ext_ricci", "periodic"), "numerics.cfl", c)
+                   for c in (0.5, 0.9)]
+     + [_set(_set(_tau_config(3, "ext_ricci", "periodic"), "numerics.cfl", 0.7),
+             "numerics.t_end", 10.0)], "cfl"),
+    ("sweep-ds", [umbilical_config(grid=g, max_steps=60) for g in (64, 128, 256)], "ds"),
+]
+
+
+def _invoke(configs: list, axis, outdir: Path) -> list[int]:
+    """Runs one config (axis None) or sweeps several; the exit statuses."""
+    if axis is None:
+        return [run(configs[0], outdir, quiet=True)[1]]
+    aggregate, _ = sweep_configs(configs, outdir, axis)
+    return [r["exit_status"] for r in aggregate["reports"]]
+
+
+def _written(outdir: Path) -> dict:
+    """Every file under outdir, each report.json as its results, error and
+    exit status (its wall time differs from run to run)."""
+    files = {}
+    for path in sorted(outdir.rglob("*")):
+        if path.name == "report.json":
+            report = json.loads(path.read_text())
+            files[str(path.relative_to(outdir))] = [
+                report.get(k) for k in ("results", "error", "exit_status")]
+        elif path.is_file():
+            files[str(path.relative_to(outdir))] = path.read_bytes()
+    return files
+
+
+@contextlib.contextmanager
+def _one_cpu():
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}), \
+            mock.patch.object(os, "fork", mock.Mock(side_effect=AssertionError)):
+        yield
+
+
+class TestSecondProcess:
+    """A tau-flow's umbilical companion, the second half of a sweep, a large
+    echo and the second half of a large table run in a forked child, one
+    child at a time; a failed child leaves its work to this process.  The
+    bytes are those of one process."""
+
+    @pytest.mark.parametrize("name,configs,axis", SECOND_PROCESS_RUNS,
+                             ids=[r[0] for r in SECOND_PROCESS_RUNS])
+    def test_one_cpu_and_two_write_the_same(self, tmp_path, name, configs, axis):
+        with _one_cpu():
+            codes = _invoke(configs, axis, tmp_path / "one")
+        with _fork_counter() as forks:
+            assert _invoke(configs, axis, tmp_path / "two") == codes
+        assert len(forks) == 1
+        assert codes == {"sweep-cfl": [0, 0, EXIT_UNSOLVABLE],
+                         "sweep-ds": [0, 0, EXIT_BLOWUP]}.get(name, [0])
+        assert _written(tmp_path / "one") == _written(tmp_path / "two")
+
+    @pytest.mark.parametrize("axis", [None, "cfl"], ids=["companion", "sweep"])
+    def test_failing_child_leaves_its_work_to_run(self, tmp_path, monkeypatch, axis):
+        parent, target = os.getpid(), "evolve_umbilical" if axis is None else "run"
+        work = getattr(cli, target)
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError("the child ran out of memory")
+            return work(*args, **kwargs)
+
+        configs = ([_tau_config(3, "ext_ricci", "periodic")] if axis is None
+                   else SECOND_PROCESS_RUNS[-2][1])
+        with _one_cpu():
+            codes = _invoke(configs, axis, tmp_path / "one")
+        monkeypatch.setattr(cli, target, failing)
+        with _fork_counter() as forks:
+            assert _invoke(configs, axis, tmp_path / "two") == codes
+        # the sweep's second half, run here once its child is reaped, forks
+        # the companion of its one member that marches
+        assert len(forks) == (1 if axis is None else 2)
+        assert _written(tmp_path / "one") == _written(tmp_path / "two")
+
+    def test_failed_fork_leaves_the_work_to_run(self, tmp_path):
+        cfg = _tau_config(4, "b1", "transmissive")
+        with _one_cpu():
+            run(cfg, tmp_path / "one", quiet=True)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
+                mock.patch.object(os, "fork", mock.Mock(side_effect=BlockingIOError)):
+            assert run(cfg, tmp_path / "two", quiet=True)[1] == EXIT_OK
+        assert _written(tmp_path / "one") == _written(tmp_path / "two")
+
+    def test_failing_tau_march_kills_the_companion(self, tmp_path, monkeypatch):
+        # the Newton extension to tau_4 overflows on the first step (see
+        # test_overflowing_tau_step_exits_3); the companion would take a minute
+        parent, evolve = os.getpid(), cli.evolve_umbilical
+
+        def slow(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve_umbilical", slow)
+        cfg = {"scenario": "tau-flow", "n": 3, "functional": {"name": "ext_ricci"},
+               "initial": {"kind": "sine", "amplitude": 1e79, "mean": 1e80},
+               "numerics": {"grid": 32, "t_end": 0.01, "length": 1e100}}
+        started = time.monotonic()
+        with _fork_counter() as forks:
+            report, code = run(cfg, tmp_path, quiet=True)
+        assert time.monotonic() - started < 30  # killed, not waited for
+        assert code == EXIT_BLOWUP and len(forks) == 1
+        assert report["error"] == "non-finite power sums (last valid t = 0)"
+        assert not cli._busy
+
+    def test_companion_blowing_up_after_a_clean_tau_march_exits_3(self, tmp_path):
+        # b = -1e4 underflows the warping exp(int psi / 2) in the scalar march
+        # only (see test_underflowing_warping_exits_3)
+        cfg = {"scenario": "tau-flow", "n": 2,
+               "functional": {"name": "affine", "a": 0.0, "b": -1e4},
+               "initial": {"kind": "sine", "amplitude": 0.1, "mean": 0.5},
+               "numerics": {"grid": 64, "t_end": 1.0}}
+        parsed = parse_config(cfg)
+        fld = TauField.from_umbilical(cli._initial(parsed), 2, 64, 1.0, "periodic")
+        ctl = cli._control(parsed)
+        assert reached(evolve_tau(fld, cli._functional(parsed), ctl).t, ctl.t_end)
+        with _one_cpu():
+            alone, code = run(cfg, tmp_path / "one", quiet=True)
+        assert code == EXIT_BLOWUP
+        with _fork_counter() as forks:
+            report, code = run(cfg, tmp_path / "two", quiet=True)
+        assert code == EXIT_BLOWUP and len(forks) == 1
+        assert report["error"] == alone["error"]
+        assert report["error"].endswith("(last valid t = 0)")
+
+    def test_sweep_of_large_tables_forks_once(self, tmp_path):
+        # each member alone forks its stride-1 table; beside the sweep's
+        # child, and inside it, no member forks
+        configs = [umbilical_config(grid=256, t_end=1.0, cfl=c) for c in (0.5, 0.7, 0.9)]
+        for cfg in configs:
+            cfg["output"]["snapshot_stride"] = 1
+        with _fork_counter() as forks:
+            aggregate, _ = sweep_configs(configs, tmp_path, "cfl")
+        assert [r["exit_status"] for r in aggregate["reports"]] == [EXIT_OK] * 3
+        assert len(forks) == 1
+        for idx in range(3):
+            with open(tmp_path / f"run_{idx:03d}" / "timeseries.csv") as fh:
+                assert 2 * (sum(1 for _ in fh) - 1) >= cli._FORK_CELLS, idx
+        assert not cli._busy
+
+    def test_large_tau_table_forks_after_the_companion_is_reaped(self, tmp_path):
+        # tau_final.csv: 2^14 rows of s and tau_1..3, 2^16 float cells
+        cfg = _set(_set(_tau_config(3, "b1", "periodic"), "numerics.grid", 2 ** 14),
+                   "numerics.t_end", 1e-3)
+        waitpid, reaps = os.waitpid, []
+
+        def reaping(pid, options):
+            done = waitpid(pid, options)
+            reaps.append((pid, len(forks)))  # the child, and the forks so far
+            return done
+
+        with _fork_counter() as forks, mock.patch.object(os, "waitpid", reaping):
+            report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
+        assert len(forks) == 2
+        assert reaps == [(forks[0], 1), (forks[1], 2)]
 
 
 POINTS_BOUND = "config error: --points: must be in [1, 64]"
