@@ -1026,8 +1026,12 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
     For the ds axis the refinement errors are fitted with a log-log least
     squares line, giving the measured convergence order.  For the cfl axis
     the aggregate records which runs stayed stable and the largest stable
-    value.  Every config is parsed before the first one runs.  The second
-    half of the members runs in a ``_forked`` child beside the first.
+    value.  Every config is parsed before the first one runs.  A cfl
+    sweep runs the second half of its members in a ``_forked`` child beside
+    the first.  A ds sweep runs them one after another, each free to fork
+    its own work: its finest member dominates its cost, so a split would
+    overlap only the cheap members, and it would keep the costly one from
+    forking.
     """
     if not configs:
         raise ConfigError("sweep: no configs to run")
@@ -1046,7 +1050,7 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
         return [run(configs[idx], outdir / f"run_{idx:03d}", quiet=True)
                 for idx in range(first, stop)]
 
-    half = len(configs) // 2  # the second half runs in a second process meanwhile
+    half = len(configs) // 2 if axis == "cfl" else 0  # the rest runs in a child
     with _forked(lambda: members(half, len(configs)), half > 0) as rest:
         done = members(0, half)
         done += rest()

@@ -667,20 +667,23 @@ class TestCsvWriter:
         columns and one complex column, which is text, so its tables never
         fork: at K = 16 the one fork is the echo's, for the 89,845 numbers of
         its 17,969 h.modes rows, and at K = 12 (39,065 numbers) none.  A
-        tau-flow forks its umbilical companion, a sweep of two or more
-        members its second half, a one-member sweep nothing."""
+        tau-flow forks its umbilical companion, a cfl sweep of two or more
+        members its second half, a one-member sweep nothing, and a ds sweep
+        of sparse flows nothing: its members run here, one after another."""
         dense = umbilical_config(grid=256, t_end=1.0)
         dense["output"]["snapshot_stride"] = 1
         sweep = [umbilical_config(grid=64, cfl=c) for c in (0.5, 0.7, 0.9)]
         reports = {}
-        for cfg, expected in ((dense, 1), (umbilical_config(grid=256, t_end=1.0), 0),
-                              (dense_cohomology_config(16), 1),
-                              (dense_cohomology_config(12), 0), (TAU_FLOW, 1),
-                              (sweep, 1), (sweep[:1], 0)):
-            name = f"sweep{len(cfg)}" if isinstance(cfg, list) else cfg["scenario"]
+        for cfg, expected, axis in (
+                (dense, 1, None), (umbilical_config(grid=256, t_end=1.0), 0, None),
+                (dense_cohomology_config(16), 1, None),
+                (dense_cohomology_config(12), 0, None), (TAU_FLOW, 1, None),
+                (sweep, 1, "cfl"), (sweep[:1], 0, "cfl"),
+                ([umbilical_config(grid=g) for g in (32, 64, 128)], 0, "ds")):
+            name = f"{axis}{len(cfg)}" if axis else cfg["scenario"]
             with _fork_counter() as forks:
-                if isinstance(cfg, list):
-                    report, code = sweep_configs(cfg, tmp_path / name, "cfl")
+                if axis:
+                    report, code = sweep_configs(cfg, tmp_path / name, axis)
                 else:
                     report, code = run(cfg, tmp_path / name, quiet=True)
             assert code == EXIT_OK, report.get("error")
@@ -1566,8 +1569,8 @@ def _tau_config(n: int, name: str, boundary: str) -> dict:
 
 
 # (name, configs, axis): every tau-flow slot periodic and transmissive, a cfl
-# sweep with a member past t* (exit 4), a ds sweep whose finest member runs
-# out of steps (exit 3)
+# sweep with a member past t* (exit 4), a tau-flow ds sweep whose finest
+# member runs out of steps (exit 3)
 SECOND_PROCESS_RUNS = [
     *((f"tau-{name}-n{n}-{boundary}", [_tau_config(n, name, boundary)], None)
       for n, name in ((3, "b1"), (4, "b1"), (3, "ext_ricci"))
@@ -1576,7 +1579,8 @@ SECOND_PROCESS_RUNS = [
                    for c in (0.5, 0.9)]
      + [_set(_set(_tau_config(3, "ext_ricci", "periodic"), "numerics.cfl", 0.7),
              "numerics.t_end", 10.0)], "cfl"),
-    ("sweep-ds", [umbilical_config(grid=g, max_steps=60) for g in (64, 128, 256)], "ds"),
+    ("sweep-ds", [_set(_set(_tau_config(3, "b1", "periodic"), "numerics.grid", g),
+                       "numerics.max_steps", 4) for g in (64, 128, 256)], "ds"),
 ]
 
 
@@ -1610,10 +1614,10 @@ def _one_cpu():
 
 
 class TestSecondProcess:
-    """A tau-flow's umbilical companion, the second half of a sweep, a large
-    echo and the second half of a large table run in a forked child, one
-    child at a time; a failed child leaves its work to this process.  The
-    bytes are those of one process."""
+    """A tau-flow's umbilical companion, the second half of a cfl sweep, a
+    large echo and the second half of a large table run in a forked child,
+    one child at a time; a failed child leaves its work to this process.
+    The bytes are those of one process."""
 
     @pytest.mark.parametrize("name,configs,axis", SECOND_PROCESS_RUNS,
                              ids=[r[0] for r in SECOND_PROCESS_RUNS])
@@ -1622,7 +1626,8 @@ class TestSecondProcess:
             codes = _invoke(configs, axis, tmp_path / "one")
         with _fork_counter() as forks:
             assert _invoke(configs, axis, tmp_path / "two") == codes
-        assert len(forks) == 1
+        # a ds sweep runs its members here, and each forks its companion
+        assert len(forks) == (3 if axis == "ds" else 1)
         assert codes == {"sweep-cfl": [0, 0, EXIT_UNSOLVABLE],
                          "sweep-ds": [0, 0, EXIT_BLOWUP]}.get(name, [0])
         assert _written(tmp_path / "one") == _written(tmp_path / "two")
@@ -1700,16 +1705,20 @@ class TestSecondProcess:
         assert report["error"] == alone["error"]
         assert report["error"].endswith("(last valid t = 0)")
 
-    def test_sweep_of_large_tables_forks_once(self, tmp_path):
-        # each member alone forks its stride-1 table; beside the sweep's
-        # child, and inside it, no member forks
-        configs = [umbilical_config(grid=256, t_end=1.0, cfl=c) for c in (0.5, 0.7, 0.9)]
+    @pytest.mark.parametrize("axis,expected", [("cfl", 1), ("ds", 3)])
+    def test_sweep_of_large_tables_forks_once(self, tmp_path, axis, expected):
+        # each member alone forks its stride-1 table; beside a cfl sweep's
+        # child, and inside it, no member forks; a ds sweep does not split,
+        # so each of its members forks its own table
+        configs = ([umbilical_config(grid=256, t_end=1.0, cfl=c) for c in (0.5, 0.7, 0.9)]
+                   if axis == "cfl" else
+                   [umbilical_config(grid=g, t_end=1.0) for g in (256, 320, 384)])
         for cfg in configs:
             cfg["output"]["snapshot_stride"] = 1
         with _fork_counter() as forks:
-            aggregate, _ = sweep_configs(configs, tmp_path, "cfl")
+            aggregate, _ = sweep_configs(configs, tmp_path, axis)
         assert [r["exit_status"] for r in aggregate["reports"]] == [EXIT_OK] * 3
-        assert len(forks) == 1
+        assert len(forks) == expected
         for idx in range(3):
             with open(tmp_path / f"run_{idx:03d}" / "timeseries.csv") as fh:
                 assert 2 * (sum(1 for _ in fh) - 1) >= cli._FORK_CELLS, idx
