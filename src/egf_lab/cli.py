@@ -191,26 +191,24 @@ def _write_table(path: Path, header, columns, tee) -> None:
             _write_rows(fh, columns, ",", tee_fh)
 
 
-_busy = False  # a _forked child is alive, or this process is one
+_busy = False  # a _beside child is alive, or this process is one
 
 
 def _two_cpus() -> bool:
     """A forked child can run beside this process: Linux, two usable CPUs,
-    and no _forked child alive, nor this process one.  So a child never
+    and no _beside child alive, nor this process one.  So a child never
     forks, and two CPUs never carry three processes."""
     return not _busy and sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
 
 
-@contextlib.contextmanager
-def _forked(work: Callable[[], object], fork: bool = True):
-    """Runs work() in a forked child, if fork and ``_two_cpus``, while the
-    with-block runs here, and hands the block result(): the value work()
-    returned in the child, sent back through a pipe.  Without a child, or
-    when the child failed, result() runs work() here, so its value, or the
-    exception it raises, is that of one process.  The child never returns
-    into the caller, flushes nothing and prints nothing.  It does not
-    outlive the block: a block that leaves without result(), by an
-    exception say, kills it; it is reaped either way."""
+def _beside(here: Callable[[], object], there: Callable[[], object], fork: bool = True):
+    """Returns (here(), there()).  If fork and ``_two_cpus``, there() runs in a
+    forked child while here() runs in this process, and its value comes back
+    through a pipe.  Without a child, or when the child failed, there() runs
+    here after here(), so its value, or the exception it raises, is that of
+    one process.  The child never returns into the caller, flushes nothing
+    and prints nothing.  It does not outlive the call: when here() raises, it
+    is killed; it is reaped either way."""
     global _busy
     pid = None
     if fork and _two_cpus():
@@ -221,42 +219,32 @@ def _forked(work: Callable[[], object], fork: bool = True):
             os.close(read)
             os.close(write)
     if pid is None:
-        yield work
-        return
+        return here(), there()
     _busy = True  # in both processes
     if pid == 0:
         code = 1
         try:
             os.close(read)
             with open(write, "wb") as fh:
-                pickle.dump(work(), fh, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(there(), fh, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
     os.close(write)
-    status = None
-
-    def reap() -> int:
-        nonlocal status
-        global _busy
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        _busy = False
-        return status
-
-    def result():
+    try:
+        value = here()
         chunks = []  # read before the reap: a value beyond the pipe's buffer
         while chunk := os.read(read, 1 << 20):
             chunks.append(chunk)
-        return pickle.loads(b"".join(chunks)) if reap() == 0 else work()
-
-    try:
-        yield result
+    except BaseException:  # its value is of no use
+        import signal  # the error path only
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        if status is None:  # its value is of no use
-            import signal  # the error path only
-            os.kill(pid, signal.SIGKILL)
-            reap()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        _busy = False
         os.close(read)
+    return value, pickle.loads(b"".join(chunks)) if status == 0 else there()
 
 
 def _fork_row(columns) -> int:
@@ -286,7 +274,7 @@ def write_csv(path: Path, header: list[str], columns, tee: Path | None = None) -
     conjugate rule of _conjugate_text, so the header names both.
 
     A large table (see _fork_row; a complex column counts as text) is
-    written by two processes: a ``_forked`` child formats the rows from the
+    written by two processes: a ``_beside`` child formats the rows from the
     middle on into ``<name>.part`` files while this process writes the header
     and the first half; the parts are then appended.  The bytes are those of
     one process.
@@ -300,10 +288,9 @@ def write_csv(path: Path, header: list[str], columns, tee: Path | None = None) -
     targets = [Path(path)] + ([] if tee is None else [Path(tee)])
     parts = [t.with_name(t.name + ".part") for t in targets]
     try:
-        with _forked(lambda: _write_table(parts[0], None, [c[mid:] for c in columns],
-                                          parts[1] if tee is not None else None)) as rest:
-            _write_table(path, header, [c[:mid] for c in columns], tee)
-            rest()
+        _beside(lambda: _write_table(path, header, [c[:mid] for c in columns], tee),
+                lambda: _write_table(parts[0], None, [c[mid:] for c in columns],
+                                     parts[1] if tee is not None else None))
         for target, part in zip(targets, parts):
             _append(target, part)
     finally:
@@ -732,11 +719,8 @@ def run_tau_flow(cfg: dict):
         raise ShockError(t_star, ctl.t_end)
     # the umbilical companion, whose lam the march must match, marches
     # beside the tau system in a second process
-    with _forked(lambda: evolve_umbilical(
-            UmbilicalProfile.from_function(lam0, grid, length, boundary), F, ctl).lam
-    ) as companion:
-        out = evolve_tau(fld, F, ctl)
-        scalar_lam = companion()
+    out, scalar_lam = _beside(lambda: evolve_tau(fld, F, ctl), lambda: evolve_umbilical(
+        UmbilicalProfile.from_function(lam0, grid, length, boundary), F, ctl).lam)
     results = {
         "final_time": out.t,
         "umbilicity_defect": float(
@@ -928,20 +912,21 @@ def _output_stage(config: dict, cfg: dict, outdir: Path, tables) -> tuple[list, 
     """Writes the tables; returns their paths and the JSON text of the
     config's echo.
 
-    A ``_forked`` child encodes the echo meanwhile when the config's parsed
+    A ``_beside`` child encodes the echo meanwhile when the config's parsed
     arrays (h.modes) hold at least _FORK_CELLS numbers.  It starts after the
     handler's numerical work, beside the text formatting of the tables, so it
     never competes with the solve for the CPUs (OpenBLAS's threads, when
     BLAS is not pinned to one).
     """
-    large = sum(v.size for v in cfg.values() if isinstance(v, np.ndarray)) >= _FORK_CELLS
-    with _forked(lambda: _json_text(config), large) as echo:
-        outputs = []
+    def write_tables() -> list:
         for table in tables:
             write_csv(outdir / table.name, table.header, table.columns,
                       table.tee and outdir / table.tee)
-            outputs += [str(outdir / name) for name in (table.name, table.tee) if name]
-        return outputs, echo()
+        return [str(outdir / name) for table in tables
+                for name in (table.name, table.tee) if name]
+
+    large = sum(v.size for v in cfg.values() if isinstance(v, np.ndarray)) >= _FORK_CELLS
+    return _beside(write_tables, lambda: _json_text(config), large)
 
 
 def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
@@ -1027,7 +1012,7 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
     squares line, giving the measured convergence order.  For the cfl axis
     the aggregate records which runs stayed stable and the largest stable
     value.  Every config is parsed before the first one runs.  A cfl
-    sweep runs the second half of its members in a ``_forked`` child beside
+    sweep runs the second half of its members in a ``_beside`` child beside
     the first.  A ds sweep runs them one after another, each free to fork
     its own work: its finest member dominates its cost, so a split would
     overlap only the cheap members, and it would keep the costly one from
@@ -1051,9 +1036,9 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
                 for idx in range(first, stop)]
 
     half = len(configs) // 2 if axis == "cfl" else 0  # the rest runs in a child
-    with _forked(lambda: members(half, len(configs)), half > 0) as rest:
-        done = members(0, half)
-        done += rest()
+    first, rest = _beside(lambda: members(0, half), lambda: members(half, len(configs)),
+                          half > 0)
+    done = first + rest
     rows = []
     for cfg, (report, code) in zip(parsed, done):
         if axis == "ds":

@@ -757,7 +757,7 @@ class TestCsvWriter:
 @contextlib.contextmanager
 def _fork_counter(**cli_attrs):
     """Sets the given egf_lab.cli attributes and two usable CPUs; yields the
-    list of the pids that cli._forked forks."""
+    list of the pids that cli._beside forks."""
     fork, forks = os.fork, []
 
     def counting():
@@ -1740,6 +1740,32 @@ class TestSecondProcess:
         assert code == EXIT_OK, report.get("error")
         assert len(forks) == 2
         assert reaps == [(forks[0], 1), (forks[1], 2)]
+
+    def test_child_flushes_nothing(self, tmp_path):
+        # the child leaves by os._exit: a line this process printed to a pipe,
+        # and has not flushed yet, reaches it once (PYTHONUNBUFFERED hides it)
+        code = "\n".join([
+            "import json, os, sys",
+            "from unittest import mock",
+            "from egf_lab import cli",
+            "fork, forks = os.fork, []",
+            "def counting():",
+            "    forks.append(fork())",
+            "    return forks[-1]",
+            "print('before')",
+            "with mock.patch.object(os, 'sched_getaffinity', lambda pid: {0, 1}), \\",
+            "        mock.patch.object(os, 'fork', counting):",
+            "    report, code = cli.run(json.loads(sys.argv[1]), sys.argv[2], quiet=True)",
+            "assert code == 0 and len(forks) == 1, (code, forks)",
+            "print('after')"])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(TAU_FLOW),
+                               str(tmp_path)], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "before\nafter\n"
 
 
 POINTS_BOUND = "config error: --points: must be in [1, 64]"

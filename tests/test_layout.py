@@ -93,3 +93,14 @@ def test_guard_sees_an_uncalled_method(tmp_path):
         "    def recursive(self):\n        return self.recursive()\n\n\n"
         "VALUE = Used().called()\n")
     assert unreachable_definitions(tmp_path) == {"Used.uncalled", "Used.recursive"}
+
+
+def test_one_way_to_a_second_process():
+    # cli._beside is the one fork site: one child at a time, with a pipe back
+    sites = [(path.name, getattr(stmt, "name", None))
+             for path in sorted(SRC.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body
+             for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and "fork" in _names_read(node.func)]
+    assert sites == [("cli.py", "_beside")]
+    assert sum(path.read_text().count("os.fork(") for path in SRC.glob("*.py")) == 1
