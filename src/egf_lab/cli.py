@@ -511,8 +511,10 @@ SNAPSHOT_OVERHEAD = 400
 def parse_config(config) -> dict:
     """{key path: value} for every key the config's scenario accepts, with
     defaults filled in.  A malformed or unknown key, an empty interval, a
-    count beyond the size cap, or a grid that cannot hold its length or its
-    initial data, raises ConfigError; nothing is read from disk or built."""
+    count beyond the size cap, a grid that cannot hold its length or its
+    initial data, or a step control that StepControl refuses (a cfl outside
+    (0, 1], a negative t_end), raises ConfigError; nothing is read from disk
+    or built."""
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
     table = accepted_keys(config)
@@ -524,6 +526,8 @@ def parse_config(config) -> dict:
                               f"got {values[hi]!r}")
     _check_sizes(values)
     _check_sampling(values)
+    if "numerics.cfl" in values:  # its refusals name their key, as a run's would
+        _control(values)
     return values
 
 
@@ -1005,6 +1009,21 @@ def _spacing(cfg: dict) -> float:
     return float(s[1] - s[0])
 
 
+def _cost_split(cfls: list[float]) -> int:
+    """The k that splits members of cost 1/cfl, run in order, into [0, k) and
+    [k, m) with the least larger cost sum (the first such k); 0 when there
+    is one member.  The members that ``sweep --axis cfl`` makes share their
+    grid and t_end, so each one's step count is in proportion to 1/cfl."""
+    costs = [1.0 / cfl for cfl in cfls]
+    total, done, least, split = sum(costs), 0.0, math.inf, 0
+    for k in range(1, len(costs)):
+        done += costs[k - 1]
+        longer = max(done, total - done)
+        if longer < least:
+            least, split = longer, k
+    return split
+
+
 def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, int]:
     """Run several configs that differ only in numerics; aggregate the errors.
 
@@ -1012,11 +1031,11 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
     squares line, giving the measured convergence order.  For the cfl axis
     the aggregate records which runs stayed stable and the largest stable
     value.  Every config is parsed before the first one runs.  A cfl
-    sweep runs the second half of its members in a ``_beside`` child beside
-    the first.  A ds sweep runs them one after another, each free to fork
-    its own work: its finest member dominates its cost, so a split would
-    overlap only the cheap members, and it would keep the costly one from
-    forking.
+    sweep runs its members from the ``_cost_split`` index on in a
+    ``_beside`` child beside the ones before it.  A ds sweep runs them one
+    after another, each free to fork its own work: its finest member
+    dominates its cost, so a split would overlap only the cheap members, and
+    it would keep the costly one from forking.
     """
     if not configs:
         raise ConfigError("sweep: no configs to run")
@@ -1035,9 +1054,10 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
         return [run(configs[idx], outdir / f"run_{idx:03d}", quiet=True)
                 for idx in range(first, stop)]
 
-    half = len(configs) // 2 if axis == "cfl" else 0  # the rest runs in a child
-    first, rest = _beside(lambda: members(0, half), lambda: members(half, len(configs)),
-                          half > 0)
+    # the members from split on run in a child
+    split = _cost_split([cfg["numerics.cfl"] for cfg in parsed]) if axis == "cfl" else 0
+    first, rest = _beside(lambda: members(0, split), lambda: members(split, len(configs)),
+                          split > 0)
     done = first + rest
     rows = []
     for cfg, (report, code) in zip(parsed, done):

@@ -141,9 +141,12 @@ class UmbilicalProfile(_NormalCurveGrid):
         self.phi = np.asarray(self.phi, dtype=float)
         if self.lam.shape != self.s.shape or self.phi.shape != self.s.shape:
             raise ValueError("lam and phi must match the grid")
-        if not (np.isfinite(self.lam).all() and np.isfinite(self.phi).all()):
-            raise ValueError("profile values must be finite")
-        if (self.phi <= 0).any():
+        # one min/max pass over phi: NaN fails both tests, -inf the first and
+        # +inf the second
+        if not (self.phi.min() > 0 and self.phi.max() < np.inf
+                and np.isfinite(self.lam).all()):
+            if not (np.isfinite(self.lam).all() and np.isfinite(self.phi).all()):
+                raise ValueError("profile values must be finite")
             raise ValueError("warping factor must be positive")
 
     @classmethod
@@ -247,7 +250,8 @@ def total_variation(u: np.ndarray, periodic: bool) -> float:
     """Sum of |u[k+1] - u[k]|, with the wrap-around jump when periodic; an
     overflow reads inf, which the march's guard and steps handle."""
     with np.errstate(over="ignore"):
-        tv = float(np.abs(u[1:] - u[:-1]).sum())
+        jump = u[1:] - u[:-1]
+        tv = float(np.abs(jump, out=jump).sum())
         if periodic:
             tv += abs(float(u[0] - u[-1]))
     return tv
@@ -292,28 +296,38 @@ def step_umbilical(
     # non-finite intermediates are converted into structured blow-up errors
     with np.errstate(all="ignore"):
         # psi and |psi'| (twice the local speed) over the padded nodes: a
-        # ghost node's values are those of the node it copies
+        # ghost node's values are those of the node it copies.  Each
+        # temporary is updated in place, its operands swapped where the
+        # product or sum commutes, so every value keeps the bits of the
+        # one-expression form
         lam_p = _padded(lam, p.periodic)
-        psi_p = np.asarray(psi_of_lambda(F, lam_p))
-        rate = np.abs(np.asarray(psi_prime(F, lam_p)))
+        psi_p = psi_of_lambda(F, lam_p)
+        rate = psi_prime(F, lam_p)
+        np.abs(rate, out=rate)
         dt = _pick_dt(0.5 * float(rate.max()), ds, ctl, remaining)
         t_new = p.t + dt
-        d = np.maximum(rate[:-1], rate[1:])
-        flux = psi_p[:-1] + psi_p[1:] - d * (lam_p[1:] - lam_p[:-1])
-        lam_new = lam - dt / (4.0 * ds) * (flux[1:] - flux[:-1])
+        jump = lam_p[1:] - lam_p[:-1]
+        jump *= np.maximum(rate[:-1], rate[1:])  # d (lam_+ - lam_-)
+        flux = psi_p[:-1] + psi_p[1:]
+        flux -= jump
+        diff = flux[1:] - flux[:-1]
+        diff *= dt / (4.0 * ds)
+        lam_new = np.subtract(lam, diff, out=diff)
         if inflow_left is not None and not p.periodic:
             lam_new[0] = inflow_left(t_new)
 
-        if not np.isfinite(lam_new).all():
-            raise FlowBlowUpError("non-finite normal curvature", p.t)
-
         # trapezoid-in-time update of the warping integral phi = phi0 exp(int psi/2)
-        psi_new = np.asarray(psi_of_lambda(F, lam_new))
-        phi_new = p.phi * np.exp(0.25 * dt * (psi_p[1:-1] + psi_new))
-    if not (phi_new.min() > 0 and phi_new.max() < np.inf):  # NaN fails both
-        raise FlowBlowUpError("non-finite or zero warping factor", p.t)
-
-    return UmbilicalProfile(p.s, lam_new, phi_new, p.boundary, t_new)
+        e = psi_of_lambda(F, lam_new)
+        e += psi_p[1:-1]
+        e *= 0.25 * dt
+        np.exp(e, out=e)
+        phi_new = np.multiply(p.phi, e, out=e)
+    try:  # the profile checks that lam is finite and phi finite and positive
+        return UmbilicalProfile(p.s, lam_new, phi_new, p.boundary, t_new)
+    except ValueError:
+        message = ("non-finite normal curvature" if not np.isfinite(lam_new).all()
+                   else "non-finite or zero warping factor")
+        raise FlowBlowUpError(message, p.t) from None
 
 
 def reached(t: float, t_end: float) -> bool:
@@ -467,6 +481,12 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     fld.tau, and subtracted in this order from the dissipation term, their
     factor dt (i/2) / (2 ds) folded in.  A constant f_j is one node's value
     and is never differenced: ghost copies difference it to 0 at any edge.
+    What F alone fixes (``F.tau_step``: m_top, the constant f_j, the index
+    factors, the term order, the constant speed terms and, when psi' is
+    constant, the umbilical speed) is computed once per functional, so a
+    step evaluates only the terms that depend on tau.  Temporaries are
+    updated in place, each value with the operations, in the order, of its
+    one-expression form.
     The new field shares fld's grid, checked once with the march's first field.
     """
     if F.n != fld.n:
@@ -478,45 +498,53 @@ def step_tau_system(fld: TauField, F: FlowFunctional, ctl: StepControl) -> TauFi
     if remaining <= 0:
         raise ValueError("field is already at or beyond t_end")
 
-    live, varying = F.live, F.varying
-    m_top = n + max(live) - 1 if live else n
-
+    k = F.tau_step  # what F alone fixes, computed once per functional
+    m_top = k.m_top
     # non-finite intermediates are converted into structured blow-up errors
     with np.errstate(all="ignore"):
         # the docstring's buffer; tx[j] is tau_j at the nodes
-        padded = np.empty((m_top + 1 + len(varying), tau.shape[1] + 2))
+        padded = np.empty((m_top + 1 + len(F.varying), tau.shape[1] + 2))
         tx = power_sums_with_tau0(tau, n, m_top, out=padded[:m_top + 1, 1:-1])
-        f = {j: F.coefficient(j, tau if j in varying else tau[:, :1])
-             for j in {*live, *varying}}
-        for row, j in enumerate(varying, start=m_top + 1):
-            padded[row, 1:-1] = f[j]
+        f = {}  # the varying f_j at the nodes
+        for row, j in enumerate(F.varying, start=m_top + 1):
+            f[j] = padded[row, 1:-1] = F.coefficient(j, tau)
         # d[:, :-1] is d_- and d[:, 1:] d_+ of tau_1..tau_m_top and the varying f_j
         _fill_ghosts(padded, fld.periodic)
         d = padded[1:, 1:] - padded[1:, :-1]
         central = d[:, :-1] + d[:, 1:]  # 2 ds times the central difference
 
-        # the advection speed of equation i (the column eq): the sum of the
+        # the advection speed of equation i (row i - 1): the sum of the
         # moduli of its coefficients i j f_j / (2(i+j-1)), or the umbilical
-        # speed |psi'(tau_1/n)| / 2 of the node where that is larger; a
-        # constant psi' is one node's value
-        eq = np.arange(1, n + 1)[:, None]
+        # speed |psi'(tau_1/n)| / 2 of the node where that is larger
         speeds = np.zeros((n, 1))
-        for j in live:
-            speeds = speeds + np.abs(eq * j * f[j] / (2.0 * (eq + j - 1)))
-        lam = tau[0] if len(F.psi_prime_coeffs) > 1 else tau[0, :1]
-        speeds = np.maximum(speeds, 0.5 * np.abs(_horner(F.psi_prime_coeffs, lam / n)))
+        for j, num, den, term in k.speed_terms:
+            if term is None:  # a varying f_j
+                term = num * f[j]
+                term /= den
+                np.abs(term, out=term)
+            speeds = speeds + term
+        umbilical = k.umbilical
+        if umbilical is None:  # psi' varies
+            umbilical = _horner(F.psi_prime_coeffs, tau[0] / n)
+            np.abs(umbilical, out=umbilical)
+            umbilical *= 0.5
+        speeds = np.maximum(speeds, umbilical)
         dt = _pick_dt(float(speeds.max()), ds, ctl, remaining)
 
         # tau_new - tau: the dissipation, then each bracket term times
         # w = dt (i/2) / (2 ds); equation i reads tau_{i+j-1}, row i+j-2, for f_j
         h = dt / (2.0 * ds)
-        w = (0.5 * h) * eq
-        tau_new = (h * speeds) * (d[:n, 1:] - d[:n, :-1])
-        for j in sorted({*live, *varying}):
-            if j in live:
-                tau_new -= (j * f[j]) * (w / (eq + j - 1)) * central[j - 1:j - 1 + n]
-            if j in varying:
-                tau_new -= w * tx[j:j + n] * central[m_top + varying.index(j)]
+        w = (0.5 * h) * k.eq
+        tau_new = d[:n, 1:] - d[:n, :-1]
+        tau_new *= h * speeds
+        for j, row, jf, den in k.terms:
+            if row is None:  # j f_j / (i+j-1) d_s tau_{i+j-1}
+                tau_new -= ((j * f[j] if jf is None else jf) * (w / den)
+                            * central[j - 1:j - 1 + n])
+            else:  # tau_{i+j-1} d_s f_j
+                term = w * tx[j:j + n]
+                term *= central[row]
+                tau_new -= term
         tau_new += tau
 
     if not np.isfinite(tau_new).all():

@@ -21,8 +21,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+
+
+class TauStep(NamedTuple):
+    """What one step of the tau system (``flow_engine.step_tau_system``) reads
+    of F alone, each value formed by the operations a step would use."""
+
+    m_top: int  # the highest power sum the live f_j read
+    eq: np.ndarray  # the equation indices i, an (n, 1) column
+    # (j, i j, 2(i+j-1), term) of each live f_j in order; term is the (n, 1)
+    # speed term |i j f_j / (2(i+j-1))| of a constant f_j, None for a varying one
+    speed_terms: tuple
+    umbilical: np.ndarray | None  # |psi'| / 2 when psi' is constant, else None
+    # the bracket terms in the step's order, ascending j, f_j's own term
+    # first: (j, None, j f_j of a constant f_j or None, i+j-1) for the term
+    # of a live f_j, (j, row of d_s f_j, None, None) for that of a varying f_j
+    terms: tuple
 
 
 @dataclass(frozen=True)
@@ -73,6 +90,30 @@ class FlowFunctional:
         """The j whose f_j the table does not prove constant."""
         return tuple(j for j in range(self.n)
                      if any(any(exps) for exps, _ in self.table[j]))
+
+    @cached_property
+    def tau_step(self) -> TauStep:
+        """The constants of a tau-system step, computed once: a constant f_j
+        reads no tau, so it is its value at any one node."""
+        n, live, varying = self.n, self.live, self.varying
+        eq = np.arange(1, n + 1)[:, None]
+        fixed = {j: self.coefficient(j, np.zeros((n, 1))) for j in live
+                 if j not in varying}
+        speed_terms = tuple(
+            (j, eq * j, 2.0 * (eq + j - 1),
+             np.abs(eq * j * fixed[j] / (2.0 * (eq + j - 1))) if j in fixed else None)
+            for j in live)
+        umbilical = None
+        if len(self.psi_prime_coeffs) == 1:
+            umbilical = 0.5 * np.abs(_horner(self.psi_prime_coeffs, np.zeros(1)))
+        m_top = n + max(live) - 1 if live else n
+        terms = []
+        for j in sorted({*live, *varying}):
+            if j in live:
+                terms.append((j, None, j * fixed[j] if j in fixed else None, eq + j - 1))
+            if j in varying:
+                terms.append((j, m_top + varying.index(j), None, None))
+        return TauStep(m_top, eq, speed_terms, umbilical, tuple(terms))
 
     def coefficient(self, j: int, tau: np.ndarray) -> np.ndarray:
         """f_j(tau) over the trailing axes of tau, of shape (n, ...): the
@@ -150,6 +191,10 @@ def psi_of_lambda(F: FlowFunctional, lam):
 def psi_prime(F: FlowFunctional, lam):
     """d psi / d lam by central difference with step 1e-6 * max(1, |lam|)."""
     lam = np.asarray(lam, dtype=float)
-    h = 1e-6 * np.maximum(1.0, np.abs(lam))
-    out = (psi_of_lambda(F, lam + h) - psi_of_lambda(F, lam - h)) / (2.0 * h)
+    h = np.maximum(1.0, np.abs(lam))
+    h *= 1e-6
+    out = psi_of_lambda(F, lam + h)
+    out -= psi_of_lambda(F, lam - h)
+    h *= 2.0
+    out /= h  # in place: the bits of (psi(lam + h) - psi(lam - h)) / (2 h)
     return out if np.ndim(out) else float(out)

@@ -7,6 +7,7 @@ they are used to check.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -14,6 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+import sympy as sp
 from scipy.interpolate import CubicSpline
 
 from egf_lab.flow_engine import (
@@ -21,10 +23,12 @@ from egf_lab.flow_engine import (
     StepControl,
     TauField,
     UmbilicalProfile,
+    _fill_ghosts,
+    _padded,
     _pick_dt,
 )
 from egf_lab.revolution_geometry import RevolutionProfile
-from egf_lab.sym_curvature import psi_of_lambda, psi_prime
+from egf_lab.sym_curvature import _horner, power_sums_with_tau0, psi_of_lambda, psi_prime
 
 
 def direct_power_sums(k, m):
@@ -611,3 +615,157 @@ def step_tau_system_update_reference(fld: TauField, F, ctl: StepControl) -> TauF
     if not np.all(np.isfinite(tau_new)):
         raise FlowBlowUpError("non-finite power sums", fld.t)
     return TauField(fld.s, np.ascontiguousarray(tau_new.T), fld.boundary, fld.t + dt)
+
+
+# ------------------------------------- the kernels in their one-expression form
+# The step kernels update their temporaries in place and read the constants
+# of a tau step from FlowFunctional.tau_step.  These are the same kernels with
+# every value formed by one expression and every constant rebuilt per step:
+# the kernels must keep their bits.
+
+
+def psi_prime_one_expression(F, lam):
+    """d psi / d lam by central difference with step 1e-6 * max(1, |lam|)."""
+    lam = np.asarray(lam, dtype=float)
+    h = 1e-6 * np.maximum(1.0, np.abs(lam))
+    out = (psi_of_lambda(F, lam + h) - psi_of_lambda(F, lam - h)) / (2.0 * h)
+    return out if np.ndim(out) else float(out)
+
+
+def total_variation_one_expression(u, periodic):
+    """Sum of |u[k+1] - u[k]|, with the wrap-around jump when periodic."""
+    with np.errstate(over="ignore"):
+        tv = float(np.abs(u[1:] - u[:-1]).sum())
+        if periodic:
+            tv += abs(float(u[0] - u[-1]))
+    return tv
+
+
+def step_umbilical_one_expression(p: UmbilicalProfile, F, ctl: StepControl,
+                                  inflow_left=None) -> UmbilicalProfile:
+    """flow_engine.step_umbilical with one expression per value: the face
+    fluxes 4F = psi_- + psi_+ - d (lam_+ - lam_-) with the Rusanov
+    dissipation d = max(|psi'_-|, |psi'_+|), then the trapezoid warping."""
+    lam = p.lam
+    ds = p.ds
+    remaining = ctl.t_end - p.t
+    if remaining <= 0:
+        raise ValueError("profile is already at or beyond t_end")
+    with np.errstate(all="ignore"):
+        lam_p = _padded(lam, p.periodic)
+        psi_p = np.asarray(psi_of_lambda(F, lam_p))
+        rate = np.abs(np.asarray(psi_prime_one_expression(F, lam_p)))
+        dt = _pick_dt(0.5 * float(rate.max()), ds, ctl, remaining)
+        t_new = p.t + dt
+        d = np.maximum(rate[:-1], rate[1:])
+        flux = psi_p[:-1] + psi_p[1:] - d * (lam_p[1:] - lam_p[:-1])
+        lam_new = lam - dt / (4.0 * ds) * (flux[1:] - flux[:-1])
+        if inflow_left is not None and not p.periodic:
+            lam_new[0] = inflow_left(t_new)
+        if not np.isfinite(lam_new).all():
+            raise FlowBlowUpError("non-finite normal curvature", p.t)
+        psi_new = np.asarray(psi_of_lambda(F, lam_new))
+        phi_new = p.phi * np.exp(0.25 * dt * (psi_p[1:-1] + psi_new))
+    if not (phi_new.min() > 0 and phi_new.max() < np.inf):
+        raise FlowBlowUpError("non-finite or zero warping factor", p.t)
+    return UmbilicalProfile(p.s, lam_new, phi_new, p.boundary, t_new)
+
+
+def tau_speeds_one_expression(F, tau):
+    """The tau step's speed column: per equation i (row i - 1) the sum of
+    |i j f_j / (2(i+j-1))| over the live f_j, from 0, or where larger the
+    umbilical speed |psi'(tau_1/n)| / 2; a constant f_j or psi' is one
+    node's value."""
+    eq = np.arange(1, F.n + 1)[:, None]
+    speeds = np.zeros((F.n, 1))
+    for j in F.live:
+        f_j = F.coefficient(j, tau if j in F.varying else tau[:, :1])
+        speeds = speeds + np.abs(eq * j * f_j / (2.0 * (eq + j - 1)))
+    lam = tau[0] if len(F.psi_prime_coeffs) > 1 else tau[0, :1]
+    return np.maximum(speeds, 0.5 * np.abs(_horner(F.psi_prime_coeffs, lam / F.n)))
+
+
+def step_tau_system_one_expression(fld: TauField, F, ctl: StepControl) -> TauField:
+    """flow_engine.step_tau_system with every constant of F rebuilt per step
+    (m_top, the equation column, each constant f_j at one node, the term
+    order) and one expression per bracket term."""
+    if F.n != fld.n:
+        raise ValueError(f"functional is for n={F.n}, field has n={fld.n}")
+    n = fld.n
+    tau = fld.tau
+    ds = fld.ds
+    remaining = ctl.t_end - fld.t
+    if remaining <= 0:
+        raise ValueError("field is already at or beyond t_end")
+    live, varying = F.live, F.varying
+    m_top = n + max(live) - 1 if live else n
+    with np.errstate(all="ignore"):
+        padded = np.empty((m_top + 1 + len(varying), tau.shape[1] + 2))
+        tx = power_sums_with_tau0(tau, n, m_top, out=padded[:m_top + 1, 1:-1])
+        f = {j: F.coefficient(j, tau if j in varying else tau[:, :1])
+             for j in {*live, *varying}}
+        for row, j in enumerate(varying, start=m_top + 1):
+            padded[row, 1:-1] = f[j]
+        _fill_ghosts(padded, fld.periodic)
+        d = padded[1:, 1:] - padded[1:, :-1]
+        central = d[:, :-1] + d[:, 1:]
+        eq = np.arange(1, n + 1)[:, None]
+        speeds = tau_speeds_one_expression(F, tau)
+        dt = _pick_dt(float(speeds.max()), ds, ctl, remaining)
+        h = dt / (2.0 * ds)
+        w = (0.5 * h) * eq
+        tau_new = (h * speeds) * (d[:n, 1:] - d[:n, :-1])
+        for j in sorted({*live, *varying}):
+            if j in live:
+                tau_new -= (j * f[j]) * (w / (eq + j - 1)) * central[j - 1:j - 1 + n]
+            if j in varying:
+                tau_new -= w * tx[j:j + n] * central[m_top + varying.index(j)]
+        tau_new += tau
+    if not np.isfinite(tau_new).all():
+        raise FlowBlowUpError("non-finite power sums", fld.t)
+    return TauField(fld.s, tau_new, fld.boundary, fld.t + dt)
+
+
+# ------------------------------------------- the tau system's Jacobian, exactly
+
+
+@functools.lru_cache(maxsize=None)
+def tau_jacobian(F):
+    """(A, tau) with A(tau) the exact Jacobian of the tau system
+    tau_t + A(tau) tau_s = 0 in sympy, over the symbols tau = (tau_1..tau_n):
+
+        A_ik = (i/2) [ tau_{i-1} d f_0 / d tau_k
+                       + sum_j ( j f_j / (i+j-1) d tau_{i+j-1} / d tau_k
+                                 + tau_{i+j-1} d f_j / d tau_k ) ],
+
+    tau_0 = n, each f_j summed from F's monomial table with its coefficients
+    as exact rationals, sigma_1..sigma_n from the low-range Newton identities
+    and tau_m, m > n, from the high-range ones."""
+    n = F.n
+    tau = sp.symbols(f"tau1:{n + 1}")
+    f = [sp.Add(*(sp.Rational(coef) * sp.Mul(*(t ** e for t, e in zip(tau, exps)))
+                  for exps, coef in F.table[j])) for j in range(n)]
+    sigma = []
+    for j in range(1, n + 1):
+        acc = tau[j - 1] + sum((-1) ** i * tau[j - i - 1] * sigma[i - 1] for i in range(1, j))
+        sigma.append(sp.expand(sp.Rational((-1) ** (j + 1), j) * acc))
+    live = [j for j in range(1, n) if f[j] != 0]
+    power = [sp.Integer(n), *tau]  # power[m] is tau_m
+    for m in range(n + 1, n + max(live, default=1)):
+        power.append(sp.expand(sum((-1) ** (i + 1) * sigma[i - 1] * power[m - i]
+                                   for i in range(1, n + 1))))
+    A = sp.zeros(n, n)
+    for i in range(1, n + 1):
+        for k, t in enumerate(tau):
+            entry = power[i - 1] * sp.diff(f[0], t)
+            for j in live:
+                entry += (sp.Rational(j, i + j - 1) * f[j] * sp.diff(power[i + j - 1], t)
+                          + power[i + j - 1] * sp.diff(f[j], t))
+            A[i - 1, k] = sp.expand(sp.Rational(i, 2) * entry)
+    return A, tau
+
+
+def umbilical_jacobian(F, lam):
+    """A at the umbilical spectrum tau_k = n lam^k, lam a number or a symbol."""
+    A, tau = tau_jacobian(F)
+    return A.subs({t: F.n * lam ** k for k, t in enumerate(tau, start=1)})

@@ -519,11 +519,13 @@ def test_every_table_round_trips_through_the_reference_writer(tmp_path):
          for g in (64, 128)],
         tmp_path / "sweep_ds", "ds",
     )
-    sweep_configs(
-        [{**sweep_base, "numerics": {**sweep_base["numerics"], "cfl": c}}
-         for c in (0.5, 1.0, 1.5)],
+    # a member out of step budget writes its row with exit status 3
+    aggregate, _ = sweep_configs(
+        [{**sweep_base, "numerics": {**sweep_base["numerics"], "cfl": c, "max_steps": m}}
+         for c, m in ((0.5, 200_000), (1.0, 200_000), (0.75, 1))],
         tmp_path / "sweep_cfl", "cfl",
     )
+    assert [r["exit_status"] for r in aggregate["reports"]] == [0, 0, 3]
 
     tables = sorted(tmp_path.rglob("*.csv")) + sorted(tmp_path.rglob("*.dat"))
     names = {p.name for p in tables}

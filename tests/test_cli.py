@@ -668,7 +668,8 @@ class TestCsvWriter:
         fork: at K = 16 the one fork is the echo's, for the 89,845 numbers of
         its 17,969 h.modes rows, and at K = 12 (39,065 numbers) none.  A
         tau-flow forks its umbilical companion, a cfl sweep of two or more
-        members its second half, a one-member sweep nothing, and a ds sweep
+        members its members from the cost split on, a one-member sweep
+        nothing, and a ds sweep
         of sparse flows nothing: its members run here, one after another."""
         dense = umbilical_config(grid=256, t_end=1.0)
         dense["output"]["snapshot_stride"] = 1
@@ -1557,6 +1558,28 @@ class TestSweep:
         with pytest.raises(ConfigError, match="outside the numerics"):
             sweep_configs([a, b], tmp_path, "ds")
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("cfl", 1.5, "numerics.cfl: must lie in (0, 1]"),
+        ("cfl", 0.0, "numerics.cfl: must lie in (0, 1]"),
+        ("t_end", -1.0, "numerics.t_end: must be finite and >= 0, got -1.0"),
+    ])
+    def test_refused_step_control_rejected_before_any_run(self, tmp_path, key, value,
+                                                          message):
+        # the step control is checked at the parse, so no member runs
+        configs = [umbilical_config(grid=64), umbilical_config(grid=64, **{key: value})]
+        with pytest.raises(ConfigError) as err:
+            sweep_configs(configs, tmp_path / "sweep", "cfl")
+        assert str(err.value) == message
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("cfls,split", [
+        ([0.2, 0.4, 0.6, 0.8, 1.0], 1), ([0.5] * 4, 2), ([0.5], 0), ([1.0, 0.2], 1),
+        ([0.5, 0.9, 0.7], 1), ([1.0, 1.0, 0.25], 2), ([0.25, 1.0, 1.0], 1)])
+    def test_cost_split_balances_the_sums_of_one_over_cfl(self, cfls, split):
+        # members [0, split) run here and [split, m) in the child; of the
+        # five points 0.2..1.0 the first carries 5 of 11.4 cost units
+        assert cli._cost_split(cfls) == split
+
     def test_cfl_sweep_reports_stability(self, tmp_path):
         configs = [umbilical_config(grid=64, t_end=0.5, cfl=c) for c in (0.4, 0.8, 1.0)]
         aggregate, _ = sweep_configs(configs, tmp_path, "cfl")
@@ -1652,6 +1675,31 @@ class TestSecondProcess:
         # the sweep's second half, run here once its child is reaped, forks
         # the companion of its one member that marches
         assert len(forks) == (1 if axis is None else 2)
+        assert _written(tmp_path / "one") == _written(tmp_path / "two")
+
+    def test_cfl_sweep_child_runs_the_members_from_the_cost_split_on(
+            self, tmp_path, monkeypatch):
+        # five points 0.2..1.0: member 0 runs here, members 1-4 in the child
+        log, real = tmp_path / "runs.log", cli.run
+
+        def logged(config, outdir, quiet=False):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {Path(outdir).name}\n")
+            return real(config, outdir, quiet)
+
+        configs = [umbilical_config(grid=32, t_end=0.2, cfl=c)
+                   for c in (0.2, 0.4, 0.6, 0.8, 1.0)]
+        with _one_cpu():
+            sweep_configs(configs, tmp_path / "one", "cfl")
+        monkeypatch.setattr(cli, "run", logged)
+        with _fork_counter() as forks:
+            sweep_configs(configs, tmp_path / "two", "cfl")
+        ran = [line.split() for line in log.read_text().splitlines()]
+        assert len(forks) == 1 and sorted(name for _, name in ran) == [
+            f"run_{idx:03d}" for idx in range(5)]
+        assert [name for pid, name in ran if int(pid) == forks[0]] == [
+            f"run_{idx:03d}" for idx in range(1, 5)]
+        assert [name for pid, name in ran if int(pid) == os.getpid()] == ["run_000"]
         assert _written(tmp_path / "one") == _written(tmp_path / "two")
 
     def test_failed_fork_leaves_the_work_to_run(self, tmp_path):
@@ -1854,6 +1902,9 @@ class TestCommandLine:
          "config error: --values: at most 64 values, got 65"),
         (["--axis", "ds", "--points", "2", "--values", "0.5,0.9"],
          "config error: --values: applies to --axis cfl only"),
+        # every member is parsed, its step control too, before any runs
+        (["--axis", "cfl", "--values", "0.5,1.5"],
+         "config error: numerics.cfl: must lie in (0, 1]"),
     ])
     def test_sweep_flag_errors_exit_2(self, tmp_path, capsys, flags, message):
         cfg_path = tmp_path / "cfg.json"

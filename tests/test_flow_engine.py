@@ -4,12 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from egf_lab import flow_engine
-from egf_lab.catalog import make_functional
+from egf_lab.catalog import FUNCTIONALS, make_functional
 from egf_lab.flow_engine import (
     BOUNDARIES,
     BoundedProgressError,
@@ -43,10 +44,17 @@ from oracles import (
     hopf_lax_burgers,
     neighbors_reference,
     power_sums_with_tau0_reference,
+    psi_prime_one_expression,
+    step_tau_system_one_expression,
     step_tau_system_reference,
     step_tau_system_update_reference,
+    step_umbilical_one_expression,
     step_umbilical_reference,
+    tau_jacobian,
+    tau_speeds_one_expression,
+    total_variation_one_expression,
     total_variation_reference,
+    umbilical_jacobian,
     volume,
     volume_normalized,
 )
@@ -766,6 +774,195 @@ class TestSliceHelpers:
         untouched = np.isnan(wide)
         untouched[interior] = True
         assert untouched.all()  # nothing written outside out
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _outcome(step, *args):
+    """step(*args) as ("ok", state) or ("raised", exception type, message)."""
+    try:
+        return ("ok", step(*args))
+    except (FlowBlowUpError, BoundedProgressError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+# (mean, amplitude) of lam0 = mean + amplitude sin(2 pi s / length): moderate,
+# signed zero (lam0 and its odd powers read -0.0 at s = 0) and near overflow:
+# lam^top near 1e300, top the highest power of lam a step forms (psi's
+# degree, or that of tau_m_top, m_top = n + max live j - 1)
+def _kernel_data(top: int) -> list[tuple[float, float]]:
+    big = 10.0 ** (300 // top)
+    return [(0.5, 0.25), (-0.0, -0.5), (big, 0.1 * big)]
+
+
+KERNEL_CASES = [(name, params, n) for name, params in CATALOG_CASES + [("dense", None)]
+                for n in range(1, 5) if not (name == "ext_ricci" and n < 2)]
+
+
+class TestKernelBits:
+    """The step kernels against their one-expression forms (tests/oracles.py),
+    bit for bit: in-place temporaries and a cached FlowFunctional.tau_step
+    keep every value's operations and their order.  Each step's horizon is
+    2.5 or 0.5 of the step the speed allows, so steps of both kinds are
+    compared: unclipped, and clipped to land on t_end."""
+
+    @staticmethod
+    def _march(step, reference, state, F, speed, extra=()):
+        for k in range(4):
+            top = speed(state)
+            horizon = (2.5 if k % 2 == 0 else 0.5) * 0.9 * state.ds / top if top else 0.01
+            ctl = StepControl(t_end=state.t + horizon)
+            got = _outcome(step, state, F, ctl, *extra)
+            want = _outcome(reference, state, F, ctl, *extra)
+            assert got[0] == want[0] == "ok"
+            got, want = got[1], want[1]
+            assert _bits(got.t) == _bits(want.t)
+            yield got, want
+            state = got
+
+    @pytest.mark.parametrize("boundary,inflow", [
+        ("periodic", False), ("transmissive", False), ("transmissive", True)])
+    @pytest.mark.parametrize("name,params,n", [c for c in KERNEL_CASES if c[0] != "dense"])
+    def test_umbilical_step_keeps_its_bits(self, name, params, n, boundary, inflow):
+        F = make_functional(name, n, params)
+        G = 64
+        for mean, amplitude in _kernel_data(2):
+            # near overflow, psi ~ 1e300 and ds = 1 / mean: a normal dt and a
+            # warping exponent of order 1
+            length = G / mean if mean > 1e100 else 1.0
+            p = UmbilicalProfile.from_function(
+                lambda s: mean + amplitude * np.sin(2 * np.pi * s / length),
+                G, length, boundary)
+            inflow_left = (lambda t: mean - amplitude * t) if inflow else None
+
+            def speed(q):
+                with np.errstate(all="ignore"):
+                    lam_p = _padded(q.lam, q.periodic)
+                    rate = psi_prime(F, lam_p)
+                    assert _bits(rate).tolist() == _bits(
+                        psi_prime_one_expression(F, lam_p)).tolist()
+                    assert _bits(psi_prime(F, q.lam[5])) == _bits(
+                        psi_prime_one_expression(F, q.lam[5]))
+                return 0.5 * float(np.abs(rate).max())
+
+            for got, want in self._march(step_umbilical, step_umbilical_one_expression,
+                                         p, F, speed, (inflow_left,)):
+                assert _bits(got.lam).tolist() == _bits(want.lam).tolist()
+                assert _bits(got.phi).tolist() == _bits(want.phi).tolist()
+                assert _bits(total_variation(got.lam, got.periodic)) == _bits(
+                    total_variation_one_expression(got.lam, got.periodic))
+
+    @pytest.mark.parametrize("name,params,lam0,phi0,inflow,message", [
+        ("ext_ricci", {}, 0.5, 1.0, True, "non-finite normal curvature"),  # NaN inflow
+        ("ext_ricci", {}, 1e200, 1.0, False, "non-finite normal curvature"),  # psi = inf
+        ("affine", {"a": 0.0, "b": 1e4}, 0.5, 1e308, False,
+         "non-finite or zero warping factor"),  # phi overflows
+        ("affine", {"a": 0.0, "b": -1e4}, 0.5, 1e-323, False,
+         "non-finite or zero warping factor"),  # phi underflows to 0
+    ])
+    def test_umbilical_blow_ups_keep_their_messages(self, name, params, lam0, phi0,
+                                                    inflow, message):
+        # the step leaves its finiteness checks to the profile it returns
+        # and names the failed one as the one-expression form does
+        F = make_functional(name, 3, params)
+        p = UmbilicalProfile.from_function(
+            lambda s: lam0 + 0.25 * lam0 * np.sin(2 * np.pi * s), 64, 1.0, "transmissive",
+            phi0=phi0)
+        inflow_left = (lambda t: np.nan) if inflow else None
+        ctl = StepControl(t_end=1.0)
+        got = _outcome(step_umbilical, p, F, ctl, inflow_left)
+        assert got == _outcome(step_umbilical_one_expression, p, F, ctl, inflow_left)
+        assert got[:2] == ("raised", FlowBlowUpError) and got[2].startswith(message)
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("name,params,n", KERNEL_CASES)
+    def test_tau_step_keeps_its_bits(self, name, params, n, boundary):
+        F = dense_functional(n) if name == "dense" else make_functional(name, n, params)
+        top = max(n + max(F.live, default=1) - 1, len(F.psi_coeffs) - 1)
+        for mean, amplitude in _kernel_data(top):
+            fld = TauField.from_umbilical(
+                lambda s: mean + amplitude * np.sin(2 * np.pi * s), n, 64, 1.0, boundary)
+
+            def speed(f):
+                with np.errstate(all="ignore"):
+                    return float(tau_speeds_one_expression(F, f.tau).max())
+
+            for got, want in self._march(step_tau_system, step_tau_system_one_expression,
+                                         fld, F, speed):
+                assert _bits(got.tau).tolist() == _bits(want.tau).tolist()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(u=arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+               st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308]),
+               st.floats(allow_nan=False, allow_infinity=False))),
+           periodic=st.booleans())
+    def test_total_variation_keeps_its_bits(self, u, periodic):
+        assert _bits(total_variation(u, periodic)) == _bits(
+            total_variation_one_expression(u, periodic))
+
+    @pytest.mark.parametrize("lam", [0.5, np.nan])
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("at", [0, 9])
+    def test_profile_refusals_keep_their_messages(self, lam, phi, at):
+        # a non-finite value anywhere is named first; then a phi <= 0
+        lam_a, phi_a = np.full(16, 0.25), np.ones(16)
+        lam_a[3], phi_a[at] = lam, phi
+        finite = np.isfinite(lam) and np.isfinite(phi)
+        message = ("warping factor must be positive" if finite
+                   else "profile values must be finite")
+        with pytest.raises(ValueError) as err:
+            UmbilicalProfile(np.linspace(0, 1, 16), lam_a, phi_a)
+        assert str(err.value) == message
+
+
+def _catalog_functionals(max_n: int) -> list[tuple[str, int]]:
+    """(name, n) of every catalog functional at its defaults, n = 1..max_n,
+    where its builder accepts n."""
+    cases = []
+    for name in FUNCTIONALS:
+        for n in range(1, max_n + 1):
+            try:
+                make_functional(name, n)
+            except ValueError:  # e.g. ext_ricci needs n >= 2
+                continue
+            cases.append((name, n))
+    return cases
+
+
+class TestJacobianOracle:
+    """The tau system's exact Jacobian A(tau) (tests/oracles.py, sympy from
+    the monomial table and the Newton identities) against the step."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_ext_ricci_umbilical_characteristic_polynomial(self, n):
+        lam, x = sp.symbols("lam x")
+        A = umbilical_jacobian(make_functional("ext_ricci", n), lam)
+        charpoly = (x * sp.eye(n) - A).det(method="berkowitz")
+        want = (x + (2 * n - 2) * lam) * (x + (n - 2) * lam) ** (n - 1)
+        assert sp.expand(charpoly - want) == 0
+        # -(n - 2) lam has one eigenvector: A is a Jordan block of size n - 1
+        # beside the simple psi'/2 = -(2n - 2) lam
+        assert (A + (n - 2) * lam * sp.eye(n)).subs(lam, 1).rank() == n - 1
+
+    @pytest.mark.parametrize("mean,amplitude", [(0.5, 0.25), (-0.1, 0.5)])
+    @pytest.mark.parametrize("name,n", _catalog_functionals(6))
+    def test_step_speed_is_at_least_the_spectral_radius(self, name, n, mean, amplitude):
+        # at umbilical data; the speed a step uses is cfl ds / dt of an
+        # unclipped step, and rho(A) is taken by eigvals at every node, to
+        # 1e-9 relative for its rounding
+        F = make_functional(name, n)
+        fld = TauField.from_umbilical(
+            lambda s: mean + amplitude * np.sin(2 * np.pi * s), n, 16, 1.0)
+        ctl = StepControl(t_end=1e3)
+        dt = step_tau_system(fld, F, ctl).t
+        assert dt < ctl.t_end
+        A, tau = tau_jacobian(F)
+        numeric = sp.lambdify(tau, A, "numpy")
+        rho = max(np.abs(np.linalg.eigvals(np.array(numeric(*node), dtype=float))).max()
+                  for node in fld.tau.T)
+        assert ctl.cfl * fld.ds / dt >= rho * (1 - 1e-9)
 
 
 # numpy's Python-level wrappers: ndarray methods and slices do the same work
