@@ -30,7 +30,7 @@ from typing import Callable, Container, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, text_cells
 from .catalog import (
     BIREGULAR_METRICS,
     PARAMS,
@@ -78,6 +78,7 @@ from .soliton_lab import (
     check_normal_soliton,
     classify_ricci_soliton,
 )
+from .text_cells import CELL
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,39 +98,28 @@ class ConfigError(ValueError):
     """Validation failure; the message starts with the offending key path."""
 
 
-# rows formatted by one `%` per chunk; bounds the size of the formatted string
+# rows formatted and joined at once; bounds the cells and text held
 _CHUNK_ROWS = 4096
 # float cells from which a table is formatted by two processes (write_csv),
 # and numbers in a config's parsed arrays from which a forked child encodes
-# the report echo beside the tables (run): fork and reap cost ~4 ms against
-# ~60 ms of `%.17g` for 2^16 doubles and ~30 ms of json for a 3-D h.modes
-# echo of 2^16 numbers (2/5 of them doubles, whose repr dominates)
+# the report echo beside the tables (run): fork and reap cost ~2 ms against
+# ~12 ms of formatting and joining 2^16 doubles and ~30 ms of json for a 3-D
+# h.modes echo of 2^16 numbers (2/5 of them doubles, whose repr dominates)
 _FORK_CELLS = 1 << 16
 
-
-def _lines(columns, sep: str) -> str:
-    """One line per row of equal-length 1-D columns (see _write_rows)."""
-    formats = ["%s" if c.dtype == object
-               else "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
-               for c in columns]
-    rows, width = len(columns[0]), len(columns)
-    values = [None] * (rows * width)  # the columns interleaved row by row
-    for j, c in enumerate(columns):
-        values[j::width] = c.tolist()
-    return (sep.join(formats) + "\n") * rows % tuple(values)
-
-
-def _split(lines: str) -> np.ndarray:
-    """A text column (object array of str) with one row per line of lines."""
-    return np.array(lines.split("\n")[:-1], dtype=object)
+# A value's text is held as a cell of CELL bytes (see text_cells).  A line
+# is its row's cells joined by the separator, with the NULs removed.  A text
+# column is a 1-D array of cells (dtype S<CELL>) or a Keyed column of them.
 
 
 def _text(values) -> np.ndarray:
-    """A text column of each value's ``%.17g`` string.
+    """A text column of each value's ``%.17g``.
 
-    A key repeated over many rows is formatted once here and written as text.
+    A key repeated over many rows is formatted once here and written as a
+    Keyed column.
     """
-    return _split(_lines([np.asarray(values, dtype=float).ravel()], ""))
+    cells = text_cells.format_cells(np.asarray(values, dtype=float).ravel())
+    return cells.view(f"S{CELL}").ravel()
 
 
 def _conjugate_text(values: np.ndarray):
@@ -139,56 +129,89 @@ def _conjugate_text(values: np.ndarray):
     In a conjugate-symmetric table of ascending modes, row N-1-k holds the
     mirror of row k.  A row past the middle whose re and -im equal its
     twin's bit for bit (signs of zero included), the twin finite, takes the
-    twin's text, im with its sign flipped; every other row is formatted, so
-    the text is each value's ``%.17g`` whatever the modes.
+    twin's cells, im with its sign byte toggled; every other row is
+    formatted, so the text is each value's ``%.17g`` whatever the modes.
     """
     re, im = values.real, values.imag
     n = len(values)
     head = (n + 1) // 2  # the first half and the zero mode
     twin = np.arange(n - head)[::-1]  # the mirror of each row past head
-    re_text, im_text = np.empty(n, dtype=object), np.empty(n, dtype=object)
-    re_text[:head], im_text[:head] = _text(re[:head]), _text(im[:head])
-    re_text[head:] = re_text[twin]
-    im_text[head:] = [t[1:] if t[0] == "-" else "-" + t for t in im_text[twin]]
+    re_cells, im_cells = np.empty((n, CELL), np.uint8), np.empty((n, CELL), np.uint8)
+    re_cells[:head] = text_cells.format_cells(re[:head])
+    im_cells[:head] = text_cells.format_cells(im[:head])
+    re_cells[head:], im_cells[head:] = re_cells[twin], im_cells[twin]
+    im_cells[head:, 0] ^= ord("-")
     exact = ((re[head:].view(np.int64) == re[twin].view(np.int64))
              & (im[head:].view(np.int64) == (-im[twin]).view(np.int64))
              & np.isfinite(values[twin]))
     redo = head + np.flatnonzero(~exact)
-    re_text[redo], im_text[redo] = _text(re[redo]), _text(im[redo])
-    return re_text, im_text
+    re_cells[redo] = text_cells.format_cells(re[redo])
+    im_cells[redo] = text_cells.format_cells(im[redo])
+    return tuple(c.view(f"S{CELL}").ravel() for c in (re_cells, im_cells))
 
 
-def _write_rows(fh, columns, sep: str, tee=None) -> None:
-    """Write a sequence of 1-D columns (``table.T`` of a 2-D array), one line
-    per row, in chunks of _CHUNK_ROWS rows.
+class Keyed:
+    """A text column of repeated keys: row r holds the cell cells[keys[r]]
+    (cells of _text), so a long table holds an index per row, not a cell.
+    It slices as an array does."""
+
+    dtype = np.dtype(f"S{CELL}")
+
+    def __init__(self, cells: np.ndarray, keys: np.ndarray):
+        self.cells, self.keys = cells, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, rows: slice) -> Keyed:
+        return Keyed(self.cells, self.keys[rows])
+
+
+def _write_lines(fh, rows: np.ndarray, sep: bytes) -> None:
+    """Write one line per row of the cells rows (rows, columns, CELL + 1):
+    its cells joined by sep, NULs removed; the last byte of each cell is
+    the separator's.  A quarter chunk at a time, which bounds the bytes
+    held twice."""
+    rows[:, :, CELL] = ord(sep)
+    rows[:, -1, CELL] = ord("\n")
+    step = max(_CHUNK_ROWS // 4, 1)
+    for start in range(0, len(rows), step):
+        fh.write(rows[start:start + step].tobytes().translate(None, b"\0"))
+
+
+def _write_rows(fh, columns, sep: bytes, tee=None) -> None:
+    """Write a sequence of columns (``table.T`` of a 2-D array, text columns),
+    one line per row, in chunks of _CHUNK_ROWS rows, to a binary file.
 
     Floats are written as ``%.17g`` (the same bytes as ``format(v, ".17g")``,
-    non-finite values included); integer-typed columns as ``%d``; text columns
-    (object arrays of str, see _text) verbatim.
-    With ``tee`` a file, the first two columns also go there, space-separated;
-    each chunk of those lines, with ``sep`` for the space, is then one text
-    column of ``fh``, so those values are formatted once for both files.
+    non-finite values included); integer-typed columns as ``%d``; text
+    columns as their cells (see _text).  With ``tee`` a binary file, the
+    first two columns also go there, space-separated: each chunk is
+    formatted once and joined for both files.
     """
-    columns = [np.asarray(c) for c in columns]
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
+        rows = np.empty((len(chunk[0]), len(chunk), CELL + 1), np.uint8)
+        for j, c in enumerate(chunk):
+            if isinstance(c, Keyed):
+                c = c.cells[c.keys]
+            rows[:, j, :CELL] = (c.view(np.uint8).reshape(len(c), CELL)
+                                 if c.dtype.kind == "S" else text_cells.format_cells(c))
         if tee is not None:
-            lines = _lines(chunk[:2], " ")
-            tee.write(lines)
-            chunk[:2] = [_split(lines.replace(" ", sep))]
-        fh.write(_lines(chunk, sep))
+            _write_lines(tee, rows[:, :2], b" ")
+        _write_lines(fh, rows, sep)
 
 
 def _write_table(path: Path, header, columns, tee) -> None:
     """The header line, if any, then the rows of columns (see _write_rows)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         if header is not None:
-            fh.write(",".join(header) + "\n")
+            fh.write((",".join(header) + "\n").encode())
         if tee is None:
-            _write_rows(fh, columns, ",")
+            _write_rows(fh, columns, b",")
             return
-        with open(tee, "w", newline="") as tee_fh:
-            _write_rows(fh, columns, ",", tee_fh)
+        with open(tee, "wb") as tee_fh:
+            _write_rows(fh, columns, b",", tee_fh)
 
 
 _busy = False  # a _beside child is alive, or this process is one
@@ -279,7 +302,8 @@ def write_csv(path: Path, header: list[str], columns, tee: Path | None = None) -
     and the first half; the parts are then appended.  The bytes are those of
     one process.
     """
-    columns = [part for c in map(np.asarray, columns)
+    columns = [c if isinstance(c, Keyed) else np.asarray(c) for c in columns]
+    columns = [part for c in columns
                for part in (_conjugate_text(c) if c.dtype.kind == "c" else (c,))]
     mid = _fork_row(columns)
     if not mid:
@@ -705,7 +729,8 @@ def run_umbilical_flow(cfg: dict):
         results["oracle_note"] = str(exc)
     t, lam, phi = zip(*snaps)
     return results, [Table("timeseries.csv", ["t", "s", "lambda", "phi"], (
-        np.repeat(_text(t), p0.s.size), np.tile(_text(p0.s), len(t)),
+        Keyed(_text(t), np.repeat(np.arange(len(t)), p0.s.size)),
+        Keyed(_text(p0.s), np.tile(np.arange(p0.s.size), len(t))),
         np.concatenate(lam), np.concatenate(phi)))]
 
 
@@ -770,7 +795,8 @@ def run_biregular_check(cfg: dict):
             f"{float(grid.g11[0, 0])!r}")
     rep = check_biregular_surface(grid, F, cfg["eps"])
     return _soliton_results(rep), [Table("curvature.csv", ["x0", "x1", "lambda"], (
-        np.repeat(_text(grid.x0), grid.x1.size), np.tile(_text(grid.x1), grid.x0.size),
+        Keyed(_text(grid.x0), np.repeat(np.arange(grid.x0.size), grid.x1.size)),
+        Keyed(_text(grid.x1), np.tile(np.arange(grid.x1.size), grid.x0.size)),
         rep.lam.ravel()))]
 
 
@@ -1009,12 +1035,15 @@ def _spacing(cfg: dict) -> float:
     return float(s[1] - s[0])
 
 
-def _cost_split(cfls: list[float]) -> int:
-    """The k that splits members of cost 1/cfl, run in order, into [0, k) and
-    [k, m) with the least larger cost sum (the first such k); 0 when there
-    is one member.  The members that ``sweep --axis cfl`` makes share their
-    grid and t_end, so each one's step count is in proportion to 1/cfl."""
-    costs = [1.0 / cfl for cfl in cfls]
+def _cost_split(configs: list[dict]) -> int:
+    """The k that splits a sweep's parsed members, run in order, into [0, k)
+    and [k, m) with the least larger sum of their march estimates (the
+    first such k); 0 when there is one member.  A member's estimate is
+    grid t_end / (cfl ds): its step count is in proportion to t_end / (cfl
+    ds) and a step's work to its grid.  The members of ``sweep --axis cfl``
+    share grid and t_end, so theirs are in proportion to 1/cfl."""
+    costs = [cfg["numerics.grid"] * cfg["numerics.t_end"] / (cfg["numerics.cfl"] * _spacing(cfg))
+             for cfg in configs]
     total, done, least, split = sum(costs), 0.0, math.inf, 0
     for k in range(1, len(costs)):
         done += costs[k - 1]
@@ -1055,7 +1084,7 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
                 for idx in range(first, stop)]
 
     # the members from split on run in a child
-    split = _cost_split([cfg["numerics.cfl"] for cfg in parsed]) if axis == "cfl" else 0
+    split = _cost_split(parsed) if axis == "cfl" else 0
     first, rest = _beside(lambda: members(0, split), lambda: members(split, len(configs)),
                           split > 0)
     done = first + rest

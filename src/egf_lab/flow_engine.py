@@ -250,10 +250,15 @@ def total_variation(u: np.ndarray, periodic: bool) -> float:
     """Sum of |u[k+1] - u[k]|, with the wrap-around jump when periodic; an
     overflow reads inf, which the march's guard and steps handle."""
     with np.errstate(over="ignore"):
-        jump = u[1:] - u[:-1]
-        tv = float(np.abs(jump, out=jump).sum())
-        if periodic:
-            tv += abs(float(u[0] - u[-1]))
+        return _variation(u, periodic)
+
+
+def _variation(u: np.ndarray, periodic: bool) -> float:
+    """total_variation, for a caller that ignores overflow itself."""
+    jump = u[1:] - u[:-1]
+    tv = float(np.abs(jump, out=jump).sum())
+    if periodic:
+        tv += abs(float(u[0] - u[-1]))
     return tv
 
 
@@ -344,24 +349,27 @@ def _march(state, advance, ctl: StepControl, tv_of, on_step=None):
     The one time-march loop: it stops with BoundedProgressError when the step
     budget runs out and with FlowBlowUpError when the total variation of
     ``tv_of(state)`` exceeds TV_GROWTH_LIMIT times its initial value.
-    ``on_step(state, steps, done)`` sees every accepted step.
+    ``on_step(state, steps, done)`` sees every accepted step.  The loop
+    runs in one errstate that ignores overflow, the guard's (see
+    total_variation), so on_step does too.
     """
     tv0 = total_variation(tv_of(state), state.periodic)
     steps = 0
-    while not reached(state.t, ctl.t_end):
-        if steps >= ctl.max_steps:
-            raise BoundedProgressError(
-                f"t = {state.t:.6g} after {steps} steps; t_end = {ctl.t_end:.6g} unreached"
-            )
-        state = advance(state)
-        steps += 1
-        tv = total_variation(tv_of(state), state.periodic)
-        if tv > TV_GROWTH_LIMIT * max(tv0, TV_FLOOR):
-            raise FlowBlowUpError(
-                f"total variation grew to {tv:.3e} from {tv0:.3e}", state.t
-            )
-        if on_step is not None:
-            on_step(state, steps, reached(state.t, ctl.t_end))
+    with np.errstate(over="ignore"):
+        while not reached(state.t, ctl.t_end):
+            if steps >= ctl.max_steps:
+                raise BoundedProgressError(
+                    f"t = {state.t:.6g} after {steps} steps; t_end = {ctl.t_end:.6g} unreached"
+                )
+            state = advance(state)
+            steps += 1
+            tv = _variation(tv_of(state), state.periodic)
+            if tv > TV_GROWTH_LIMIT * max(tv0, TV_FLOOR):
+                raise FlowBlowUpError(
+                    f"total variation grew to {tv:.3e} from {tv0:.3e}", state.t
+                )
+            if on_step is not None:
+                on_step(state, steps, reached(state.t, ctl.t_end))
     return state
 
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egf_lab import cli, flow_engine, soliton_lab
+from egf_lab import cli, flow_engine, soliton_lab, text_cells
 from egf_lab.catalog import BIREGULAR_METRICS, make_functional
 from egf_lab.cli import (
     EXIT_BLOWUP,
@@ -604,6 +604,39 @@ class TestCsvWriter:
             self._assert_drawn_table_matches_reference(data, rows, kinds, tee)
         assert len(forks) == ("float" in kinds)
 
+    @pytest.mark.parametrize("fork", [False, True], ids=["one-process", "forked"])
+    def test_kernel_edge_values_match_reference(self, tmp_path, fork):
+        """The text kernel's hard cases (powers of ten and their neighbours,
+        exact ties, subnormals, raw bit patterns, values at the edges of its
+        span) in float, tee and conjugate-symmetric complex columns, over
+        chunks of 128 rows (the last one, of 63, formatted by % whole), in
+        one process or with the rows from 128 on forked."""
+        rng = np.random.default_rng(11)
+        hard = np.concatenate([
+            10.0 ** np.arange(-30, 30), np.nextafter(10.0 ** np.arange(-30, 30), 0),
+            [1000000000000000.25, 100000000000000.125, 1e-280, 1e280, 5e-324,
+             2.2250738585072014e-308, 1e-323, *self.EDGE_FLOATS],
+            rng.integers(0, 2 ** 63, 100).view(np.float64)])
+        hard = np.concatenate([hard, -hard[::3]])
+        rows = len(hard)
+        a, b = hard, rng.permutation(hard)
+        half = np.empty((rows + 1) // 2, dtype=complex)
+        half.real, half.imag = rng.choice(hard, len(half)), rng.choice(hard, len(half))
+        c = np.concatenate([half, np.conj(half[:rows // 2][::-1])])  # mirrors past the middle
+        ints = rng.integers(-(2 ** 62), 2 ** 62, rows)
+        assert rows == 319 and len(half) >= text_cells._KERNEL_MIN
+        with _fork_counter(_FORK_CELLS=1 if fork else 1 << 60, _CHUNK_ROWS=128) as forks:
+            write_csv(tmp_path / "t.csv", ["a", "b", "re", "im", "n"], (a, b, c, ints),
+                      tee=tmp_path / "t.dat")
+        assert len(forks) == fork
+        listed = (a.tolist(), b.tolist(), c.real.tolist(), c.imag.tolist(), ints.tolist())
+        write_csv_reference(tmp_path / "reference.csv", ["a", "b", "re", "im", "n"],
+                            zip(*listed))
+        write_csv_reference(tmp_path / "reference.dat", None, zip(*listed[:2]), sep=" ")
+        for name in ("t.csv", "t.dat"):
+            assert (tmp_path / name).read_bytes() == (
+                tmp_path / name.replace("t.", "reference.")).read_bytes(), name
+
     @pytest.mark.parametrize("half", ["child", "parent"])
     def test_failing_half_leaves_no_part_and_no_child(self, tmp_path, half):
         """A failing child leaves its rows to this process, which writes the
@@ -819,15 +852,16 @@ def conjugate_tables(draw):
 
 
 def _count_formatted(monkeypatch) -> list[int]:
-    """Wraps cli._lines: the list receives the number of float-typed values
-    each call formats (text and integer columns are not counted)."""
-    lines, counts = cli._lines, []
+    """Wraps text_cells.format_cells: the list receives the number of
+    float-typed values each call formats (text and integer columns are not
+    counted)."""
+    cells, counts = text_cells.format_cells, []
 
-    def counting(columns, sep):
-        counts.append(sum(len(c) for c in columns if c.dtype.kind == "f"))
-        return lines(columns, sep)
+    def counting(values):
+        counts.append(len(values) if values.dtype.kind == "f" else 0)
+        return cells(values)
 
-    monkeypatch.setattr(cli, "_lines", counting)
+    monkeypatch.setattr(text_cells, "format_cells", counting)
     return counts
 
 
@@ -1578,7 +1612,20 @@ class TestSweep:
     def test_cost_split_balances_the_sums_of_one_over_cfl(self, cfls, split):
         # members [0, split) run here and [split, m) in the child; of the
         # five points 0.2..1.0 the first carries 5 of 11.4 cost units
-        assert cli._cost_split(cfls) == split
+        configs = [parse_config(umbilical_config(grid=64, cfl=c)) for c in cfls]
+        assert cli._cost_split(configs) == split
+
+    @pytest.mark.parametrize("members,split", [
+        # (grid, t_end, cfl) of each member; a step costs grid work, and a
+        # periodic grid of length 1 takes grid t_end / cfl steps
+        ([(64, 0.1, 0.5)] * 3 + [(64, 0.3, 0.5)], 3),  # costs 1, 1, 1, 3
+        ([(128, 0.1, 0.5)] + [(32, 0.1, 0.5)] * 4, 1),  # 16, 1, 1, 1, 1
+        ([(32, 0.1, 0.5)] * 4 + [(64, 0.1, 1.0)], 3),  # 2, 2, 2, 2, 4
+        ([(64, 0.05, 0.5), (64, 0.05, 0.9), (64, 10.0, 0.7)], 2)])  # 0.1, 0.06, 14
+    def test_cost_split_prices_each_member_by_its_march_estimate(self, members, split):
+        configs = [parse_config(umbilical_config(grid=g, t_end=t, cfl=c))
+                   for g, t, c in members]
+        assert cli._cost_split(configs) == split
 
     def test_cfl_sweep_reports_stability(self, tmp_path):
         configs = [umbilical_config(grid=64, t_end=0.5, cfl=c) for c in (0.4, 0.8, 1.0)]
@@ -1672,9 +1719,10 @@ class TestSecondProcess:
         monkeypatch.setattr(cli, target, failing)
         with _fork_counter() as forks:
             assert _invoke(configs, axis, tmp_path / "two") == codes
-        # the sweep's second half, run here once its child is reaped, forks
-        # the companion of its one member that marches
-        assert len(forks) == (1 if axis is None else 2)
+        # the sweep's second half, run here once its child is reaped, is its
+        # member past t*, priced by its t_end of 10: it exits 4 before it
+        # marches, so it forks no companion
+        assert len(forks) == 1
         assert _written(tmp_path / "one") == _written(tmp_path / "two")
 
     def test_cfl_sweep_child_runs_the_members_from_the_cost_split_on(

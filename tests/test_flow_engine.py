@@ -994,6 +994,26 @@ def test_marches_call_no_numpy_wrapper(monkeypatch, boundary, name, n):
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_march_guard_enters_one_errstate(monkeypatch, boundary):
+    # each step enters its own errstate; the TV guard two for the whole
+    # march, the initial TV's and the loop's
+    F = make_functional("b1", 2)
+    p = UmbilicalProfile.from_function(lambda s: 0.5 + 0.25 * np.sin(2 * np.pi * s),
+                                       64, 1.0, boundary)
+    entered = []
+
+    class Counted(np.errstate):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", Counted)
+    snapshots = []  # the initial profile and one per step
+    evolve_umbilical(p, F, StepControl(t_end=0.05), on_snapshot=snapshots.append)
+    assert len(snapshots) > 2 and len(entered) == len(snapshots) + 1
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
 @pytest.mark.parametrize("name", ["b1", "ext_ricci"])
 @pytest.mark.parametrize("march", ["umbilical", "tau"])
 def test_sliver_step_past_a_step_boundary_moves_lam_by_its_dt(march, name, boundary):
