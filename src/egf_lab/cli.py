@@ -1035,15 +1035,12 @@ def _spacing(cfg: dict) -> float:
     return float(s[1] - s[0])
 
 
-def _cost_split(configs: list[dict]) -> int:
-    """The k that splits a sweep's parsed members, run in order, into [0, k)
-    and [k, m) with the least larger sum of their march estimates (the
-    first such k); 0 when there is one member.  A member's estimate is
-    grid t_end / (cfl ds): its step count is in proportion to t_end / (cfl
-    ds) and a step's work to its grid.  The members of ``sweep --axis cfl``
-    share grid and t_end, so theirs are in proportion to 1/cfl."""
-    costs = [cfg["numerics.grid"] * cfg["numerics.t_end"] / (cfg["numerics.cfl"] * _spacing(cfg))
-             for cfg in configs]
+def _cost_split(cfls: list[float]) -> int:
+    """The k that splits members of cost 1/cfl, run in order, into [0, k) and
+    [k, m) with the least larger cost sum (the first such k); 0 when there
+    is one member.  The members that ``sweep --axis cfl`` makes share their
+    grid and t_end, so each one's step count is in proportion to 1/cfl."""
+    costs = [1.0 / cfl for cfl in cfls]
     total, done, least, split = sum(costs), 0.0, math.inf, 0
     for k in range(1, len(costs)):
         done += costs[k - 1]
@@ -1084,7 +1081,7 @@ def sweep_configs(configs: list[dict], outdir: Path, axis: str) -> tuple[dict, i
                 for idx in range(first, stop)]
 
     # the members from split on run in a child
-    split = _cost_split(parsed) if axis == "cfl" else 0
+    split = _cost_split([cfg["numerics.cfl"] for cfg in parsed]) if axis == "cfl" else 0
     first, rest = _beside(lambda: members(0, split), lambda: members(split, len(configs)),
                           split > 0)
     done = first + rest

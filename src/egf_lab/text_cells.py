@@ -7,6 +7,11 @@ A value's text is held as a cell: CELL bytes, NUL-padded, byte 0 its sign
 table of powers of ten held as double-doubles, in the manner of Ryu printf's
 fixed-precision conversion (Adams 2019), and leaves Python's % the values it
 cannot settle.  Its tables are built on its first call.
+
+The first call of each numpy loop a process runs maps pages of numpy's code,
+which its peak RSS counts, so the kernel keeps to few kinds of loop: the
+tables come from fills, copies and float compares, and a choice per value is
+an np.where, not bool arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class _KernelTables(NamedTuple):
     power_lo: np.ndarray  # power - power_hi
     power_rest: np.ndarray  # 10^(16 - X) - power, rounded
     words: np.ndarray  # uint32 ASCII of 0000..9999, then a word of NULs
-    zeros: np.ndarray  # trailing zeros of 0..9999 as 4 digits
+    zeros: np.ndarray  # trailing zeros of 0..9999 as 4 digits, int64 as word
     from_src: np.ndarray  # (layout code, 4) uint64 byte masks, see _kernel_tables
     from_shifted: np.ndarray
     marks: np.ndarray
@@ -45,7 +50,8 @@ class _KernelTables(NamedTuple):
 @functools.cache
 def _kernel_tables() -> _KernelTables:
     """The tables of format_cells, from exact ints and int / int true division
-    (correctly rounded) and numpy; about 110 kB."""
+    (correctly rounded) and numpy fills, copies and float compares; 176,796
+    bytes."""
     power, rest = [], []
     for X in _EXPONENTS:
         num, den = (10 ** (16 - X), 1) if X <= 16 else (1, 10 ** (X - 16))
@@ -56,12 +62,13 @@ def _kernel_tables() -> _KernelTables:
     power = np.array(power)
     c = _SPLITTER * power
     power_hi = c - (c - power)
-    g = np.arange(10000, dtype=np.int32)
     words = np.zeros((10001, 4), np.uint8)
-    zeros = np.zeros(10000, np.uint8)
-    for i, p in enumerate((1000, 100, 10, 1)):
-        words[:-1, i] = g // p % 10 + ord("0")
-        zeros += g % (10 * p) == 0
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for i in range(4):  # digit i of 0..9999 runs through "0".."9" in blocks
+        words[:-1, i] = np.tile(np.repeat(digits, 10 ** (3 - i)), 10 ** i)
+    zeros = np.zeros(10000, np.int64)
+    for k in range(1, 5):  # every 10^k-th word ends in k zeros or more
+        zeros[::10 ** k] = k
 
     # The layout of each code (X + 4) 17 + keep - 1, a fixed-notation
     # exponent X in [-4, 16] and keep significant digits: byte masks over
@@ -71,9 +78,9 @@ def _kernel_tables() -> _KernelTables:
     # keep - 1 from the shifted src, if any; X < 0: "0." at bytes 1..2, then
     # -X - 1 zeros and the digits 0 .. keep - 1 from src.  Exponent notation
     # is laid out as X = 0, its exponent in bytes 24..31.
-    col = np.arange(CELL, dtype=np.int8)
-    X = np.repeat(np.arange(-4, 17, dtype=np.int8), 17)[:, None]
-    keep = np.tile(np.arange(1, 18, dtype=np.int8), 21)[:, None]
+    col = np.arange(CELL, dtype=float)
+    X = np.repeat(np.arange(-4.0, 17.0), 17)[:, None]
+    keep = np.tile(np.arange(1.0, 18.0), 21)[:, None]
     whole = X >= 0
     from_src = np.where(whole, (col >= 7) & (col <= 7 + X), (col >= 8 + X) & (col < 7 + keep))
     from_shifted = whole & (col >= 9 + X) & (col < 8 + keep)
@@ -90,10 +97,12 @@ def _kernel_tables() -> _KernelTables:
     def as_words(table):  # (rows, CELL) bytes as (rows, CELL / 8) uint64
         return table.view("<u8")
 
+    def mask(chosen):  # bytes 0xff where chosen, else 0
+        return as_words(np.where(chosen, np.uint8(255), np.uint8(0)))
+
     return _KernelTables(power, power_hi, power - power_hi, np.array(rest),
                          words.view("<u4").ravel(), zeros,
-                         as_words(from_src * np.uint8(255)),
-                         as_words(from_shifted * np.uint8(255)),
+                         mask(from_src), mask(from_shifted),
                          as_words(marks), as_words(suffix).ravel())
 
 
@@ -128,7 +137,7 @@ def _decimal(x: np.ndarray, span: tuple, t: _KernelTables):
     X = np.floor(np.log10(a)).astype(np.int64)
     D, frac = _scaled(a, X, t)
     # X is the exponent of |x| itself: 10^16 <= |x| 10^(16 - X) < 10^17
-    step = (D >= 10 ** 17).astype(np.int64) - ((D < 10 ** 16) | (D == 10 ** 16) & (frac < 0))
+    step = np.where(D >= 10 ** 17, 1, np.where((D < 10 ** 16) | (D == 10 ** 16) & (frac < 0), -1, 0))
     redo = np.flatnonzero(step)
     if redo.size:
         X[redo] += step[redo]
@@ -154,7 +163,7 @@ def _words(X: np.ndarray, D: np.ndarray, t: _KernelTables):
         word[:, j + 1] -= word[:, j] * 10 ** 4
     zeros = t.zeros[word[:, 5]]
     for j in (4, 3, 2):  # a word's zeros count when all after it are zeros
-        zeros += (zeros == 4 * (5 - j)) * t.zeros[word[:, j]]
+        zeros = np.where(zeros == 4 * (5 - j), zeros + t.zeros[word[:, j]], zeros)
     fixed = (X >= -4) & (X < 17)
     return word, np.where(fixed, X + 4, 4) * 17 + 16 - zeros
 
@@ -183,7 +192,7 @@ def format_cells(values: np.ndarray) -> np.ndarray:
         return _percent_cells(fmt, values.tolist())
     x = values.astype(float)
     cells, kernel = _kernel_cells(x, (1.0, 2.0 ** 53 - 1) if integer else _KERNEL_SPAN)
-    cells[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    cells[:, 0] = np.where(np.signbit(x), np.uint8(ord("-")), np.uint8(0))
     other = np.flatnonzero(~kernel)
     zero = other[x[other] == 0]
     cells[zero, 1:] = 0
