@@ -100,12 +100,12 @@ class ConfigError(ValueError):
 
 # rows formatted and joined at once; bounds the cells and text held
 _CHUNK_ROWS = 4096
-# float cells from which a table is formatted by two processes (write_csv),
-# and numbers in a config's parsed arrays from which a forked child encodes
-# the report echo beside the tables (run): fork and reap cost ~2 ms against
-# ~12 ms of formatting and joining 2^16 doubles and ~30 ms of json for a 3-D
-# h.modes echo of 2^16 numbers (2/5 of them doubles, whose repr dominates)
+# float cells from which write_csv formats a table in two processes: fork
+# and reap cost ~2 ms against ~12 ms of formatting and joining 2^16 doubles
 _FORK_CELLS = 1 << 16
+# rows beyond which a parsed config array is echoed by digest (_echo): json
+# takes ~31 ms for 17,969 h.modes rows, sha256 of their float64s ~0.5 ms
+ECHO_ROWS = 1024
 
 # A value's text is held as a cell of CELL bytes (see text_cells).  A line
 # is its row's cells joined by the separator, with the NULs removed.  A text
@@ -938,33 +938,29 @@ HANDLERS = {
 # ------------------------------------------------------------------ driver
 
 
-def _output_stage(config: dict, cfg: dict, outdir: Path, tables) -> tuple[list, str]:
-    """Writes the tables; returns their paths and the JSON text of the
-    config's echo.
-
-    A ``_beside`` child encodes the echo meanwhile when the config's parsed
-    arrays (h.modes) hold at least _FORK_CELLS numbers.  It starts after the
-    handler's numerical work, beside the text formatting of the tables, so it
-    never competes with the solve for the CPUs (OpenBLAS's threads, when
-    BLAS is not pinned to one).
-    """
-    def write_tables() -> list:
-        for table in tables:
-            write_csv(outdir / table.name, table.header, table.columns,
-                      table.tee and outdir / table.tee)
-        return [str(outdir / name) for table in tables
-                for name in (table.name, table.tee) if name]
-
-    large = sum(v.size for v in cfg.values() if isinstance(v, np.ndarray)) >= _FORK_CELLS
-    return _beside(write_tables, lambda: _json_text(config), large)
+def _echo(config: dict, cfg: dict) -> dict:
+    """config, each parsed array of more than ECHO_ROWS rows (h.modes) in its
+    place as {"rows": N, "sha256": hex digest of its little-endian doubles}."""
+    echo = config
+    for path, value in cfg.items():
+        if isinstance(value, np.ndarray) and len(value) > ECHO_ROWS:
+            import hashlib  # large arrays only: its import costs ~4 ms
+            *blocks, name = path.split(".")
+            echo = node = dict(echo)  # copied along the path: config stays
+            for block in blocks:
+                node[block] = dict(node[block])
+                node = node[block]
+            node[name] = {"rows": len(value), "sha256": hashlib.sha256(
+                np.ascontiguousarray(value, "<f8")).hexdigest()}
+    return echo
 
 
 def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     """Execute one scenario and write its report; returns (report, exit code).
 
-    report.json is one line of sorted-key JSON, the config's echo first: an
-    accepted config's echo is encoded by the output stage (see
-    _output_stage), any other here, with the same bytes either way.
+    report.json is one line of sorted-key JSON.  report["config"] is the
+    config's echo: once the parse accepts the config, that of ``_echo``,
+    whatever the exit code; a refused config as it was given.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -973,13 +969,18 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     report = {"config": config, "versions": versions}
     code = EXIT_OK
     scenario = "?"
-    cfg = echo = None
+    cfg = None
     try:
         cfg = parse_config(config)
+        report["config"] = _echo(config, cfg)
         scenario = cfg["scenario"]
         results, tables = HANDLERS[scenario](cfg)
         report["results"] = _jsonable(results)
-        report["outputs"], echo = _output_stage(config, cfg, outdir, tables)
+        for table in tables:
+            write_csv(outdir / table.name, table.header, table.columns,
+                      table.tee and outdir / table.tee)
+        report["outputs"] = [str(outdir / name) for table in tables
+                             for name in (table.name, table.tee) if name]
     except (FlowBlowUpError, BoundedProgressError) as exc:
         report["error"] = str(exc)
         code = EXIT_BLOWUP
@@ -998,18 +999,13 @@ def run(config: dict, outdir: Path, quiet: bool = False) -> tuple[dict, int]:
     report["exit_status"] = code
 
     report_path = outdir / "report.json"
-    if echo is None:
-        # an accepted config holds str keys, finite numbers and no dict in a
-        # list, so the encoder may read it as it stands; any other is
-        # converted first
-        try:
-            echo = _json_text(config if cfg is not None else _jsonable(config))
-        except RecursionError:  # nested deeper than the interpreter's stack
-            echo = _json_text("a config nested too deep to echo")
-    # "config" sorts before every other key: the echo, then the rest
-    rest = _json_text({k: v for k, v in report.items() if k != "config"})
-    with open(report_path, "w", newline="") as fh:
-        fh.write('{"config": ' + echo + ", " + rest[1:] + "\n")
+    # an accepted config holds str keys, finite numbers and no dict in a list,
+    # so the encoder may read it as it stands; any other is converted first
+    try:
+        _write_json(report_path, report if cfg is not None
+                    else {**report, "config": _jsonable(config)})
+    except RecursionError:  # nested deeper than the interpreter's stack
+        _write_json(report_path, {**report, "config": "a config nested too deep to echo"})
     if not quiet:
         target = report.get("error") or f"results in {report_path}"
         print(f"[egf-lab] {scenario}: {target}")

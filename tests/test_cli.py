@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -88,6 +89,18 @@ def dense_cohomology_config(K: int, imag: float = 0.0) -> dict:
             for w in [(1.0 + sum(c * c for c in u)) ** -1.5]]
     return {"scenario": "cohomology", "v": [1.0, 2 ** 0.5, 3 ** 0.5], "K": K,
             "h": {"modes": rows}}
+
+
+def _dense_rows(rows: int) -> dict:
+    """dense_cohomology_config(8) (2,457 rows) trimmed to its first rows."""
+    cfg = dense_cohomology_config(8)
+    cfg["h"]["modes"] = cfg["h"]["modes"][:rows]
+    return cfg
+
+
+def _digest(rows: list) -> str:
+    """README's recipe for the digest of a config's mode table."""
+    return hashlib.sha256(np.array(rows, dtype="<f8")).hexdigest()
 
 
 class TestConfigAccess:
@@ -698,19 +711,18 @@ class TestCsvWriter:
         """One fork for the stride-1 flow's 36,864 rows of two float columns,
         none for its sparse twin.  3-D cohomology's solution rows hold int
         columns and one complex column, which is text, so its tables never
-        fork: at K = 16 the one fork is the echo's, for the 89,845 numbers of
-        its 17,969 h.modes rows, and at K = 12 (39,065 numbers) none.  A
-        tau-flow forks its umbilical companion, a cfl sweep of two or more
-        members its members from the cost split on, a one-member sweep
-        nothing, and a ds sweep
-        of sparse flows nothing: its members run here, one after another."""
+        fork, and its echo is encoded here: no fork at K = 16 (17,969 h.modes
+        rows) or K = 12.  A tau-flow forks its umbilical companion, a cfl
+        sweep of two or more members its members from the cost split on, a
+        one-member sweep nothing, and a ds sweep of sparse flows nothing: its
+        members run here, one after another."""
         dense = umbilical_config(grid=256, t_end=1.0)
         dense["output"]["snapshot_stride"] = 1
         sweep = [umbilical_config(grid=64, cfl=c) for c in (0.5, 0.7, 0.9)]
         reports = {}
         for cfg, expected, axis in (
                 (dense, 1, None), (umbilical_config(grid=256, t_end=1.0), 0, None),
-                (dense_cohomology_config(16), 1, None),
+                (dense_cohomology_config(16), 0, None),
                 (dense_cohomology_config(12), 0, None), (TAU_FLOW, 1, None),
                 (sweep, 1, "cfl"), (sweep[:1], 0, "cfl"),
                 ([umbilical_config(grid=g) for g in (32, 64, 128)], 0, "ds")):
@@ -1354,6 +1366,7 @@ REFERENCE_CONFIGS = {
     "numpy_refused": {**RICCI, "extra": [np.bool_(True), np.arange(3),
                                          np.array([[0.5, np.nan]])]},
     "cohomology_3d": dense_cohomology_config(2),
+    "cohomology_digest": _dense_rows(cli.ECHO_ROWS + 1),  # h.modes echoed by digest
 }
 
 
@@ -1417,59 +1430,28 @@ class TestReportWriter:
                 Path(tmp) / "b.json").read_bytes()
 
     @pytest.mark.parametrize("name", [*REFERENCE_CONFIGS, "non_finite_results"])
-    def test_report_matches_reference_with_the_echo_forked(self, tmp_path, monkeypatch,
-                                                           name):
-        # every accepted config forks its echo at _FORK_CELLS = 0
+    def test_report_matches_reference_beside_its_tables(self, tmp_path, monkeypatch,
+                                                        name):
         if name == "non_finite_results":
             monkeypatch.setitem(cli.HANDLERS, "cohomology", lambda cfg: (
                 {"a": math.nan, "b": [math.inf, -np.inf], "c": np.float32("nan")}, []))
         cfg = REFERENCE_CONFIGS.get(name, dense_cohomology_config(2))
-        with _fork_counter(_FORK_CELLS=0) as forks:
-            report, code = run(cfg, tmp_path, quiet=True)
+        report, code = run(cfg, tmp_path, quiet=True)
         assert code in (EXIT_OK, EXIT_CONFIG), report.get("error")
-        assert len(forks) == (code == EXIT_OK)
         write_json_reference(tmp_path / "reference.json", report)
         assert (tmp_path / "report.json").read_bytes() == (
             tmp_path / "reference.json").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".csv") == [
             "reference.json", "report.json"]
 
-    def test_failing_echo_child_leaves_the_echo_to_run(self, tmp_path, monkeypatch):
-        parent, encode = os.getpid(), cli._json_text
-
-        def failing(obj):
-            if os.getpid() != parent:
-                raise MemoryError("the child ran out of memory")
-            return encode(obj)
-
-        monkeypatch.setattr(cli, "_json_text", failing)
-        with _fork_counter(_FORK_CELLS=0) as forks:
-            report, code = run(dense_cohomology_config(2), tmp_path, quiet=True)
-        assert code == EXIT_OK and len(forks) == 1, report.get("error")
-        write_json_reference(tmp_path / "reference.json", report)
-        assert (tmp_path / "report.json").read_bytes() == (
-            tmp_path / "reference.json").read_bytes()
-        assert not list(tmp_path.glob("*.part"))
-
-    def test_failing_tables_kill_the_echo_child(self, tmp_path, monkeypatch):
-        parent, encode = os.getpid(), cli._json_text
-
-        def slow(obj):  # the child would take a minute
-            if os.getpid() != parent:
-                time.sleep(60)
-            return encode(obj)
-
+    def test_failing_tables_leave_the_report_alone(self, tmp_path, monkeypatch):
         def full(path, header, columns, tee=None):
             raise OSError("no space left on the device")
 
-        monkeypatch.setattr(cli, "_json_text", slow)
         monkeypatch.setattr(cli, "write_csv", full)
         cfg = dense_cohomology_config(2)
-        started = time.monotonic()
-        with _fork_counter(_FORK_CELLS=0) as forks:
-            report, code = run(cfg, tmp_path, quiet=True)
-        assert time.monotonic() - started < 30  # killed, not waited for
-        assert code == EXIT_INTERNAL and len(forks) == 1
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_INTERNAL
         assert report["error"] == "internal error: OSError: no space left on the device"
         assert json.loads((tmp_path / "report.json").read_text())["config"] == cfg
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
@@ -1496,7 +1478,8 @@ class TestReportWriter:
     @pytest.mark.parametrize("cfg", [
         _set(dense_cohomology_config(2), "extra", 1),  # refused by the parse
         _set(dense_cohomology_config(2), "h.grid_csv", "h.csv"),  # by the handler
-    ], ids=["parse", "handler"])
+        _set(_dense_rows(cli.ECHO_ROWS + 1), "extra", 1),  # by the parse: echoed in full
+    ], ids=["parse", "handler", "parse_large"])
     def test_refused_config_never_forks(self, tmp_path, cfg):
         with _fork_counter(_FORK_CELLS=0) as forks:
             report, code = run(cfg, tmp_path, quiet=True)
@@ -1504,8 +1487,8 @@ class TestReportWriter:
         assert json.loads((tmp_path / "report.json").read_text())["config"] == cfg
 
     def test_no_handler_mutates_its_config(self, tmp_path):
-        # a forked child encodes the config as it stands when the tables are
-        # written, this process as it stands at the end
+        # the report echoes the config as it stands once the run ends, so a
+        # handler that changed it would echo a config it did not run
         for cfg in (umbilical_config(grid=32, t_end=0.1), TAU_FLOW, SOLITON, BIREGULAR,
                     RICCI, COHOMOLOGY, dense_cohomology_config(2), CONSTANT_LAMBDA,
                     REVOLUTION, CONE):
@@ -1519,7 +1502,8 @@ class TestReportWriter:
 
     def test_config_echo_is_not_walked(self, tmp_path, monkeypatch):
         # the encoder reads an accepted config's mode table as it stands: the
-        # conversions are as many at K = 4 (365 rows) as at K = 8 (2,457)
+        # conversions are as many at K = 2 (63 rows) as at K = 4 (365), both
+        # echoed in full
         walk, calls = cli._jsonable, []
 
         def counted(obj):
@@ -1528,12 +1512,59 @@ class TestReportWriter:
 
         monkeypatch.setattr(cli, "_jsonable", counted)
         counts = []
-        for K in (4, 8):
+        for K in (2, 4):
             calls.clear()
             report, code = run(dense_cohomology_config(K), tmp_path / str(K), quiet=True)
             assert code == EXIT_OK, report.get("error")
             counts.append(len(calls))
         assert counts[0] == counts[1], counts
+
+    @pytest.mark.parametrize("rows", [cli.ECHO_ROWS, cli.ECHO_ROWS + 1])
+    def test_echo_digests_arrays_past_the_threshold(self, tmp_path, rows):
+        cfg = _dense_rows(rows)
+        before = json.dumps(cfg, sort_keys=True)
+        report, code = run(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, report.get("error")
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["config"] == report["config"]
+        want = cfg["h"]["modes"] if rows <= cli.ECHO_ROWS else {
+            "rows": rows, "sha256": _digest(cfg["h"]["modes"])}
+        assert written["config"] == {**cfg, "h": {"modes": want}}
+        assert json.dumps(cfg, sort_keys=True) == before  # the config is not changed
+
+    def test_digest_is_of_the_float64_table(self, tmp_path):
+        # README's recipe: ints and floats of equal value hash alike, the
+        # signs of zero do not
+        cfg = _dense_rows(cli.ECHO_ROWS + 1)
+        floats = _set(json.loads(json.dumps(cfg)), "h.modes",
+                      [[float(x) for x in row] for row in cfg["h"]["modes"]])
+        signed = json.loads(json.dumps(cfg))
+        signed["h"]["modes"][0][-1] = -0.0
+        digests = []
+        for name, config in (("ints", cfg), ("floats", floats), ("signed", signed)):
+            report, code = run(config, tmp_path / name, quiet=True)
+            assert code == EXIT_OK, report.get("error")
+            digests.append(report["config"]["h"]["modes"]["sha256"])
+        assert digests[0] == digests[1] == _digest(cfg["h"]["modes"])
+        assert digests[2] == _digest(signed["h"]["modes"]) != digests[0]
+
+    @pytest.mark.parametrize("error,code", [
+        (FlowBlowUpError("non-finite power sums", 0.0), EXIT_BLOWUP),
+        (ResonanceError("resonant", (1, 0, 0)), EXIT_UNSOLVABLE),
+        (RuntimeError("boom"), EXIT_INTERNAL),
+    ], ids=["exit_3", "exit_4", "exit_5"])
+    def test_handler_errors_echo_the_digest(self, tmp_path, monkeypatch, error, code):
+        def failing(cfg):
+            raise error
+
+        monkeypatch.setitem(cli.HANDLERS, "cohomology", failing)
+        cfg = _dense_rows(cli.ECHO_ROWS + 1)
+        report, got = run(cfg, tmp_path, quiet=True)
+        assert got == code, report.get("error")
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["config"] == report["config"]
+        assert written["config"]["h"]["modes"] == {
+            "rows": cli.ECHO_ROWS + 1, "sha256": _digest(cfg["h"]["modes"])}
 
 
 class TestSweep:
@@ -1671,10 +1702,10 @@ def _one_cpu():
 
 
 class TestSecondProcess:
-    """A tau-flow's umbilical companion, the second half of a cfl sweep, a
-    large echo and the second half of a large table run in a forked child,
-    one child at a time; a failed child leaves its work to this process.
-    The bytes are those of one process."""
+    """A tau-flow's umbilical companion, the second half of a cfl sweep and
+    the second half of a large table run in a forked child, one child at a
+    time; a failed child leaves its work to this process.  The bytes are
+    those of one process."""
 
     @pytest.mark.parametrize("name,configs,axis", SECOND_PROCESS_RUNS,
                              ids=[r[0] for r in SECOND_PROCESS_RUNS])

@@ -931,6 +931,12 @@ def _catalog_functionals(max_n: int) -> list[tuple[str, int]]:
     return cases
 
 
+def _f0_functionals(max_n: int) -> list[tuple[str, int]]:
+    """The (name, n) of _catalog_functionals whose table holds f_0 alone."""
+    return [(name, n) for name, n in _catalog_functionals(max_n)
+            if not any(make_functional(name, n).table[1:])]
+
+
 class TestJacobianOracle:
     """The tau system's exact Jacobian A(tau) (tests/oracles.py, sympy from
     the monomial table and the Newton identities) against the step."""
@@ -963,6 +969,47 @@ class TestJacobianOracle:
         rho = max(np.abs(np.linalg.eigvals(np.array(numeric(*node), dtype=float))).max()
                   for node in fld.tau.T)
         assert ctl.cfl * fld.ds / dt >= rho * (1 - 1e-9)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_b1_is_half_the_identity(self, n):
+        # over the symbols tau: at every spectrum
+        A, _ = tau_jacobian(make_functional("b1", n))
+        assert A == sp.eye(n) / 2
+
+    def test_f0_cases_cover_the_f0_functionals(self):
+        assert {"tau1_minus_c", "affine", "umbilical_square"} <= {
+            name for name, _ in _f0_functionals(6)}
+
+    @pytest.mark.parametrize("name,n", _f0_functionals(6))
+    def test_f0_alone_gives_rank_one(self, name, n):
+        # A = u v^T with u_i = (i/2) tau_{i-1} (tau_0 = n) and v = grad f_0:
+        # eigenvalues u.v and 0 (n - 1 times), and on an umbilical spectrum
+        # tau_k = n lam^k, 2 u.v = psi'(lam)
+        F = make_functional(name, n)
+        A, tau = tau_jacobian(F)
+        f0 = sp.Add(*(sp.Rational(coef) * sp.Mul(*(t ** e for t, e in zip(tau, exps)))
+                      for exps, coef in F.table[0]))
+        u = sp.Matrix([sp.Rational(i, 2) * (n, *tau)[i - 1] for i in range(1, n + 1)])
+        v = sp.Matrix([[sp.diff(f0, t) for t in tau]])
+        assert sp.expand(A - u * v) == sp.zeros(n, n)
+        uv = (v * u)[0, 0]
+
+        numeric, dot = sp.lambdify(tau, A, "numpy"), sp.lambdify(tau, uv, "numpy")
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            k = rng.normal(size=n)
+            spectrum = [float(np.sum(k ** m)) for m in range(1, n + 1)]
+            a = np.array(numeric(*spectrum), dtype=float)
+            want = np.sort_complex(np.array([dot(*spectrum)] + [0.0] * (n - 1), complex))
+            got = np.sort_complex(np.linalg.eigvals(a))
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max()))
+
+        lam = sp.Symbol("lam")
+        two_uv = sp.lambdify(lam, 2 * uv.subs(
+            {t: n * lam ** k for k, t in enumerate(tau, start=1)}), "numpy")
+        x = np.linspace(-1.5, 1.5, 7)
+        psi_prime_exact = np.polynomial.polynomial.polyval(x, F.psi_prime_coeffs)
+        assert np.allclose(two_uv(x), psi_prime_exact, rtol=1e-14, atol=1e-14)
 
 
 # numpy's Python-level wrappers: ndarray methods and slices do the same work
